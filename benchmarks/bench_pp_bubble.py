@@ -13,11 +13,7 @@ and emits a machine-readable ``BENCH_pp.json``:
   ratios, portable across machines;
 * **degeneracy and reuse checks**: a 1-stage/1-microbatch run embeds e2e
   totals bit-identical to ``repro e2e``, plan reuse is bit-identical to
-  re-tuning, and repeated runs are deterministic;
-* **replay fast path**: wall-clock speedup of the vectorized topological
-  sweep (``replay_tasks(fast=True)``) over the event-by-event reference on
-  large pipeline schedules and wide synthetic DAGs, asserting the two are
-  bit-identical.
+  re-tuning, and repeated runs are deterministic.
 
 ``--check`` compares every ``*speedup*`` ratio against a committed baseline
 (``benchmarks/BENCH_pp_baseline.json``) and exits non-zero on a >2x
@@ -36,7 +32,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
@@ -50,8 +45,7 @@ from repro.atomic import atomic_write_text
 from repro.core.config import OverlapSettings
 from repro.e2e import EndToEndEstimator
 from repro.pp import PipelineEstimator
-from repro.pp.schedule import KNOWN_SCHEDULES, StageCostVector, generate_schedule
-from repro.sim.replay import ReplayTask, replay_tasks
+from repro.pp.schedule import KNOWN_SCHEDULES
 from repro.workloads.e2e import build_workload
 from repro.workloads.pipeline import build_pipeline_workload
 
@@ -108,97 +102,6 @@ def bench_bubble_grid(smoke: bool) -> tuple[dict, bool, bool]:
         "tuner_invocations": stats["tuner_invocations"],
     }
     return grid, monotonic, hits_seen
-
-
-def _pipeline_tasks(stages: int, microbatches: int) -> list[ReplayTask]:
-    """A zero-bubble schedule over slightly imbalanced synthetic stage costs."""
-    costs = tuple(
-        StageCostVector(
-            forward=1e-3 * (1.0 + 0.05 * (s % 3)),
-            dgrad=1.1e-3,
-            wgrad=0.9e-3,
-        )
-        for s in range(stages)
-    )
-    schedule = generate_schedule(
-        "zero-bubble", costs, microbatches, fwd_delay=5e-5, bwd_delay=5e-5
-    )
-    return schedule.tasks()
-
-
-def _wide_dag_tasks(resources: int, layers: int) -> list[ReplayTask]:
-    """A layered DAG wide enough for the numpy frontier sweep."""
-    tasks = []
-    for layer in range(layers):
-        for r in range(resources):
-            deps = ()
-            if layer:
-                deps = (
-                    (f"t{layer - 1}-{r}", 0.0),
-                    (f"t{layer - 1}-{(r + 1) % resources}", 1e-5),
-                )
-            tasks.append(
-                ReplayTask(
-                    name=f"t{layer}-{r}",
-                    resource=f"r{r}",
-                    duration=1e-4 * ((layer + r) % 7 + 1),
-                    deps=deps,
-                )
-            )
-    return tasks
-
-
-def bench_replay_fast_path(smoke: bool) -> tuple[dict, bool]:
-    """Vectorized replay sweep vs the event-by-event reference (bit-identical)."""
-    if smoke:
-        cases = {
-            "pipeline-s8-mb64": _pipeline_tasks(8, 64),
-            "wide-dag-r96-l24": _wide_dag_tasks(96, 24),
-        }
-        repeats = 3
-    else:
-        cases = {
-            "pipeline-s8-mb128": _pipeline_tasks(8, 128),
-            "pipeline-s16-mb128": _pipeline_tasks(16, 128),
-            "wide-dag-r128-l48": _wide_dag_tasks(128, 48),
-            "wide-dag-r256-l64": _wide_dag_tasks(256, 64),
-        }
-        repeats = 5
-
-    def best_of(tasks: list[ReplayTask], fast: bool):
-        result, best = None, float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            result = replay_tasks(tasks, fast=fast)
-            best = min(best, time.perf_counter() - start)
-        return result, best
-
-    metrics: dict[str, dict] = {}
-    identical = True
-    total_ref = total_fast = 0.0
-    for name, tasks in cases.items():
-        reference, ref_s = best_of(tasks, fast=False)
-        fast, fast_s = best_of(tasks, fast=True)
-        identical = identical and (
-            fast.spans == reference.spans
-            and fast.makespan == reference.makespan
-            and fast.busy == reference.busy
-            and fast.work == reference.work
-        )
-        total_ref += ref_s
-        total_fast += fast_s
-        metrics[name] = {
-            "tasks": len(tasks),
-            "reference_s": ref_s,
-            "fast_s": fast_s,
-            "speedup": ref_s / fast_s,
-        }
-    metrics["total"] = {
-        "reference_s": total_ref,
-        "fast_s": total_fast,
-        "speedup": total_ref / total_fast,
-    }
-    return metrics, identical
 
 
 def _schedule_steps(estimate) -> dict:
@@ -291,8 +194,6 @@ def main(argv: list[str] | None = None) -> int:
             grid, monotonic, hits_seen = bench_bubble_grid(args.smoke)
         with obs.span("checks"):
             checks = bench_checks(args.smoke)
-        with obs.span("replay"):
-            replay, replay_identical = bench_replay_fast_path(args.smoke)
     report = {
         "meta": {
             "smoke": args.smoke,
@@ -301,11 +202,10 @@ def main(argv: list[str] | None = None) -> int:
             "python": sys.version.split()[0],
             "numpy": np.__version__,
         },
-        "metrics": {"grid": grid, "replay": replay},
+        "metrics": {"grid": grid},
         "checks": {
             "bubble_strictly_decreasing_everywhere": monotonic,
             "plan_store_reused_across_grid": hits_seen,
-            "replay_fast_bit_identical": replay_identical,
             **checks,
         },
         "observability": obs_session.snapshot(command="bench_pp_bubble").to_dict(),

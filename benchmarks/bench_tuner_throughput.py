@@ -37,12 +37,18 @@ import sys
 import time
 from pathlib import Path
 
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
+_ROOT = Path(__file__).resolve().parent.parent
+for _path in (_ROOT / "src", _ROOT / "tests"):  # tests/ holds the reorder oracles
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 import numpy as np
 
+from oracles.reordering import (
+    all_to_all_reference,
+    allreduce_reference,
+    reduce_scatter_reference,
+)
 from repro import obs
 from repro.atomic import atomic_write_text
 from repro.comm.primitives import CollectiveKind
@@ -122,7 +128,7 @@ def bench_predictive_tuning(smoke: bool, repeats: int) -> tuple[dict, bool]:
 
 
 def bench_pipeline_reorder(smoke: bool, repeats: int) -> tuple[dict, bool]:
-    """Elements/s of the per-tile reference reorders vs the index fast path.
+    """Elements/s of the per-tile reference oracles vs the index reorders.
 
     Sized so the reorder stages dominate (many tiles per matrix, as in the
     paper's operator shapes): what is measured is the pre/post-communication
@@ -135,16 +141,15 @@ def bench_pipeline_reorder(smoke: bool, repeats: int) -> tuple[dict, bool]:
     metrics: dict[str, dict] = {}
     all_equal = True
 
-    def add(name: str, runner, elements: int) -> None:
+    def add(name: str, runner, reference, elements: int) -> None:
         nonlocal all_equal
-        fast = runner(True)
-        ref = runner(False)
+        fast = runner()
         all_equal = all_equal and all(
-            np.array_equal(a, b) for a, b in zip(fast.outputs, ref.outputs)
+            np.array_equal(a, b) for a, b in zip(fast.outputs, reference(), strict=True)
         )
         all_equal = all_equal and fast.allclose()
-        fast_s = _time(lambda: runner(True), repeats)
-        ref_s = _time(lambda: runner(False), repeats)
+        fast_s = _time(runner, repeats)
+        ref_s = _time(reference, repeats)
         metrics[name] = {
             "reference_elements_per_s": elements / ref_s,
             "fast_elements_per_s": elements / fast_s,
@@ -162,14 +167,16 @@ def bench_pipeline_reorder(smoke: bool, repeats: int) -> tuple[dict, bool]:
     ar_mats = [rng.normal(size=(size, size)) for _ in range(n_gpus)]
     add(
         "allreduce",
-        lambda fast: run_allreduce_pipeline(ar_mats, ar_plan, fast=fast),
+        lambda: run_allreduce_pipeline(ar_mats, ar_plan),
+        lambda: allreduce_reference(ar_mats, ar_plan),
         n_gpus * size * size,
     )
 
     rs_plan = build_reorder_plan(CollectiveKind.REDUCE_SCATTER, layout, groups, n_gpus)
     add(
         "reducescatter",
-        lambda fast: run_reduce_scatter_pipeline(ar_mats, rs_plan, fast=fast),
+        lambda: run_reduce_scatter_pipeline(ar_mats, rs_plan),
+        lambda: reduce_scatter_reference(ar_mats, rs_plan)[0],
         n_gpus * size * size,
     )
 
@@ -188,7 +195,8 @@ def bench_pipeline_reorder(smoke: bool, repeats: int) -> tuple[dict, bool]:
         a2a_dests.append(rng.integers(0, n_gpus, size=a2a_size))
     add(
         "alltoall",
-        lambda fast: run_all_to_all_pipeline(a2a_mats, a2a_dests, a2a_plans, fast=fast),
+        lambda: run_all_to_all_pipeline(a2a_mats, a2a_dests, a2a_plans),
+        lambda: all_to_all_reference(a2a_mats, a2a_dests, a2a_plans),
         n_gpus * a2a_size * a2a_size,
     )
 

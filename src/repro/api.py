@@ -144,7 +144,6 @@ def pp(
     seed: int = 0,
     reuse: bool = True,
     record_trace: bool = True,
-    fast: bool = True,
     smoke: bool = False,
     profile: bool = False,
 ) -> PipelineReport:
@@ -153,8 +152,6 @@ def pp(
     Arguments left at ``None`` take the full-run defaults (4 stages,
     8 microbatches, all five workloads, all three schedules) or, with
     ``smoke=True``, the CI-sized scenario in :data:`PP_SMOKE`.
-    ``fast=False`` replays the schedules through the event-by-event reference
-    path instead of the vectorized sweep (bit-identical results).
     ``profile=True`` attaches an observability snapshot to the report.
     """
 
@@ -190,7 +187,6 @@ def pp(
             reuse=reuse,
             record_trace=record_trace,
             partition=tuple(int(count) for count in partition) if partition is not None else None,
-            fast=fast,
         )
         report.meta["smoke"] = smoke
         return report

@@ -68,9 +68,6 @@ def add_parser(sub) -> None:
     parser.add_argument("--no-reuse", action="store_true",
                         help="disable the shared plan store (re-tune every operator; "
                              "the schedule estimates are bit-identical)")
-    parser.add_argument("--no-fast", action="store_true",
-                        help="replay schedules through the event-by-event reference "
-                             "path instead of the vectorized sweep (bit-identical)")
     add_seed_argument(parser)
     parser.add_argument("--trace", type=str, default=None, metavar="PREFIX",
                         help="export a Chrome trace (one thread per stage) per workload "
@@ -136,7 +133,6 @@ def run(args: argparse.Namespace) -> int:
                     seed=args.seed,
                     reuse=not args.no_reuse,
                     record_trace=True,
-                    fast=not args.no_fast,
                     smoke=args.smoke,
                 )
     except (OSError, ValueError) as error:

@@ -27,13 +27,7 @@ from repro.comm.primitives import CollectiveKind
 from repro.core.signaling import CountingTable, GroupAssignment
 from repro.tensor.layout import TileLayout
 from repro.tensor.mapping import MappingTable
-from repro.tensor.tiles import (
-    gather_tiles,
-    gather_tiles_indexed,
-    scatter_tiles,
-    scatter_tiles_indexed,
-    tile_flat_indices,
-)
+from repro.tensor.tiles import gather_tiles_indexed, scatter_tiles_indexed, tile_flat_indices
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +91,7 @@ class ReorderPlan:
     def num_groups(self) -> int:
         return len(self.groups)
 
-    # -- cached index permutations (the reorder fast path) ---------------------
+    # -- cached index permutations (one gather/scatter per reorder) -----------
 
     def _index_cache(self) -> dict:
         cache = self.__dict__.get("_cached_indices")
@@ -157,7 +151,7 @@ class ReorderPlan:
         return cache[key]
 
     def group_subtoken_index(self, group_index: int) -> SubtokenIndex:
-        """Precomputed sub-token index of one group (All-to-All fast path)."""
+        """Precomputed sub-token index of one group (All-to-All packing)."""
         cache = self._index_cache()
         key = ("subtoken", group_index)
         if key not in cache:
@@ -281,16 +275,13 @@ def run_allreduce_pipeline(
     plan: ReorderPlan,
     assignment: GroupAssignment | None = None,
     execution_order: Sequence[int] | None = None,
-    fast: bool = True,
 ) -> PipelineResult:
     """AllReduce with tile-level reordering (Fig. 7(d)).
 
     Every GPU contributes a partial GEMM output of identical shape; the result
-    on every GPU is the element-wise sum, in the original layout.  With
-    ``fast=True`` (default) both reorders use the plan's cached flat index
-    permutation (one ``np.take`` / fancy-index assignment per group);
-    ``fast=False`` runs the per-tile reference loops the fast path is
-    validated against.
+    on every GPU is the element-wise sum, in the original layout.  Both
+    reorders use the plan's cached flat index permutation (one ``np.take`` /
+    fancy-index assignment per group).
     """
     layout = plan.layout
     for matrix in matrices:
@@ -308,19 +299,13 @@ def run_allreduce_pipeline(
         if table is not None:
             table.assert_ready(group.group_index)
         # Pre-communication reorder: pack the group's tiles contiguously.
-        if fast:
-            indices = plan.group_flat_indices(group.group_index)
-            buffers = [gather_tiles_indexed(m, indices) for m in inputs]
-        else:
-            buffers = [gather_tiles(m, layout, group.tile_order) for m in inputs]
+        indices = plan.group_flat_indices(group.group_index)
+        buffers = [gather_tiles_indexed(m, indices) for m in inputs]
         # Communication-agnostic NCCL call on the contiguous buffers.
         reduced = all_reduce(buffers)
         # Post-communication reorder: scatter tiles back to their addresses.
         for gpu, out in enumerate(outputs):
-            if fast:
-                scatter_tiles_indexed(out, indices, reduced[gpu])
-            else:
-                scatter_tiles(out, layout, group.tile_order, reduced[gpu])
+            scatter_tiles_indexed(out, indices, reduced[gpu])
     return PipelineResult(outputs=outputs, reference=reference, groups_communicated=plan.num_groups)
 
 
@@ -347,7 +332,6 @@ def run_reduce_scatter_pipeline(
     elementwise: Callable[[np.ndarray], np.ndarray] | None = None,
     assignment: GroupAssignment | None = None,
     execution_order: Sequence[int] | None = None,
-    fast: bool = True,
 ) -> PipelineResult:
     """ReduceScatter with sub-tile reordering, followed by the element-wise
     operator and the AllGather + row exchange that restore the layout
@@ -358,9 +342,8 @@ def run_reduce_scatter_pipeline(
     ReduceScatter -> element-wise -> AllGather pipeline.  ``extras`` carries
     the per-GPU rows owned between RS and AG, so tests can verify that every
     owned row is complete on a single GPU (the property the element-wise
-    operator needs).  ``fast=True`` (default) packs and unpacks the sub-tile
-    buffers through the plan's cached index permutation; ``fast=False`` runs
-    the per-tile reference loops.
+    operator needs).  The sub-tile buffers are packed and unpacked through
+    the plan's cached index permutation.
     """
     layout = plan.layout
     n = plan.n_gpus
@@ -379,7 +362,6 @@ def run_reduce_scatter_pipeline(
     if assignment is not None and execution_order is not None:
         table = _replay_signals(assignment, execution_order)
 
-    sub_rows = layout.tile_m // n
     owned_values = [np.zeros((layout.m, layout.n), dtype=np.float64) for _ in range(n)]
     owned_rows: list[set[int]] = [set() for _ in range(n)]
 
@@ -389,40 +371,17 @@ def run_reduce_scatter_pipeline(
         # Pre-communication reorder: for NCCL ReduceScatter the buffer is laid
         # out so that the k-th contiguous chunk holds the k-th sub-tile of
         # every tile in the group.
-        if fast:
-            indices = plan.group_subtile_indices(group.group_index)
-            buffers = [gather_tiles_indexed(matrix, indices) for matrix in inputs]
-            received = reduce_scatter_flat(buffers)
-            # Unpack: GPU k received the reduced k-th sub-tile of every tile.
-            chunk_size = indices.size // n
-            group_rows = plan.group_subtile_rows(group.group_index)
-            for k in range(n):
-                scatter_tiles_indexed(
-                    owned_values[k], indices[k * chunk_size : (k + 1) * chunk_size], received[k]
-                )
-                owned_rows[k].update(group_rows[k])
-            continue
-        buffers = []
-        for matrix in inputs:
-            chunks = []
-            for k in range(n):
-                for tile in group.tile_order:
-                    rs, cs = layout.tile_slices(tile)
-                    sub = matrix[rs.start + k * sub_rows : rs.start + (k + 1) * sub_rows, cs]
-                    chunks.append(sub.ravel())
-            buffers.append(np.concatenate(chunks))
+        indices = plan.group_subtile_indices(group.group_index)
+        buffers = [gather_tiles_indexed(matrix, indices) for matrix in inputs]
         received = reduce_scatter_flat(buffers)
-        # Unpack: GPU k received the reduced k-th sub-tile of every group tile.
+        # Unpack: GPU k received the reduced k-th sub-tile of every tile.
+        chunk_size = indices.size // n
+        group_rows = plan.group_subtile_rows(group.group_index)
         for k in range(n):
-            chunk = received[k]
-            offset = 0
-            for tile in group.tile_order:
-                rs, cs = layout.tile_slices(tile)
-                block = chunk[offset : offset + sub_rows * layout.tile_n].reshape(sub_rows, layout.tile_n)
-                row_start = rs.start + k * sub_rows
-                owned_values[k][row_start : row_start + sub_rows, cs] = block
-                owned_rows[k].update(range(row_start, row_start + sub_rows))
-                offset += sub_rows * layout.tile_n
+            scatter_tiles_indexed(
+                owned_values[k], indices[k * chunk_size : (k + 1) * chunk_size], received[k]
+            )
+            owned_rows[k].update(group_rows[k])
 
     # Element-wise operator on complete rows, then AllGather + row exchange.
     shard_rows = [sorted(rows) for rows in owned_rows]
@@ -445,32 +404,21 @@ def run_reduce_scatter_pipeline(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Subtoken:
-    """One row segment of one tile, routed to a destination GPU."""
-
-    source_row: int
-    col_block: int
-    data: np.ndarray
-
-
 def run_all_to_all_pipeline(
     matrices: Sequence[np.ndarray],
     destinations: Sequence[np.ndarray],
     plans: Sequence[ReorderPlan],
     assignments: Sequence[GroupAssignment] | None = None,
     execution_orders: Sequence[Sequence[int]] | None = None,
-    fast: bool = True,
 ) -> PipelineResult:
     """All-to-All with sub-token reordering (Fig. 7(f)).
 
     Every source GPU owns a token matrix (its local GEMM output) plus a
     destination GPU per token; tokens must arrive at their destination as
     complete rows, ordered by (source GPU, source row).  Each source GPU may
-    have its own tile layout and wave grouping (``plans[src]``).  ``fast=True``
-    (default) packs each round's memory pools through the plans' cached
-    sub-token indices (one masked gather per destination); ``fast=False`` runs
-    the per-row reference loop.
+    have its own tile layout and wave grouping (``plans[src]``).  Each round's
+    memory pools are packed through the plans' cached sub-token indices (one
+    masked gather per destination).
     """
     n = len(matrices)
     if len(destinations) != n or len(plans) != n:
@@ -490,14 +438,11 @@ def run_all_to_all_pipeline(
     dest_arrays = [np.asarray(d) for d in destinations]
 
     max_groups = max(plan.num_groups for plan in plans)
-    if fast:
-        outputs = _all_to_all_fast(inputs, dest_arrays, plans, tables, max_groups)
-    else:
-        outputs = _all_to_all_reference(inputs, dest_arrays, plans, tables, max_groups)
+    outputs = _all_to_all_indexed(inputs, dest_arrays, plans, tables, max_groups)
     return PipelineResult(outputs=outputs, reference=reference, groups_communicated=max_groups)
 
 
-def _all_to_all_fast(
+def _all_to_all_indexed(
     inputs: list[np.ndarray],
     dest_arrays: list[np.ndarray],
     plans: Sequence[ReorderPlan],
@@ -565,84 +510,6 @@ def _all_to_all_fast(
                 parts.append(land[dst][src].reshape(layout.m, layout.n)[complete])
         width = plans[0].layout.n
         outputs.append(np.concatenate(parts) if parts else np.empty((0, width)))
-    return outputs
-
-
-def _all_to_all_reference(
-    inputs: list[np.ndarray],
-    dest_arrays: list[np.ndarray],
-    plans: Sequence[ReorderPlan],
-    tables: Sequence[CountingTable | None],
-    max_groups: int,
-) -> list[np.ndarray]:
-    """Per-row reference execution the index fast path is validated against."""
-    n = len(inputs)
-    # recv[dst][src] maps source row -> {col_block -> data}
-    recv: list[list[dict[int, dict[int, np.ndarray]]]] = [
-        [dict() for _ in range(n)] for _ in range(n)
-    ]
-
-    for group_round in range(max_groups):
-        # Each source packs one memory pool per destination for this round.
-        send: list[list[list[_Subtoken]]] = [[[] for _ in range(n)] for _ in range(n)]
-        for src in range(n):
-            plan = plans[src]
-            if group_round >= plan.num_groups:
-                continue
-            group = plan.groups[group_round]
-            if tables[src] is not None:
-                tables[src].assert_ready(group.group_index)
-            matrix = inputs[src]
-            dests = dest_arrays[src]
-            layout = plan.layout
-            for tile in group.tile_order:
-                rs, cs = layout.tile_slices(tile)
-                _, col_block = layout.tile_coords(tile)
-                for row in range(rs.start, rs.stop):
-                    dst = int(dests[row])
-                    send[src][dst].append(
-                        _Subtoken(source_row=row, col_block=col_block, data=matrix[row, cs].copy())
-                    )
-        # One All-to-All call moves every pool to its destination.  The payload
-        # is the concatenated sub-token data; the metadata (source row, column
-        # block) travels with it, as the mapping tables are shared knowledge.
-        payload = [
-            [
-                np.concatenate([s.data for s in send[src][dst]])
-                if send[src][dst]
-                else np.empty(0)
-                for dst in range(n)
-            ]
-            for src in range(n)
-        ]
-        received = all_to_all(payload)
-        for dst in range(n):
-            for src in range(n):
-                buffer = received[dst][src]
-                offset = 0
-                for token in send[src][dst]:
-                    size = token.data.size
-                    chunk = buffer[offset : offset + size]
-                    recv[dst][src].setdefault(token.source_row, {})[token.col_block] = chunk
-                    offset += size
-
-    # Post-communication reorder: assemble complete tokens ordered by
-    # (source GPU, source row index).
-    outputs = []
-    for dst in range(n):
-        rows = []
-        for src in range(n):
-            layout = plans[src].layout
-            for source_row in sorted(recv[dst][src]):
-                blocks = recv[dst][src][source_row]
-                expected_blocks = layout.grid_n
-                if sorted(blocks) != list(range(expected_blocks)):
-                    raise ValueError(
-                        f"token (src={src}, row={source_row}) arrived incomplete at GPU {dst}"
-                    )
-                rows.append(np.concatenate([blocks[cb] for cb in range(expected_blocks)]))
-        width = plans[0].layout.n
-        outputs.append(np.stack(rows) if rows else np.empty((0, width)))
     return outputs
 
 

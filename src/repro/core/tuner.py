@@ -93,7 +93,7 @@ class PredictiveTuner:
                     best, best_latency = partition, latency
         if best is None:  # pragma: no cover - defensive
             raise RuntimeError("no candidate partitions were generated")
-        use_overlap = best_latency <= predictor.predict_non_overlap()
+        use_overlap = bool(best_latency <= predictor.predict_non_overlap())
         return TuningResult(
             partition=best,
             predicted_latency=best_latency,
@@ -151,7 +151,7 @@ class ExhaustiveTuner:
             raise RuntimeError("no candidate partitions were generated")
         # Like the predictive tuner, fall back to the sequential execution when
         # even the best overlapped candidate is slower than not overlapping.
-        use_overlap = best_latency <= executor.simulate_sequential().latency
+        use_overlap = bool(best_latency <= executor.simulate_sequential().latency)
         return TuningResult(
             partition=best,
             predicted_latency=best_latency,

@@ -204,7 +204,8 @@ class PlanCache:
         # different platform -- so always simulate the candidate partition on
         # *this* problem and take whichever execution is faster.
         candidate_latency = executor.simulate(tuning.partition).latency
-        use_overlap = candidate_latency <= sequential_latency
+        # bool(): a NumPy latency would otherwise leak a non-JSON np.bool_.
+        use_overlap = bool(candidate_latency <= sequential_latency)
         if use_overlap != tuning.use_overlap:
             tuning = replace(tuning, use_overlap=use_overlap)
         overlap_latency = candidate_latency if use_overlap else sequential_latency

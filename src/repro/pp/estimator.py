@@ -169,14 +169,9 @@ class PipelineEstimator:
         estimator: EndToEndEstimator | None = None,
         reuse: bool = True,
         warm_start=None,
-        fast: bool = True,
     ) -> None:
         self.settings = settings
         self.e2e = estimator or EndToEndEstimator(settings, reuse=reuse, warm_start=warm_start)
-        #: Replay schedules through the vectorized sweep (bit-identical to
-        #: the event-by-event reference; ``fast=False`` keeps the latter on
-        #: the hot path, which `repro pp --no-fast` exercises in CI).
-        self.fast = fast
 
     @property
     def plan_store(self):
@@ -257,7 +252,7 @@ class PipelineEstimator:
                 bwd_delay=costs.bwd_delay,
             )
             want_trace = record_trace and method == "overlap"
-            result = schedule.replay(record_trace=want_trace, fast=self.fast)
+            result = schedule.replay(record_trace=want_trace)
             methods[method] = _score(schedule, result, method)
             num_cells = len(schedule.cells())
             if want_trace:

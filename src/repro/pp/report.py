@@ -114,17 +114,15 @@ def estimate_pipelines(
     reuse: bool = True,
     record_trace: bool = False,
     partition: tuple[int, ...] | None = None,
-    fast: bool = True,
 ) -> PipelineReport:
     """Estimate the named registry workloads under pipeline parallelism.
 
     All workloads run through one shared plan store (cross-workload reuse);
     every knob applies to each workload.  ``partition`` overrides the
     balanced stage split with an explicit per-stage layer count (what a
-    replayed planner JSON carries).  ``fast=False`` replays the schedules
-    event by event instead of through the vectorized sweep (bit-identical).
+    replayed planner JSON carries).
     """
-    estimator = estimator or PipelineEstimator(settings, reuse=reuse, fast=fast)
+    estimator = estimator or PipelineEstimator(settings, reuse=reuse)
     estimates = []
     for name in names:
         workload = build_pipeline_workload(

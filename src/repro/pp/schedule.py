@@ -148,14 +148,9 @@ class Schedule:
             for cell in self.cells()
         ]
 
-    def replay(self, record_trace: bool = False, fast: bool = True) -> ReplayResult:
-        """Greedy list-scheduled execution (vectorized sweep by default).
-
-        ``fast=False`` replays event by event on the engine; the results are
-        bit-identical either way (and recording a trace always uses the
-        event-by-event path, whose event order defines the stream layout).
-        """
-        return replay_tasks(self.tasks(), record_trace=record_trace, fast=fast)
+    def replay(self, record_trace: bool = False) -> ReplayResult:
+        """Greedy list-scheduled execution of the cells on their stages."""
+        return replay_tasks(self.tasks(), record_trace=record_trace)
 
     def useful_work(self) -> float:
         """Total F+B+W compute across all stages (recomputation excluded)."""

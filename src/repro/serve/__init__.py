@@ -7,10 +7,10 @@ system:
   generators with named prompt/output length distributions;
 * :mod:`repro.serve.scheduler` -- Orca/vLLM-style continuous batching with
   chunked prefill, emitting the per-iteration GEMM shapes;
-* :mod:`repro.serve.plan_cache` -- LRU, shape-bucketed cache of tuned
-  :class:`~repro.core.tuner.TuningResult` plans (with
-  :class:`~repro.core.tuner.GemmShapeCache` warm start) so repeated shapes
-  skip the tuner;
+* :class:`~repro.plans.cache.PlanCache` (re-exported here) -- LRU,
+  shape-bucketed cache of tuned :class:`~repro.core.tuner.TuningResult`
+  plans (with :class:`~repro.core.tuner.GemmShapeCache` warm start) so
+  repeated shapes skip the tuner;
 * :mod:`repro.serve.simulator` -- the event-driven serving loop on
   :class:`~repro.sim.engine.EventEngine`, executing overlap plans or the
   non-overlap baseline per iteration;
@@ -18,6 +18,7 @@ system:
   goodput under an SLO.
 """
 
+from repro.plans.cache import CachedPlan, PlanCache, bucket_tokens
 from repro.serve.arrivals import (
     LengthDistribution,
     PoissonArrivals,
@@ -27,7 +28,6 @@ from repro.serve.arrivals import (
     length_distributions,
 )
 from repro.serve.metrics import SLO, LatencyStats, RequestRecord, ServingMetrics, compute_metrics
-from repro.serve.plan_cache import CachedPlan, PlanCache, bucket_tokens
 from repro.serve.scheduler import (
     ContinuousBatchingScheduler,
     IterationBatch,

@@ -5,7 +5,7 @@ arrive on the :class:`~repro.sim.engine.EventEngine` clock, the
 continuous-batching scheduler packs them into iterations, and every iteration
 executes one stack of decoder layers whose row-parallel "GEMM + AllReduce"
 pairs run either as tuned FlashOverlap plans (``mode="overlap"``, plans served
-by the shape-bucketed :class:`~repro.serve.plan_cache.PlanCache`) or as the
+by the shape-bucketed :class:`~repro.plans.cache.PlanCache`) or as the
 sequential non-overlap baseline (``mode="non-overlap"``).  Per-request TTFT /
 TPOT / end-to-end latencies fall out of the event timeline.
 
@@ -38,6 +38,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.metrics import build_fault_stats
 from repro.faults.policy import ResiliencePolicy
 from repro.gpu.device import A800, GPUSpec
+from repro.plans.cache import PlanCache, bucket_tokens
 from repro.serve.arrivals import Request
 from repro.serve.metrics import (
     SLO,
@@ -46,7 +47,6 @@ from repro.serve.metrics import (
     ServingMetrics,
     compute_metrics,
 )
-from repro.serve.plan_cache import PlanCache, bucket_tokens
 from repro.serve.scheduler import ContinuousBatchingScheduler, IterationBatch
 from repro.sim.engine import EventEngine
 from repro.workloads.llm import LLAMA2_7B, LLAMA3_70B, ModelConfig, llm_inference_layer

@@ -1,8 +1,7 @@
 """Dependency-aware replay of tasks on serial resources (multi-stage replay).
 
-The event engine executes timed callbacks; this module layers a small
-scheduling semantic on top of it that several subsystems need (the pipeline
-scheduler replays stage timelines with it):
+Several subsystems need one small scheduling semantic (the pipeline scheduler
+replays stage timelines with it):
 
 * every :class:`ReplayTask` runs on one named *resource* (a pipeline stage, a
   CUDA stream, ...) that executes its tasks strictly in list order, one at a
@@ -11,40 +10,31 @@ scheduler replays stage timelines with it):
   an optional extra delay after the dependency finishes (e.g. a P2P transfer
   between pipeline stages);
 * a task therefore starts at ``max(resource free, max(dep end + delay))``,
-  which is exactly the greedy list-scheduling rule, realized event by event
-  on :class:`~repro.sim.engine.EventEngine`.
+  which is exactly the greedy list-scheduling rule.
 
-Two interchangeable executions implement that rule:
+Greedy list scheduling on FIFO serial resources is longest-path evaluation
+over the dependency DAG extended with per-resource chain edges, so one
+topological (Kahn) sweep resolves every start and end time.  Straggling
+resources stretch their tasks through a :class:`SpeedProfile`.
 
-* the **reference path** (``fast=False``, or whenever a trace is recorded)
-  replays event by event on the engine -- the semantics above, literally;
-* the **fast path** (``fast=True``, the default) lowers the task list to
-  numpy cell arrays (durations, dependency edges, serial-resource edges) and
-  resolves every start/end time with a vectorized topological sweep.  Because
-  greedy list scheduling on serial resources is equivalent to longest-path
-  evaluation over the dependency DAG extended with per-resource chain edges,
-  the sweep produces **bit-identical** spans, busy times and makespans -- the
-  hypothesis differential suite asserts exactly that, including under
-  straggling :class:`SpeedProfile` stretches (profiled resources fall back to
-  scalar ``finish_time`` calls inside the sweep).
-
-The result carries per-task spans, per-resource busy times and a
-:class:`~repro.sim.trace.Trace` (one stream per resource) ready for Chrome
-trace export.  An order that can never make progress (a dependency cycle
-through the resource orders) raises instead of hanging.
+The result carries per-task spans, per-resource busy times and, on request,
+a :class:`~repro.sim.trace.Trace` (one stream per resource) ready for Chrome
+trace export.  The trace lists spans in completion order as an event-driven
+run of the same rule would record them: by end time, then by dispatch order
+(see :func:`_completion_order`).  The differential suite checks spans,
+aggregates and trace order against an event-by-event oracle.  An order that
+can never make progress (a dependency cycle through the resource orders)
+raises instead of hanging.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from operator import itemgetter, sub
 from typing import Protocol
 
-import numpy as np
-
 from repro.gpu.kernels import KernelCategory
-from repro.sim.engine import EventEngine
 from repro.sim.trace import Trace
 
 __all__ = ["ReplayTask", "ReplayResult", "SpeedProfile", "replay_tasks"]
@@ -135,7 +125,6 @@ def replay_tasks(
     tasks: list[ReplayTask],
     record_trace: bool = False,
     resource_profiles: Mapping[str, SpeedProfile] | None = None,
-    fast: bool = True,
 ) -> ReplayResult:
     """Replay ``tasks`` (FIFO per resource, dependency-gated).
 
@@ -144,217 +133,22 @@ def replay_tasks(
     ``profile.finish_time(start, duration) - start`` wall-clock seconds
     instead of ``duration`` (straggling or crashed stages stretch, nominal
     profiles change nothing).
-
-    ``fast=True`` (the default) resolves the timeline with the vectorized
-    topological sweep; ``fast=False`` replays event by event on the engine.
-    Both produce bit-identical results (``trace`` excepted: recording a trace
-    always routes through the reference path, whose event order defines the
-    stream layout).
-    """
-    if record_trace or not fast:
-        _validate(tasks)
-        queues = _queues(tasks)
-        return _replay_reference(tasks, queues, list(queues), record_trace, resource_profiles)
-    return _replay_fast(tasks, resource_profiles)
-
-
-def _validate(tasks: list[ReplayTask]) -> None:
-    by_name = set()
-    for task in tasks:
-        if task.name in by_name:
-            raise ValueError(f"duplicate task name {task.name!r}")
-        by_name.add(task.name)
-    for task in tasks:
-        for dep, _ in task.deps:
-            if dep not in by_name:
-                raise ValueError(f"task {task.name!r} depends on unknown task {dep!r}")
-
-
-def _queues(tasks: list[ReplayTask]) -> dict[str, list[ReplayTask]]:
-    queues: dict[str, list[ReplayTask]] = {}
-    for task in tasks:
-        queues.setdefault(task.resource, []).append(task)
-    return queues
-
-
-def _finalize(
-    queues: dict[str, list[ReplayTask]],
-    resources: list[str],
-    spans: dict[str, tuple[float, float]],
-    trace: Trace | None,
-) -> ReplayResult:
-    """Derive the per-resource aggregates both paths share.
-
-    The float reductions run in queue order over python floats, so the fast
-    and reference paths fold identical values in an identical order.
-    """
-    busy = {
-        resource: sum(spans[task.name][1] - spans[task.name][0] for task in queue)
-        for resource, queue in queues.items()
-    }
-    work = {
-        resource: sum(task.duration for task in queue)
-        for resource, queue in queues.items()
-    }
-    makespan = max((end for _, end in spans.values()), default=0.0)
-    return ReplayResult(
-        makespan=makespan, spans=spans, resources=resources, trace=trace,
-        busy=busy, work=work,
-    )
-
-
-def _stuck_error(stuck: list[str]) -> RuntimeError:
-    return RuntimeError(
-        f"replay deadlocked: tasks {stuck} wait on dependencies that can "
-        "never finish (cyclic schedule?)"
-    )
-
-
-def _replay_reference(
-    tasks: list[ReplayTask],
-    queues: dict[str, list[ReplayTask]],
-    resources: list[str],
-    record_trace: bool,
-    resource_profiles: Mapping[str, SpeedProfile] | None,
-) -> ReplayResult:
-    """Event-by-event greedy list scheduling on the engine (the semantics)."""
-    engine = EventEngine()
-    trace = Trace() if record_trace else None
-    heads = dict.fromkeys(resources, 0)  # next queue index per resource
-    running: dict[str, bool] = dict.fromkeys(resources, False)
-    free_at: dict[str, float] = dict.fromkeys(resources, 0.0)
-    ends: dict[str, float] = {}
-    spans: dict[str, tuple[float, float]] = {}
-
-    def finish(task: ReplayTask, start: float) -> None:
-        ends[task.name] = engine.now
-        spans[task.name] = (start, engine.now)
-        if trace is not None:
-            trace.record(task.resource, task.name, start, engine.now, task.category)
-        running[task.resource] = False
-        free_at[task.resource] = engine.now
-        pump()
-
-    def pump() -> None:
-        # Start every resource head whose dependencies have completed.  A
-        # completion can unblock heads on any resource, so scan them all;
-        # each start is O(1) and the loop runs once per finish event.
-        for resource in resources:
-            if running[resource] or heads[resource] >= len(queues[resource]):
-                continue
-            task = queues[resource][heads[resource]]
-            if any(dep not in ends for dep, _ in task.deps):
-                continue
-            ready = free_at[resource]
-            for dep, delay in task.deps:
-                ready = max(ready, ends[dep] + delay)
-            start = max(ready, engine.now)
-            heads[resource] += 1
-            running[resource] = True
-            profile = (resource_profiles or {}).get(resource)
-            end = start + task.duration if profile is None else profile.finish_time(
-                start, task.duration
-            )
-            engine.schedule(end, finish, task, start)
-
-    engine.schedule(0.0, pump)
-    engine.run()
-    stuck = [
-        queues[resource][heads[resource]].name
-        for resource in resources
-        if heads[resource] < len(queues[resource])
-    ]
-    if stuck:
-        raise _stuck_error(stuck)
-    return _finalize(queues, resources, spans, trace)
-
-
-#: A topological frontier holds at most one task per serial resource (the
-#: chain edges serialize each queue), so replays on few resources produce
-#: frontiers too narrow to amortize numpy dispatch: those resolve the same
-#: longest-path recurrence through the fused scalar sweep instead.
-_VECTOR_MIN_RESOURCES = 64
-_VECTOR_MIN_TASKS = 1024
-
-
-def _replay_fast(
-    tasks: list[ReplayTask],
-    resource_profiles: Mapping[str, SpeedProfile] | None,
-) -> ReplayResult:
-    """Lowered topological sweep (vectorized when frontiers can be wide).
-
-    Greedy list scheduling with FIFO serial resources is longest-path
-    evaluation over the dependency DAG once each queue's serial order is
-    added as zero-delay chain edges: every task starts at the max of its
-    predecessors' ``end + delay`` (``end + 0.0 == end`` exactly, so the chain
-    edges are float-transparent).  Wide replays (many resources) resolve
-    whole indegree-zero frontiers at a time with ``np.maximum.at`` over the
-    lowered cell arrays; narrow replays fold the identical recurrence in one
-    scalar Kahn pass, because their frontiers (at most one task per
-    resource) cannot amortize per-level array dispatch.  Both branches
-    perform the same float additions and max selections as the reference
-    path, so results are bit-identical.
     """
     n = len(tasks)
     names = [task.name for task in tasks]
     index = dict(zip(names, range(n)))
     if len(index) != n:
         _validate(tasks)  # raises the duplicate-name error
-    durations_list = [task.duration for task in tasks]
-
+    durations = [task.duration for task in tasks]
     profiles = resource_profiles or {}
-    profile_of = [profiles.get(task.resource) for task in tasks] if profiles else None
+    profile_of = [profiles.get(task.resource) for task in tasks] if profiles else [None] * n
 
-    wide = n >= _VECTOR_MIN_TASKS and len(
-        {task.resource for task in tasks}
-    ) >= _VECTOR_MIN_RESOURCES
-    sweep = _sweep_vector if wide else _sweep_scalar
-    starts_list, ends_list, queue_indices, arrays = sweep(
-        tasks, names, index, durations_list, profile_of
-    )
-
-    spans = dict(zip(names, zip(starts_list, ends_list)))
-    # Left-fold python floats in queue order -- the exact reduction the
-    # reference path's _finalize performs -- over C-speed gathers.
-    busy = {}
-    work = {}
-    if arrays is None:
-        for resource, queue in queue_indices.items():
-            if len(queue) == 1:
-                i = queue[0]
-                busy[resource] = ends_list[i] - starts_list[i]
-                work[resource] = durations_list[i]
-                continue
-            get = itemgetter(*queue)
-            busy[resource] = sum(map(sub, get(ends_list), get(starts_list)))
-            work[resource] = sum(get(durations_list))
-    else:
-        starts_arr, ends_arr, durations_arr = arrays
-        for resource, queue in queue_indices.items():
-            ids = np.asarray(queue, dtype=np.intp)
-            busy[resource] = sum((ends_arr[ids] - starts_arr[ids]).tolist())
-            work[resource] = sum(durations_arr[ids].tolist())
-    makespan = max(ends_list) if ends_list else 0.0
-    return ReplayResult(
-        makespan=makespan, spans=spans, resources=list(queue_indices),
-        trace=None, busy=busy, work=work,
-    )
-
-
-def _sweep_scalar(
-    tasks: list[ReplayTask],
-    names: list[str],
-    index: dict[str, int],
-    durations_list: list[float],
-    profile_of: list[SpeedProfile | None] | None,
-) -> tuple[list[float], list[float], dict[str, list[int]], tuple | None]:
-    """Fused Kahn sweep for narrow replays (chain-like pipeline DAGs)."""
-    n = len(tasks)
+    # Lower the task list to successor edges: dependency edges carry their
+    # delay, and each queue's serial order adds one zero-delay chain edge
+    # (``end + 0.0 == end`` exactly, so chain edges are float-transparent).
     out: list[list[tuple[int, float]] | None] = [None] * n
     chain_next = [-1] * n
     indeg = [0] * n
-    ready = [0.0] * n
-    ends = [0.0] * n
     queue_indices: dict[str, list[int]] = {}
     try:
         for i, task in enumerate(tasks):
@@ -378,169 +172,135 @@ def _sweep_scalar(
     except KeyError:
         _validate(tasks)  # raises the unknown-dependency error
         raise
+    pending = indeg.copy() if record_trace else None
 
+    # Kahn sweep: a task's start is final once its last predecessor resolved.
+    starts = [0.0] * n
+    ends = [0.0] * n
     stack = [i for i in range(n) if not indeg[i]]
     pop = stack.pop
     push = stack.append
     resolved = 0
-    if profile_of is None:
-        while stack:
-            u = pop()
-            resolved += 1
-            end = ready[u] + durations_list[u]
-            ends[u] = end
-            edges = out[u]
-            if edges is not None:
-                for v, delay in edges:
-                    t = end + delay
-                    if t > ready[v]:
-                        ready[v] = t
-                    d = indeg[v] - 1
-                    indeg[v] = d
-                    if not d:
-                        push(v)
-            v = chain_next[u]
-            if v >= 0:
-                if end > ready[v]:
-                    ready[v] = end
+    while stack:
+        u = pop()
+        resolved += 1
+        profile = profile_of[u]
+        end = (
+            starts[u] + durations[u]
+            if profile is None
+            else profile.finish_time(starts[u], durations[u])
+        )
+        ends[u] = end
+        edges = out[u]
+        if edges is not None:
+            for v, delay in edges:
+                t = end + delay
+                if t > starts[v]:
+                    starts[v] = t
                 d = indeg[v] - 1
                 indeg[v] = d
                 if not d:
                     push(v)
-    else:
-        while stack:
-            u = pop()
-            resolved += 1
-            start = ready[u]
-            profile = profile_of[u]
-            end = (
-                start + durations_list[u]
-                if profile is None
-                else profile.finish_time(start, durations_list[u])
-            )
-            ends[u] = end
-            edges = out[u]
-            if edges is not None:
-                for v, delay in edges:
-                    t = end + delay
-                    if t > ready[v]:
-                        ready[v] = t
-                    d = indeg[v] - 1
-                    indeg[v] = d
-                    if not d:
-                        push(v)
-            v = chain_next[u]
-            if v >= 0:
-                if end > ready[v]:
-                    ready[v] = end
-                d = indeg[v] - 1
-                indeg[v] = d
-                if not d:
-                    push(v)
-
+        v = chain_next[u]
+        if v >= 0:
+            if end > starts[v]:
+                starts[v] = end
+            d = indeg[v] - 1
+            indeg[v] = d
+            if not d:
+                push(v)
     if resolved < n:
-        _raise_stuck(names, queue_indices, indeg)
-    return ready, ends, queue_indices, None
+        # A queue resolves a prefix; its first unresolved task is its head.
+        heads = (next((i for i in queue if indeg[i]), None) for queue in queue_indices.values())
+        raise _stuck_error([names[i] for i in heads if i is not None])
+
+    # Left-fold python floats in queue order (the order a resource runs them).
+    busy = {
+        resource: sum([ends[i] - starts[i] for i in queue])
+        for resource, queue in queue_indices.items()
+    }
+    work = {
+        resource: sum([durations[i] for i in queue])
+        for resource, queue in queue_indices.items()
+    }
+    trace = None
+    if record_trace:
+        trace = Trace()
+        for i in _completion_order(tasks, queue_indices, out, chain_next, pending, ends):
+            task = tasks[i]
+            trace.record(task.resource, task.name, starts[i], ends[i], task.category)
+    return ReplayResult(
+        makespan=max(ends) if ends else 0.0,
+        spans=dict(zip(names, zip(starts, ends))),
+        resources=list(queue_indices),
+        trace=trace,
+        busy=busy,
+        work=work,
+    )
 
 
-def _sweep_vector(
+def _completion_order(
     tasks: list[ReplayTask],
-    names: list[str],
-    index: dict[str, int],
-    durations_list: list[float],
-    profile_of: list[SpeedProfile | None] | None,
-) -> tuple[list[float], list[float], dict[str, list[int]], tuple | None]:
-    """Vectorized frontier sweep for wide replays (many serial resources)."""
-    n = len(tasks)
-    durations = np.asarray(durations_list, dtype=np.float64)
-
-    # Lower the dependency edges plus each queue's serial chain edges; an
-    # unknown dependency surfaces as a KeyError, which _validate turns into
-    # the same error message the reference path reports.  The chain edges
-    # ride in as list slices (queue[:-1] -> queue[1:], zero delay).
-    queue_indices: dict[str, list[int]] = {}
-    for i, task in enumerate(tasks):
-        queue = queue_indices.get(task.resource)
-        if queue is None:
-            queue_indices[task.resource] = [i]
-        else:
-            queue.append(i)
-    try:
-        src_list = [index[dep] for task in tasks for dep, _ in task.deps]
-    except KeyError:
-        _validate(tasks)  # raises the unknown-dependency error
-        raise
-    dst_list = [i for i, task in enumerate(tasks) for _ in task.deps]
-    delay_list = [delay for task in tasks for _, delay in task.deps]
-    dep_edges = len(src_list)
-    for queue in queue_indices.values():
-        src_list.extend(queue[:-1])
-        dst_list.extend(queue[1:])
-
-    src = np.asarray(src_list, dtype=np.intp)
-    dst = np.asarray(dst_list, dtype=np.intp)
-    delays = np.zeros(len(src_list), dtype=np.float64)
-    delays[:dep_edges] = delay_list
-
-    # CSR grouping of the edges by source task.
-    order = np.argsort(src, kind="stable")
-    src_sorted = src[order]
-    dst_sorted = dst[order]
-    delay_sorted = delays[order]
-    out_start = np.zeros(n + 1, dtype=np.intp)
-    if src.size:
-        np.cumsum(np.bincount(src, minlength=n), out=out_start[1:])
-    out_lo = out_start[:-1]
-    out_hi = out_start[1:]
-
-    indegree = np.bincount(dst, minlength=n) if dst.size else np.zeros(n, dtype=np.intp)
-    ready = np.zeros(n, dtype=np.float64)
-    ends = np.zeros(n, dtype=np.float64)
-
-    frontier = np.flatnonzero(indegree == 0)
-    resolved = 0
-    while frontier.size:
-        resolved += frontier.size
-        starts = ready[frontier]
-        finish = starts + durations[frontier]
-        if profile_of is not None:
-            for position, node in enumerate(frontier):
-                profile = profile_of[node]
-                if profile is not None:
-                    finish[position] = profile.finish_time(
-                        float(starts[position]), float(durations[node])
-                    )
-        ends[frontier] = finish
-
-        # Gather the frontier's out-edges from the CSR ranges in one shot.
-        begins = out_lo[frontier]
-        widths = out_hi[frontier] - begins
-        total = int(widths.sum())
-        if total == 0:
-            break
-        offsets = np.repeat(np.cumsum(widths) - widths, widths)
-        edge_ids = np.repeat(begins, widths) + (np.arange(total, dtype=np.intp) - offsets)
-        targets = dst_sorted[edge_ids]
-        np.maximum.at(ready, targets, ends[src_sorted[edge_ids]] + delay_sorted[edge_ids])
-        np.subtract.at(indegree, targets, 1)
-        frontier = np.unique(targets[indegree[targets] == 0])
-
-    if resolved < n:
-        # Every resolvable task enters exactly one frontier, so the stuck
-        # ones are exactly those whose indegree never reached zero.
-        _raise_stuck(names, queue_indices, indegree)
-    return ready.tolist(), ends.tolist(), queue_indices, (ready, ends, durations)
-
-
-def _raise_stuck(
-    names: list[str],
     queue_indices: dict[str, list[int]],
-    indegree,
-) -> None:
-    stuck = []
+    out: list[list[tuple[int, float]] | None],
+    chain_next: list[int],
+    pending: list[int],
+    ends: list[float],
+) -> list[int]:
+    """Task indices in the order an event-driven replay would finish them.
+
+    An event loop dispatches a task when the finish of its last predecessor
+    (a dependency or the previous task on its resource) is processed; the
+    tasks one finish releases are dispatched in resource first-appearance
+    order, and tasks without predecessors go first, also in resource order.
+    Finishes are processed by ``(end, dispatch sequence)``.  A heap merge over
+    the sweep's edges reproduces that order; it holds at most one running
+    task per resource, so the merge costs O(n log resources).
+    """
+    rank = {resource: position for position, resource in enumerate(queue_indices)}
+    resource_rank = [rank[task.resource] for task in tasks]
+    heap = []
+    sequence = 0
     for queue in queue_indices.values():
-        for i in queue:
-            if indegree[i] > 0:
-                stuck.append(names[i])
-                break
-    raise _stuck_error(stuck)
+        if not pending[queue[0]]:
+            heap.append((ends[queue[0]], sequence, queue[0]))
+            sequence += 1
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        u = heapq.heappop(heap)[2]
+        order.append(u)
+        released = []
+        for v, _ in out[u] or ():
+            pending[v] -= 1
+            if not pending[v]:
+                released.append(v)
+        v = chain_next[u]
+        if v >= 0:
+            pending[v] -= 1
+            if not pending[v]:
+                released.append(v)
+        released.sort(key=resource_rank.__getitem__)
+        for v in released:
+            heapq.heappush(heap, (ends[v], sequence, v))
+            sequence += 1
+    return order
+
+
+def _validate(tasks: list[ReplayTask]) -> None:
+    by_name = set()
+    for task in tasks:
+        if task.name in by_name:
+            raise ValueError(f"duplicate task name {task.name!r}")
+        by_name.add(task.name)
+    for task in tasks:
+        for dep, _ in task.deps:
+            if dep not in by_name:
+                raise ValueError(f"task {task.name!r} depends on unknown task {dep!r}")
+
+
+def _stuck_error(stuck: list[str]) -> RuntimeError:
+    return RuntimeError(
+        f"replay deadlocked: tasks {stuck} wait on dependencies that can "
+        "never finish (cyclic schedule?)"
+    )

@@ -59,6 +59,16 @@ class TestParity:
         assert cli["meta"]["partition"] == [3, 1]
 
 
+class TestJsonSafety:
+    def test_multinode_e2e_report_serializes(self, tmp_path):
+        # Simulated latencies here are NumPy floats; a plan's overlap-vs-
+        # fallback decision compared them and once leaked an np.bool_.
+        argv = ["e2e", "--workload", "llama3-inference", "--tokens", "35328", "--nodes", "2"]
+        report = api.estimate(["llama3-inference"], tokens=35328, cluster=ClusterSpec(nodes=2))
+        json.dumps(report.to_dict())
+        assert _cli_json(tmp_path, argv) == _normalized(report)
+
+
 class TestReportProtocol:
     @pytest.mark.parametrize("build", [
         lambda: api.estimate(["llama3-training"], smoke=True),

@@ -247,3 +247,24 @@ class TestParser:
     def test_unknown_device_rejected(self):
         with pytest.raises(SystemExit):
             main(["report", "--device", "tpu-v9"])
+
+
+class TestCleanErrors:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["e2e", "--smoke", "--tokens", "0"], "GEMM dims must be positive"),
+            (["e2e", "--smoke", "--layers", "0"], "layers must be >= 1"),
+            (["pp", "--smoke", "--stages", "0"], "stages must be >= 1"),
+        ],
+    )
+    def test_invalid_sizes_exit_2_without_traceback(self, capsys, argv, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"repro {argv[0]}: error: {message}" in err
+        assert "Traceback" not in err
+
+    def test_pp_has_no_reference_replay_flag(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["pp", "--smoke", "--no-fast"])
+        assert excinfo.value.code == 2

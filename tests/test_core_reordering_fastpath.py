@@ -1,14 +1,20 @@
-"""Equivalence suite: index-based reorder fast paths vs the per-tile reference.
+"""Equivalence suite: index-based reorders vs the per-tile reference oracles.
 
-For all three collectives, the cached-index execution (``fast=True``) must
-produce outputs *bit-identical* to the per-tile/per-row reference loops
-(``fast=False``) -- the fast path only permutes differently, it never changes
-a value -- and both must stay ``np.allclose`` to the plain collective.
+For all three collectives, the cached-index execution of ``run_*_pipeline``
+must produce outputs *bit-identical* to the per-tile/per-row reference loops
+in ``tests/oracles/reordering`` -- the index path only permutes differently,
+it never changes a value -- and must stay ``np.allclose`` to the plain
+collective.
 """
 
 import numpy as np
 import pytest
 
+from oracles.reordering import (
+    all_to_all_reference,
+    allreduce_reference,
+    reduce_scatter_reference,
+)
 from repro.comm.primitives import CollectiveKind
 from repro.core.reordering import (
     build_reorder_plan,
@@ -85,12 +91,12 @@ class TestAllReduceFastPath:
     def test_bit_identical_to_reference(self, layout, num_groups, rng):
         plan = _grouped_plan(CollectiveKind.ALL_REDUCE, layout, 4, num_groups, rng)
         matrices = [rng.normal(size=(layout.m, layout.n)) for _ in range(4)]
-        fast = run_allreduce_pipeline(matrices, plan, fast=True)
-        reference = run_allreduce_pipeline(matrices, plan, fast=False)
-        for fast_out, ref_out in zip(fast.outputs, reference.outputs):
+        fast = run_allreduce_pipeline(matrices, plan)
+        reference = allreduce_reference(matrices, plan)
+        for fast_out, ref_out in zip(fast.outputs, reference, strict=True):
             np.testing.assert_array_equal(fast_out, ref_out)
         assert fast.allclose()
-        assert fast.groups_communicated == reference.groups_communicated
+        assert fast.groups_communicated == plan.num_groups
 
 
 class TestReduceScatterFastPath:
@@ -103,11 +109,11 @@ class TestReduceScatterFastPath:
         def op(x):
             return np.tanh(x) + 0.5
 
-        fast = run_reduce_scatter_pipeline(matrices, plan, elementwise=op, fast=True)
-        reference = run_reduce_scatter_pipeline(matrices, plan, elementwise=op, fast=False)
-        for fast_out, ref_out in zip(fast.outputs, reference.outputs):
+        fast = run_reduce_scatter_pipeline(matrices, plan, elementwise=op)
+        reference, owned_rows = reduce_scatter_reference(matrices, plan, elementwise=op)
+        for fast_out, ref_out in zip(fast.outputs, reference, strict=True):
             np.testing.assert_array_equal(fast_out, ref_out)
-        assert fast.extras["owned_rows"] == reference.extras["owned_rows"]
+        assert fast.extras["owned_rows"] == owned_rows
         assert fast.allclose()
 
 
@@ -123,9 +129,9 @@ class TestAllToAllFastPath:
             )
             matrices.append(rng.normal(size=(24, 30)))
             destinations.append(rng.integers(0, n, size=24))
-        fast = run_all_to_all_pipeline(matrices, destinations, plans, fast=True)
-        reference = run_all_to_all_pipeline(matrices, destinations, plans, fast=False)
-        for fast_out, ref_out in zip(fast.outputs, reference.outputs):
+        fast = run_all_to_all_pipeline(matrices, destinations, plans)
+        reference = all_to_all_reference(matrices, destinations, plans)
+        for fast_out, ref_out in zip(fast.outputs, reference, strict=True):
             np.testing.assert_array_equal(fast_out, ref_out)
         assert fast.allclose()
 
@@ -138,9 +144,9 @@ class TestAllToAllFastPath:
             plans.append(_grouped_plan(CollectiveKind.ALL_TO_ALL, layout, n, 2, rng))
             matrices.append(rng.normal(size=(12, 16)))
             destinations.append(np.full(12, 1))
-        fast = run_all_to_all_pipeline(matrices, destinations, plans, fast=True)
-        reference = run_all_to_all_pipeline(matrices, destinations, plans, fast=False)
-        for fast_out, ref_out in zip(fast.outputs, reference.outputs):
+        fast = run_all_to_all_pipeline(matrices, destinations, plans)
+        reference = all_to_all_reference(matrices, destinations, plans)
+        for fast_out, ref_out in zip(fast.outputs, reference, strict=True):
             np.testing.assert_array_equal(fast_out, ref_out)
         assert fast.outputs[0].shape[0] == 0
         assert fast.outputs[1].shape[0] == n * 12

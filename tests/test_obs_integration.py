@@ -6,16 +6,16 @@ The acceptance properties of the obs layer:
   cover >=95% of the total, with the search counters present;
 * a run without ``profile`` stays byte-identical whether or not the obs
   layer exists (the attachment is explicit, never ambient);
-* the disabled instrumentation is effectively free (<2% on a workload with
-  realistic span density);
+* the disabled instrumentation returns shared null objects and costs a
+  fixed handful of no-op calls per span;
 * crashes leave flight-recorder JSONL artifacts (CLI crash, sweep
   quarantine);
 * every profile JSON validates against the checked-in schema.
 """
 
 import json
-import math
-import time
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +23,8 @@ import repro.api as api
 from repro import obs
 from repro.cli import main
 from repro.obs import FakeClock, validate_profile
+from repro.obs.metrics import NULL_COUNTER
+from repro.obs.tracer import NULL_SPAN
 from repro.sweep.runner import SweepRunner, _Heartbeat
 from repro.sweep.store import ResultStore
 
@@ -83,42 +85,47 @@ class TestProfiledPlan:
 
 
 class TestNoOpOverhead:
-    @staticmethod
-    def _work(iterations: int, instrumented: bool, chunk: int = 1024) -> float:
-        # Realistic span density: one span + one counter bump per chunk of
-        # numeric work, as the subsystem instrumentation does per phase/job.
-        total = 0.0
-        if instrumented:
-            for start in range(0, iterations, chunk):
-                with obs.span("chunk"):
-                    for i in range(start, start + chunk):
-                        total += math.sqrt(i + 1.5)
-                obs.counter("chunks").inc()
-        else:
-            for start in range(0, iterations, chunk):
-                for i in range(start, start + chunk):
-                    total += math.sqrt(i + 1.5)
-        return total
+    """Disabled instrumentation is a fixed, tiny detour.
 
-    def test_disabled_instrumentation_under_2_percent(self):
+    Counted with ``sys.setprofile`` instead of timed: the work done per span
+    is deterministic, a wall-clock ratio on a shared machine is not.
+    """
+
+    #: Python calls one disabled ``obs.span`` plus ``obs.counter().inc()``
+    #: may make: span(), __enter__, __exit__, counter() and inc().
+    MAX_CALLS_PER_SPAN = 5
+
+    def test_disabled_calls_return_the_shared_null_objects(self):
         assert not obs.enabled()
-        iterations = 200_000
-        self._work(iterations, True)  # warm both paths
-        self._work(iterations, False)
-        bare = min(
-            self._time(lambda: self._work(iterations, False)) for _ in range(5)
-        )
-        instrumented = min(
-            self._time(lambda: self._work(iterations, True)) for _ in range(5)
-        )
-        # <2% relative overhead, with a tiny absolute floor against timer noise.
-        assert instrumented <= bare * 1.02 + 5e-4, (instrumented, bare)
+        assert obs.span("chunk", phase=1) is NULL_SPAN
+        assert obs.counter("chunks", kind="job") is NULL_COUNTER
 
-    @staticmethod
-    def _time(fn) -> float:
-        start = time.perf_counter()
-        fn()
-        return time.perf_counter() - start
+    def test_disabled_instrumentation_call_count_is_bounded(self):
+        assert not obs.enabled()
+        obs_dir = str(Path(obs.__file__).parent)
+        spans = 200
+        calls = {"call": 0, "c_call": 0}
+
+        def profiler(frame, event, arg):
+            # "call" reports the callee's frame, "c_call" the caller's: both
+            # count work executed inside the obs package.
+            if event in calls and frame.f_code.co_filename.startswith(obs_dir):
+                calls[event] += 1
+
+        def instrumented():
+            for _ in range(spans):
+                with obs.span("chunk"):
+                    pass
+                obs.counter("chunks").inc()
+
+        instrumented()  # warm
+        sys.setprofile(profiler)
+        try:
+            instrumented()
+        finally:
+            sys.setprofile(None)
+        assert calls["call"] <= spans * self.MAX_CALLS_PER_SPAN, calls
+        assert calls["c_call"] == 0, calls
 
 
 class TestCliProfile:

@@ -1,10 +1,10 @@
-"""Tests for the shape-bucketed LRU plan cache (repro.serve.plan_cache)."""
+"""Tests for the shape-bucketed LRU plan cache (repro.plans.cache)."""
 
 import pytest
 
 from repro.core.baselines import NonOverlapBaseline
 from repro.core.tuner import GemmShapeCache, PredictiveTuner
-from repro.serve.plan_cache import PlanCache, bucket_tokens
+from repro.plans.cache import PlanCache, bucket_tokens
 
 
 class TestBucketing:

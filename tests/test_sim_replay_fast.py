@@ -1,13 +1,14 @@
-"""Differential suite: vectorized replay fast path vs the event-by-event reference.
+"""Differential suite: the replay sweep vs the event-by-event oracle.
 
-``replay_tasks(fast=True)`` resolves the greedy list-scheduling recurrence
-with a lowered topological sweep -- a fused scalar Kahn pass for narrow
-replays, a numpy frontier sweep for wide ones.  Both must be **bit-identical**
-to the reference path (``fast=False``): same spans, same makespan, same busy
-and work folds, same error messages on malformed inputs.  Hypothesis drives
-random DAGs (random resources, durations, dependency fan-in, transfer
-delays) and random straggler :class:`SpeedProfile` assignments through every
-branch; the vector sweep is forced by shrinking the width thresholds.
+``replay_tasks`` resolves the greedy list-scheduling recurrence with one
+topological sweep and rebuilds the trace order from its own spans.  It must
+be **bit-identical** to the engine-driven oracle in ``tests/oracles/replay``:
+same spans, same makespan, same busy and work folds, same resources, the
+same trace spans in the same order, and the same error messages on malformed
+inputs.  Hypothesis drives random DAGs (random resources, durations,
+dependency fan-in, transfer delays, heavy end-time ties) and random straggler
+:class:`SpeedProfile` assignments; the pipeline schedule generators supply
+the production-shaped DAGs.
 """
 
 from __future__ import annotations
@@ -18,12 +19,18 @@ import pytest
 from hypothesis import given, settings as hsettings
 from hypothesis import strategies as st
 
-import repro.sim.replay as replay_module
+from oracles.replay import replay_reference
+from repro.gpu.kernels import KernelCategory
+from repro.pp.schedule import KNOWN_SCHEDULES, StageCostVector, generate_schedule
 from repro.sim.replay import ReplayTask, replay_tasks
 
 DURATIONS = st.floats(min_value=0.0, max_value=1e-2, allow_nan=False, allow_infinity=False)
 DELAYS = st.floats(min_value=0.0, max_value=1e-3, allow_nan=False, allow_infinity=False)
 FACTORS = st.floats(min_value=1.0, max_value=4.0, allow_nan=False, allow_infinity=False)
+#: Few distinct small integers: end times collide constantly, so the trace
+#: order is decided by the dispatch tie-breaks rather than by time.
+TIED = st.sampled_from([0.0, 0.0, 1.0, 2.0])
+CATEGORIES = st.sampled_from(list(KernelCategory))
 
 
 @dataclass(frozen=True)
@@ -44,7 +51,7 @@ class KneeProfile:
 
 
 @st.composite
-def task_lists(draw, min_tasks: int = 0, max_tasks: int = 24):
+def task_lists(draw, min_tasks: int = 0, max_tasks: int = 24, durations=DURATIONS, delays=DELAYS):
     """Random dependency-acyclic task lists over a handful of resources.
 
     Dependencies only point at earlier list positions, which (together with
@@ -60,56 +67,51 @@ def task_lists(draw, min_tasks: int = 0, max_tasks: int = 24):
             dep_ids = draw(
                 st.lists(st.integers(0, i - 1), min_size=0, max_size=3, unique=True)
             )
-            deps = tuple((f"t{j}", draw(DELAYS)) for j in dep_ids)
+            deps = tuple((f"t{j}", draw(delays)) for j in dep_ids)
         tasks.append(
             ReplayTask(
                 name=f"t{i}",
                 resource=draw(st.sampled_from(resources)),
-                duration=draw(DURATIONS),
+                duration=draw(durations),
                 deps=deps,
+                category=draw(CATEGORIES),
             )
         )
     return tasks
 
 
 @st.composite
-def profiled_task_lists(draw):
+def profiled_task_lists(draw, durations=DURATIONS, delays=DELAYS):
     """A task list plus straggler profiles on a random subset of resources."""
-    tasks = draw(task_lists(min_tasks=1))
+    tasks = draw(task_lists(min_tasks=1, durations=durations, delays=delays))
     resources = sorted({task.resource for task in tasks})
     profiled = draw(
         st.lists(st.sampled_from(resources), min_size=0, max_size=len(resources), unique=True)
     )
     profiles = {
-        resource: KneeProfile(factor=draw(FACTORS), knee=draw(DURATIONS))
+        resource: KneeProfile(factor=draw(FACTORS), knee=draw(durations))
         for resource in profiled
     }
     return tasks, profiles
 
 
-def assert_bit_identical(tasks, profiles=None, force_vector=False):
-    reference = replay_tasks(tasks, fast=False, resource_profiles=profiles)
-    if force_vector:
-        saved = replay_module._VECTOR_MIN_RESOURCES, replay_module._VECTOR_MIN_TASKS
-        replay_module._VECTOR_MIN_RESOURCES = 1
-        replay_module._VECTOR_MIN_TASKS = 1
-        try:
-            fast = replay_tasks(tasks, fast=True, resource_profiles=profiles)
-        finally:
-            replay_module._VECTOR_MIN_RESOURCES, replay_module._VECTOR_MIN_TASKS = saved
-    else:
-        fast = replay_tasks(tasks, fast=True, resource_profiles=profiles)
-    assert fast.spans == reference.spans
-    assert fast.makespan == reference.makespan
-    assert fast.busy == reference.busy
-    assert fast.work == reference.work
-    assert fast.resources == reference.resources
-    # The aggregates are plain python floats on both paths (JSON stability).
-    assert all(type(value) is float for value in fast.busy.values())
-    assert all(
-        type(start) is float and type(end) is float
-        for start, end in fast.spans.values()
-    )
+def assert_bit_identical(tasks, profiles=None):
+    reference = replay_reference(tasks, record_trace=True, resource_profiles=profiles)
+    for record_trace in (False, True):
+        result = replay_tasks(tasks, record_trace=record_trace, resource_profiles=profiles)
+        assert result.spans == reference.spans
+        assert result.makespan == reference.makespan
+        assert result.busy == reference.busy
+        assert result.work == reference.work
+        assert result.resources == reference.resources
+        # The aggregates are plain python floats (JSON stability).
+        assert all(type(value) is float for value in result.busy.values())
+        assert all(
+            type(start) is float and type(end) is float
+            for start, end in result.spans.values()
+        )
+    assert result.trace.spans == reference.trace.spans  # span order included
+    assert replay_tasks(tasks, resource_profiles=profiles).trace is None
 
 
 class TestScalarSweepMatchesReference:
@@ -124,72 +126,94 @@ class TestScalarSweepMatchesReference:
         tasks, profiles = drawn
         assert_bit_identical(tasks, profiles)
 
-
-class TestVectorSweepMatchesReference:
     @hsettings(max_examples=200, deadline=None)
-    @given(tasks=task_lists())
-    def test_random_dags(self, tasks):
-        assert_bit_identical(tasks, force_vector=True)
+    @given(tasks=task_lists(durations=TIED, delays=TIED))
+    def test_random_dags_with_tied_end_times(self, tasks):
+        assert_bit_identical(tasks)
 
     @hsettings(max_examples=150, deadline=None)
-    @given(drawn=profiled_task_lists())
-    def test_random_dags_with_speed_profiles(self, drawn):
+    @given(drawn=profiled_task_lists(durations=TIED, delays=TIED))
+    def test_tied_dags_with_speed_profiles(self, drawn):
         tasks, profiles = drawn
-        assert_bit_identical(tasks, profiles, force_vector=True)
+        assert_bit_identical(tasks, profiles)
 
-    def test_wide_replay_crosses_the_vector_threshold_unforced(self):
-        """A genuinely wide replay takes the numpy sweep at default thresholds."""
-        resources = replay_module._VECTOR_MIN_RESOURCES
-        layers = max(1, replay_module._VECTOR_MIN_TASKS // resources + 1)
+    @pytest.mark.parametrize("staggered", [False, True])
+    def test_wide_layered_dag(self, staggered):
+        """64 resources x 17 layers; uniform sizes make whole layers finish together."""
+        resources, layers = 64, 17
+        delay = 1e-4 if staggered else 0.0
         tasks = []
         for layer in range(layers):
             for r in range(resources):
                 deps = ()
                 if layer:
-                    deps = ((f"t{layer - 1}-{r}", 0.0), (f"t{layer - 1}-{(r + 1) % resources}", 1e-4))
+                    deps = ((f"t{layer - 1}-{r}", 0.0), (f"t{layer - 1}-{(r + 1) % resources}", delay))
                 tasks.append(
                     ReplayTask(
                         name=f"t{layer}-{r}",
                         resource=f"r{r}",
-                        duration=1e-3 * ((layer + r) % 5 + 1),
+                        duration=1e-3 * ((layer + r) % 5 + 1) if staggered else 1e-3,
                         deps=deps,
                     )
                 )
         assert_bit_identical(tasks)
+        assert_bit_identical(tasks, {"r7": KneeProfile(factor=2.5, knee=5e-3)})
 
 
-class TestFastPathErrorParity:
+class TestPipelineSchedulesMatchReference:
+    @pytest.mark.parametrize("name", sorted(KNOWN_SCHEDULES))
+    @pytest.mark.parametrize("stages,microbatches", [(1, 1), (2, 4), (4, 8), (3, 5)])
+    def test_uniform_costs(self, name, stages, microbatches):
+        # Uniform costs maximize end-time ties across stages.
+        costs = (StageCostVector(1.0, 1.0, 1.0),) * stages
+        assert_bit_identical(generate_schedule(name, costs, microbatches).tasks())
+
+    @pytest.mark.parametrize("name", sorted(KNOWN_SCHEDULES))
+    def test_skewed_costs_with_transfer_delays(self, name):
+        costs = tuple(
+            StageCostVector(1e-3 * (1 + s % 3), 2e-3 * (1 + s % 2), 5e-4 * (s + 1))
+            for s in range(4)
+        )
+        schedule = generate_schedule(name, costs, 6, fwd_delay=2e-4, bwd_delay=3e-4)
+        assert_bit_identical(schedule.tasks())
+
+    @pytest.mark.parametrize("name", sorted(KNOWN_SCHEDULES))
+    def test_straggling_stage(self, name):
+        costs = (StageCostVector(1.0, 2.0, 0.5),) * 4
+        profiles = {"stage1": KneeProfile(factor=3.0, knee=6.0)}
+        assert_bit_identical(generate_schedule(name, costs, 8).tasks(), profiles)
+
+
+class TestErrorParity:
     def test_empty_task_list(self):
         assert_bit_identical([])
+        assert replay_tasks([]).makespan == replay_reference([]).makespan == 0.0
+        assert replay_tasks([], record_trace=True).trace.spans == []
 
-    @pytest.mark.parametrize("force_vector", [False, True])
-    def test_duplicate_names_raise_the_reference_error(self, force_vector):
+    @pytest.mark.parametrize("replay", [replay_tasks, replay_reference])
+    def test_duplicate_names_raise_the_reference_error(self, replay):
         tasks = [
             ReplayTask(name="t0", resource="r0", duration=1.0),
             ReplayTask(name="t0", resource="r1", duration=1.0),
         ]
         with pytest.raises(ValueError, match="duplicate task name 't0'"):
-            replay_tasks(tasks, fast=False)
-        with pytest.raises(ValueError, match="duplicate task name 't0'"):
-            assert_bit_identical(tasks, force_vector=force_vector)
+            replay(tasks)
 
-    @pytest.mark.parametrize("force_vector", [False, True])
-    def test_unknown_dependency_raises_the_reference_error(self, force_vector):
+    @pytest.mark.parametrize("replay", [replay_tasks, replay_reference])
+    def test_unknown_dependency_raises_the_reference_error(self, replay):
         tasks = [ReplayTask(name="t0", resource="r0", duration=1.0, deps=(("ghost", 0.0),))]
         with pytest.raises(ValueError, match="depends on unknown task 'ghost'"):
-            replay_tasks(tasks, fast=False)
-        with pytest.raises(ValueError, match="depends on unknown task 'ghost'"):
-            assert_bit_identical(tasks, force_vector=force_vector)
+            replay(tasks)
 
-    @pytest.mark.parametrize("force_vector", [False, True])
-    def test_deadlock_raises_with_the_same_stuck_tasks(self, force_vector):
+    @pytest.mark.parametrize("replay", [replay_tasks, replay_reference])
+    def test_deadlock_raises_with_the_same_stuck_tasks(self, replay):
         # t0 waits on t1, but t1 sits behind t0 in the same queue: a cycle
-        # through the resource order.
+        # through the resource order.  r1's queue is blocked behind t0.
         tasks = [
             ReplayTask(name="t0", resource="r0", duration=1.0, deps=(("t1", 0.0),)),
             ReplayTask(name="t1", resource="r0", duration=1.0),
+            ReplayTask(name="t2", resource="r1", duration=1.0),
+            ReplayTask(name="t3", resource="r1", duration=1.0, deps=(("t0", 0.0),)),
         ]
-        with pytest.raises(RuntimeError, match=r"deadlocked: tasks \['t0'\]"):
-            replay_tasks(tasks, fast=False)
-        with pytest.raises(RuntimeError, match=r"deadlocked: tasks \['t0'\]"):
-            assert_bit_identical(tasks, force_vector=force_vector)
+        with pytest.raises(RuntimeError, match=r"deadlocked: tasks \['t0', 't3'\]"):
+            replay(tasks, record_trace=True)
