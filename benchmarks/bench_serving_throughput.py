@@ -14,9 +14,9 @@ machine-readable ``BENCH_serving.json``:
 * **simulator throughput**: iterations/s and simulated-vs-wall time ratio of
   the event loop itself;
 * **batched fast path**: wall-clock speedup of the batched serving loop
-  (``ServingSimulator(fast=True)``, the default) over the
-  one-event-per-iteration reference on decode-heavy chat traffic, asserting
-  the two are bit-identical.
+  (``ServingSimulator``) over the one-event-per-iteration oracle
+  ``tests/oracles/serve.py::serve_reference`` on decode-heavy chat traffic,
+  asserting the two are bit-identical.
 
 ``--check`` compares the speedup ratios against a committed baseline
 (``benchmarks/BENCH_serving_baseline.json``) and exits non-zero on a >2x
@@ -38,12 +38,14 @@ import sys
 import time
 from pathlib import Path
 
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
+_ROOT = Path(__file__).resolve().parent.parent
+for _path in (_ROOT / "src", _ROOT / "tests"):  # tests/ holds the serving oracle
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 import numpy as np
 
+from oracles.serve import serve_reference
 from repro import obs
 from repro.atomic import atomic_write_text
 from repro.comm.topology import a800_nvlink
@@ -166,7 +168,7 @@ def bench_simulator_throughput(config: ServeConfig, requests: list) -> dict:
 
 
 def bench_fast_path(config: ServeConfig, smoke: bool) -> tuple[dict, bool]:
-    """Batched serving loop vs the one-event-per-iteration reference.
+    """Batched serving loop vs the one-event-per-iteration oracle.
 
     Decode-heavy chat traffic maximizes silent steady-decode runs -- the case
     the fast path collapses in bulk.  Both arms are timed best-of-N; the
@@ -193,12 +195,13 @@ def bench_fast_path(config: ServeConfig, smoke: bool) -> tuple[dict, bool]:
                 cache = PlanCache(config.settings, capacity=64)
                 if warm:  # identical warm-up on each arm's private cache
                     ServingSimulator(config, plan_cache=cache, mode=mode).run(requests)
+            run = ServingSimulator.run if fast else serve_reference
             best[fast] = float("inf")
             for _ in range(repeats):
                 start = time.perf_counter()
-                results[fast] = ServingSimulator(
-                    config, plan_cache=cache, mode=mode, fast=fast
-                ).run(requests)
+                results[fast] = run(
+                    ServingSimulator(config, plan_cache=cache, mode=mode), requests
+                )
                 best[fast] = min(best[fast], time.perf_counter() - start)
         identical = json.dumps(results[True].to_dict(), sort_keys=True) == json.dumps(
             results[False].to_dict(), sort_keys=True

@@ -5,14 +5,14 @@ pytest-benchmark), this is a standalone CLI that measures the *throughput* of
 the tuning/reordering subsystem old-vs-new and emits a machine-readable
 ``BENCH_tuning.json`` so subsequent PRs can track the perf trajectory:
 
-* predictive tuning throughput (candidates/s), scalar reference loop vs the
-  vectorized ``predict_batch`` path, with the tuning decisions asserted
-  identical,
+* predictive tuning throughput (candidates/s), the scalar predictor and
+  tuner oracles (``tests/oracles/``) vs the vectorized ``predict_batch``
+  path, with the tuning decisions asserted identical,
 * functional pipeline reorder throughput (elements/s), per-tile/per-row
   reference loops vs the cached index permutations, with outputs asserted
   ``np.allclose`` (in fact bit-identical),
 * offline-profile memoization (cold vs warm tune calls),
-* exhaustive tuner, naive per-candidate simulation vs the incremental
+* exhaustive tuner, the per-candidate simulation oracle vs the incremental
   early-abandoning search,
 * the tuning portion of a sweep (the smoke preset's scenarios) old vs new.
 
@@ -38,17 +38,19 @@ import time
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
-for _path in (_ROOT / "src", _ROOT / "tests"):  # tests/ holds the reorder oracles
+for _path in (_ROOT / "src", _ROOT / "tests"):  # tests/ holds the reference oracles
     if str(_path) not in sys.path:
         sys.path.insert(0, str(_path))
 
 import numpy as np
 
+from oracles.predictor import predict_reference
 from oracles.reordering import (
     all_to_all_reference,
     allreduce_reference,
     reduce_scatter_reference,
 )
+from oracles.tuner import exhaustive_reference, predictive_reference
 from repro import obs
 from repro.atomic import atomic_write_text
 from repro.comm.primitives import CollectiveKind
@@ -85,7 +87,7 @@ def _time(fn, repeats: int) -> float:
 
 
 def bench_predictive_tuning(smoke: bool, repeats: int) -> tuple[dict, bool]:
-    """Candidates/s of the scalar reference loop vs predict_batch."""
+    """Candidates/s of the scalar predictor oracle vs predict_batch."""
     problem = OverlapProblem(
         shape=GemmShape(2048, 8192, 8192),
         device=RTX_4090,
@@ -102,7 +104,7 @@ def bench_predictive_tuning(smoke: bool, repeats: int) -> tuple[dict, bool]:
     def scalar() -> None:
         for _ in range(inner):
             for partition in candidates:
-                predictor.predict(partition)
+                predict_reference(predictor, partition)
 
     def batch() -> None:
         for _ in range(inner):
@@ -114,10 +116,9 @@ def bench_predictive_tuning(smoke: bool, repeats: int) -> tuple[dict, bool]:
     identical = bool(
         np.array_equal(
             predictor.predict_batch(matrix),
-            np.array([predictor.predict(p) for p in candidates]),
+            np.array([predict_reference(predictor, p) for p in candidates]),
         )
-        and PredictiveTuner(settings, vectorized=True).tune(problem)
-        == PredictiveTuner(settings, vectorized=False).tune(problem)
+        and PredictiveTuner(settings).tune(problem) == predictive_reference(problem, settings)
     )
     return {
         "candidates": len(candidates),
@@ -243,7 +244,7 @@ def bench_profile_memoization(smoke: bool, repeats: int) -> dict:
 
 
 def bench_exhaustive(smoke: bool, repeats: int) -> dict:
-    """Naive per-candidate simulation vs incremental early-abandoning search."""
+    """Per-candidate simulation oracle vs incremental early-abandoning search."""
     problem = OverlapProblem(
         shape=GemmShape(1024, 4096, 4096) if smoke else GemmShape(2048, 8192, 8192),
         device=RTX_4090,
@@ -255,11 +256,11 @@ def bench_exhaustive(smoke: bool, repeats: int) -> dict:
 
     def naive() -> None:
         for _ in range(inner):
-            ExhaustiveTuner(settings, incremental=False).tune(problem)
+            exhaustive_reference(problem, settings)
 
     def incremental() -> None:
         for _ in range(inner):
-            ExhaustiveTuner(settings, incremental=True).tune(problem)
+            ExhaustiveTuner(settings).tune(problem)
 
     naive_s = _time(naive, repeats)
     incremental_s = _time(incremental, repeats)
@@ -269,7 +270,7 @@ def bench_exhaustive(smoke: bool, repeats: int) -> dict:
 def bench_sweep_tuning(smoke: bool, repeats: int) -> dict:
     """Tuning wall-clock of the smoke sweep's scenarios, old path vs new.
 
-    "Old" is pre-fast-path behavior: scalar candidate loop and a fresh
+    "Old" is pre-fast-path behavior: the scalar tuner oracle and a fresh
     offline profile per job.  "New" is the shipped configuration: vectorized
     ranking plus process-level profile memoization.
     """
@@ -279,7 +280,7 @@ def bench_sweep_tuning(smoke: bool, repeats: int) -> dict:
     def old() -> None:
         for problem, settings in jobs:
             clear_profile_caches()
-            PredictiveTuner(settings, vectorized=False).tune(problem)
+            predictive_reference(problem, settings)
 
     def new() -> None:
         for problem, settings in jobs:

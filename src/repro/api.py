@@ -219,7 +219,6 @@ def serve(
     failover_delay: float = 0.05,
     cluster: ClusterSpec | None = None,
     seed: int = 0,
-    fast: bool = True,
     smoke: bool = False,
     profile: bool = False,
 ) -> ServeReport:
@@ -228,7 +227,7 @@ def serve(
     Arguments left at ``None`` take :data:`SERVE_DEFAULTS` (or the CI-sized
     smoke scenario with ``smoke=True``, which also implies ``baseline``).
     Raises :class:`ValueError` when the traffic generator produces no
-    requests.
+    requests or ``failover_delay`` is negative.
 
     ``faults`` (a :class:`~repro.faults.FaultPlan` or a path to its JSON) or
     ``fault_preset`` (a named preset scaled to the traffic horizon) injects a
@@ -237,9 +236,7 @@ def serve(
     ``deadline``, ``admission_limit`` and ``warm_spares`` configure the
     resilience policy.  Faulted runs additionally simulate the fault-free
     reference arm so the report can state goodput-under-failure.
-    ``fast=False`` forces the one-event-per-iteration reference loop instead
-    of the batched fast path (bit-identical results).  ``profile=True``
-    attaches an observability snapshot to the report.
+    ``profile=True`` attaches an observability snapshot to the report.
     """
 
     def build() -> ServeReport:
@@ -265,6 +262,8 @@ def serve(
         )
         from repro.serve.simulator import SERVE_MODELS, SMOKE_SCENARIO
 
+        if failover_delay < 0:  # checked even when no resilience policy is built
+            raise ValueError("failover_delay must be non-negative")
         scenario = {
             "rate": rate,
             "requests": requests,
@@ -361,15 +360,14 @@ def serve(
         slo = SLO(ttft_s=slo_ttft, tpot_s=slo_tpot)
 
         overlap = ServingSimulator(
-            config, plan_cache=cache, mode="overlap", faults=injector,
-            resilience=policy, fast=fast,
+            config, plan_cache=cache, mode="overlap", faults=injector, resilience=policy
         ).run(generated)
         baseline_result = None
         if baseline:
             # The baseline arm rides the same fault timeline so the overlap
             # comparison stays like-for-like.
             baseline_result = ServingSimulator(
-                config, mode="non-overlap", faults=injector, resilience=policy, fast=fast
+                config, mode="non-overlap", faults=injector, resilience=policy
             ).run(generated)
         fault_free_result = None
         if injector is not None:
@@ -378,7 +376,6 @@ def serve(
                 plan_cache=PlanCache(settings, capacity=plan_cache, warm_start=warm,
                                      min_bucket=config.min_bucket),
                 mode="overlap",
-                fast=fast,
             ).run(generated)
         if warm_cache and warm is not None:
             warm.save(warm_cache)
@@ -429,11 +426,11 @@ def sweep(
     """Fan a scenario matrix out into a JSONL store (the ``repro sweep`` subcommand).
 
     Exactly one of ``presets`` (named matrices) or ``config`` (path of a
-    ScenarioMatrix JSON) must be given.  Raises :class:`KeyError` /
-    :class:`ValueError` / :class:`OSError` on bad presets, group keys or
-    config files -- the CLI maps those onto exit code 2.  ``heartbeat_s``
-    emits periodic progress lines (done/total, retries, quarantines, ETA)
-    while jobs run; ``profile=True`` attaches an observability snapshot.
+    ScenarioMatrix JSON) must be given.  Raises :class:`ValueError` /
+    :class:`OSError` on bad presets, group keys or config files -- the CLI
+    maps those onto exit code 2.  ``heartbeat_s`` emits periodic progress
+    lines (done/total, retries, quarantines, ETA) while jobs run;
+    ``profile=True`` attaches an observability snapshot.
     ``plan_store`` names a priced-cell store file: sweep points whose content
     matches a stored cell replay the priced results instead of re-simulating
     (incremental re-simulation), and freshly priced cells are written back.
@@ -453,9 +450,15 @@ def sweep(
             raise ValueError("exactly one of presets= or config= must be given")
         if config:
             payload = json.loads(Path(config).read_text(encoding="utf-8"))
-            matrices = [ScenarioMatrix.from_dict(payload)]
+            try:
+                matrices = [ScenarioMatrix.from_dict(payload)]
+            except KeyError as error:  # a missing field or an unknown settings axis
+                raise ValueError(f"bad sweep config {config}: {error}") from error
         else:
-            matrices = [matrix_from_preset(name) for name in presets]
+            try:
+                matrices = [matrix_from_preset(name) for name in presets]
+            except KeyError as error:
+                raise ValueError(error.args[0]) from error
 
         group_keys = tuple(group_by)
         scenario_fields = set(Scenario.__dataclass_fields__)

@@ -9,12 +9,16 @@ old content survives untouched, or the complete new content is in place.
 
 ``os.replace`` is atomic on POSIX and Windows when source and destination
 live on the same filesystem, which the same-directory temp file guarantees.
+The result has the permissions a plain ``open(path, "w")`` would leave: a new
+file gets ``0o666`` minus the umask, and a replaced file keeps its mode.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
-import tempfile
+import secrets
+import stat
 from pathlib import Path
 
 __all__ = ["atomic_write_text"]
@@ -30,12 +34,14 @@ def atomic_write_text(path: str | Path, text: str, encoding: str = "utf-8") -> P
     """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    fd, temp_name = tempfile.mkstemp(
-        dir=target.parent, prefix=f".{target.name}.", suffix=".tmp"
-    )
+    temp_name = str(target.parent / f".{target.name}.{secrets.token_hex(8)}.tmp")
+    # Created the way open(path, "w") creates a file: 0o666 minus the umask.
+    fd = os.open(temp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding=encoding) as handle:
             handle.write(text)
+        with contextlib.suppress(FileNotFoundError):  # a replaced file keeps its mode
+            os.chmod(temp_name, stat.S_IMODE(os.stat(target).st_mode))
         os.replace(temp_name, target)
     except BaseException:
         try:

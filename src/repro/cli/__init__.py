@@ -58,6 +58,7 @@ import sys
 from collections.abc import Sequence
 
 from repro.cli import compare, e2e, plan, pp, report, serve, sweep, tune, verify
+from repro.cli.common import command_error
 
 __all__ = ["main"]
 
@@ -91,3 +92,5 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except (OSError, ValueError) as error:  # must stay below BrokenPipeError, an OSError
+        return command_error(args.command, error)

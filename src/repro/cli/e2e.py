@@ -11,7 +11,6 @@ from repro.cli.common import (
     add_seed_argument,
     add_smoke_argument,
     cluster_from_args,
-    command_error,
     finish_profile,
     plan_store_line,
     profile_scope,
@@ -54,20 +53,17 @@ def add_parser(sub) -> None:
 def run(args: argparse.Namespace) -> int:
     import repro.api as api
 
-    try:
-        with profile_scope(args, NAME) as session:
-            report = api.estimate(
-                args.workloads,
-                tokens=args.tokens,
-                layers=args.layers,
-                cluster=cluster_from_args(args),
-                seed=args.seed,
-                reuse=not args.no_reuse,
-                record_trace=bool(args.trace),
-                smoke=args.smoke,
-            )
-    except ValueError as error:
-        return command_error(NAME, error)
+    with profile_scope(args, NAME) as session:
+        report = api.estimate(
+            args.workloads,
+            tokens=args.tokens,
+            layers=args.layers,
+            cluster=cluster_from_args(args),
+            seed=args.seed,
+            reuse=not args.no_reuse,
+            record_trace=bool(args.trace),
+            smoke=args.smoke,
+        )
 
     print(report.table())
     print()

@@ -84,25 +84,22 @@ def add_parser(sub) -> None:
 def run(args: argparse.Namespace) -> int:
     import repro.api as api
 
-    try:
-        with profile_scope(args, NAME) as session:
-            report = api.plan(
-                args.workload,
-                cluster=cluster_from_args(args),
-                tokens=args.tokens,
-                layers=args.layers,
-                tp_degrees=args.tp_degrees,
-                microbatch_counts=args.microbatch_counts,
-                schedules=args.schedules,
-                methods=args.methods,
-                max_configs=args.max_configs,
-                prune=not args.no_prune,
-                deadline=args.deadline,
-                seed=args.seed,
-                smoke=args.smoke,
-            )
-    except ValueError as error:
-        return command_error(NAME, error)
+    with profile_scope(args, NAME) as session:
+        report = api.plan(
+            args.workload,
+            cluster=cluster_from_args(args),
+            tokens=args.tokens,
+            layers=args.layers,
+            tp_degrees=args.tp_degrees,
+            microbatch_counts=args.microbatch_counts,
+            schedules=args.schedules,
+            methods=args.methods,
+            max_configs=args.max_configs,
+            prune=not args.no_prune,
+            deadline=args.deadline,
+            seed=args.seed,
+            smoke=args.smoke,
+        )
 
     print(report.summary_table())
     finish_profile(args, session, NAME, report)

@@ -11,7 +11,6 @@ from repro.cli.common import (
     add_seed_argument,
     add_smoke_argument,
     cluster_from_args,
-    command_error,
     finish_profile,
     plan_store_line,
     profile_scope,
@@ -112,31 +111,28 @@ def _export_traces(report, prefix: str, obs_spans: list | None = None) -> None:
 def run(args: argparse.Namespace) -> int:
     import repro.api as api
 
-    try:
-        with profile_scope(args, NAME) as session:
-            if args.plan:
-                from repro.plan import ParallelismPlan, replay_plan
+    with profile_scope(args, NAME) as session:
+        if args.plan:
+            from repro.plan import ParallelismPlan, replay_plan
 
-                plan = ParallelismPlan.load(args.plan)
-                print(f"replaying  : {plan.describe()}")
-                report = replay_plan(plan, record_trace=True)
-            else:
-                report = api.pp(
-                    args.workloads,
-                    stages=args.stages,
-                    microbatches=args.microbatches,
-                    schedules=args.schedules,
-                    tokens=args.tokens,
-                    layers=args.layers,
-                    partition=args.partition,
-                    cluster=cluster_from_args(args),
-                    seed=args.seed,
-                    reuse=not args.no_reuse,
-                    record_trace=True,
-                    smoke=args.smoke,
-                )
-    except (OSError, ValueError) as error:
-        return command_error(NAME, error)
+            plan = ParallelismPlan.load(args.plan)
+            print(f"replaying  : {plan.describe()}")
+            report = replay_plan(plan, record_trace=True)
+        else:
+            report = api.pp(
+                args.workloads,
+                stages=args.stages,
+                microbatches=args.microbatches,
+                schedules=args.schedules,
+                tokens=args.tokens,
+                layers=args.layers,
+                partition=args.partition,
+                cluster=cluster_from_args(args),
+                seed=args.seed,
+                reuse=not args.no_reuse,
+                record_trace=True,
+                smoke=args.smoke,
+            )
 
     _print_report(report, args.no_reuse)
     finish_profile(args, session, NAME, report)

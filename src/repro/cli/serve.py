@@ -11,7 +11,6 @@ from repro.cli.common import (
     add_seed_argument,
     add_smoke_argument,
     cluster_from_args,
-    command_error,
     finish_profile,
     profile_scope,
     write_json_report,
@@ -80,9 +79,6 @@ def add_parser(sub) -> None:
                         help="outage length of a warm-spare failover (default 0.05s)")
     add_seed_argument(parser, "traffic and model seed")
     add_json_argument(parser, "write the full metrics report to a JSON file")
-    parser.add_argument("--no-fast", action="store_true",
-                        help="run the one-event-per-iteration reference loop instead "
-                             "of the batched fast path (bit-identical)")
     add_smoke_argument(parser,
                        "CI-sized defaults for any flags not passed explicitly "
                        "(short summarization burst on the small model); implies --baseline")
@@ -92,37 +88,33 @@ def add_parser(sub) -> None:
 def run(args: argparse.Namespace) -> int:
     import repro.api as api
 
-    try:
-        with profile_scope(args, NAME) as session:
-            report = api.serve(
-                rate=args.rate,
-                requests=args.requests,
-                duration=args.duration,
-                distribution=args.distribution,
-                trace=args.trace,
-                workload=args.workload,
-                layers=args.layers,
-                max_batch_tokens=args.max_batch_tokens,
-                max_batch_size=args.max_batch_size,
-                plan_cache=args.plan_cache,
-                warm_cache=args.warm_cache,
-                baseline=args.baseline,
-                slo_ttft=args.slo_ttft,
-                slo_tpot=args.slo_tpot,
-                faults=args.faults,
-                fault_preset=args.fault_preset,
-                retry_policy=args.retry_policy,
-                deadline=args.deadline,
-                admission_limit=args.admission_limit,
-                warm_spares=args.warm_spares,
-                failover_delay=args.failover_delay,
-                cluster=cluster_from_args(args),
-                seed=args.seed,
-                fast=not args.no_fast,
-                smoke=args.smoke,
-            )
-    except ValueError as error:
-        return command_error(NAME, error)
+    with profile_scope(args, NAME) as session:
+        report = api.serve(
+            rate=args.rate,
+            requests=args.requests,
+            duration=args.duration,
+            distribution=args.distribution,
+            trace=args.trace,
+            workload=args.workload,
+            layers=args.layers,
+            max_batch_tokens=args.max_batch_tokens,
+            max_batch_size=args.max_batch_size,
+            plan_cache=args.plan_cache,
+            warm_cache=args.warm_cache,
+            baseline=args.baseline,
+            slo_ttft=args.slo_ttft,
+            slo_tpot=args.slo_tpot,
+            faults=args.faults,
+            fault_preset=args.fault_preset,
+            retry_policy=args.retry_policy,
+            deadline=args.deadline,
+            admission_limit=args.admission_limit,
+            warm_spares=args.warm_spares,
+            failover_delay=args.failover_delay,
+            cluster=cluster_from_args(args),
+            seed=args.seed,
+            smoke=args.smoke,
+        )
 
     print(report.summary_table())
     finish_profile(args, session, NAME, report)

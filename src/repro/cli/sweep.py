@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import argparse
-import json
 
 from repro.cli.common import (
     add_json_argument,
     add_profile_arguments,
-    command_error,
     finish_profile,
     profile_scope,
     write_json_report,
@@ -62,22 +60,19 @@ def run(args: argparse.Namespace) -> int:
         return 0
 
     group_keys = tuple(key.strip() for key in args.group_by.split(",") if key.strip())
-    try:
-        with profile_scope(args, NAME) as session:
-            report = api.sweep(
-                args.presets,
-                config=args.config,
-                out=args.out,
-                workers=args.workers,
-                resume=args.resume,
-                cache=args.cache,
-                plan_store=args.plan_store,
-                baselines=args.baselines,
-                group_by=group_keys,
-                heartbeat_s=args.heartbeat,
-            )
-    except (KeyError, ValueError, OSError, json.JSONDecodeError) as error:
-        return command_error(NAME, error)
+    with profile_scope(args, NAME) as session:
+        report = api.sweep(
+            args.presets,
+            config=args.config,
+            out=args.out,
+            workers=args.workers,
+            resume=args.resume,
+            cache=args.cache,
+            plan_store=args.plan_store,
+            baselines=args.baselines,
+            group_by=group_keys,
+            heartbeat_s=args.heartbeat,
+        )
 
     print(report.summary_table())
     meta = report.meta

@@ -14,7 +14,7 @@ from repro.core.baselines import (
 from repro.core.config import DEFAULT_SETTINGS, OverlapProblem, OverlapSettings
 from repro.core.executor import COMM_STREAM, COMPUTE_STREAM, OverlapExecutor, OverlapResult
 from repro.core.overlap import FlashOverlapOperator, OverlapPlan, SpeedupReport
-from repro.core.predictor import LatencyPredictor, OfflineProfile, PredictedTimeline
+from repro.core.predictor import LatencyPredictor, OfflineProfile
 from repro.core.reordering import (
     PipelineResult,
     ReorderPlan,
@@ -52,7 +52,6 @@ __all__ = [
     "COMM_STREAM",
     "LatencyPredictor",
     "OfflineProfile",
-    "PredictedTimeline",
     "PredictiveTuner",
     "ExhaustiveTuner",
     "GemmShapeCache",

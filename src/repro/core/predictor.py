@@ -155,19 +155,6 @@ class OfflineProfile:
         return self.num_waves * self.wave_bytes
 
 
-@dataclass(frozen=True)
-class PredictedTimeline:
-    """Per-group predicted schedule (for inspection and tests)."""
-
-    compute_end: np.ndarray
-    comm_start: np.ndarray
-    comm_end: np.ndarray
-
-    @property
-    def latency(self) -> float:
-        return float(self.comm_end[-1]) if self.comm_end.size else 0.0
-
-
 class LatencyPredictor:
     """Analytical latency prediction of an overlapped execution (Alg. 1)."""
 
@@ -175,64 +162,9 @@ class LatencyPredictor:
         self.profile = profile
         self._total_bytes = profile.total_output_bytes(total_bytes)
 
-    # -- per-group quantities ---------------------------------------------------
-
-    def group_bytes(self, partition: WavePartition) -> np.ndarray:
-        """Approximate communication payload of each group.
-
-        The predictor assumes full waves; the final group absorbs whatever is
-        left of the true output size (the last wave is usually partial).
-        """
-        sizes = np.array(partition.group_sizes, dtype=np.float64)
-        raw = sizes * self.profile.wave_bytes
-        overflow = raw.sum() - self._total_bytes
-        if overflow > 0:
-            raw[-1] = max(0.0, raw[-1] - overflow)
-        return raw
-
-    def group_compute_times(self, partition: WavePartition) -> np.ndarray:
-        sizes = np.array(partition.group_sizes, dtype=np.float64)
-        return sizes * self.profile.wave_time * self.profile.imbalance
-
-    def group_comm_times(self, partition: WavePartition) -> np.ndarray:
-        payloads = self.group_bytes(partition) * self.profile.imbalance
-        return np.array([self.profile.comm_model.latency(b) for b in payloads])
-
-    # -- the prediction ----------------------------------------------------------
-
-    def timeline(self, partition: WavePartition) -> PredictedTimeline:
-        """Accumulate compute and communication latencies group by group.
-
-        Communication of group ``i`` starts once (a) the GEMM has finished all
-        waves up to and including group ``i`` and (b) the previous group's
-        communication has drained (the collective calls are serialized on the
-        communication stream).
-        """
-        if partition.num_waves != self.profile.num_waves:
-            raise ValueError(
-                f"partition covers {partition.num_waves} waves, but the profile "
-                f"has {self.profile.num_waves}"
-            )
-        compute = self.group_compute_times(partition)
-        comm = self.group_comm_times(partition)
-        compute_end = np.cumsum(compute)
-        comm_start = np.empty_like(comm)
-        comm_end = np.empty_like(comm)
-        previous_end = 0.0
-        for i in range(partition.num_groups):
-            comm_start[i] = max(compute_end[i], previous_end)
-            comm_end[i] = comm_start[i] + comm[i]
-            previous_end = comm_end[i]
-        return PredictedTimeline(compute_end=compute_end, comm_start=comm_start, comm_end=comm_end)
-
     def predict(self, partition: WavePartition) -> float:
-        """Predicted total latency of the overlapped execution.
-
-        This is the scalar reference implementation; the tuner's fast path is
-        :meth:`predict_batch`, which is asserted bit-identical to this one by
-        the equivalence test suite.
-        """
-        return self.timeline(partition).latency
+        """Predicted total latency of one overlapped execution."""
+        return float(self.predict_batch([partition])[0])
 
     def predict_batch(
         self, partitions: Sequence[WavePartition] | PartitionMatrix
@@ -241,11 +173,10 @@ class LatencyPredictor:
 
         Candidates are encoded as a padded :class:`PartitionMatrix` (zero-size
         padding groups contribute zero compute and zero payload, so they leave
-        each candidate's timeline untouched).  Every arithmetic step mirrors
-        the scalar :meth:`predict` element-for-element -- same operation order,
-        same interpolation -- so the returned latencies are bit-identical to
-        calling :meth:`predict` per candidate, and ``argmin`` picks the same
-        winner the scalar loop would.
+        each candidate's timeline untouched).  Every arithmetic step runs in
+        the order a per-group scalar accumulation would -- same interpolation,
+        same serialization recurrence -- so each latency is bit-identical to
+        evaluating its candidate alone.
         """
         matrix = (
             partitions
@@ -263,8 +194,7 @@ class LatencyPredictor:
 
         # Per-group payloads: full waves, overflow absorbed by the last group.
         # Sizes and wave_bytes are integer-valued, so the row sums are exact in
-        # any summation order and the overflow adjustment matches the scalar
-        # path bit for bit.
+        # any summation order and the overflow adjustment is too.
         raw = sizes * self.profile.wave_bytes
         overflow = raw.sum(axis=1) - self._total_bytes
         last = matrix.counts - 1
@@ -275,8 +205,9 @@ class LatencyPredictor:
 
         compute_end = np.cumsum(sizes * self.profile.wave_time * self.profile.imbalance, axis=1)
 
-        # The serialization recurrence of ``timeline`` across all candidates at
-        # once: one short loop over group slots, vectorized over candidates.
+        # Group i communicates once the GEMM has finished its waves and group
+        # i-1's collective has drained (one communication stream): one short
+        # loop over group slots, vectorized over candidates.
         previous_end = np.zeros(matrix.num_candidates, dtype=np.float64)
         for group in range(matrix.max_groups):
             start = np.maximum(compute_end[:, group], previous_end)

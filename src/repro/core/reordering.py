@@ -512,26 +512,3 @@ def _all_to_all_indexed(
         outputs.append(np.concatenate(parts) if parts else np.empty((0, width)))
     return outputs
 
-
-# ---------------------------------------------------------------------------
-# Dispatch helper
-# ---------------------------------------------------------------------------
-
-
-def run_pipeline(
-    collective: CollectiveKind,
-    matrices: Sequence[np.ndarray],
-    plan: ReorderPlan,
-    **kwargs,
-) -> PipelineResult:
-    """Dispatch to the primitive-specific functional pipeline."""
-    if collective == CollectiveKind.ALL_REDUCE:
-        return run_allreduce_pipeline(matrices, plan, **kwargs)
-    if collective == CollectiveKind.REDUCE_SCATTER:
-        return run_reduce_scatter_pipeline(matrices, plan, **kwargs)
-    if collective == CollectiveKind.ALL_TO_ALL:
-        raise ValueError(
-            "All-to-All needs per-source plans and destinations; "
-            "call run_all_to_all_pipeline directly"
-        )
-    raise ValueError(f"no functional pipeline for {collective}")

@@ -7,7 +7,7 @@ Here the same state machine is implemented explicitly so that
 
 * the functional path can assert that a group is only communicated after all
   of its tiles completed,
-* the event-driven executor can derive the exact signal firing times from the
+* the overlap executor can derive the exact signal firing times from the
   per-tile completion times of the GEMM model.
 """
 

@@ -51,17 +51,13 @@ class TuningResult:
 class PredictiveTuner:
     """Pick the wave-group partition with the lowest *predicted* latency.
 
-    By default the tuner ranks all candidates with the vectorized
-    :meth:`~repro.core.predictor.LatencyPredictor.predict_batch` fast path and
-    reuses the memoized :meth:`OfflineProfile.cached` offline stage.  Pass
-    ``vectorized=False`` to run the scalar per-candidate reference loop; both
-    paths produce bit-identical tuning decisions (asserted by the equivalence
-    tests), so the scalar path exists purely as the cross-checked reference.
+    All candidates are ranked in one
+    :meth:`~repro.core.predictor.LatencyPredictor.predict_batch` pass over the
+    memoized :meth:`OfflineProfile.cached` offline stage.
     """
 
-    def __init__(self, settings: OverlapSettings = DEFAULT_SETTINGS, vectorized: bool = True) -> None:
+    def __init__(self, settings: OverlapSettings = DEFAULT_SETTINGS) -> None:
         self.settings = settings
-        self.vectorized = vectorized
 
     def candidates(self, num_waves: int) -> list[WavePartition]:
         return candidate_partitions(
@@ -81,18 +77,9 @@ class PredictiveTuner:
         candidates = self.candidates(profile.num_waves)
         obs.counter("tuner.invocations", method="predictive").inc()
         obs.counter("tuner.candidates", method="predictive").inc(len(candidates))
-        if self.vectorized:
-            latencies = predictor.predict_batch(candidate_partitions_matrix(candidates))
-            index = int(np.argmin(latencies))
-            best, best_latency = candidates[index], float(latencies[index])
-        else:
-            best, best_latency = None, math.inf
-            for partition in candidates:
-                latency = predictor.predict(partition)
-                if latency < best_latency:
-                    best, best_latency = partition, latency
-        if best is None:  # pragma: no cover - defensive
-            raise RuntimeError("no candidate partitions were generated")
+        latencies = predictor.predict_batch(candidate_partitions_matrix(candidates))
+        index = int(np.argmin(latencies))
+        best, best_latency = candidates[index], float(latencies[index])
         use_overlap = bool(best_latency <= predictor.predict_non_overlap())
         return TuningResult(
             partition=best,
@@ -110,19 +97,17 @@ class ExhaustiveTuner:
     too slow to run per shape in production, so it serves as the quality
     reference for the predictive search.
 
-    The default ``incremental=True`` path precomputes the per-wave state every
-    candidate shares (wave completion times, per-wave payload prefix sums,
-    signal-ready times), replays only each candidate's group sequence on top
-    of it, reuses the simulation state of the group prefix shared with the
-    previous candidate, and abandons a candidate as soon as its partial
-    timeline already exceeds the incumbent best.  It selects the same
-    partition at the same latency as running :meth:`OverlapExecutor.simulate`
-    per candidate (``incremental=False``, the cross-checked reference).
+    The search precomputes the per-wave state every candidate shares (wave
+    completion times, per-wave payload prefix sums, signal-ready times),
+    replays only each candidate's group sequence on top of it, reuses the
+    simulation state of the group prefix shared with the previous candidate,
+    and abandons a candidate as soon as its partial timeline already exceeds
+    the incumbent best.  It selects the same partition at the same latency as
+    running :meth:`OverlapExecutor.simulate` per candidate.
     """
 
-    def __init__(self, settings: OverlapSettings = DEFAULT_SETTINGS, incremental: bool = True) -> None:
+    def __init__(self, settings: OverlapSettings = DEFAULT_SETTINGS) -> None:
         self.settings = settings
-        self.incremental = incremental
 
     def tune(self, problem: OverlapProblem, executor: OverlapExecutor | None = None) -> TuningResult:
         with obs.span("tuner.tune", method="exhaustive"):
@@ -139,14 +124,7 @@ class ExhaustiveTuner:
         )
         obs.counter("tuner.invocations", method="exhaustive").inc()
         obs.counter("tuner.candidates", method="exhaustive").inc(len(candidates))
-        if self.incremental:
-            best, best_latency = self._tune_incremental(executor, candidates)
-        else:
-            best, best_latency = None, math.inf
-            for partition in candidates:
-                latency = executor.simulate(partition).latency
-                if latency < best_latency:
-                    best, best_latency = partition, latency
+        best, best_latency = self._tune_incremental(executor, candidates)
         if best is None:  # pragma: no cover - defensive
             raise RuntimeError("no candidate partitions were generated")
         # Like the predictive tuner, fall back to the sequential execution when
@@ -168,8 +146,8 @@ class ExhaustiveTuner:
         Replicates the latency arithmetic of :meth:`OverlapExecutor.simulate`
         operation for operation (same wave-end times, same signal-ready times,
         same payload bytes, same jitter draw), so the selected partition and
-        latency are identical to the reference loop.  Per-group payloads come
-        from an integer prefix sum over waves, which is exact.
+        latency are identical to simulating every candidate.  Per-group
+        payloads come from an integer prefix sum over waves, which is exact.
         """
         problem, settings = executor.problem, executor.settings
         launch = problem.device.kernel_launch_seconds

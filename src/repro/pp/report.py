@@ -66,28 +66,6 @@ class PipelineReport(ReportMixin):
             ),
         )
 
-    def stage_table(self, estimate: PipelineEstimate, schedule: str) -> str:
-        """Per-stage busy/idle timeline of one schedule (FlashOverlap arm)."""
-        result = estimate.schedules[schedule].methods["overlap"]
-        rows = []
-        for stage, (layers, busy, idle) in enumerate(
-            zip(estimate.stage_layers, result.stage_busy, result.stage_idle)
-        ):
-            rows.append(
-                [
-                    f"stage{stage}",
-                    layers,
-                    f"{busy * 1e3:.3f}",
-                    f"{idle * 1e3:.3f}",
-                    f"{idle / result.step_latency * 100:.1f}%",
-                ]
-            )
-        return format_table(
-            ["stage", "layers", "busy (ms)", "idle (ms)", "idle share"],
-            rows,
-            title=f"{schedule}: per-stage timeline (FlashOverlap)",
-        )
-
     def summary_table(self) -> str:
         """The headline rendering of the ``repro.api`` report protocol."""
         return "\n\n".join(self.table(estimate) for estimate in self.estimates)

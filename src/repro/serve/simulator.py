@@ -165,17 +165,11 @@ class ServingSimulator:
         mode: str = "overlap",
         faults: FaultInjector | None = None,
         resilience: ResiliencePolicy | None = None,
-        fast: bool = True,
     ) -> None:
         if mode not in SERVE_MODES:
             raise ValueError(f"mode must be one of {SERVE_MODES}, got {mode!r}")
         self.config = config
         self.mode = mode
-        #: Advance pure iteration stretches inline (and collapse silent
-        #: steady-decode runs) instead of taking one heap round-trip per
-        #: iteration.  Bit-identical to ``fast=False`` including faulted
-        #: runs; the event engine still arbitrates every boundary event.
-        self.fast = fast
         if plan_cache is None and mode == "overlap":
             plan_cache = PlanCache(config.settings, min_bucket=config.min_bucket)
         self.plan_cache = plan_cache
@@ -270,7 +264,6 @@ class ServingSimulator:
         token_buckets: dict[int, int] = {}
         injector = self.faults
         policy = self.resilience
-        fast = self.fast
         retry = policy.retry if policy is not None else None
         attempts_of: dict[int, int] = {}
         deadline_events: dict[int, object] = {}
@@ -314,7 +307,7 @@ class ServingSimulator:
             expired_pending.clear()
 
         def commit(batch: IterationBatch) -> None:
-            """Account one executed batch (shared by the event and fast paths)."""
+            """Account one executed batch (inline or from its finish event)."""
             outcome = scheduler.apply(batch)
             now = engine.now
             state["iterations"] += 1
@@ -413,23 +406,21 @@ class ServingSimulator:
                     injector.straggler_finish(now, latency) if injector is not None
                     else now + latency
                 )
-                if fast:
-                    upcoming = engine.next_event_time()
-                    if upcoming is None or finish < upcoming:
-                        # No boundary event (arrival, deadline, crash or
-                        # recovery) fires before this iteration lands, so
-                        # commit it inline without a heap round-trip.  Ties go
-                        # to the event: it was scheduled first, and the
-                        # reference path dispatches it first.
-                        engine.advance_to(finish)
-                        commit(batch)
-                        if injector is None and not batch.prefill:
-                            advance_steady_run(
-                                batch,
-                                latency,
-                                cache.lookups - lookups_before if cache is not None else 0,
-                            )
-                        continue
+                upcoming = engine.next_event_time()
+                if upcoming is None or finish < upcoming:
+                    # No boundary event (arrival, deadline, crash or recovery)
+                    # fires before this iteration lands, so commit it inline
+                    # without a heap round-trip.  Ties go to the event: it was
+                    # scheduled first, so a finish event would run after it.
+                    engine.advance_to(finish)
+                    commit(batch)
+                    if injector is None and not batch.prefill:
+                        advance_steady_run(
+                            batch,
+                            latency,
+                            cache.lookups - lookups_before if cache is not None else 0,
+                        )
+                    continue
                 inflight["event"] = engine.schedule(finish, finish_iteration, batch)
                 inflight["batch"] = batch
                 inflight["ids"] = frozenset(
@@ -549,21 +540,18 @@ def compare_serving(
     plan_cache: PlanCache | None = None,
     faults: FaultInjector | None = None,
     resilience: ResiliencePolicy | None = None,
-    fast: bool = True,
 ) -> dict[str, ServingResult]:
     """Run the same traffic under overlap and non-overlap execution.
 
     The two runs share nothing but the request list (and the fault timeline,
     when given), so the baseline's slower iterations feed back into its
     queueing delays -- the serving-level effect operator-level speedup numbers
-    cannot show.  ``fast=False`` forces the one-event-per-iteration reference
-    loop (bit-identical results).
+    cannot show.
     """
     overlap = ServingSimulator(
-        config, plan_cache=plan_cache, mode="overlap", faults=faults,
-        resilience=resilience, fast=fast,
+        config, plan_cache=plan_cache, mode="overlap", faults=faults, resilience=resilience
     ).run(requests)
     baseline = ServingSimulator(
-        config, mode="non-overlap", faults=faults, resilience=resilience, fast=fast
+        config, mode="non-overlap", faults=faults, resilience=resilience
     ).run(requests)
     return {"overlap": overlap, "non-overlap": baseline}

@@ -6,7 +6,7 @@ communication stream running signal-wait kernels followed by NCCL kernels.
 This package provides:
 
 * :mod:`repro.sim.engine` -- a small discrete-event engine (heap of timed
-  callbacks) used by the event-driven executor,
+  callbacks) that clocks the serving loop,
 * :mod:`repro.sim.trace` -- timeline traces made of spans, with overlap /
   busy-time queries and an ASCII rendering for quick inspection,
 * :mod:`repro.sim.timeline` -- a stream-ordered timeline builder that models

@@ -2,10 +2,9 @@
 
 Events are ``(time, callback)`` pairs ordered by time (FIFO among equal
 times).  Callbacks may schedule further events.  The engine is deliberately
-tiny -- the overlap timeline only needs ordered execution and a clock -- but it
-is written as a general component so other executors (e.g. the event-driven
-overlap executor used for cross-checking the analytic timeline) can build on
-it.
+tiny -- ordered execution and a clock -- and is the clock of the serving
+loop (:mod:`repro.serve.simulator`), which also peeks at the next event time
+to commit work inline between events.
 """
 
 from __future__ import annotations

@@ -77,11 +77,6 @@ class Trace:
             return 0.0
         return max(s.end for s in self.spans)
 
-    def start_time(self) -> float:
-        if not self.spans:
-            return 0.0
-        return min(s.start for s in self.spans)
-
     def busy_time(self, stream: str) -> float:
         """Total busy time of a stream (spans on one stream never overlap)."""
         return sum(s.duration for s in self.spans_on(stream))

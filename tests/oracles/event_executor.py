@@ -1,4 +1,4 @@
-"""Event-driven overlap executor.
+"""Tile-by-tile event-driven replay of one overlapped execution.
 
 :class:`EventDrivenExecutor` replays the overlapped execution at *tile*
 granularity on the discrete-event engine: every tile completion is an event
@@ -9,9 +9,9 @@ serializes behind any collective still in flight.
 It models the same semantics as the analytic
 :class:`~repro.core.executor.OverlapExecutor` (which accumulates the schedule
 with closed-form max/plus arithmetic), so the two must agree to within the
-signalling granularity -- the cross-check is part of the test suite.  The
-event-driven path additionally produces a per-tile/per-signal trace that can
-be exported for visualisation (see :mod:`repro.sim.trace_export`).
+signalling granularity; ``tests/test_core_event_executor.py`` holds the
+analytic executor to it.  The per-tile/per-signal trace it records is also
+the sample input of the Chrome trace export tests.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.config import DEFAULT_SETTINGS, OverlapProblem, OverlapSettings
 from repro.core.executor import COMM_STREAM, COMPUTE_STREAM, OverlapExecutor, OverlapResult
-from repro.core.signaling import CountingTable, GroupAssignment
+from repro.core.signaling import CountingTable
 from repro.core.wave_grouping import WavePartition
 from repro.gpu.kernels import KernelCategory
 from repro.sim.engine import EventEngine

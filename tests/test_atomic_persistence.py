@@ -8,6 +8,7 @@ bytes or the new bytes, never a torn file.
 """
 
 import os
+import stat
 
 import pytest
 
@@ -57,6 +58,28 @@ class TestAtomicWriteText:
         monkeypatch.undo()
 
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
+class TestPermissions:
+    """The result carries the mode a plain ``open(path, "w")`` would leave."""
+
+    @pytest.mark.parametrize("umask", [0o022, 0o002, 0o077], ids=oct)
+    def test_new_file_gets_0o666_minus_umask(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            path = atomic_write_text(tmp_path / "out.json", "{}")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path):
+        target = tmp_path / "out.json"
+        target.write_text("old", encoding="utf-8")
+        target.chmod(0o640)
+        atomic_write_text(target, "new")
+        assert target.read_text(encoding="utf-8") == "new"
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
 
 
 class TestArtifactsUseAtomicWrites:

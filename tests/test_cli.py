@@ -256,15 +256,31 @@ class TestCleanErrors:
             (["e2e", "--smoke", "--tokens", "0"], "GEMM dims must be positive"),
             (["e2e", "--smoke", "--layers", "0"], "layers must be >= 1"),
             (["pp", "--smoke", "--stages", "0"], "stages must be >= 1"),
+            (["tune", "--m", "0"], "GEMM dims must be positive"),
+            (["report", "--m", "0"], "GEMM dims must be positive"),
+            (["compare", "--m", "0"], "GEMM dims must be positive"),
+            (["serve", "--smoke", "--failover-delay", "-1"],
+             "failover_delay must be non-negative"),
+            (["sweep", "--preset", "nope"], "unknown sweep preset 'nope'; known: ["),
         ],
     )
-    def test_invalid_sizes_exit_2_without_traceback(self, capsys, argv, message):
+    def test_invalid_input_exits_2_without_traceback(self, capsys, argv, message):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"repro {argv[0]}: error: {message}" in err
         assert "Traceback" not in err
 
-    def test_pp_has_no_reference_replay_flag(self):
+    @pytest.mark.parametrize("flag", ["--trace", "--faults"])
+    def test_missing_serve_input_file_exits_2(self, capsys, tmp_path, flag):
+        missing = tmp_path / "missing.json"
+        assert main(["serve", "--smoke", flag, str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro serve: error: ")
+        assert str(missing) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["pp", "serve"])
+    def test_no_reference_loop_flag(self, command):
         with pytest.raises(SystemExit) as excinfo:
-            main(["pp", "--smoke", "--no-fast"])
+            main([command, "--smoke", "--no-fast"])
         assert excinfo.value.code == 2

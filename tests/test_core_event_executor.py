@@ -1,10 +1,10 @@
-"""Tests for the event-driven executor and its cross-check against the
-analytic timeline (repro.core.event_executor)."""
+"""Tests for the event-driven executor oracle (``oracles.event_executor``) and
+the analytic executor's cross-check against it."""
 
 import numpy as np
 import pytest
 
-from repro.core.event_executor import EventDrivenExecutor
+from oracles.event_executor import EventDrivenExecutor
 from repro.core.executor import COMM_STREAM, OverlapExecutor
 from repro.core.wave_grouping import WavePartition
 from repro.gpu.kernels import KernelCategory

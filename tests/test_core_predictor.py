@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles.predictor import group_bytes, group_comm_times, timeline
 from repro.core.executor import OverlapExecutor
 from repro.core.predictor import LatencyPredictor, OfflineProfile
 from repro.core.wave_grouping import WavePartition, candidate_partitions
@@ -44,17 +45,17 @@ class TestPrediction:
             WavePartition.single_group(predictor.profile.num_waves),
             WavePartition.equal_groups(predictor.profile.num_waves, 3),
         ):
-            payloads = predictor.group_bytes(partition)
+            payloads = group_bytes(predictor, partition)
             assert payloads.sum() <= predictor.profile.num_waves * predictor.profile.wave_bytes + 1
             assert payloads.sum() >= paper_problem_4090.output_bytes() * 0.99
             assert np.all(payloads >= 0)
 
     def test_timeline_is_causal(self, predictor):
         partition = WavePartition.equal_groups(predictor.profile.num_waves, 2)
-        timeline = predictor.timeline(partition)
-        assert np.all(timeline.comm_start >= timeline.compute_end - 1e-12)
-        assert np.all(np.diff(timeline.comm_end) > 0)
-        assert timeline.latency == timeline.comm_end[-1]
+        predicted = timeline(predictor, partition)
+        assert np.all(predicted.comm_start >= predicted.compute_end - 1e-12)
+        assert np.all(np.diff(predicted.comm_end) > 0)
+        assert predicted.latency == predicted.comm_end[-1] == predictor.predict(partition)
 
     def test_some_partition_beats_non_overlap(self, predictor, fast_settings):
         candidates = candidate_partitions(
@@ -89,8 +90,8 @@ class TestPrediction:
         # Per-wave signaling pays more per-call setup than a 4-wave grouping:
         # total communication time (ignoring overlap) is larger.
         waves = predictor.profile.num_waves
-        per_wave = predictor.group_comm_times(WavePartition.per_wave(waves))
-        grouped = predictor.group_comm_times(WavePartition.equal_groups(waves, 4))
+        per_wave = group_comm_times(predictor, WavePartition.per_wave(waves))
+        grouped = group_comm_times(predictor, WavePartition.equal_groups(waves, 4))
         assert per_wave.sum() > grouped.sum()
 
 

@@ -1,14 +1,17 @@
-"""Equivalence suite: the vectorized predictor fast path vs the scalar reference.
+"""Equivalence suite: the vectorized predictor vs the group-by-group oracle.
 
-The contract of the fast path is strict: ``predict_batch`` must be
-*bit-identical* to calling ``predict`` per candidate (not merely allclose), so
-that the tuner's argmin picks exactly the partition the scalar loop would.
+The contract is strict: ``predict_batch`` must be *bit-identical* to the
+scalar timeline of ``oracles.predictor`` per candidate (not merely allclose),
+so that the tuner's argmin picks exactly the partition the scalar loop of
+``oracles.tuner.predictive_reference`` would.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
+from oracles.predictor import predict_reference
+from oracles.tuner import predictive_reference
 from repro.comm.primitives import CollectiveKind
 from repro.comm.topology import rtx4090_pcie
 from repro.core.config import OverlapProblem, OverlapSettings
@@ -48,8 +51,9 @@ def assert_batch_matches_scalar(problem: OverlapProblem, settings: OverlapSettin
         max_exhaustive_waves=settings.max_exhaustive_waves,
     )
     batch = predictor.predict_batch(candidates)
-    scalar = np.array([predictor.predict(p) for p in candidates])
+    scalar = np.array([predict_reference(predictor, p) for p in candidates])
     np.testing.assert_array_equal(batch, scalar)
+    np.testing.assert_array_equal([predictor.predict(p) for p in candidates], scalar)
 
 
 class TestPredictBatchEquivalence:
@@ -138,8 +142,8 @@ class TestTunerFastPath:
             OverlapSettings(bandwidth_profile_noise=0.0, executor_jitter=0.0),
             OverlapSettings(max_first_group=1, max_last_group=2),
         ):
-            fast = PredictiveTuner(settings, vectorized=True).tune(paper_problem_4090)
-            reference = PredictiveTuner(settings, vectorized=False).tune(paper_problem_4090)
+            fast = PredictiveTuner(settings).tune(paper_problem_4090)
+            reference = predictive_reference(paper_problem_4090, settings)
             assert fast == reference
 
     def test_sequential_fallback_agrees(self, tiny_device, tiny_topology, small_tile_config):
@@ -153,9 +157,9 @@ class TestTunerFastPath:
             gemm_config=small_tile_config,
         )
         settings = OverlapSettings(executor_jitter=0.0, bandwidth_profile_noise=0.0)
-        fast = PredictiveTuner(settings, vectorized=True).tune(problem)
-        reference = PredictiveTuner(settings, vectorized=False).tune(problem)
-        assert fast.use_overlap == reference.use_overlap
+        fast = PredictiveTuner(settings).tune(problem)
+        reference = predictive_reference(problem, settings)
+        assert fast == reference
 
 
 class TestProfileMemoization:

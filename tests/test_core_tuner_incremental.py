@@ -1,10 +1,12 @@
-"""Equivalence suite: the incremental exhaustive tuner vs per-candidate simulation,
-and the exhaustive tuner's sequential-fallback decision."""
+"""Equivalence suite: the incremental exhaustive tuner vs per-candidate simulation
+(``oracles.tuner.exhaustive_reference``), and the exhaustive tuner's
+sequential-fallback decision."""
 
 import math
 
 import pytest
 
+from oracles.tuner import exhaustive_reference
 from repro.comm.primitives import CollectiveKind
 from repro.comm.topology import InterconnectKind, Topology, rtx4090_pcie
 from repro.core.config import OverlapProblem, OverlapSettings
@@ -23,12 +25,9 @@ class TestIncrementalExhaustive:
     @pytest.mark.parametrize("jitter", [0.0, 0.02])
     def test_identical_to_naive(self, problem, jitter):
         settings = OverlapSettings(executor_jitter=jitter)
-        incremental = ExhaustiveTuner(settings, incremental=True).tune(problem)
-        naive = ExhaustiveTuner(settings, incremental=False).tune(problem)
-        assert incremental.partition == naive.partition
-        assert incremental.predicted_latency == naive.predicted_latency
-        assert incremental.use_overlap == naive.use_overlap
-        assert incremental.candidates_evaluated == naive.candidates_evaluated
+        incremental = ExhaustiveTuner(settings).tune(problem)
+        naive = exhaustive_reference(problem, settings)
+        assert incremental == naive
 
     def test_latency_matches_full_simulation(self, problem, fast_settings):
         result = ExhaustiveTuner(fast_settings).tune(problem)
@@ -36,10 +35,9 @@ class TestIncrementalExhaustive:
         assert executor.simulate(result.partition).latency == result.predicted_latency
 
     def test_identical_on_small_problem(self, small_problem, fast_settings):
-        incremental = ExhaustiveTuner(fast_settings, incremental=True).tune(small_problem)
-        naive = ExhaustiveTuner(fast_settings, incremental=False).tune(small_problem)
-        assert incremental.partition == naive.partition
-        assert incremental.predicted_latency == naive.predicted_latency
+        incremental = ExhaustiveTuner(fast_settings).tune(small_problem)
+        naive = exhaustive_reference(small_problem, fast_settings)
+        assert incremental == naive
 
     @pytest.mark.parametrize("imbalance", [1.0, 1.3])
     def test_identical_under_imbalance(self, imbalance, fast_settings):
@@ -50,10 +48,9 @@ class TestIncrementalExhaustive:
             collective=CollectiveKind.REDUCE_SCATTER,
             imbalance=imbalance,
         )
-        incremental = ExhaustiveTuner(fast_settings, incremental=True).tune(problem)
-        naive = ExhaustiveTuner(fast_settings, incremental=False).tune(problem)
-        assert incremental.partition == naive.partition
-        assert incremental.predicted_latency == naive.predicted_latency
+        incremental = ExhaustiveTuner(fast_settings).tune(problem)
+        naive = exhaustive_reference(problem, fast_settings)
+        assert incremental == naive
 
 
 class TestExhaustiveSequentialFallback:

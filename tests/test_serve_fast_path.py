@@ -1,27 +1,31 @@
-"""Differential suite: batched serving fast path vs the reference event loop.
+"""Differential suite: the batched serving loop vs the per-iteration oracle.
 
-``ServingSimulator(fast=True)`` commits iterations inline between boundary
-events and collapses silent steady-decode runs in bulk;
-``fast=False`` takes one heap round-trip per iteration.  The two must be
-**bit-identical** -- the full ``ServingResult.to_dict()`` payload, including
-request records, token buckets, plan-cache stats and fault accounting --
-because the fast path performs exactly the reference path's float additions
-and counter updates, just without the event-queue detour.  Hypothesis drives
-random traffic and batching limits through both loops, fault-free and under
-every fault preset, with and without deadlines.
+``ServingSimulator`` commits iterations inline between boundary events and
+collapses silent steady-decode runs in bulk; the oracle
+``oracles.serve.serve_reference`` runs the same simulator with one heap
+round-trip per iteration.  The two must be **bit-identical** -- the full
+``ServingResult.to_dict()`` payload, including request records, token
+buckets, plan-cache stats and fault accounting -- because the batched loop
+performs exactly the per-iteration path's float additions and counter
+updates, just without the event-queue detour.  Hypothesis drives random
+traffic and batching limits through both loops, fault-free and under every
+fault preset, with and without deadlines.
 """
 
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings as hsettings
 from hypothesis import strategies as st
 
+from oracles.serve import serve_reference
 from repro.faults import FaultInjector, ResiliencePolicy, build_fault_preset, fault_presets
 from repro.serve.arrivals import PoissonArrivals, distribution_by_name, length_distributions
 from repro.serve.simulator import ServeConfig, ServingSimulator, compare_serving
+from repro.sim.engine import EventEngine
 
 
 def payload(result) -> str:
@@ -30,20 +34,32 @@ def payload(result) -> str:
 
 def run_both(config, requests, mode="non-overlap", faults_preset=None,
              deadline=None, fault_seed=0):
-    results = []
-    for fast in (True, False):
+    """(production, oracle) results, each arm on its own simulator and faults."""
+
+    def simulator():
         injector = None
         policy = ResiliencePolicy(deadline_s=deadline) if deadline is not None else None
         if faults_preset is not None:
             horizon = max(r.arrival_time for r in requests) + 1.0
             plan = build_fault_preset(faults_preset, horizon, seed=fault_seed)
             injector = FaultInjector(plan, policy=policy)
-        results.append(
-            ServingSimulator(
-                config, mode=mode, faults=injector, resilience=policy, fast=fast
-            ).run(requests)
-        )
-    return results
+        return ServingSimulator(config, mode=mode, faults=injector, resilience=policy)
+
+    return simulator().run(requests), serve_reference(simulator(), requests)
+
+
+def with_engine_events(run):
+    """``run()``'s result and the events its engines processed in total."""
+    engines = []
+    init = EventEngine.__init__
+
+    def tracking_init(self):
+        init(self)
+        engines.append(self)
+
+    with mock.patch.object(EventEngine, "__init__", tracking_init):
+        result = run()
+    return result, sum(engine.processed_events for engine in engines)
 
 
 TRAFFIC = st.fixed_dictionaries(
@@ -102,7 +118,7 @@ class TestFaultFreeBitIdentity:
         assert payload(fast) == payload(reference)
         assert fast.plan_cache_stats == reference.plan_cache_stats
 
-    def test_compare_serving_fast_flag(self):
+    def test_compare_serving_matches_reference(self):
         config = ServeConfig(layers=1, max_batch_tokens=512, max_batch_size=8)
         requests = PoissonArrivals(
             rate_rps=64.0,
@@ -110,10 +126,10 @@ class TestFaultFreeBitIdentity:
             seed=1,
             num_requests=8,
         ).generate()
-        fast = compare_serving(config, requests, fast=True)
-        reference = compare_serving(config, requests, fast=False)
+        fast = compare_serving(config, requests)
         for arm in ("overlap", "non-overlap"):
-            assert payload(fast[arm]) == payload(reference[arm])
+            reference = serve_reference(ServingSimulator(config, mode=arm), requests)
+            assert payload(fast[arm]) == payload(reference)
 
 
 class TestFaultedBitIdentity:
@@ -149,3 +165,24 @@ class TestFaultedBitIdentity:
             config, requests, faults_preset=preset, deadline=1.0
         )
         assert payload(fast) == payload(reference)
+
+
+class TestOracle:
+    def test_reference_takes_one_event_per_iteration(self):
+        """The oracle commits every iteration from the heap; production does not."""
+        config = ServeConfig(layers=1)
+        requests = PoissonArrivals(
+            rate_rps=8.0,
+            distribution=distribution_by_name("chat"),
+            seed=0,
+            num_requests=16,
+        ).generate()
+        fast, fast_events = with_engine_events(
+            lambda: ServingSimulator(config, mode="non-overlap").run(requests)
+        )
+        reference, reference_events = with_engine_events(
+            lambda: serve_reference(ServingSimulator(config, mode="non-overlap"), requests)
+        )
+        assert payload(fast) == payload(reference)
+        assert reference_events >= reference.iterations
+        assert fast_events < fast.iterations

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core.event_executor import EventDrivenExecutor
+from oracles.event_executor import EventDrivenExecutor
 from repro.core.wave_grouping import WavePartition
 from repro.gpu.kernels import KernelCategory
 from repro.sim.trace import Trace
