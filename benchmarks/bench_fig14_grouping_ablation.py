@@ -50,26 +50,17 @@ def evaluate_case(problem, settings):
 
     # Misconfigured wave size: the schedule believes waves are 20 tiles larger
     # than they are, so every signal waits for tiles of the *next* wave.
-    wrong_wave = executor.gemm_contended.wave_tiles(problem.compute_sm_count() + 20)
-    misconfigured = WavePartition.per_wave(len(wrong_wave))
-    from repro.core.signaling import GroupAssignment
-
-    assignment = GroupAssignment.build(misconfigured, wrong_wave)
-    payloads = executor.group_payload_bytes(assignment)
+    wrong_sms = problem.compute_sm_count() + 20
+    wrong_waves = executor.gemm_contended.wave_tiles(wrong_sms)
+    payloads = executor.gemm_contended.wave_bytes(wrong_sms)
     # Communication of a misconfigured group can only start when the last wave
     # containing one of its tiles finishes.
-    import numpy as np
-
     wave_end = executor.gemm_contended.wave_completion_times(problem.compute_sm_count())
-    tile_wave = {}
-    for wave_index, tiles in enumerate(executor.wave_tiles()):
-        for t in tiles:
-            tile_wave[t] = wave_index
+    tile_wave = {t: w for w, tiles in enumerate(executor.wave_tiles()) for t in tiles}
     comm_end = 0.0
-    comm = executor.comm_model
-    for group_index, tiles in enumerate(assignment.group_tiles):
+    for tiles, payload in zip(wrong_waves, payloads):
         ready = wave_end[max(tile_wave[t] for t in tiles)]
-        duration = comm.latency(payloads[group_index])
+        duration = executor.comm_model.latency(float(payload))
         comm_end = max(comm_end, ready + settings.comm_launch_s) + duration
     speedups["misconfigured-wave"] = non_overlap / comm_end
 

@@ -12,8 +12,6 @@ the tuning/reordering subsystem old-vs-new and emits a machine-readable
   reference loops vs the cached index permutations, with outputs asserted
   ``np.allclose`` (in fact bit-identical),
 * offline-profile memoization (cold vs warm tune calls),
-* exhaustive tuner, the per-candidate simulation oracle vs the incremental
-  early-abandoning search,
 * the tuning portion of a sweep (the smoke preset's scenarios) old vs new.
 
 ``--check`` compares the speedup ratios against a committed baseline
@@ -50,7 +48,7 @@ from oracles.reordering import (
     allreduce_reference,
     reduce_scatter_reference,
 )
-from oracles.tuner import exhaustive_reference, predictive_reference
+from oracles.tuner import predictive_reference
 from repro import obs
 from repro.atomic import atomic_write_text
 from repro.comm.primitives import CollectiveKind
@@ -63,7 +61,7 @@ from repro.core.reordering import (
     run_allreduce_pipeline,
     run_reduce_scatter_pipeline,
 )
-from repro.core.tuner import ExhaustiveTuner, PredictiveTuner
+from repro.core.tuner import PredictiveTuner
 from repro.core.wave_grouping import candidate_partitions_matrix
 from repro.gpu.device import RTX_4090
 from repro.gpu.gemm import GemmShape
@@ -243,30 +241,6 @@ def bench_profile_memoization(smoke: bool, repeats: int) -> dict:
     return {"cold_s": cold_s, "warm_s": warm_s, "speedup": cold_s / warm_s}
 
 
-def bench_exhaustive(smoke: bool, repeats: int) -> dict:
-    """Per-candidate simulation oracle vs incremental early-abandoning search."""
-    problem = OverlapProblem(
-        shape=GemmShape(1024, 4096, 4096) if smoke else GemmShape(2048, 8192, 8192),
-        device=RTX_4090,
-        topology=rtx4090_pcie(4),
-        collective=CollectiveKind.ALL_REDUCE,
-    )
-    settings = OverlapSettings()
-    inner = 3  # keep the incremental span above the timer-noise floor
-
-    def naive() -> None:
-        for _ in range(inner):
-            exhaustive_reference(problem, settings)
-
-    def incremental() -> None:
-        for _ in range(inner):
-            ExhaustiveTuner(settings).tune(problem)
-
-    naive_s = _time(naive, repeats)
-    incremental_s = _time(incremental, repeats)
-    return {"naive_s": naive_s, "incremental_s": incremental_s, "speedup": naive_s / incremental_s}
-
-
 def bench_sweep_tuning(smoke: bool, repeats: int) -> dict:
     """Tuning wall-clock of the smoke sweep's scenarios, old path vs new.
 
@@ -347,8 +321,6 @@ def main(argv: list[str] | None = None) -> int:
             reorder, pipelines_match = bench_pipeline_reorder(args.smoke, repeats)
         with obs.span("profile_memoization"):
             memoization = bench_profile_memoization(args.smoke, repeats)
-        with obs.span("exhaustive_tuner"):
-            exhaustive = bench_exhaustive(args.smoke, repeats)
         with obs.span("sweep_tuning"):
             sweep_tuning = bench_sweep_tuning(args.smoke, repeats)
     report = {
@@ -362,7 +334,6 @@ def main(argv: list[str] | None = None) -> int:
             "predictive_tuning": predictive,
             "pipeline_reorder": reorder,
             "profile_memoization": memoization,
-            "exhaustive_tuner": exhaustive,
             "sweep_tuning": sweep_tuning,
         },
         "checks": {

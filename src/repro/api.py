@@ -23,11 +23,11 @@ parity tests under ``tests/test_api.py`` assert per subcommand.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from pathlib import Path
 
 from repro import obs
+from repro.atomic import read_json
 from repro.cluster import ClusterSpec
 from repro.core.config import OverlapSettings
 from repro.e2e.report import EndToEndReport, estimate_models
@@ -449,11 +449,7 @@ def sweep(
         if bool(presets) == bool(config):
             raise ValueError("exactly one of presets= or config= must be given")
         if config:
-            payload = json.loads(Path(config).read_text(encoding="utf-8"))
-            try:
-                matrices = [ScenarioMatrix.from_dict(payload)]
-            except KeyError as error:  # a missing field or an unknown settings axis
-                raise ValueError(f"bad sweep config {config}: {error}") from error
+            matrices = [read_json(config, ScenarioMatrix.from_dict)]
         else:
             try:
                 matrices = [matrix_from_preset(name) for name in presets]

@@ -1,4 +1,5 @@
-"""Crash-safe file writes: write a temp file, then ``os.replace`` it.
+"""Crash-safe file writes (write a temp file, then ``os.replace`` it) and
+the matching JSON reader.
 
 Every JSON artifact the toolkit persists -- tuned shape caches, emitted
 parallelism plans, ``--json`` reports, benchmark ``BENCH_*.json`` files --
@@ -11,17 +12,26 @@ old content survives untouched, or the complete new content is in place.
 live on the same filesystem, which the same-directory temp file guarantees.
 The result has the permissions a plain ``open(path, "w")`` would leave: a new
 file gets ``0o666`` minus the umask, and a replaced file keeps its mode.
+
+:func:`read_json` loads those artifacts back.  A file that is not JSON, or is
+JSON of the wrong structure, raises a :class:`ValueError` naming the file,
+which the CLI reports as a one-line error.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 import secrets
 import stat
+from collections.abc import Callable
 from pathlib import Path
+from typing import Any, TypeVar
 
-__all__ = ["atomic_write_text"]
+__all__ = ["atomic_write_text", "read_json"]
+
+T = TypeVar("T")
 
 
 def atomic_write_text(path: str | Path, text: str, encoding: str = "utf-8") -> Path:
@@ -50,3 +60,18 @@ def atomic_write_text(path: str | Path, text: str, encoding: str = "utf-8") -> P
             pass
         raise
     return target
+
+
+def read_json(path: str | Path, parse: Callable[[Any], T]) -> T:
+    """Decode the JSON file at ``path`` and build an object from it with ``parse``.
+
+    A decode error, and the ``KeyError``, ``TypeError`` or ``AttributeError``
+    that ``parse`` raises on well-formed JSON of the wrong structure, become a
+    :class:`ValueError` that names the file.
+    """
+    target = Path(path)
+    text = target.read_text(encoding="utf-8")
+    try:
+        return parse(json.loads(text))
+    except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as error:
+        raise ValueError(f"malformed {target}: {type(error).__name__}: {error}") from error

@@ -23,7 +23,7 @@ from repro.core.reordering import (
     run_allreduce_pipeline,
     run_reduce_scatter_pipeline,
 )
-from repro.core.signaling import CountingTable, GroupAssignment, SignalOrderError, SignalSchedule
+from repro.core.signaling import CountingTable, GroupAssignment, SignalOrderError
 from repro.core.tuner import (
     ExhaustiveTuner,
     GemmShapeCache,
@@ -64,7 +64,6 @@ __all__ = [
     "design_space_size",
     "CountingTable",
     "GroupAssignment",
-    "SignalSchedule",
     "SignalOrderError",
     "ReorderPlan",
     "build_reorder_plan",

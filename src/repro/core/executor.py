@@ -2,12 +2,15 @@
 
 Where :class:`~repro.core.predictor.LatencyPredictor` is the cheap analytical
 model used by the tuner, :class:`OverlapExecutor` is the reproduction's
-stand-in for actually running the kernels: it derives wave completion times
-from the GEMM model under SM contention, replays the signaling mechanism,
-serializes the per-group collectives on a second stream with their launch and
-polling overheads, and adds a small deterministic jitter standing in for
-measurement noise.  The executor is what every benchmark measures and what the
-exhaustive search ranks candidates with.
+stand-in for actually running the kernels.  It derives wave completion times
+and per-wave output bytes from the GEMM model under SM contention.  A wave's
+tiles finish together and waves finish in order, so under the signaling rule
+a group's collective is released when the group's last wave ends, and its
+payload is the bytes of its wave range: both are read from one memoized
+per-wave table.  The per-group collectives are serialized on a second stream
+with their launch and polling overheads, and a small deterministic jitter
+stands in for measurement noise.  The executor is what every benchmark
+measures and what the exhaustive search ranks candidates with.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from repro.comm.primitives import CollectiveModel
 from repro.core.config import DEFAULT_SETTINGS, OverlapProblem, OverlapSettings
-from repro.core.signaling import GroupAssignment, SignalSchedule
+from repro.core.signaling import GroupAssignment
 from repro.core.wave_grouping import WavePartition
 from repro.gpu.kernels import KernelCategory, KernelLaunch
 from repro.sim.timeline import StreamTimeline
@@ -67,6 +70,7 @@ class OverlapExecutor:
         self.gemm_contended = problem.gemm_model()
         self.comm_model: CollectiveModel = problem.collective_model()
         self._wave_tiles: list[list[int]] | None = None
+        self._waves: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- basic quantities -----------------------------------------------------
 
@@ -84,16 +88,29 @@ class OverlapExecutor:
     def assignment(self, partition: WavePartition) -> GroupAssignment:
         return GroupAssignment.build(partition, self.wave_tiles())
 
-    def group_payload_bytes(self, assignment: GroupAssignment) -> np.ndarray:
+    def _wave_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(wave_end, byte_prefix)``, memoized like :meth:`wave_tiles`.
+
+        ``wave_end[w]`` is when wave ``w`` of the contended GEMM completes,
+        launch included; ``byte_prefix[w]`` is the output bytes of waves
+        ``0..w-1`` (``byte_prefix[0] == 0``).
+        """
+        if self._waves is None:
+            wave_end = (
+                self.gemm_contended.wave_completion_times(self.compute_sms)
+                * self.problem.imbalance
+                + self.problem.device.kernel_launch_seconds
+            )
+            wave_bytes = self.gemm_contended.wave_bytes(self.compute_sms)
+            self._waves = (wave_end, np.concatenate([[0], np.cumsum(wave_bytes)]))
+        return self._waves
+
+    def group_payload_bytes(self, partition: WavePartition) -> np.ndarray:
         """Exact bytes communicated per group (edge tiles included)."""
-        layout = self.gemm_contended.layout
-        return np.array(
-            [
-                sum(layout.tile_elements(t) for t in tiles) * self.problem.dtype_bytes
-                for tiles in assignment.group_tiles
-            ],
-            dtype=np.float64,
-        )
+        _, byte_prefix = self._wave_table()
+        ends = np.cumsum(partition.group_sizes)
+        starts = ends - partition.group_sizes
+        return (byte_prefix[ends] - byte_prefix[starts]).astype(np.float64)
 
     def _jitter(self, partition: WavePartition, count: int) -> np.ndarray:
         """Deterministic per-group noise multipliers for this partition."""
@@ -104,17 +121,7 @@ class OverlapExecutor:
         rng = np.random.default_rng(seed)
         return 1.0 + rng.uniform(0.0, self.settings.executor_jitter, size=count)
 
-    # -- sequential baseline ----------------------------------------------------
-
-    def non_overlap_latency(self) -> float:
-        """GEMM on all SMs followed by one collective call on the full output."""
-        gemm = self.problem.gemm_model()
-        compute = gemm.duration(include_launch=True) * self.problem.imbalance
-        comm = (
-            self.comm_model.latency(self.problem.output_bytes() * self.problem.imbalance)
-            + self.settings.comm_launch_s
-        )
-        return compute + comm
+    # -- perfect-overlap bound ---------------------------------------------------
 
     def theoretical_latency(self) -> float:
         """Perfect-overlap lower bound (Sec. 6.4).
@@ -136,9 +143,6 @@ class OverlapExecutor:
             return contended + self.comm_model.latency(wave_bytes)
         return wave_compute + comm
 
-    def theoretical_speedup(self) -> float:
-        return self.non_overlap_latency() / self.theoretical_latency()
-
     # -- overlapped execution ------------------------------------------------------
 
     def simulate(self, partition: WavePartition) -> OverlapResult:
@@ -148,23 +152,12 @@ class OverlapExecutor:
                 f"partition covers {partition.num_waves} waves, executor expects "
                 f"{self.num_waves()}"
             )
-        assignment = self.assignment(partition)
-        payloads = self.group_payload_bytes(assignment) * self.problem.imbalance
+        payloads = self.group_payload_bytes(partition) * self.problem.imbalance
+        # A group signals when its last wave, hence its last tile, completes.
+        wave_end, _ = self._wave_table()
+        ready = wave_end[np.cumsum(partition.group_sizes) - 1] + self.settings.signal_poll_s
 
-        # Wave completion times of the contended GEMM, shifted by the launch.
         launch = self.problem.device.kernel_launch_seconds
-        wave_end = (
-            self.gemm_contended.wave_completion_times(self.compute_sms)
-            * self.problem.imbalance
-            + launch
-        )
-        tile_times = np.empty(self.gemm_contended.num_tiles)
-        for wave_index, tiles in enumerate(self.wave_tiles()):
-            tile_times[tiles] = wave_end[wave_index]
-        signals = SignalSchedule.from_tile_times(
-            assignment, tile_times, signal_latency=self.settings.signal_poll_s
-        )
-
         jitter = self._jitter(partition, partition.num_groups)
         timeline = StreamTimeline(launch_overhead=0.0)
         gemm_body = wave_end[-1] - launch
@@ -180,9 +173,7 @@ class OverlapExecutor:
 
         comm_start = np.zeros(partition.num_groups)
         comm_end = np.zeros(partition.num_groups)
-        ready = np.zeros(partition.num_groups)
         for group_index in range(partition.num_groups):
-            ready[group_index] = signals.ready_time(group_index)
             duration = self.comm_model.latency(payloads[group_index]) * jitter[group_index]
             span = timeline.enqueue(
                 COMM_STREAM,
@@ -254,7 +245,3 @@ class OverlapExecutor:
             group_comm_end=np.array([span.end]),
             metadata={"sequential_fallback": True, "launch": launch},
         )
-
-    def speedup(self, partition: WavePartition) -> float:
-        """Speedup of the overlapped execution over the sequential baseline."""
-        return self.non_overlap_latency() / self.simulate(partition).latency

@@ -3,20 +3,16 @@
 On real hardware the GEMM epilogue atomically increments a per-group counter
 when a tile finishes; a polling kernel on the communication stream releases
 the group's collective once the counter reaches the group size (Fig. 6).
-Here the same state machine is implemented explicitly so that
-
-* the functional path can assert that a group is only communicated after all
-  of its tiles completed,
-* the overlap executor can derive the exact signal firing times from the
-  per-tile completion times of the GEMM model.
+Here the same state machine is implemented explicitly so that the functional
+path can assert that a group is only communicated after all of its tiles
+completed.  The overlap executor does not replay it: a wave's tiles finish
+together, so a group's signal fires when its last wave completes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.core.wave_grouping import WavePartition
 
@@ -31,15 +27,12 @@ class CountingTable:
 
     group_sizes: tuple[int, ...]
     counts: list[int] = field(default_factory=list)
-    fired: list[bool] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not self.group_sizes or any(s <= 0 for s in self.group_sizes):
             raise ValueError("group sizes must be positive")
         if not self.counts:
             self.counts = [0] * len(self.group_sizes)
-        if not self.fired:
-            self.fired = [False] * len(self.group_sizes)
 
     @property
     def num_groups(self) -> int:
@@ -56,16 +49,10 @@ class CountingTable:
                 f"{self.group_sizes[group_index]}"
             )
         self.counts[group_index] += 1
-        if self.counts[group_index] == self.group_sizes[group_index]:
-            self.fired[group_index] = True
-            return True
-        return False
+        return self.counts[group_index] == self.group_sizes[group_index]
 
     def is_complete(self, group_index: int) -> bool:
         return self.counts[group_index] == self.group_sizes[group_index]
-
-    def all_complete(self) -> bool:
-        return all(self.is_complete(g) for g in range(self.num_groups))
 
     def assert_ready(self, group_index: int) -> None:
         """Raise unless the group's signal has fired (data dependency check)."""
@@ -119,46 +106,3 @@ class GroupAssignment:
     def counting_table(self) -> CountingTable:
         """A fresh counting table sized in tiles (not waves) per group."""
         return CountingTable(group_sizes=self.group_tile_counts())
-
-
-@dataclass(frozen=True)
-class SignalSchedule:
-    """Signal firing time of every group, derived from tile completion times."""
-
-    group_ready_times: np.ndarray
-
-    @classmethod
-    def from_tile_times(
-        cls,
-        assignment: GroupAssignment,
-        tile_completion_times: np.ndarray,
-        signal_latency: float = 0.0,
-    ) -> "SignalSchedule":
-        """Compute when each group's signal fires.
-
-        A group is ready when its *last* tile completes; the signal adds the
-        polling round-trip latency on top.  The construction also replays the
-        counting table to assert the mechanism's invariant.
-        """
-        times = np.asarray(tile_completion_times, dtype=np.float64)
-        table = assignment.counting_table()
-        completion_order = np.argsort(times, kind="stable")
-        fire_time = np.full(assignment.num_groups, np.nan)
-        for tile in completion_order:
-            tile = int(tile)
-            if tile not in assignment.group_of_tile:
-                continue
-            group = assignment.group_of_tile[tile]
-            if table.record_tile(group):
-                fire_time[group] = times[tile] + signal_latency
-        if np.isnan(fire_time).any():
-            missing = [g for g in range(assignment.num_groups) if np.isnan(fire_time[g])]
-            raise SignalOrderError(f"groups {missing} never became ready")
-        return cls(group_ready_times=fire_time)
-
-    def ready_time(self, group_index: int) -> float:
-        return float(self.group_ready_times[group_index])
-
-    def is_monotonic(self) -> bool:
-        """Group signals fire in group order when groups follow wave order."""
-        return bool(np.all(np.diff(self.group_ready_times) >= -1e-12))

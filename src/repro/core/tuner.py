@@ -95,15 +95,9 @@ class ExhaustiveTuner:
 
     This is the paper's exhaustive online-profiling search: accurate but far
     too slow to run per shape in production, so it serves as the quality
-    reference for the predictive search.
-
-    The search precomputes the per-wave state every candidate shares (wave
-    completion times, per-wave payload prefix sums, signal-ready times),
-    replays only each candidate's group sequence on top of it, reuses the
-    simulation state of the group prefix shared with the previous candidate,
-    and abandons a candidate as soon as its partial timeline already exceeds
-    the incumbent best.  It selects the same partition at the same latency as
-    running :meth:`OverlapExecutor.simulate` per candidate.
+    reference for the predictive search.  Every candidate is ranked by
+    :meth:`OverlapExecutor.simulate`, whose per-wave table all candidates
+    share; the first minimum wins.
     """
 
     def __init__(self, settings: OverlapSettings = DEFAULT_SETTINGS) -> None:
@@ -115,18 +109,12 @@ class ExhaustiveTuner:
 
     def _tune(self, problem: OverlapProblem, executor: OverlapExecutor | None) -> TuningResult:
         executor = executor or OverlapExecutor(problem, self.settings)
-        num_waves = executor.num_waves()
-        candidates = candidate_partitions(
-            num_waves,
-            max_first_group=self.settings.max_first_group,
-            max_last_group=self.settings.max_last_group,
-            max_exhaustive_waves=self.settings.max_exhaustive_waves,
-        )
+        candidates = PredictiveTuner(self.settings).candidates(executor.num_waves())
         obs.counter("tuner.invocations", method="exhaustive").inc()
         obs.counter("tuner.candidates", method="exhaustive").inc(len(candidates))
-        best, best_latency = self._tune_incremental(executor, candidates)
-        if best is None:  # pragma: no cover - defensive
-            raise RuntimeError("no candidate partitions were generated")
+        latencies = [executor.simulate(partition).latency for partition in candidates]
+        index = int(np.argmin(latencies))
+        best, best_latency = candidates[index], latencies[index]
         # Like the predictive tuner, fall back to the sequential execution when
         # even the best overlapped candidate is slower than not overlapping.
         use_overlap = bool(best_latency <= executor.simulate_sequential().latency)
@@ -137,75 +125,6 @@ class ExhaustiveTuner:
             method="exhaustive",
             use_overlap=use_overlap,
         )
-
-    def _tune_incremental(
-        self, executor: OverlapExecutor, candidates: list[WavePartition]
-    ) -> tuple[WavePartition | None, float]:
-        """Rank candidates on shared per-wave state with early abandoning.
-
-        Replicates the latency arithmetic of :meth:`OverlapExecutor.simulate`
-        operation for operation (same wave-end times, same signal-ready times,
-        same payload bytes, same jitter draw), so the selected partition and
-        latency are identical to simulating every candidate.  Per-group
-        payloads come from an integer prefix sum over waves, which is exact.
-        """
-        problem, settings = executor.problem, executor.settings
-        launch = problem.device.kernel_launch_seconds
-        wave_end = (
-            executor.gemm_contended.wave_completion_times(executor.compute_sms)
-            * problem.imbalance
-            + launch
-        )
-        layout = executor.gemm_contended.layout
-        wave_bytes = np.array(
-            [
-                sum(layout.tile_elements(t) for t in tiles) * problem.dtype_bytes
-                for tiles in executor.wave_tiles()
-            ],
-            dtype=np.int64,
-        )
-        byte_prefix = np.concatenate([[0], np.cumsum(wave_bytes)])
-        ready = wave_end + settings.signal_poll_s
-        deterministic = settings.executor_jitter <= 0
-
-        best: WavePartition | None = None
-        best_latency = math.inf
-        # Simulation state of the previous candidate: comm-stream drain time
-        # after each of its groups, reusable for a shared boundary prefix when
-        # the executor is deterministic (jitter depends on the full partition).
-        prev_boundaries: tuple[int, ...] = ()
-        prev_state: list[float] = []
-        for partition in candidates:
-            boundaries = partition.boundaries()
-            jitter = executor._jitter(partition, partition.num_groups)
-            start_group = 0
-            if deterministic:
-                while (
-                    start_group < len(prev_state)
-                    and start_group < len(boundaries)
-                    and prev_boundaries[start_group] == boundaries[start_group]
-                ):
-                    start_group += 1
-            previous_end = prev_state[start_group - 1] if start_group else 0.0
-            state = list(prev_state[:start_group])
-            abandoned = False
-            for group in range(start_group, partition.num_groups):
-                end_wave = boundaries[group]
-                payload = float(byte_prefix[end_wave] - byte_prefix[boundaries[group - 1] if group else 0])
-                payload *= problem.imbalance
-                not_before = ready[end_wave - 1] + settings.comm_launch_s
-                start = max(previous_end, not_before)
-                previous_end = start + executor.comm_model.latency(payload) * jitter[group]
-                state.append(previous_end)
-                if previous_end >= best_latency:
-                    abandoned = True
-                    break
-            prev_boundaries, prev_state = tuple(boundaries[: len(state)]), state
-            if abandoned:
-                continue
-            if previous_end < best_latency:
-                best, best_latency = partition, previous_end
-        return best, best_latency
 
 
 def _tuning_result_to_dict(result: TuningResult) -> dict:
@@ -296,8 +215,13 @@ class GemmShapeCache:
         """Rebuild a cache from :meth:`to_json` output."""
         import json
 
+        return cls.from_list(json.loads(text))
+
+    @classmethod
+    def from_list(cls, items: list) -> "GemmShapeCache":
+        """Rebuild a cache from the decoded :meth:`to_json` list."""
         cache = cls()
-        for item in json.loads(text):
+        for item in items:
             shape = GemmShape(m=item["shape"]["m"], n=item["shape"]["n"], k=item["shape"]["k"])
             cache.add(shape, _tuning_result_from_dict(item["result"]))
         return cache
@@ -322,6 +246,8 @@ class GemmShapeCache:
         """
         from pathlib import Path
 
+        from repro.atomic import read_json
+
         target = Path(path)
         if not target.exists():
             if missing_ok:
@@ -329,7 +255,7 @@ class GemmShapeCache:
             raise FileNotFoundError(
                 f"no shape cache at {target}; pass missing_ok=True to start from an empty cache"
             )
-        return cls.from_json(target.read_text(encoding="utf-8"))
+        return read_json(target, cls.from_list)
 
     def lookup(
         self,

@@ -43,8 +43,8 @@ class WavePartition:
 
     @classmethod
     def equal_groups(cls, num_waves: int, group_size: int) -> "WavePartition":
-        """Equally sized groups of ``group_size`` waves (last group absorbs the
-        remainder), the ablation baseline of Fig. 14."""
+        """Equally sized groups of ``group_size`` waves (the remainder forms one
+        smaller last group), the ablation baseline of Fig. 14."""
         if group_size <= 0:
             raise ValueError("group_size must be positive")
         if group_size >= num_waves:
@@ -230,8 +230,8 @@ class PartitionMatrix:
     ``boundaries[c, g]`` is the prefix sum of those sizes (the 1-based wave
     index at which group ``g`` ends; past the last real group the boundary
     stays at the total wave count).  This is the input format of the
-    vectorized latency predictor and the incremental exhaustive tuner: one
-    encoding is built per search and reused by every evaluation pass.
+    vectorized latency predictor: one encoding is built per search and
+    reused by every evaluation pass.
     """
 
     sizes: np.ndarray  # (num_candidates, max_groups) int64, zero padded

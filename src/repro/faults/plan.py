@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.atomic import atomic_write_text
+from repro.atomic import atomic_write_text, read_json
 
 __all__ = [
     "FAULT_KINDS",
@@ -161,7 +161,7 @@ class FaultPlan:
 
     @classmethod
     def load(cls, path: str | Path) -> "FaultPlan":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return read_json(path, cls.from_dict)
 
     # -- seeded generation -------------------------------------------------------
 

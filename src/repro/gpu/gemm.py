@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.gpu.device import GPUSpec
-from repro.gpu.swizzle import execution_order
+from repro.gpu.swizzle import execution_order, wave_partition
 from repro.tensor.layout import TileLayout
 
 #: Bytes per element for the FP16/BF16 data type used throughout the paper.
@@ -134,8 +134,7 @@ class GemmKernelModel:
 
     def wave_size(self, sm_count: int | None = None) -> int:
         """Tiles executed concurrently: one per available SM."""
-        sms = self._sms(sm_count)
-        return sms
+        return self._sms(sm_count)
 
     def num_waves(self, sm_count: int | None = None) -> int:
         """Number of waves ``T = ceil(num_tiles / SMs)``."""
@@ -143,13 +142,17 @@ class GemmKernelModel:
 
     def wave_tiles(self, sm_count: int | None = None) -> list[list[int]]:
         """Tile indices of each wave, in execution order."""
-        order = self.execution_order()
-        size = self._sms(sm_count)
-        return [order[i : i + size] for i in range(0, len(order), size)]
+        return wave_partition(self.execution_order(), self._sms(sm_count))
 
-    def wave_sizes(self, sm_count: int | None = None) -> list[int]:
-        """Number of tiles in each wave (last wave may be partial)."""
-        return [len(w) for w in self.wave_tiles(sm_count)]
+    def wave_bytes(self, sm_count: int | None = None) -> np.ndarray:
+        """Exact output bytes of each wave, edge tiles included."""
+        layout = self.layout
+        order = np.asarray(self.execution_order())
+        row_block, col_block = np.divmod(order, layout.grid_n)
+        rows = np.minimum(layout.tile_m, layout.m - row_block * layout.tile_m)
+        cols = np.minimum(layout.tile_n, layout.n - col_block * layout.tile_n)
+        starts = np.arange(0, len(order), self._sms(sm_count))
+        return np.add.reduceat(rows * cols, starts) * self.dtype_bytes
 
     # -- durations ---------------------------------------------------------
 
@@ -214,12 +217,6 @@ class GemmKernelModel:
             for offset, tile_index in enumerate(tiles):
                 times[tile_index] = wave_end[wave_index] + spread[offset]
         return times
-
-    # -- group helpers (used by the overlap planner) ------------------------
-
-    def group_bytes(self, tiles: list[int]) -> int:
-        """Bytes of output produced by a set of tiles."""
-        return sum(self.layout.tile_elements(t) for t in tiles) * self.dtype_bytes
 
     def _sms(self, sm_count: int | None) -> int:
         sms = self.device.sm_count if sm_count is None else sm_count

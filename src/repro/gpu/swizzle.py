@@ -11,8 +11,6 @@ reordering is needed (paper Sec. 2.1.2 and Fig. 2).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.tensor.layout import TileLayout
 
 
@@ -48,11 +46,6 @@ def execution_order(layout: TileLayout, swizzle_size: int | None) -> list[int]:
     return swizzled_order(layout, swizzle_size)
 
 
-def is_valid_order(layout: TileLayout, order: list[int]) -> bool:
-    """Check that ``order`` is a permutation of all tile indices."""
-    return sorted(order) == list(range(layout.num_tiles))
-
-
 def address_discontiguity(layout: TileLayout, order: list[int], window: int) -> float:
     """Fraction of adjacent pairs in the first ``window`` launched tiles that
     are *not* adjacent in address order.
@@ -69,28 +62,6 @@ def address_discontiguity(layout: TileLayout, order: list[int], window: int) -> 
     return broken / (window - 1)
 
 
-def default_swizzle_size(layout: TileLayout, l2_cache_mb: float, dtype_bytes: int = 2,
-                         k: int | None = None) -> int:
-    """Heuristic swizzle size: keep a panel of ``B`` columns resident in L2.
-
-    The panel footprint along ``N`` is ``swizzle_size * tile_n * K * dtype``;
-    the heuristic picks the largest power of two that fits in roughly half of
-    L2, clamped to ``[1, grid_n]``.  When ``k`` is unknown a fixed panel of 3
-    (the value used in the paper's Fig. 3) is returned.
-    """
-    if k is None:
-        return max(1, min(3, layout.grid_n))
-    budget = l2_cache_mb * 1024 * 1024 / 2
-    per_column_panel = layout.tile_n * k * dtype_bytes
-    if per_column_panel <= 0:
-        return 1
-    size = max(1, int(budget // per_column_panel))
-    power = 1
-    while power * 2 <= size:
-        power *= 2
-    return max(1, min(power, layout.grid_n))
-
-
 def wave_partition(order: list[int], wave_size: int) -> list[list[int]]:
     """Chunk an execution order into waves of ``wave_size`` tiles.
 
@@ -100,11 +71,3 @@ def wave_partition(order: list[int], wave_size: int) -> list[list[int]]:
     if wave_size <= 0:
         raise ValueError("wave_size must be positive")
     return [order[i : i + wave_size] for i in range(0, len(order), wave_size)]
-
-
-def tiles_to_waves(order: list[int], wave_size: int) -> np.ndarray:
-    """Return ``wave_of[tile_index] = wave number`` for an execution order."""
-    wave_of = np.empty(len(order), dtype=np.int64)
-    for position, tile_index in enumerate(order):
-        wave_of[tile_index] = position // wave_size
-    return wave_of

@@ -142,7 +142,9 @@ class ParallelismPlan:
 
     @classmethod
     def load(cls, path: str | Path) -> "ParallelismPlan":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        from repro.atomic import read_json
+
+        return read_json(path, cls.from_dict)
 
 
 @dataclass

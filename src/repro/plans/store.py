@@ -30,6 +30,7 @@ from collections.abc import Mapping
 from pathlib import Path
 
 from repro import obs
+from repro.atomic import atomic_write_text, read_json
 
 __all__ = ["plan_key", "PricedCellStore"]
 
@@ -95,15 +96,17 @@ class PricedCellStore:
 
     @classmethod
     def from_json(cls, text: str) -> "PricedCellStore":
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_dict(cls, cells: dict) -> "PricedCellStore":
         store = cls()
-        for key, cell in json.loads(text).items():
+        for key, cell in cells.items():
             store._cells[str(key)] = dict(cell)
         return store
 
     def save(self, path: str | Path) -> None:
         """Atomically persist the store (temp file + rename)."""
-        from repro.atomic import atomic_write_text
-
         atomic_write_text(path, self.to_json())
 
     @classmethod
@@ -118,4 +121,4 @@ class PricedCellStore:
             if missing_ok:
                 return cls()
             raise FileNotFoundError(f"no priced-cell store at {target}")
-        return cls.from_json(target.read_text(encoding="utf-8"))
+        return read_json(target, cls.from_dict)

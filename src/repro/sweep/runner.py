@@ -505,5 +505,5 @@ class SweepRunner:
         return records
 
     def _merge_cache_entry(self, entry: dict) -> None:
-        merged = GemmShapeCache.from_json(json.dumps([entry]))
+        merged = GemmShapeCache.from_list([entry])
         self.cache.entries.extend(merged.entries)

@@ -46,8 +46,9 @@ class EventDrivenExecutor:
     ) -> None:
         self.problem = problem
         self.settings = settings
-        # Reuse the analytic executor for the static quantities (wave tiles,
-        # payload bytes, jitter) so the two paths share their inputs.
+        # Reuse the analytic executor for the wave tiles and the jitter; the
+        # payload bytes are summed tile by tile here, independently of the
+        # executor's per-wave table.
         self.analytic = OverlapExecutor(problem, settings)
 
     def num_waves(self) -> int:
@@ -65,7 +66,14 @@ class EventDrivenExecutor:
                 f"{self.num_waves()}"
             )
         assignment = self.analytic.assignment(partition)
-        payloads = self.analytic.group_payload_bytes(assignment) * self.problem.imbalance
+        layout = self.analytic.gemm_contended.layout
+        payloads = np.array(
+            [
+                sum(layout.tile_elements(t) for t in tiles) * self.problem.dtype_bytes
+                for tiles in assignment.group_tiles
+            ],
+            dtype=np.float64,
+        ) * self.problem.imbalance
         jitter = self.analytic._jitter(partition, partition.num_groups)
         comm_model = self.analytic.comm_model
 

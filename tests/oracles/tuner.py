@@ -1,11 +1,9 @@
-"""Per-candidate tuning loops behind the predictive and exhaustive tuners.
+"""Per-candidate tuning loop behind the predictive tuner.
 
 :class:`repro.core.tuner.PredictiveTuner` ranks all candidates in one
-``predict_batch`` pass, and :class:`repro.core.tuner.ExhaustiveTuner` replays
-them on shared per-wave state with early abandoning.  These oracles rank the
-same candidates one at a time -- the scalar predictor timeline, or a full
-:meth:`OverlapExecutor.simulate` per candidate -- and keep the first strict
-minimum, so the tuners can be asserted to return identical results.
+``predict_batch`` pass.  This oracle ranks the same candidates one at a time
+on the scalar predictor timeline and keeps the first strict minimum, so the
+tuner can be asserted to return identical results.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ import math
 
 from oracles.predictor import predict_reference
 from repro.core.config import DEFAULT_SETTINGS, OverlapProblem, OverlapSettings
-from repro.core.executor import OverlapExecutor
 from repro.core.predictor import LatencyPredictor, OfflineProfile
 from repro.core.tuner import PredictiveTuner, TuningResult
 
@@ -39,26 +36,4 @@ def predictive_reference(
         candidates_evaluated=len(candidates),
         method="predictive",
         use_overlap=bool(best_latency <= predictor.predict_non_overlap()),
-    )
-
-
-def exhaustive_reference(
-    problem: OverlapProblem,
-    settings: OverlapSettings = DEFAULT_SETTINGS,
-    executor: OverlapExecutor | None = None,
-) -> TuningResult:
-    """:meth:`ExhaustiveTuner.tune`, one full simulation per candidate."""
-    executor = executor or OverlapExecutor(problem, settings)
-    candidates = PredictiveTuner(settings).candidates(executor.num_waves())
-    best, best_latency = None, math.inf
-    for partition in candidates:
-        latency = executor.simulate(partition).latency
-        if latency < best_latency:
-            best, best_latency = partition, latency
-    return TuningResult(
-        partition=best,
-        predicted_latency=best_latency,
-        candidates_evaluated=len(candidates),
-        method="exhaustive",
-        use_overlap=bool(best_latency <= executor.simulate_sequential().latency),
     )

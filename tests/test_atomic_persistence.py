@@ -12,7 +12,7 @@ import stat
 
 import pytest
 
-from repro.atomic import atomic_write_text
+from repro.atomic import atomic_write_text, read_json
 from repro.core.tuner import GemmShapeCache
 
 
@@ -58,6 +58,39 @@ class TestAtomicWriteText:
         monkeypatch.undo()
 
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+
+class TestReadJson:
+    """``read_json`` hands the decoded payload to ``parse`` and reports a
+    malformed file as a ``ValueError`` naming it."""
+
+    def test_parse_receives_decoded_payload(self, tmp_path):
+        path = atomic_write_text(tmp_path / "in.json", '{"a": [1, 2]}')
+        assert read_json(path, lambda payload: payload["a"]) == [1, 2]
+
+    def test_undecodable_file_names_the_file(self, tmp_path):
+        path = atomic_write_text(tmp_path / "in.json", "{not json")
+        with pytest.raises(ValueError, match=f"malformed {path}: JSONDecodeError: "):
+            read_json(path, dict)
+
+    @pytest.mark.parametrize(
+        "parse,error",
+        [
+            (lambda payload: payload[0]["missing"], KeyError),
+            (lambda payload: payload + 1, TypeError),
+            (lambda payload: payload.items(), AttributeError),
+        ],
+        ids=["KeyError", "TypeError", "AttributeError"],
+    )
+    def test_wrong_structure_names_the_file(self, tmp_path, parse, error):
+        path = atomic_write_text(tmp_path / "in.json", '[{"present": 1}]')
+        with pytest.raises(ValueError, match=f"malformed {path}: {error.__name__}: ") as excinfo:
+            read_json(path, parse)
+        assert isinstance(excinfo.value.__cause__, error)
+
+    def test_missing_file_stays_an_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            read_json(tmp_path / "absent.json", dict)
 
 
 @pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")

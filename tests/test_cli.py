@@ -279,6 +279,29 @@ class TestCleanErrors:
         assert str(missing) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv,content,message",
+        [
+            (["tune", "--cache"], '[{"shape": {"m": 1}}]', "KeyError: 'n'"),
+            (["serve", "--smoke", "--warm-cache"], '[{"shape": {"m": 1}}]', "KeyError: 'n'"),
+            (["sweep", "--preset", "smoke", "--cache"], '[{"shape": {"m": 1}}]', "KeyError: 'n'"),
+            (["pp", "--plan"], "[1]", "AttributeError: "),
+            (["pp", "--plan"], '{"a": 1}', "KeyError: 'workload'"),
+            (["pp", "--plan"], "{not json", "JSONDecodeError: "),
+            (["serve", "--smoke", "--faults"], "[1]", "AttributeError: "),
+            (["sweep", "--preset", "smoke", "--plan-store"], "[1]", "AttributeError: "),
+            (["sweep", "--config"], "[1]", "TypeError: "),
+        ],
+    )
+    def test_malformed_artifact_file_exits_2(self, capsys, tmp_path, argv, content, message):
+        path = tmp_path / "artifact.json"
+        path.write_text(content, encoding="utf-8")
+        extra = ["--out", str(tmp_path / "r.jsonl")] if argv[0] == "sweep" else []
+        assert main([*argv, str(path), *extra]) == 2
+        err = capsys.readouterr().err
+        assert f"repro {argv[0]}: error: malformed {path}: {message}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["pp", "serve"])
     def test_no_reference_loop_flag(self, command):
         with pytest.raises(SystemExit) as excinfo:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.baselines import NonOverlapBaseline
 from repro.core.executor import COMM_STREAM, COMPUTE_STREAM, OverlapExecutor
 from repro.core.wave_grouping import WavePartition
 from repro.gpu.kernels import KernelCategory
@@ -29,8 +30,23 @@ class TestBasics:
 
     def test_group_payload_bytes_sum_to_output(self, executor):
         partition = WavePartition.per_wave(executor.num_waves())
-        payloads = executor.group_payload_bytes(executor.assignment(partition))
+        payloads = executor.group_payload_bytes(partition)
         assert payloads.sum() == pytest.approx(executor.problem.output_bytes())
+
+    def test_group_payload_bytes_are_wave_ranges(self, small_executor):
+        wave_bytes = small_executor.gemm_contended.wave_bytes(small_executor.compute_sms)
+        per_wave = small_executor.group_payload_bytes(
+            WavePartition.per_wave(small_executor.num_waves())
+        )
+        assert per_wave.dtype == np.float64
+        assert per_wave.tolist() == wave_bytes.tolist()
+        partition = WavePartition.from_decisions(
+            [index % 2 == 1 for index in range(small_executor.num_waves() - 1)] + [True]
+        )
+        ends = np.cumsum(partition.group_sizes)
+        assert small_executor.group_payload_bytes(partition).tolist() == [
+            wave_bytes[end - size : end].sum() for end, size in zip(ends, partition.group_sizes)
+        ]
 
     def test_wrong_wave_count_rejected(self, executor):
         with pytest.raises(ValueError):
@@ -99,14 +115,17 @@ class TestSimulation:
         result.trace.validate_stream_order()
 
 
+def non_overlap(executor):
+    return NonOverlapBaseline(executor.settings).latency(executor.problem)
+
+
 class TestReferenceLatencies:
     def test_non_overlap_exceeds_best_overlap(self, executor):
         partition = WavePartition.equal_groups(executor.num_waves(), 2)
-        assert executor.non_overlap_latency() > executor.simulate(partition).latency
+        assert non_overlap(executor) > executor.simulate(partition).latency
 
     def test_theoretical_bound_is_below_non_overlap(self, executor):
-        assert executor.theoretical_latency() < executor.non_overlap_latency()
-        assert executor.theoretical_speedup() > 1.0
+        assert executor.theoretical_latency() < non_overlap(executor)
 
     def test_overlap_not_much_better_than_theory(self, executor):
         best = min(
@@ -114,12 +133,6 @@ class TestReferenceLatencies:
             for g in (1, 2, 3)
         )
         assert best >= executor.theoretical_latency() * 0.95
-
-    def test_speedup_helper(self, executor):
-        partition = WavePartition.equal_groups(executor.num_waves(), 2)
-        assert executor.speedup(partition) == pytest.approx(
-            executor.non_overlap_latency() / executor.simulate(partition).latency
-        )
 
     def test_imbalance_slows_everything_down(self, paper_problem_4090, fast_settings):
         from dataclasses import replace
@@ -129,10 +142,10 @@ class TestReferenceLatencies:
         skewed_exec = OverlapExecutor(skewed, fast_settings)
         partition = WavePartition.equal_groups(balanced_exec.num_waves(), 2)
         assert skewed_exec.simulate(partition).latency > balanced_exec.simulate(partition).latency
-        assert skewed_exec.non_overlap_latency() > balanced_exec.non_overlap_latency()
+        assert non_overlap(skewed_exec) > non_overlap(balanced_exec)
 
     def test_sequential_fallback_close_to_non_overlap(self, executor):
         result = executor.simulate_sequential()
         assert result.metadata["sequential_fallback"] is True
-        assert result.latency == pytest.approx(executor.non_overlap_latency(), rel=0.05)
+        assert result.latency == pytest.approx(non_overlap(executor), rel=0.05)
         assert result.trace.by_category(KernelCategory.COMMUNICATION)

@@ -1,14 +1,8 @@
 """Tests for the signaling mechanism (repro.core.signaling)."""
 
-import numpy as np
 import pytest
 
-from repro.core.signaling import (
-    CountingTable,
-    GroupAssignment,
-    SignalOrderError,
-    SignalSchedule,
-)
+from repro.core.signaling import CountingTable, GroupAssignment, SignalOrderError
 from repro.core.wave_grouping import WavePartition
 
 
@@ -32,7 +26,7 @@ class TestCountingTable:
         for _ in range(3):
             assert table.record_tile(1) is False
         assert table.record_tile(1) is True
-        assert table.all_complete()
+        assert table.is_complete(1)
 
     def test_overcounting_rejected(self):
         table = CountingTable(group_sizes=(1,))
@@ -78,25 +72,3 @@ class TestGroupAssignment:
     def test_counting_table_sizes(self, assignment):
         table = assignment.counting_table()
         assert table.group_sizes == (2, 4)
-
-
-class TestSignalSchedule:
-    def test_ready_time_is_last_tile_of_group(self, assignment):
-        times = np.array([1.0, 2.5, 1.2, 3.0, 2.0, 2.8])
-        schedule = SignalSchedule.from_tile_times(assignment, times, signal_latency=0.1)
-        assert schedule.ready_time(0) == pytest.approx(1.2 + 0.1)
-        assert schedule.ready_time(1) == pytest.approx(3.0 + 0.1)
-        assert schedule.is_monotonic()
-
-    def test_wave_order_gives_monotonic_signals(self, wave_tiles):
-        partition = WavePartition.per_wave(3)
-        assignment = GroupAssignment.build(partition, wave_tiles)
-        times = np.array([1.0, 2.0, 1.0, 3.0, 2.0, 3.0])
-        schedule = SignalSchedule.from_tile_times(assignment, times)
-        np.testing.assert_allclose(schedule.group_ready_times, [1.0, 2.0, 3.0])
-
-    def test_replay_counts_every_tile(self, assignment):
-        # All tiles present, arbitrary completion order: every group fires.
-        times = np.arange(6, dtype=float)[::-1]
-        schedule = SignalSchedule.from_tile_times(assignment, times)
-        assert not np.isnan(schedule.group_ready_times).any()

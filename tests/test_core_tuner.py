@@ -1,8 +1,12 @@
 """Tests for the predictive / exhaustive tuners and the shape cache."""
 
+import math
+
 import pytest
 
-from repro.core.config import OverlapSettings
+from repro.comm.primitives import CollectiveKind
+from repro.comm.topology import InterconnectKind, Topology
+from repro.core.config import OverlapProblem, OverlapSettings
 from repro.core.executor import OverlapExecutor
 from repro.core.tuner import (
     ExhaustiveTuner,
@@ -10,6 +14,8 @@ from repro.core.tuner import (
     PredictiveTuner,
     search_quality,
 )
+from repro.core.wave_grouping import WavePartition
+from repro.gpu.device import RTX_4090
 from repro.gpu.gemm import GemmShape
 
 
@@ -56,12 +62,64 @@ class TestExhaustiveTuner:
         assert exhaustive.predicted_latency <= predictive_actual + 1e-12
         assert exhaustive.method == "exhaustive"
 
+    def test_latency_matches_fresh_simulation(self, paper_problem_4090, fast_settings):
+        result = ExhaustiveTuner(fast_settings).tune(paper_problem_4090)
+        executor = OverlapExecutor(paper_problem_4090, fast_settings)
+        assert executor.simulate(result.partition).latency == result.predicted_latency
+
+    def test_ties_go_to_the_first_candidate(self, paper_problem_4090, settings):
+        executor = OverlapExecutor(paper_problem_4090, settings)
+        single = executor.simulate(WavePartition.single_group(executor.num_waves()))
+        executor.simulate = lambda partition: single
+        candidates = PredictiveTuner(settings).candidates(executor.num_waves())
+        result = ExhaustiveTuner(settings).tune(paper_problem_4090, executor)
+        assert result.partition == candidates[0]
+        assert result.predicted_latency == single.latency
+        assert result.candidates_evaluated == len(candidates) > 1
+
     def test_search_quality_claim_c2(self, paper_problem_4090, settings):
         # Claim C2: the predictive search reaches >99% of the exhaustive
         # search's performance.
         quality = search_quality(paper_problem_4090, settings)
         assert quality["performance_ratio"] > 0.97
         assert quality["predictive_latency"] >= quality["exhaustive_latency"]
+
+
+class TestExhaustiveSequentialFallback:
+    def test_use_overlap_compares_against_sequential(self, paper_problem_4090, fast_settings):
+        result = ExhaustiveTuner(fast_settings).tune(paper_problem_4090)
+        sequential = OverlapExecutor(paper_problem_4090, fast_settings).simulate_sequential().latency
+        assert result.use_overlap == (result.predicted_latency <= sequential)
+
+    def test_fallback_when_overlap_cannot_win(self, fast_settings):
+        # A pathological interconnect: gigantic per-call setup cost and huge
+        # SM tax, so splitting the collective into per-group calls can only
+        # lose against the single sequential call.
+        topology = Topology(
+            name="slow-setup",
+            n_gpus=4,
+            kind=InterconnectKind.PCIE,
+            peak_bus_bandwidth_gbps=600.0,
+            base_latency_us=50_000.0,
+            half_saturation_mb=0.01,
+            comm_sm_count=100,
+            supports_p2p=False,
+        )
+        problem = OverlapProblem(
+            shape=GemmShape(4096, 4096, 256),
+            device=RTX_4090,
+            topology=topology,
+            collective=CollectiveKind.ALL_REDUCE,
+        )
+        result = ExhaustiveTuner(fast_settings).tune(problem)
+        sequential = OverlapExecutor(problem, fast_settings).simulate_sequential().latency
+        assert result.predicted_latency > sequential
+        assert not result.use_overlap
+
+    def test_overlap_kept_when_it_wins(self, paper_problem_4090, fast_settings):
+        result = ExhaustiveTuner(fast_settings).tune(paper_problem_4090)
+        assert result.use_overlap
+        assert math.isfinite(result.predicted_latency)
 
 
 class TestShapeCache:

@@ -68,7 +68,6 @@ class TestWaves:
         waves = model.wave_tiles()
         flattened = [t for wave in waves for t in wave]
         assert sorted(flattened) == list(range(model.num_tiles))
-        assert [len(w) for w in waves] == model.wave_sizes()
 
     def test_execution_order_is_permutation(self, model):
         assert sorted(model.execution_order()) == list(range(model.num_tiles))
@@ -146,6 +145,15 @@ class TestCompletionTimes:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_group_bytes(self, model):
-        tiles = model.wave_tiles()[0]
-        assert model.group_bytes(tiles) == len(tiles) * 128 * 128 * 2
+    def test_wave_bytes(self, model):
+        sizes = [len(tiles) for tiles in model.wave_tiles()]
+        assert model.wave_bytes().tolist() == [size * 128 * 128 * 2 for size in sizes]
+
+    def test_wave_bytes_count_edge_tiles(self):
+        # 3x3 grid of 128x128 tiles whose last row and column are ragged.
+        model = GemmKernelModel(GemmShape(300, 260, 64), RTX_4090,
+                                GemmTileConfig(tile_m=128, tile_n=128, swizzle_size=0))
+        rows, cols = [128, 128, 44], [128, 128, 4]
+        per_tile = [r * c * DTYPE_BYTES for r in rows for c in cols]
+        assert model.wave_bytes(4).tolist() == [sum(per_tile[:4]), sum(per_tile[4:8]), per_tile[8]]
+        assert model.wave_bytes().sum() == model.shape.output_bytes()

@@ -1,15 +1,18 @@
 """Property-based tests (hypothesis) on the core data structures and invariants."""
 
 import numpy as np
-from hypothesis import given, settings as hyp_settings
+from hypothesis import HealthCheck, given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from repro.comm.collectives import all_reduce, reduce_scatter_flat
 from repro.comm.primitives import CollectiveKind
 from repro.comm.ring import ring_all_reduce
+from repro.core.config import OverlapProblem, OverlapSettings
+from repro.core.executor import OverlapExecutor
 from repro.core.reordering import build_reorder_plan, run_allreduce_pipeline
 from repro.core.signaling import GroupAssignment
 from repro.core.wave_grouping import WavePartition, enumerate_partitions
+from repro.gpu.gemm import GemmShape, GemmTileConfig
 from repro.gpu.swizzle import execution_order, wave_partition
 from repro.tensor.layout import TileLayout
 from repro.tensor.mapping import MappingTable
@@ -152,3 +155,57 @@ class TestPipelineProperties:
         matrices = [rng.standard_normal((layout.m, layout.n)) for _ in range(n_gpus)]
         result = run_allreduce_pipeline(matrices, plan, assignment, order)
         assert result.allclose()
+
+
+@st.composite
+def executor_cases(draw, device, topology):
+    """A small problem with ragged edges and a random partition of its waves."""
+    problem = OverlapProblem(
+        shape=GemmShape(m=draw(st.integers(1, 40)), n=draw(st.integers(1, 40)), k=64),
+        device=device,
+        topology=topology,
+        collective=CollectiveKind.ALL_REDUCE,
+        gemm_config=GemmTileConfig(
+            tile_m=draw(st.integers(1, 12)),
+            tile_n=draw(st.integers(1, 12)),
+            swizzle_size=draw(st.integers(0, 8)),
+        ),
+        dtype_bytes=draw(st.sampled_from([1, 2, 4])),
+        imbalance=draw(st.floats(1.0, 2.0)),
+    )
+    executor = OverlapExecutor(problem, OverlapSettings())
+    decisions = draw(st.lists(st.booleans(), min_size=executor.num_waves() - 1,
+                              max_size=executor.num_waves() - 1))
+    return executor, WavePartition.from_decisions([*decisions, True])
+
+
+class TestWaveTableProperties:
+    """The executor's per-wave payloads and signal times against a tile-by-tile
+    derivation over the group assignment."""
+
+    @given(data=st.data())
+    @hyp_settings(max_examples=100, deadline=None,
+                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bytes_conserved_and_group_signals_at_last_tile(
+        self, tiny_device, tiny_topology, data
+    ):
+        executor, partition = data.draw(executor_cases(tiny_device, tiny_topology))
+        problem, layout = executor.problem, executor.gemm_contended.layout
+        groups = executor.assignment(partition).group_tiles
+
+        payloads = executor.group_payload_bytes(partition)
+        per_tile = [sum(layout.tile_elements(t) for t in tiles) * problem.dtype_bytes
+                    for tiles in groups]
+        assert payloads.tolist() == per_tile
+        assert sum(per_tile) == problem.output_bytes()
+
+        wave_end = (
+            executor.gemm_contended.wave_completion_times(executor.compute_sms)
+            * problem.imbalance
+            + problem.device.kernel_launch_seconds
+        )
+        wave_of = {t: w for w, tiles in enumerate(executor.wave_tiles()) for t in tiles}
+        ready = executor.simulate(partition).group_compute_ready
+        for group, tiles in enumerate(groups):
+            last = max(wave_end[wave_of[t]] for t in tiles)
+            assert ready[group] == last + executor.settings.signal_poll_s
