@@ -2,11 +2,12 @@
 the matching JSON reader.
 
 Every JSON artifact the toolkit persists -- tuned shape caches, emitted
-parallelism plans, ``--json`` reports, benchmark ``BENCH_*.json`` files --
-goes through :func:`atomic_write_text`.  A run interrupted mid-write (the
-exact failure mode the sweep store already quarantines for its JSONL lines)
-can therefore never leave a truncated or half-written file behind: either the
-old content survives untouched, or the complete new content is in place.
+parallelism plans, fault plans, priced-cell stores, ``--json`` reports and
+profile snapshots -- goes through :func:`atomic_write_text`.  A run
+interrupted mid-write (the exact failure mode the sweep store already
+quarantines for its JSONL lines) can therefore never leave a truncated or
+half-written file behind: either the old content survives untouched, or the
+complete new content is in place.
 
 ``os.replace`` is atomic on POSIX and Windows when source and destination
 live on the same filesystem, which the same-directory temp file guarantees.
@@ -15,7 +16,8 @@ file gets ``0o666`` minus the umask, and a replaced file keeps its mode.
 
 :func:`read_json` loads those artifacts back.  A file that is not JSON, or is
 JSON of the wrong structure, raises a :class:`ValueError` naming the file,
-which the CLI reports as a one-line error.
+which the CLI reports as a one-line error.  Loaders of other formats (the
+JSONL request traces) get the same conversion from :func:`malformed_artifact`.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ import json
 import os
 import secrets
 import stat
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from pathlib import Path
 from typing import Any, TypeVar
 
-__all__ = ["atomic_write_text", "read_json"]
+__all__ = ["atomic_write_text", "malformed_artifact", "read_json"]
 
 T = TypeVar("T")
 
@@ -62,16 +64,27 @@ def atomic_write_text(path: str | Path, text: str, encoding: str = "utf-8") -> P
     return target
 
 
+@contextlib.contextmanager
+def malformed_artifact(path: str | Path) -> Iterator[None]:
+    """Report a malformed artifact file as a :class:`ValueError` naming ``path``.
+
+    A decode error, and the ``KeyError``, ``TypeError`` or ``AttributeError``
+    that building an object from well-formed data of the wrong structure
+    raises inside the block, become that ``ValueError``.
+    """
+    try:
+        yield
+    except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as error:
+        raise ValueError(f"malformed {path}: {type(error).__name__}: {error}") from error
+
+
 def read_json(path: str | Path, parse: Callable[[Any], T]) -> T:
     """Decode the JSON file at ``path`` and build an object from it with ``parse``.
 
-    A decode error, and the ``KeyError``, ``TypeError`` or ``AttributeError``
-    that ``parse`` raises on well-formed JSON of the wrong structure, become a
-    :class:`ValueError` that names the file.
+    Decode and structure errors become a :class:`ValueError` that names the
+    file (see :func:`malformed_artifact`).
     """
     target = Path(path)
     text = target.read_text(encoding="utf-8")
-    try:
+    with malformed_artifact(target):
         return parse(json.loads(text))
-    except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as error:
-        raise ValueError(f"malformed {target}: {type(error).__name__}: {error}") from error

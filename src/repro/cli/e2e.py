@@ -46,7 +46,7 @@ def add_parser(sub) -> None:
     add_json_argument(parser)
     add_smoke_argument(parser,
                        "CI-sized run: paper shapes but 2 layers per model "
-                       "(the committed golden fixtures and BENCH_e2e baseline)")
+                       "(the committed golden fixtures)")
     add_profile_arguments(parser)
 
 

@@ -77,7 +77,7 @@ def add_parser(sub) -> None:
     add_json_argument(parser)
     add_smoke_argument(parser,
                        "CI-sized search space: 4 layers, TP and microbatches in "
-                       "{2, 4, 8} (the committed BENCH_plan baseline)")
+                       "{2, 4, 8}")
     add_profile_arguments(parser)
 
 

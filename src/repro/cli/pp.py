@@ -75,7 +75,7 @@ def add_parser(sub) -> None:
     add_smoke_argument(parser,
                        "CI-sized run for any flags not passed explicitly: "
                        "llama3-training, 2 stages, 4 microbatches, 4 layers "
-                       "(the committed golden fixtures and BENCH_pp baseline)")
+                       "(the committed golden fixtures)")
     add_profile_arguments(parser)
 
 

@@ -26,6 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.atomic import malformed_artifact
+
 
 @dataclass(frozen=True)
 class Request:
@@ -209,11 +211,11 @@ class TraceArrivals:
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "TraceArrivals":
-        """Load a trace from a JSONL file (one request object per line)."""
-        records = []
-        with Path(path).open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    records.append(json.loads(line))
-        return cls.from_records(records)
+        """Load a trace from a JSONL file (one request object per line).
+
+        A line that is not JSON, or a record of the wrong structure, raises a
+        :class:`ValueError` naming the file.
+        """
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        with malformed_artifact(path):
+            return cls.from_records(json.loads(line) for line in lines if line.strip())

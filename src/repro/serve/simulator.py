@@ -62,8 +62,7 @@ SERVE_MODELS: dict[str, ModelConfig] = {
 }
 
 #: The CI-sized smoke scenario -- a short summarization burst on the small
-#: model -- shared by ``repro serve --smoke``, the serving benchmark and the
-#: committed ``BENCH_serving_baseline.json``, so the three cannot drift apart.
+#: model -- behind ``repro serve --smoke`` and ``api.serve(smoke=True)``.
 SMOKE_SCENARIO: dict = {
     "rate": 64.0,
     "requests": 24,

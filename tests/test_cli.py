@@ -289,6 +289,10 @@ class TestCleanErrors:
             (["pp", "--plan"], '{"a": 1}', "KeyError: 'workload'"),
             (["pp", "--plan"], "{not json", "JSONDecodeError: "),
             (["serve", "--smoke", "--faults"], "[1]", "AttributeError: "),
+            (["serve", "--smoke", "--trace"], "[1]", "TypeError: "),
+            (["serve", "--smoke", "--trace"], '{"prompt_tokens": 8, "output_tokens": 4}',
+             "KeyError: 'arrival_time'"),
+            (["serve", "--smoke", "--trace"], "{not json", "JSONDecodeError: "),
             (["sweep", "--preset", "smoke", "--plan-store"], "[1]", "AttributeError: "),
             (["sweep", "--config"], "[1]", "TypeError: "),
         ],

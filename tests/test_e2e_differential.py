@@ -17,7 +17,9 @@ pipeline runs too.
 
 Shapes are tiny (8x8 tiles on an 8-SM device) so each tuner invocation costs
 milliseconds; the process-level offline-profile memoization keeps repeated
-examples cheap.
+examples cheap.  The random workloads turn executor jitter and profile noise
+off, so two fixed paper-sized runs check reuse under the default settings,
+which turn both on.
 """
 
 import pytest
@@ -27,12 +29,12 @@ from hypothesis import strategies as st
 from repro.comm.primitives import CollectiveKind
 from repro.comm.topology import InterconnectKind, Topology
 from repro.core.config import OverlapProblem, OverlapSettings
-from repro.e2e import EndToEndEstimator, make_plan_store
+from repro.e2e import EndToEndEstimator, estimate_models, make_plan_store
 from repro.gpu.device import GPUSpec
 from repro.gpu.gemm import GemmShape, GemmTileConfig
 from repro.pp import PipelineEstimator
 from repro.workloads.operators import EndToEndWorkload, OperatorInstance
-from repro.workloads.pipeline import PipelineWorkload, partition_layers
+from repro.workloads.pipeline import PipelineWorkload, build_pipeline_workload, partition_layers
 
 TINY_DEVICE = GPUSpec(
     name="tiny-gpu",
@@ -144,6 +146,24 @@ def test_reuse_is_bit_identical_to_no_reuse(workload):
         assert a.use_overlap == b.use_overlap
 
 
+def test_reuse_is_bit_identical_with_default_settings():
+    """All five paper workloads, jitter and profile noise on: reuse changes nothing."""
+    reused = estimate_models(layers=2, settings=OverlapSettings(), reuse=True)
+    unreused = estimate_models(layers=2, settings=OverlapSettings(), reuse=False)
+
+    assert reused.plan_stats["tuner_invocations"] < unreused.plan_stats["tuner_invocations"]
+    for estimate, other in zip(reused.estimates, unreused.estimates, strict=True):
+        assert estimate.name == other.name
+        assert estimate.overlap_total == other.overlap_total
+        assert estimate.non_overlap_total == other.non_overlap_total
+        assert estimate.theoretical_total == other.theoretical_total
+        for a, b in zip(estimate.operators, other.operators, strict=True):
+            assert a.overlap_latency == b.overlap_latency
+            assert a.non_overlap_latency == b.non_overlap_latency
+            assert a.theoretical_latency == b.theoretical_latency
+            assert a.use_overlap == b.use_overlap
+
+
 # -- pipeline estimator differentials -----------------------------------------------
 
 
@@ -218,3 +238,21 @@ def test_pipeline_reuse_is_bit_identical(pipeline):
             assert result.bubble_ratio == other.methods[method].bubble_ratio
             assert result.stage_busy == other.methods[method].stage_busy
             assert result.useful_work == other.methods[method].useful_work
+
+
+def test_pipeline_reuse_is_bit_identical_with_default_settings():
+    """llama3-training at 2 stages x 4 microbatches x 4 layers, jitter and noise on."""
+    settings = OverlapSettings()
+
+    def step_latencies(reuse: bool) -> dict:
+        workload = build_pipeline_workload(
+            "llama3-training", stages=2, microbatches=4, layers=4, settings=settings
+        )
+        estimate = PipelineEstimator(settings, reuse=reuse).estimate(workload)
+        return {
+            (name, method): result.step_latency
+            for name, schedule in estimate.schedules.items()
+            for method, result in schedule.methods.items()
+        }
+
+    assert step_latencies(reuse=True) == step_latencies(reuse=False)

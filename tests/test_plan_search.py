@@ -11,6 +11,7 @@ acceptance properties of the planner:
   beats every swept single-config run);
 * the plan store serves > 50% of search lookups from cache;
 * dominated-config pruning never changes the frontier (soundness);
+* a repeated search gives the same report, byte for byte;
 * the winning plan JSON round-trips and replays bit-identically through the
   pp and e2e estimation paths.
 """
@@ -99,6 +100,9 @@ class TestSmokeSearch:
         # them beats the winner.
         best = smoke_report.winner.predicted["step_latency"]
         assert min(p.step_latency for p in unpruned.points) == best
+
+    def test_search_is_deterministic(self, smoke_report):
+        assert search_plan(**SMOKE).to_json() == smoke_report.to_json()
 
     def test_report_serializes(self, smoke_report):
         payload = json.loads(smoke_report.to_json())

@@ -16,12 +16,16 @@ portable across interpreter/numpy builds; everything else must match
 exactly.
 """
 
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main as cli_main
+from repro.core.config import OverlapSettings
+from repro.pp import PipelineEstimator
+from repro.workloads.pipeline import build_pipeline_workload
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "pp"
 WORKLOADS = ("llama3-training", "llama3-inference")
@@ -74,6 +78,25 @@ def test_golden_covers_three_schedules_with_decreasing_bubble(name):
     assert bubbles[0] > bubbles[1] > bubbles[2], bubbles
     for schedule in SCHEDULES:
         assert workload["schedules"][schedule]["speedup"] > 1.0
+
+
+def test_bubble_strictly_decreasing_across_grid():
+    """GPipe > 1F1B > zero-bubble at 2 and 4 stages x 4 and 8 microbatches.
+
+    One estimator prices the whole grid, so later points reuse its plan store.
+    """
+    settings = OverlapSettings()
+    estimator = PipelineEstimator(settings)
+    for stages, microbatches in itertools.product((2, 4), (4, 8)):
+        workload = build_pipeline_workload(
+            "llama3-training", stages=stages, microbatches=microbatches, layers=4,
+            settings=settings,
+        )
+        bubbles = estimator.estimate(workload).bubble_ratios()
+        assert bubbles["gpipe"] > bubbles["1f1b"] > bubbles["zero-bubble"], (
+            stages, microbatches, bubbles,
+        )
+    assert estimator.plan_store.stats()["hit_rate"] > 0
 
 
 def test_smoke_default_run(tmp_path, capsys):
