@@ -53,6 +53,7 @@ from repro.pp.schedule import KNOWN_SCHEDULES
 from repro.workloads.pipeline import (
     PipelineWorkload,
     build_pipeline_workload,
+    check_pipeline_inputs,
     partition_layers_weighted,
 )
 
@@ -280,6 +281,9 @@ def search_plan(
     for method in methods:
         if method not in PLAN_METHODS:
             raise ValueError(f"unknown plan method {method!r}; known: {PLAN_METHODS}")
+    # Inputs that fail every shell alike are the caller's error, not
+    # infeasible candidates.
+    check_pipeline_inputs(workload, tokens)
 
     # Search accounting is registered up front so the counters appear in every
     # profile snapshot, even for searches that never prune or skip a batch.

@@ -14,10 +14,10 @@ time.  This package adds that axis:
   operator priced through the shared plan store
   (:class:`~repro.plans.PlanCache`) exactly as ``repro e2e`` prices it, plus
   the inter-stage P2P transfer model;
-* :mod:`repro.pp.estimator` -- replays each schedule on the event engine
-  (:mod:`repro.sim.replay`) under non-overlap / FlashOverlap /
-  perfect-overlap pricing and reports per-stage timelines, bubble ratios and
-  step latencies;
+* :mod:`repro.pp.estimator` -- times each schedule (the generators
+  list-schedule every cell as they place it) under non-overlap /
+  FlashOverlap / perfect-overlap pricing and reports per-stage timelines,
+  bubble ratios and step latencies;
 * :mod:`repro.pp.report` -- multi-workload aggregation, tables and the
   JSON/Chrome-trace exports behind ``repro pp``.
 """
@@ -30,7 +30,6 @@ from repro.pp.schedule import (
     Cell,
     Schedule,
     StageCostVector,
-    critical_path,
     generate_schedule,
     gpipe_schedule,
     one_f_one_b_schedule,
@@ -42,7 +41,6 @@ __all__ = [
     "Cell",
     "Schedule",
     "StageCostVector",
-    "critical_path",
     "generate_schedule",
     "gpipe_schedule",
     "one_f_one_b_schedule",

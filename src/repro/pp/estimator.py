@@ -1,12 +1,11 @@
-"""Pipeline estimator: schedules, replays and scores one pipeline workload.
+"""Pipeline estimator: schedules and scores one pipeline workload.
 
-For every requested schedule the estimator generates the cell order three
-times -- once per execution method (non-overlap baseline, FlashOverlap,
-perfect-overlap bound), because cell durations differ per method and the
-zero-bubble W placement depends on them -- replays each on the event engine
-(:mod:`repro.sim.replay`) and derives:
+For every requested schedule the estimator generates the timed cell order
+three times -- once per execution method (non-overlap baseline,
+FlashOverlap, perfect-overlap bound), because cell durations differ per
+method and the zero-bubble W placement depends on them -- and derives:
 
-* **step latency** -- the replay makespan of one training step;
+* **step latency** -- the makespan of one training step;
 * **bubble ratio** -- ``1 - useful_work / (stages * step)`` where useful
   work counts F + B + W compute only (GPipe's recomputation is overhead, so
   its bubble ratio stays above 1F1B's even when their step structures match);
@@ -33,7 +32,6 @@ from repro.pp.schedule import (
     generate_schedule,
     stage_peak_inflight,
 )
-from repro.sim.replay import ReplayResult
 from repro.sim.trace import Trace
 from repro.workloads.pipeline import PipelineWorkload
 
@@ -42,7 +40,7 @@ __all__ = ["ScheduleMethodResult", "ScheduleEstimate", "PipelineEstimate", "Pipe
 
 @dataclass(frozen=True)
 class ScheduleMethodResult:
-    """One schedule replayed under one execution method."""
+    """One schedule timed under one execution method."""
 
     method: str
     step_latency: float
@@ -76,7 +74,7 @@ class ScheduleEstimate:
     name: str
     methods: dict[str, ScheduleMethodResult]
     num_cells: int
-    #: Replay trace of the FlashOverlap arm (one stream per stage).
+    #: Trace of the FlashOverlap arm (one stream per stage).
     trace: Trace | None = None
 
     @property
@@ -251,23 +249,17 @@ class PipelineEstimator:
                 fwd_delay=costs.fwd_delay,
                 bwd_delay=costs.bwd_delay,
             )
-            want_trace = record_trace and method == "overlap"
-            result = schedule.replay(record_trace=want_trace)
-            methods[method] = _score(schedule, result, method)
+            methods[method] = _score(schedule, method)
             num_cells = len(schedule.cells())
-            if want_trace:
-                trace = result.trace
+            if record_trace and method == "overlap":
+                trace = schedule.trace()
         return ScheduleEstimate(name=name, methods=methods, num_cells=num_cells, trace=trace)
 
 
-def _score(schedule: Schedule, result: ReplayResult, method: str) -> ScheduleMethodResult:
+def _score(schedule: Schedule, method: str) -> ScheduleMethodResult:
     useful = schedule.useful_work()
-    step = result.makespan
-    stages = [f"stage{index}" for index in range(schedule.num_stages)]
-    # Nominal work, not stretched occupancy: under a straggling SpeedProfile
-    # the slowed spans would otherwise count as busy and the idle split would
-    # underreport the stall the fault introduced.
-    busy = tuple(result.work[stage] for stage in stages)
+    step = schedule.makespan
+    busy = schedule.stage_work()
     bubble = 1.0 - useful / (schedule.num_stages * step) if step > 0 else 0.0
     return ScheduleMethodResult(
         method=method,

@@ -2,11 +2,11 @@
 
 A schedule assigns every per-microbatch *cell* -- forward (``F``),
 input-gradient backward (``B``) and weight-gradient (``W``) -- a position in
-one stage's serial execution order.  Timing then follows from greedy list
-scheduling: a cell starts when its stage is free *and* its cross-stage
-dependencies (plus the inter-stage P2P transfer) have arrived, which is what
-:func:`Schedule.replay` computes on the event engine and
-:func:`critical_path` recomputes independently from the cell DAG.
+one stage's serial execution order, and each generator times its cells as it
+places them.  All three share one greedy list-scheduling pass: a cell starts
+when its stage is free *and* its cross-stage dependencies (plus the
+inter-stage P2P transfer) have arrived, so every :class:`Cell` of a generated
+:class:`Schedule` carries its ``start`` and ``end``.
 
 The three generators:
 
@@ -33,11 +33,13 @@ The three generators:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import heapq
+from dataclasses import dataclass, replace
+from itertools import count
 from math import fsum
 
 from repro.gpu.kernels import KernelCategory
-from repro.sim.replay import ReplayResult, ReplayTask, replay_tasks
+from repro.sim.trace import Trace
 
 __all__ = [
     "Cell",
@@ -47,7 +49,6 @@ __all__ = [
     "one_f_one_b_schedule",
     "zero_bubble_schedule",
     "generate_schedule",
-    "critical_path",
     "stage_peak_inflight",
     "KNOWN_SCHEDULES",
 ]
@@ -92,6 +93,8 @@ class Cell:
     microbatch: int
     kind: str  # "F" | "B" | "W"
     duration: float
+    start: float
+    end: float
 
     @property
     def name(self) -> str:
@@ -100,7 +103,7 @@ class Cell:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Per-stage execution orders plus everything timing depends on."""
+    """Per-stage execution orders of timed cells, plus what timing depended on."""
 
     name: str
     num_stages: int
@@ -118,39 +121,17 @@ class Schedule:
     def cells(self) -> list[Cell]:
         return [cell for order in self.stage_orders for cell in order]
 
-    def dependencies(self, cell: Cell) -> list[tuple[str, float]]:
-        """Cross-stage / cross-kind dependency edges of one cell."""
-        deps: list[tuple[str, float]] = []
-        last = self.num_stages - 1
-        if cell.kind == "F":
-            if cell.stage > 0:
-                deps.append((f"F{cell.microbatch}@s{cell.stage - 1}", self.fwd_delay))
-        elif cell.kind == "B":
-            deps.append((f"F{cell.microbatch}@s{cell.stage}", 0.0))
-            if cell.stage < last:
-                deps.append((f"B{cell.microbatch}@s{cell.stage + 1}", self.bwd_delay))
-        elif cell.kind == "W":
-            deps.append((f"B{cell.microbatch}@s{cell.stage}", 0.0))
-        else:  # pragma: no cover - Cell.kind is internal
-            raise ValueError(f"unknown cell kind {cell.kind!r}")
-        return deps
+    @property
+    def makespan(self) -> float:
+        """Step time: the latest last-cell end of any stage.
 
-    def tasks(self) -> list[ReplayTask]:
-        """The schedule as replayable tasks (one serial resource per stage)."""
-        return [
-            ReplayTask(
-                name=cell.name,
-                resource=f"stage{cell.stage}",
-                duration=cell.duration,
-                deps=tuple(self.dependencies(cell)),
-                category=_CELL_CATEGORIES[cell.kind],
-            )
-            for cell in self.cells()
-        ]
+        Ends never decrease within a stage, so this is the latest end of all.
+        """
+        return max(order[-1].end for order in self.stage_orders)
 
-    def replay(self, record_trace: bool = False) -> ReplayResult:
-        """Greedy list-scheduled execution of the cells on their stages."""
-        return replay_tasks(self.tasks(), record_trace=record_trace)
+    def stage_work(self) -> tuple[float, ...]:
+        """Per-stage busy time: cell durations left-folded in stage order."""
+        return tuple(sum([cell.duration for cell in order]) for order in self.stage_orders)
 
     def useful_work(self) -> float:
         """Total F+B+W compute across all stages (recomputation excluded)."""
@@ -160,12 +141,176 @@ class Schedule:
             for cell in self.cells()
         )
 
+    def trace(self) -> Trace:
+        """The cells as a trace (one stream per stage) in completion order.
+
+        Spans are listed in the order an event loop applying the same
+        list-scheduling rule would finish them: by ``(end, dispatch
+        sequence)``.  A cell is dispatched when its last predecessor finishes
+        -- the previous cell on its stage, plus ``F(m, s-1)`` for an F cell,
+        ``F(m, s)`` and ``B(m, s+1)`` for a B cell, or ``B(m, s)`` for a W
+        cell -- and the cells one finish releases are dispatched in stage
+        order.  End times tie constantly under uniform costs, which is why
+        the dispatch sequence, not the stage, breaks ties.
+        """
+        cells = self.cells()
+        position = {(cell.kind, cell.stage, cell.microbatch): i for i, cell in enumerate(cells)}
+        last = self.num_stages - 1
+        pending = [0] * len(cells)
+        successors: list[list[int]] = [[] for _ in cells]
+        for i, cell in enumerate(cells):
+            stage, mb = cell.stage, cell.microbatch
+            if cell.kind == "F":
+                preds = [position["F", stage - 1, mb]] if stage else []
+            elif cell.kind == "B":
+                preds = [position["F", stage, mb]]
+                if stage < last:
+                    preds.append(position["B", stage + 1, mb])
+            else:
+                preds = [position["B", stage, mb]]
+            if i and cells[i - 1].stage == stage:
+                preds.append(i - 1)
+            pending[i] = len(preds)
+            for pred in preds:
+                successors[pred].append(i)
+
+        sequence = count()
+        heap = [(cells[i].end, next(sequence), i) for i, waiting in enumerate(pending) if not waiting]
+        heapq.heapify(heap)
+        trace = Trace()
+        while heap:
+            u = heapq.heappop(heap)[2]
+            cell = cells[u]
+            trace.record(
+                f"stage{cell.stage}", cell.name, cell.start, cell.end, _CELL_CATEGORIES[cell.kind]
+            )
+            # Successor lists are in position order, which is stage order:
+            # positions are stage-major and one finish releases at most one
+            # cell per stage.
+            for v in successors[u]:
+                pending[v] -= 1
+                if not pending[v]:
+                    heapq.heappush(heap, (cells[v].end, next(sequence), v))
+        return trace
+
 
 def _check_costs(stages: tuple[StageCostVector, ...], microbatches: int) -> None:
     if not stages:
         raise ValueError("a schedule needs at least one stage")
     if microbatches < 1:
         raise ValueError("microbatches must be >= 1")
+
+
+#: W-placement policies the zero-bubble generator searches over (in
+#: tie-break order).  ``defer`` fills gaps only when the W provably cannot
+#: delay the next F/B cell and drains the rest after the cooldown; ``eager``
+#: fills every idle gap even when the W overshoots into the next cell's
+#: start (keeping the stage busy at the cost of a small delay); ``inline``
+#: runs each W directly after its B, which reproduces 1F1B's placement but
+#: with the split backward -- downstream stages no longer wait for the wgrad
+#: part, so its step time never exceeds 1F1B's.
+_ZB_POLICIES = ("defer", "eager", "inline")
+
+
+def _list_schedule(
+    name: str,
+    stages: tuple[StageCostVector, ...],
+    microbatches: int,
+    fwd_delay: float,
+    bwd_delay: float,
+    fb_orders: list[list[tuple[str, int]]],
+    backward: tuple[float, ...],
+    policy: str | None,
+) -> Schedule:
+    """Place and time every cell by greedy list scheduling.
+
+    Each stage runs its ``fb_orders`` F/B cells in order; a cell starts once
+    its stage is free and its dependencies (plus the P2P transfer) have
+    arrived.  The pass keeps one cursor per stage and advances each stage
+    while its head cell is ready.  ``backward[s]`` is stage ``s``'s B
+    duration.  ``policy`` is ``None`` for a bundled backward (no W cells);
+    otherwise it names the :data:`_ZB_POLICIES` member that places each B's
+    W cell.
+    """
+    num_stages = len(stages)
+    last = num_stages - 1
+
+    ends: dict[tuple[str, int, int], float] = {}  # (kind, stage, mb) -> end
+    free = [0.0] * num_stages
+    heads = [0] * num_stages
+    pending_w: list[list[int]] = [[] for _ in range(num_stages)]
+    orders: list[list[Cell]] = [[] for _ in range(num_stages)]
+
+    def place(stage: int, kind: str, mb: int, duration: float, start: float) -> None:
+        end = start + duration
+        orders[stage].append(Cell(stage, mb, kind, duration, start, end))
+        ends[(kind, stage, mb)] = end
+        free[stage] = end
+
+    remaining = sum(len(order) for order in fb_orders)
+    while remaining:
+        progressed = False
+        for stage in range(num_stages):
+            cost = stages[stage]
+            while heads[stage] < len(fb_orders[stage]):
+                kind, mb = fb_orders[stage][heads[stage]]
+                if kind == "F":
+                    dep_keys = [("F", stage - 1, mb)] if stage > 0 else []
+                    delays = [fwd_delay]
+                    duration = cost.forward
+                else:
+                    dep_keys = [("F", stage, mb)]
+                    delays = [0.0]
+                    if stage < last:
+                        dep_keys.append(("B", stage + 1, mb))
+                        delays.append(bwd_delay)
+                    duration = backward[stage]
+                if any(key not in ends for key in dep_keys):
+                    break
+                ready = max(
+                    (ends[key] + delay for key, delay in zip(dep_keys, delays)),
+                    default=0.0,
+                )
+                # Fill the gap in front of this cell with deferred W work:
+                # `defer` only when the W provably cannot delay the cell,
+                # `eager` whenever the stage would otherwise idle (inline and
+                # bundled backwards keep no pool, so the loop never runs).
+                while pending_w[stage] and (
+                    free[stage] + cost.wgrad <= ready
+                    if policy == "defer"
+                    else free[stage] < ready
+                ):
+                    place(stage, "W", pending_w[stage].pop(0), cost.wgrad, free[stage])
+                place(stage, kind, mb, duration, max(free[stage], ready))
+                if kind == "B" and policy is not None:
+                    if policy == "inline":
+                        place(stage, "W", mb, cost.wgrad, free[stage])
+                    else:
+                        pending_w[stage].append(mb)
+                heads[stage] += 1
+                remaining -= 1
+                progressed = True
+        if not progressed:  # every generator's order is feasible; this guards new ones
+            stuck = [
+                f"{order[head][0]}{order[head][1]}@s{stage}"
+                for stage, (order, head) in enumerate(zip(fb_orders, heads))
+                if head < len(order)
+            ]
+            raise RuntimeError(
+                f"{name} list scheduling stalled: cells {stuck} wait on cells that never finish"
+            )
+    for stage in range(num_stages):
+        for mb in pending_w[stage]:
+            place(stage, "W", mb, stages[stage].wgrad, free[stage])
+    return Schedule(
+        name=name,
+        num_stages=num_stages,
+        num_microbatches=microbatches,
+        stage_orders=tuple(tuple(order) for order in orders),
+        fwd_delay=fwd_delay,
+        bwd_delay=bwd_delay,
+        split_backward=policy is not None,
+    )
 
 
 def gpipe_schedule(
@@ -176,25 +321,20 @@ def gpipe_schedule(
 ) -> Schedule:
     """GPipe: all forwards, then all backwards, with activation recompute."""
     _check_costs(stages, microbatches)
-    orders = []
-    for index, cost in enumerate(stages):
-        order = [Cell(index, m, "F", cost.forward) for m in range(microbatches)]
-        # Rematerialisation: the backward cell re-runs the stage's forward
-        # before computing dgrad + wgrad (GPipe stores only boundary
-        # activations).
-        order += [
-            Cell(index, m, "B", cost.forward + cost.backward) for m in range(microbatches)
-        ]
-        orders.append(tuple(order))
-    return Schedule(
-        name="gpipe",
-        num_stages=len(stages),
-        num_microbatches=microbatches,
-        stage_orders=tuple(orders),
-        fwd_delay=fwd_delay,
-        bwd_delay=bwd_delay,
-        recompute=tuple(cost.forward for cost in stages),
+    order = [("F", m) for m in range(microbatches)] + [("B", m) for m in range(microbatches)]
+    # Rematerialisation: the backward cell re-runs the stage's forward before
+    # computing dgrad + wgrad (GPipe stores only boundary activations).
+    schedule = _list_schedule(
+        "gpipe",
+        stages,
+        microbatches,
+        fwd_delay,
+        bwd_delay,
+        [order] * len(stages),
+        tuple(cost.forward + cost.backward for cost in stages),
+        policy=None,
     )
+    return replace(schedule, recompute=tuple(cost.forward for cost in stages))
 
 
 def _one_f_one_b_orders(num_stages: int, microbatches: int) -> list[list[tuple[str, int]]]:
@@ -219,117 +359,16 @@ def one_f_one_b_schedule(
 ) -> Schedule:
     """1F1B (PipeDream-flush): warmup forwards, steady 1F1B, cooldown."""
     _check_costs(stages, microbatches)
-    orders = []
-    for stage, order in enumerate(_one_f_one_b_orders(len(stages), microbatches)):
-        cost = stages[stage]
-        orders.append(
-            tuple(
-                Cell(stage, m, kind, cost.forward if kind == "F" else cost.backward)
-                for kind, m in order
-            )
-        )
-    return Schedule(
-        name="1f1b",
-        num_stages=len(stages),
-        num_microbatches=microbatches,
-        stage_orders=tuple(orders),
-        fwd_delay=fwd_delay,
-        bwd_delay=bwd_delay,
+    return _list_schedule(
+        "1f1b",
+        stages,
+        microbatches,
+        fwd_delay,
+        bwd_delay,
+        _one_f_one_b_orders(len(stages), microbatches),
+        tuple(cost.backward for cost in stages),
+        policy=None,
     )
-
-
-#: W-placement policies the zero-bubble generator searches over (in
-#: tie-break order).  ``defer`` fills gaps only when the W provably cannot
-#: delay the next F/B cell and drains the rest after the cooldown; ``eager``
-#: fills every idle gap even when the W overshoots into the next cell's
-#: start (keeping the stage busy at the cost of a small delay); ``inline``
-#: runs each W directly after its B, which reproduces 1F1B's placement but
-#: with the split backward -- downstream stages no longer wait for the wgrad
-#: part, so its step time never exceeds 1F1B's.
-_ZB_POLICIES = ("defer", "eager", "inline")
-
-
-def _zero_bubble_candidate(
-    stages: tuple[StageCostVector, ...],
-    microbatches: int,
-    fwd_delay: float,
-    bwd_delay: float,
-    policy: str,
-) -> tuple[float, Schedule]:
-    """List-schedule the split backward under one W-placement policy."""
-    num_stages = len(stages)
-    last = num_stages - 1
-    fb_orders = _one_f_one_b_orders(num_stages, microbatches)
-
-    ends: dict[tuple[str, int, int], float] = {}  # (kind, stage, mb) -> end
-    free = [0.0] * num_stages
-    heads = [0] * num_stages
-    pending_w: list[list[int]] = [[] for _ in range(num_stages)]
-    orders: list[list[Cell]] = [[] for _ in range(num_stages)]
-
-    def place(stage: int, kind: str, mb: int, duration: float, start: float) -> None:
-        orders[stage].append(Cell(stage, mb, kind, duration))
-        ends[(kind, stage, mb)] = start + duration
-        free[stage] = start + duration
-
-    remaining = sum(len(order) for order in fb_orders)
-    while remaining:
-        progressed = False
-        for stage in range(num_stages):
-            cost = stages[stage]
-            while heads[stage] < len(fb_orders[stage]):
-                kind, mb = fb_orders[stage][heads[stage]]
-                if kind == "F":
-                    dep_keys = [("F", stage - 1, mb)] if stage > 0 else []
-                    delays = [fwd_delay]
-                    duration = cost.forward
-                else:
-                    dep_keys = [("F", stage, mb)]
-                    delays = [0.0]
-                    if stage < last:
-                        dep_keys.append(("B", stage + 1, mb))
-                        delays.append(bwd_delay)
-                    duration = cost.dgrad
-                if any(key not in ends for key in dep_keys):
-                    break
-                ready = max(
-                    (ends[key] + delay for key, delay in zip(dep_keys, delays)),
-                    default=0.0,
-                )
-                # Fill the gap in front of this cell with deferred W work:
-                # `defer` only when the W provably cannot delay the cell,
-                # `eager` whenever the stage would otherwise idle (inline
-                # keeps no pool, so its loop never runs).
-                while pending_w[stage] and (
-                    free[stage] + cost.wgrad <= ready
-                    if policy == "defer"
-                    else free[stage] < ready
-                ):
-                    place(stage, "W", pending_w[stage].pop(0), cost.wgrad, free[stage])
-                place(stage, kind, mb, duration, max(free[stage], ready))
-                if kind == "B":
-                    if policy == "inline":
-                        place(stage, "W", mb, cost.wgrad, free[stage])
-                    else:
-                        pending_w[stage].append(mb)
-                heads[stage] += 1
-                remaining -= 1
-                progressed = True
-        if not progressed:  # pragma: no cover - the 1F1B order is feasible
-            raise RuntimeError("zero-bubble generation stalled (infeasible order)")
-    for stage in range(num_stages):
-        for mb in pending_w[stage]:
-            place(stage, "W", mb, stages[stage].wgrad, free[stage])
-    schedule = Schedule(
-        name="zero-bubble",
-        num_stages=num_stages,
-        num_microbatches=microbatches,
-        stage_orders=tuple(tuple(order) for order in orders),
-        fwd_delay=fwd_delay,
-        bwd_delay=bwd_delay,
-        split_backward=True,
-    )
-    return max(ends.values(), default=0.0), schedule
 
 
 def zero_bubble_schedule(
@@ -343,20 +382,24 @@ def zero_bubble_schedule(
     F and B keep the 1F1B order (B now carries only the input gradients, so
     the cross-stage backward chain is shorter); the W cells are placed by a
     clairvoyant list scheduler that searches the small family of placement
-    policies in :data:`_ZB_POLICIES` and keeps the fastest schedule.  The
-    ``inline`` member of that family strictly dominates 1F1B (same placement,
-    but upstream stages stop waiting for wgrad work), so the selected step
-    time -- and therefore the bubble ratio -- is never worse than 1F1B's.
+    policies in :data:`_ZB_POLICIES` and keeps the fastest schedule (the
+    first on ties).  The ``inline`` member of that family strictly dominates
+    1F1B (same placement, but upstream stages stop waiting for wgrad work),
+    so the selected step time -- and therefore the bubble ratio -- is never
+    worse than 1F1B's.
     """
     _check_costs(stages, microbatches)
-    best: tuple[float, Schedule] | None = None
-    for policy in _ZB_POLICIES:
-        step, candidate = _zero_bubble_candidate(
-            stages, microbatches, fwd_delay, bwd_delay, policy
-        )
-        if best is None or step < best[0]:
-            best = (step, candidate)
-    return best[1]
+    fb_orders = _one_f_one_b_orders(len(stages), microbatches)
+    dgrad = tuple(cost.dgrad for cost in stages)
+    return min(
+        (
+            _list_schedule(
+                "zero-bubble", stages, microbatches, fwd_delay, bwd_delay, fb_orders, dgrad, policy
+            )
+            for policy in _ZB_POLICIES
+        ),
+        key=lambda schedule: schedule.makespan,
+    )
 
 
 #: Schedule slug -> generator, in canonical (bubble-decreasing) order.
@@ -374,7 +417,7 @@ def generate_schedule(
     fwd_delay: float = 0.0,
     bwd_delay: float = 0.0,
 ) -> Schedule:
-    """Generate a named schedule over per-stage cell costs."""
+    """Generate a named, timed schedule over per-stage cell costs."""
     try:
         generator = KNOWN_SCHEDULES[name]
     except KeyError:
@@ -391,11 +434,11 @@ def stage_peak_inflight(schedule: Schedule) -> tuple[int, ...]:
     activations (``+1``); they are freed once the weight gradient no longer
     needs them -- at the ``W`` cell when the backward is split (zero-bubble
     defers wgrad, so activations live *longer* than under 1F1B), at the
-    bundled ``B`` cell otherwise.  The stage order is a valid serialisation
-    of the replayed execution, so the walk's running peak is exactly the
-    schedule's activation high-water mark in microbatch units; the planner
-    turns it into bytes (GPipe's recomputation stores only the stage-boundary
-    activation, the other schedules keep every layer's).
+    bundled ``B`` cell otherwise.  A stage runs its cells in exactly this
+    order, so the walk's running peak is the schedule's activation
+    high-water mark in microbatch units; the planner turns it into bytes
+    (GPipe's recomputation stores only the stage-boundary activation, the
+    other schedules keep every layer's).
     """
     peaks = []
     for order in schedule.stage_orders:
@@ -409,40 +452,3 @@ def stage_peak_inflight(schedule: Schedule) -> tuple[int, ...]:
                 live -= 1
         peaks.append(peak)
     return tuple(peaks)
-
-
-def critical_path(schedule: Schedule) -> float:
-    """Step time recomputed independently from the cell DAG.
-
-    Kahn-style longest path over the union of the cross-stage dependency
-    edges and the per-stage serial-order edges -- no event engine, no
-    resource bookkeeping.  Must equal ``schedule.replay().makespan`` exactly
-    (the property suite asserts bit-equality).
-    """
-    cells = {cell.name: cell for cell in schedule.cells()}
-    edges: dict[str, list[tuple[str, float]]] = {name: [] for name in cells}
-    indegree = dict.fromkeys(cells, 0)
-    for cell in cells.values():
-        for dep, delay in schedule.dependencies(cell):
-            edges[dep].append((cell.name, delay))
-            indegree[cell.name] += 1
-    for order in schedule.stage_orders:
-        for earlier, later in zip(order, order[1:]):
-            edges[earlier.name].append((later.name, 0.0))
-            indegree[later.name] += 1
-
-    start = dict.fromkeys(cells, 0.0)
-    queue = [name for name, degree in indegree.items() if degree == 0]
-    finished: dict[str, float] = {}
-    while queue:
-        name = queue.pop()
-        end = start[name] + cells[name].duration
-        finished[name] = end
-        for successor, delay in edges[name]:
-            start[successor] = max(start[successor], end + delay)
-            indegree[successor] -= 1
-            if indegree[successor] == 0:
-                queue.append(successor)
-    if len(finished) != len(cells):
-        raise RuntimeError("schedule DAG is cyclic")
-    return max(finished.values(), default=0.0)

@@ -10,14 +10,10 @@ This package provides:
 * :mod:`repro.sim.trace` -- timeline traces made of spans, with overlap /
   busy-time queries and an ASCII rendering for quick inspection,
 * :mod:`repro.sim.timeline` -- a stream-ordered timeline builder that models
-  in-order execution per stream plus cross-stream dependencies (signals),
-* :mod:`repro.sim.replay` -- dependency-aware replay of tasks on serial
-  resources (FIFO per resource, cross-resource dependency edges with
-  transfer delays), the substrate of the pipeline-stage timelines.
+  in-order execution per stream plus cross-stream dependencies (signals).
 """
 
 from repro.sim.engine import EventEngine
-from repro.sim.replay import ReplayResult, ReplayTask, replay_tasks
 from repro.sim.trace import Span, Trace
 from repro.sim.timeline import StreamTimeline
 
@@ -26,7 +22,4 @@ __all__ = [
     "Span",
     "Trace",
     "StreamTimeline",
-    "ReplayResult",
-    "ReplayTask",
-    "replay_tasks",
 ]

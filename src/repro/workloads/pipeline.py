@@ -44,6 +44,7 @@ __all__ = [
     "PipelineWorkload",
     "partition_layers",
     "partition_layers_weighted",
+    "check_pipeline_inputs",
     "build_pipeline_workload",
 ]
 
@@ -207,6 +208,14 @@ class PipelineWorkload:
         )
 
 
+def check_pipeline_inputs(name: str, tokens: int | None) -> None:
+    """Reject an unknown registry workload or a non-positive token count."""
+    if name not in workload_builders():
+        raise KeyError(f"unknown workload {name!r}; known: {sorted(workload_builders())}")
+    if tokens is not None and tokens < 1:
+        raise ValueError("tokens must be >= 1")
+
+
 def build_pipeline_workload(
     name: str,
     stages: int,
@@ -228,8 +237,7 @@ def build_pipeline_workload(
     balanced split; it must have ``stages`` entries summing to the layer
     count.  All other knobs match :func:`repro.workloads.e2e.build_workload`.
     """
-    if name not in workload_builders():
-        raise KeyError(f"unknown workload {name!r}; known: {sorted(workload_builders())}")
+    check_pipeline_inputs(name, tokens)
     if microbatches < 1:
         raise ValueError("microbatches must be >= 1")
     total_tokens = tokens

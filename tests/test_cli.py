@@ -239,6 +239,52 @@ class TestServeCommand:
         assert ", 0 tuner invocations)" in capsys.readouterr().out
 
 
+class TestPipelineCommand:
+    def test_pp_trace_export_lists_the_oracle_spans(self, capsys, tmp_path):
+        """`repro pp --smoke --trace` writes one Chrome trace per schedule.
+
+        Each trace holds the FlashOverlap arm's cells as ``X`` events in the
+        order the event-by-event oracle finishes them.
+        """
+        import json
+
+        from oracles.replay import replay_reference
+        from repro.api import PP_SMOKE
+        from repro.cluster import ClusterSpec
+        from repro.core.config import OverlapSettings
+        from repro.e2e.estimator import EndToEndEstimator
+        from repro.pp.pricing import price_pipeline
+        from repro.pp.schedule import KNOWN_SCHEDULES, generate_schedule
+        from repro.workloads.pipeline import build_pipeline_workload
+
+        assert main(["pp", "--smoke", "--trace", str(tmp_path / "t")]) == 0
+        capsys.readouterr()
+        settings = OverlapSettings()
+        cluster = ClusterSpec()
+        (name,) = PP_SMOKE["workloads"]
+        workload = build_pipeline_workload(
+            name, stages=PP_SMOKE["stages"], microbatches=PP_SMOKE["microbatches"],
+            layers=PP_SMOKE["layers"], device=cluster.device_spec,
+            topology=cluster.resolve(), settings=settings,
+        )
+        costs = price_pipeline(workload, EndToEndEstimator(settings))
+        written = sorted(path.name for path in tmp_path.iterdir())
+        assert written == sorted(f"t-{workload.name}-{schedule}.json" for schedule in KNOWN_SCHEDULES)
+        for schedule_name in KNOWN_SCHEDULES:
+            schedule = generate_schedule(
+                schedule_name, costs.vectors("overlap"), workload.microbatches,
+                fwd_delay=costs.fwd_delay, bwd_delay=costs.bwd_delay,
+            )
+            path = tmp_path / f"t-{workload.name}-{schedule_name}.json"
+            events = json.loads(path.read_text(encoding="utf-8"))["traceEvents"]
+            threads = [e["args"]["name"] for e in events if e["name"] == "thread_name"]
+            assert threads == [f"stage{stage}" for stage in range(PP_SMOKE["stages"])]
+            reference = replay_reference(schedule).trace
+            assert [(e["name"], e["ts"], e["dur"]) for e in events if e["ph"] == "X"] == [
+                (span.name, span.start * 1e6, span.duration * 1e6) for span in reference.spans
+            ]
+
+
 class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -262,6 +308,8 @@ class TestCleanErrors:
             (["serve", "--smoke", "--failover-delay", "-1"],
              "failover_delay must be non-negative"),
             (["sweep", "--preset", "nope"], "unknown sweep preset 'nope'; known: ["),
+            (["pp", "--smoke", "--tokens", "-5"], "tokens must be >= 1"),
+            (["plan", "--smoke", "--tokens", "0"], "tokens must be >= 1"),
         ],
     )
     def test_invalid_input_exits_2_without_traceback(self, capsys, argv, message):

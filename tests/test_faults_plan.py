@@ -1,9 +1,8 @@
 """Unit tests for the fault-model layer (repro.faults) in isolation.
 
 Covers the versioned :class:`FaultPlan` schema (validation, round-trips,
-seeded generation, presets), the resilience policy knobs, the compiled
-:class:`SpeedTimeline` / :class:`FaultInjector` queries, and the
-``resource_profiles`` hook the replay engine grew for stragglers.
+seeded generation, presets), the resilience policy knobs, and the compiled
+:class:`SpeedTimeline` / :class:`FaultInjector` queries.
 """
 
 import json
@@ -23,7 +22,6 @@ from repro.faults import (
     fault_presets,
     parse_retry_policy,
 )
-from repro.sim.replay import ReplayTask, replay_tasks
 
 
 class TestFaultEvent:
@@ -199,6 +197,26 @@ class TestFaultInjector:
         assert injector.failovers == 1
         assert injector.availability(10.0) > 0.99
 
+    def test_straggling_resource_stretches_the_timeline(self):
+        # Two back-to-back 1 s iterations inside a 2x straggler window.
+        plan = FaultPlan(events=(
+            FaultEvent(kind="straggler", start=0.0, duration=10.0, factor=2.0),
+        ))
+        injector = FaultInjector(plan)
+        first = injector.straggler_finish(0.0, 1.0)
+        assert first == pytest.approx(2.0)
+        assert injector.straggler_finish(first, 1.0) == pytest.approx(4.0)
+        # Past the window the replica runs at nominal speed again.
+        assert injector.straggler_finish(10.0, 1.0) == 11.0
+
+    def test_nominal_profile_changes_nothing(self):
+        # No stragglers, or a factor-1 straggler: bit-exact start + work.
+        unit = FaultEvent(kind="straggler", start=0.0, duration=10.0, factor=1.0)
+        for plan in (FaultPlan(), FaultPlan(events=(unit,))):
+            injector = FaultInjector(plan)
+            assert injector.compute.is_nominal
+            assert injector.straggler_finish(0.1, 0.2) == 0.1 + 0.2
+
     def test_comm_factor_composes(self):
         plan = FaultPlan(events=(
             FaultEvent(kind="degraded-link", start=0.0, duration=4.0, factor=0.5),
@@ -220,25 +238,3 @@ class TestFaultInjector:
         assert any(decisions) and not all(decisions)
         # Outside the window nothing drops.
         assert not any(injector.drops(request_id=i, attempt=1, time=11.0) for i in range(64))
-
-
-class TestReplayResourceProfiles:
-    def test_straggling_resource_stretches_the_timeline(self):
-        tasks = [
-            ReplayTask(name="a", resource="stage-0", duration=1.0),
-            ReplayTask(name="b", resource="stage-0", duration=1.0, deps=(("a", 0.0),)),
-        ]
-        nominal = replay_tasks(tasks)
-        slowed = replay_tasks(
-            tasks,
-            resource_profiles={
-                "stage-0": SpeedTimeline((SpeedWindow(start=0.0, end=10.0, speed=0.5),))
-            },
-        )
-        assert nominal.makespan == pytest.approx(2.0)
-        assert slowed.makespan == pytest.approx(4.0)
-
-    def test_nominal_profile_changes_nothing(self):
-        tasks = [ReplayTask(name="a", resource="r", duration=1.5)]
-        assert replay_tasks(tasks, resource_profiles={"r": SpeedTimeline(())}).makespan == \
-            replay_tasks(tasks).makespan

@@ -164,3 +164,12 @@ class TestSearchEdges:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="method"):
             search_plan(methods=("theoretical",))
+
+    def test_unknown_workload_raises_instead_of_skipping_every_shell(self):
+        with pytest.raises(KeyError, match="unknown workload 'nope'"):
+            search_plan("nope")
+
+    @pytest.mark.parametrize("tokens", [0, -4096])
+    def test_non_positive_tokens_raise_instead_of_skipping_every_shell(self, tokens):
+        with pytest.raises(ValueError, match="tokens must be >= 1"):
+            search_plan(**SMOKE, tokens=tokens)

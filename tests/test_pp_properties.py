@@ -10,8 +10,11 @@ must satisfy:
   including the transfer delay between neighbouring stages;
 * the bubble ratio is ordered GPipe >= 1F1B >= zero-bubble (useful work is
   identical across schedules, so this is equivalent to the step ordering);
-* the replayed step time equals the critical path recomputed independently
-  from the cell DAG (bit-equal: both are max/+ folds over the same values);
+* the generator's step time equals the critical path recomputed
+  independently from the cell DAG (bit-equal: both are max/+ folds over the
+  same values), and is the latest end of any cell;
+* the trace lists every cell once, in non-decreasing end order, each after
+  the cells it depends on and in its stage's order;
 * generation is deterministic and conserves cells (M forwards, M backwards
   and -- for the split schedule -- M weight-gradient cells per stage).
 
@@ -23,12 +26,8 @@ import pytest
 from hypothesis import given, settings as hsettings
 from hypothesis import strategies as st
 
-from repro.pp.schedule import (
-    KNOWN_SCHEDULES,
-    StageCostVector,
-    critical_path,
-    generate_schedule,
-)
+from oracles.replay import critical_path, dependencies
+from repro.pp.schedule import KNOWN_SCHEDULES, StageCostVector, generate_schedule
 from repro.workloads.pipeline import partition_layers
 
 DURATIONS = st.floats(min_value=1e-4, max_value=1e-2, allow_nan=False, allow_infinity=False)
@@ -71,7 +70,7 @@ def cost_models(draw):
 
 
 def _spans(schedule):
-    return schedule.replay(record_trace=True)
+    return {cell.name: (cell.start, cell.end) for cell in schedule.cells()}
 
 
 @hsettings(max_examples=60, deadline=None)
@@ -80,13 +79,11 @@ def test_no_two_cells_overlap_on_a_stage(model):
     costs, microbatches, fwd_delay, bwd_delay = model
     for name in KNOWN_SCHEDULES:
         schedule = generate_schedule(name, costs, microbatches, fwd_delay, bwd_delay)
-        result = _spans(schedule)
-        result.trace.validate_stream_order()
+        schedule.trace().validate_stream_order()
         # Explicit pairwise check, independent of the trace helper.
         for order in schedule.stage_orders:
-            ends = [result.spans[cell.name] for cell in order]
-            for (_, earlier_end), (later_start, _) in zip(ends, ends[1:]):
-                assert later_start >= earlier_end
+            for earlier, later in zip(order, order[1:]):
+                assert later.start >= earlier.end
 
 
 @hsettings(max_examples=60, deadline=None)
@@ -96,7 +93,7 @@ def test_dependency_order_holds_across_stages(model):
     num_stages = len(costs)
     for name in KNOWN_SCHEDULES:
         schedule = generate_schedule(name, costs, microbatches, fwd_delay, bwd_delay)
-        spans = _spans(schedule).spans
+        spans = _spans(schedule)
         for m in range(microbatches):
             for s in range(num_stages):
                 f_start, f_end = spans[f"F{m}@s{s}"]
@@ -120,7 +117,7 @@ def test_bubble_ratio_ordering_gpipe_1f1b_zero_bubble(model):
     useful = {}
     for name in KNOWN_SCHEDULES:
         schedule = generate_schedule(name, costs, microbatches, fwd_delay, bwd_delay)
-        steps[name] = schedule.replay().makespan
+        steps[name] = schedule.makespan
         useful[name] = schedule.useful_work()
     # All three schedules do the same useful work; only the step differs.
     assert useful["gpipe"] == pytest.approx(useful["1f1b"], rel=1e-12)
@@ -135,7 +132,38 @@ def test_step_time_equals_independent_critical_path(model):
     costs, microbatches, fwd_delay, bwd_delay = model
     for name in KNOWN_SCHEDULES:
         schedule = generate_schedule(name, costs, microbatches, fwd_delay, bwd_delay)
-        assert schedule.replay().makespan == critical_path(schedule)
+        assert schedule.makespan == critical_path(schedule)
+
+
+@hsettings(max_examples=60, deadline=None)
+@given(model=cost_models())
+def test_makespan_is_the_latest_cell_end(model):
+    costs, microbatches, fwd_delay, bwd_delay = model
+    for name in KNOWN_SCHEDULES:
+        schedule = generate_schedule(name, costs, microbatches, fwd_delay, bwd_delay)
+        cells = schedule.cells()
+        assert all(cell.end == cell.start + cell.duration for cell in cells)
+        assert schedule.makespan == max(cell.end for cell in cells)
+
+
+@hsettings(max_examples=60, deadline=None)
+@given(model=cost_models())
+def test_trace_lists_every_cell_once_in_completion_order(model):
+    costs, microbatches, fwd_delay, bwd_delay = model
+    for name in KNOWN_SCHEDULES:
+        schedule = generate_schedule(name, costs, microbatches, fwd_delay, bwd_delay)
+        spans = schedule.trace().spans
+        position = {span.name: i for i, span in enumerate(spans)}
+        assert sorted(position) == sorted(cell.name for cell in schedule.cells())
+        assert len(spans) == len(position)
+        ends = [span.end for span in spans]
+        assert ends == sorted(ends)
+        for stage, order in enumerate(schedule.stage_orders):
+            names = [cell.name for cell in order]
+            assert [span.name for span in spans if span.stream == f"stage{stage}"] == names
+            for cell in order:
+                for dep, _ in dependencies(schedule, cell):
+                    assert position[dep] < position[cell.name]
 
 
 @hsettings(max_examples=60, deadline=None)
@@ -146,7 +174,7 @@ def test_generation_is_deterministic_and_conserves_cells(model):
         first = generate_schedule(name, costs, microbatches, fwd_delay, bwd_delay)
         second = generate_schedule(name, costs, microbatches, fwd_delay, bwd_delay)
         assert first == second
-        assert _spans(first).spans == _spans(second).spans
+        assert _spans(first) == _spans(second)
         for stage, order in enumerate(first.stage_orders):
             kinds = [cell.kind for cell in order]
             assert kinds.count("F") == microbatches

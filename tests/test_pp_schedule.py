@@ -1,4 +1,5 @@
-"""Unit tests of the pipeline schedule generators and the replay substrate.
+"""Unit tests of the pipeline schedule generators, their cell timing, and the
+estimator's use of it.
 
 The uniform-cost cases are hand-computed: with S=2 stages, M=4 microbatches
 and f = b = w = 1, no transfer delay, the step times are 20 (GPipe with
@@ -7,52 +8,21 @@ recomputation), 15 (1F1B) and 13 (zero-bubble).
 
 import pytest
 
+from oracles.replay import critical_path, dependencies
+from repro.core.config import OverlapSettings
+from repro.pp import PipelineEstimator
 from repro.pp.schedule import (
     Cell,
+    Schedule,
     StageCostVector,
-    critical_path,
     generate_schedule,
     gpipe_schedule,
     one_f_one_b_schedule,
     zero_bubble_schedule,
 )
-from repro.sim.replay import ReplayTask, replay_tasks
+from repro.workloads.pipeline import build_pipeline_workload
 
 UNIFORM = (StageCostVector(1.0, 1.0, 1.0),) * 2
-
-
-class TestReplay:
-    def test_serial_resource_with_dependency_delay(self):
-        tasks = [
-            ReplayTask(name="a", resource="r0", duration=2.0),
-            ReplayTask(name="b", resource="r1", duration=3.0, deps=(("a", 0.5),)),
-            ReplayTask(name="c", resource="r1", duration=1.0),
-        ]
-        result = replay_tasks(tasks, record_trace=True)
-        assert result.spans["a"] == (0.0, 2.0)
-        assert result.spans["b"] == (2.5, 5.5)  # waits for a + 0.5 transfer
-        assert result.spans["c"] == (5.5, 6.5)  # FIFO behind b on r1
-        assert result.makespan == 6.5
-        assert result.busy == {"r0": 2.0, "r1": 4.0}
-        assert result.idle("r1") == pytest.approx(2.5)
-        result.trace.validate_stream_order()
-
-    def test_duplicate_and_unknown_names_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            replay_tasks([ReplayTask("a", "r", 1.0), ReplayTask("a", "r", 1.0)])
-        with pytest.raises(ValueError, match="unknown task"):
-            replay_tasks([ReplayTask("a", "r", 1.0, deps=(("ghost", 0.0),))])
-
-    def test_cyclic_order_deadlocks_loudly(self):
-        tasks = [
-            ReplayTask(name="a", resource="r0", duration=1.0, deps=(("b", 0.0),)),
-            ReplayTask(name="b", resource="r1", duration=1.0, deps=(("a", 0.0),)),
-        ]
-        with pytest.raises(RuntimeError, match="deadlocked"):
-            replay_tasks(tasks)
-
-    def test_empty_replay(self):
-        assert replay_tasks([]).makespan == 0.0
 
 
 class TestGeneratorStructure:
@@ -97,32 +67,64 @@ class TestGeneratorStructure:
 
     def test_degenerate_single_stage_single_microbatch(self):
         stages = (StageCostVector(2.0, 1.0, 0.5),)
-        assert one_f_one_b_schedule(stages, 1).replay().makespan == 3.5
-        assert zero_bubble_schedule(stages, 1).replay().makespan == 3.5
+        assert one_f_one_b_schedule(stages, 1).makespan == 3.5
+        assert zero_bubble_schedule(stages, 1).makespan == 3.5
         # GPipe still pays the recomputation even on one stage.
-        assert gpipe_schedule(stages, 1).replay().makespan == 5.5
+        assert gpipe_schedule(stages, 1).makespan == 5.5
 
 
 class TestHandComputedSteps:
     def test_uniform_two_stage_steps(self):
         for name, expected in (("gpipe", 20.0), ("1f1b", 15.0), ("zero-bubble", 13.0)):
             schedule = generate_schedule(name, UNIFORM, 4)
-            result = schedule.replay()
-            assert result.makespan == expected, name
+            assert schedule.makespan == expected, name
             assert critical_path(schedule) == expected, name
 
+    def test_uniform_two_stage_stage_work(self):
+        # Every stage runs 4 unit F cells and 4 B cells: 1F1B's bundle dgrad +
+        # wgrad (2 units), GPipe's also recompute the forward (3 units), and
+        # zero-bubble's carry dgrad alone beside 4 unit W cells.
+        for name, work, step in (("gpipe", 16.0, 20.0), ("1f1b", 12.0, 15.0),
+                                 ("zero-bubble", 12.0, 13.0)):
+            schedule = generate_schedule(name, UNIFORM, 4)
+            assert schedule.stage_work() == (work, work), name
+            assert schedule.stage_work() == tuple(
+                sum(cell.duration for cell in order) for order in schedule.stage_orders
+            ), name
+            assert schedule.makespan == step, name
+
     def test_transfer_delays_stretch_the_pipeline(self):
-        without = one_f_one_b_schedule(UNIFORM, 4).replay().makespan
+        without = one_f_one_b_schedule(UNIFORM, 4).makespan
         with_delay = one_f_one_b_schedule(UNIFORM, 4, fwd_delay=0.25, bwd_delay=0.25)
-        assert with_delay.replay().makespan == pytest.approx(without + 4 * 0.25)
+        assert with_delay.makespan == pytest.approx(without + 4 * 0.25)
+
+    def test_cell_spans_wait_for_transfers_and_the_stage(self):
+        stages = (StageCostVector(1.0, 1.5, 0.5), StageCostVector(2.0, 1.0, 1.0))
+        schedule = zero_bubble_schedule(stages, 1, fwd_delay=0.5, bwd_delay=0.25)
+        spans = {cell.name: (cell.start, cell.end) for cell in schedule.cells()}
+        assert spans == {
+            "F0@s0": (0.0, 1.0),
+            "F0@s1": (1.5, 3.5),  # waits for F0@s0 + 0.5 transfer
+            "B0@s1": (3.5, 4.5),
+            "W0@s1": (4.5, 5.5),
+            "B0@s0": (4.75, 6.25),  # waits for B0@s1 + 0.25 transfer
+            "W0@s0": (6.25, 6.75),  # behind B0@s0 on stage 0
+        }
+        assert schedule.makespan == 6.75
+        assert schedule.stage_work() == (3.0, 4.0)
+        trace = schedule.trace()
+        assert [span.name for span in trace.spans] == [
+            "F0@s0", "F0@s1", "B0@s1", "W0@s1", "B0@s0", "W0@s0",
+        ]
+        trace.validate_stream_order()
 
     def test_dependencies_of_cells(self):
         schedule = one_f_one_b_schedule(UNIFORM, 2, fwd_delay=0.1, bwd_delay=0.2)
-        assert schedule.dependencies(Cell(1, 0, "F", 1.0)) == [("F0@s0", 0.1)]
-        assert schedule.dependencies(Cell(0, 1, "B", 2.0)) == [
+        assert dependencies(schedule, Cell(1, 0, "F", 1.0, 0.0, 1.0)) == [("F0@s0", 0.1)]
+        assert dependencies(schedule, Cell(0, 1, "B", 2.0, 0.0, 2.0)) == [
             ("F1@s0", 0.0), ("B1@s1", 0.2),
         ]
-        assert schedule.dependencies(Cell(0, 1, "W", 1.0)) == [("B1@s0", 0.0)]
+        assert dependencies(schedule, Cell(0, 1, "W", 1.0, 0.0, 1.0)) == [("B1@s0", 0.0)]
 
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="at least one stage"):
@@ -131,3 +133,24 @@ class TestHandComputedSteps:
             one_f_one_b_schedule(UNIFORM, 0)
         with pytest.raises(ValueError, match="non-negative"):
             StageCostVector(-1.0, 1.0, 1.0)
+
+
+class TestEstimatorTraces:
+    def test_only_a_traced_estimate_builds_the_overlap_trace(self, monkeypatch):
+        settings = OverlapSettings()
+        workload = build_pipeline_workload(
+            "llama3-training", stages=2, microbatches=4, layers=4, settings=settings
+        )
+        estimator = PipelineEstimator(settings)
+        traced = estimator.estimate(workload, record_trace=True)
+        for estimate in traced.schedules.values():
+            assert len(estimate.trace.spans) == estimate.num_cells
+
+        def no_trace(schedule):
+            raise AssertionError(f"untraced estimate built a {schedule.name} trace")
+
+        monkeypatch.setattr(Schedule, "trace", no_trace)
+        untraced = estimator.estimate(workload)
+        for name, estimate in untraced.schedules.items():
+            assert estimate.trace is None
+            assert estimate.to_dict() == traced.schedules[name].to_dict()
