@@ -5,8 +5,8 @@ The package mirrors the paper's structure:
 
 * :mod:`repro.gpu` -- GEMM wave/tile execution model and device presets,
 * :mod:`repro.comm` -- NCCL-like collectives (functional + latency models),
-* :mod:`repro.sim` -- event/timeline simulation of two-stream execution,
-* :mod:`repro.tensor` -- tile layouts and mapping tables,
+* :mod:`repro.sim` -- event engine and span traces of two-stream execution,
+* :mod:`repro.tensor` -- tile layouts and the tile gather/scatter helpers,
 * :mod:`repro.core` -- the FlashOverlap design (signaling, reordering, wave
   grouping, predictive tuning) and the baselines it is compared against,
 * :mod:`repro.workloads` -- GEMM shape suites and model-level workloads,

@@ -74,6 +74,24 @@ PLAN_SMOKE = {
 }
 
 
+def _check_names(kind: str, names: Sequence[str], known) -> None:
+    """Reject a name outside ``known``: bad facade input raises ``ValueError``."""
+    for name in names:
+        if name not in known:
+            raise ValueError(f"unknown {kind} {name!r}; known: {sorted(known)}")
+
+
+def _schedules(requested: Sequence[str] | None) -> tuple[str, ...]:
+    """The requested schedules (all when ``None``) in canonical order."""
+    if requested is None:
+        return tuple(KNOWN_SCHEDULES)
+    _check_names("schedule", requested, KNOWN_SCHEDULES)
+    if not requested:
+        raise ValueError(f"no schedules requested; known: {sorted(KNOWN_SCHEDULES)}")
+    # Canonical (bubble-decreasing) order regardless of argument order.
+    return tuple(name for name in KNOWN_SCHEDULES if name in requested)
+
+
 def _profiled(command: str, profile: bool, build):
     """Run ``build()`` under an observability session when ``profile`` is set.
 
@@ -112,6 +130,9 @@ def estimate(
 
     def build() -> EndToEndReport:
         nonlocal layers
+        from repro.workloads.e2e import workload_builders
+
+        _check_names("workload", workloads or (), workload_builders())
         cluster_spec = cluster or ClusterSpec()
         if smoke and layers is None:
             layers = 2
@@ -170,15 +191,12 @@ def pp(
         if layers is None:
             layers = defaults.get("layers")
         names = list(workloads) if workloads else sorted(workload_builders())
-        # Canonical (bubble-decreasing) order regardless of argument order.
-        ordered = tuple(
-            name for name in KNOWN_SCHEDULES if schedules is None or name in schedules
-        )
+        _check_names("workload", names, workload_builders())
         report = estimate_pipelines(
             names=names,
             stages=stages,
             microbatches=microbatches,
-            schedules=ordered,
+            schedules=_schedules(schedules),
             tokens=tokens,
             device=cluster_spec.device_spec,
             topology=cluster_spec.resolve(),
@@ -258,7 +276,7 @@ def serve(
             ServeConfig,
             ServingSimulator,
             TraceArrivals,
-            distribution_by_name,
+            length_distributions,
         )
         from repro.serve.simulator import SERVE_MODELS, SMOKE_SCENARIO
 
@@ -283,14 +301,17 @@ def serve(
                 scenario[name] = value
         if smoke:
             baseline = True
+        _check_names("workload", [scenario["workload"]], SERVE_MODELS)
 
         if trace:
             arrivals = TraceArrivals.from_jsonl(trace)
             traffic = f"trace {trace}"
         else:
+            distributions = length_distributions()
+            _check_names("length distribution", [scenario["distribution"]], distributions)
             arrivals = PoissonArrivals(
                 rate_rps=scenario["rate"],
-                distribution=distribution_by_name(scenario["distribution"]),
+                distribution=distributions[scenario["distribution"]],
                 seed=seed,
                 num_requests=scenario["requests"],
                 duration_s=duration,
@@ -539,7 +560,9 @@ def plan(
     def build():
         nonlocal layers, tp_degrees, microbatch_counts
         from repro.plan import PLAN_METHODS, search_plan
+        from repro.workloads.e2e import workload_builders
 
+        _check_names("workload", [workload], workload_builders())
         cluster_spec = cluster or ClusterSpec(gpus=8)
         if smoke:
             if layers is None:
@@ -557,9 +580,7 @@ def plan(
             microbatch_counts=(
                 tuple(microbatch_counts) if microbatch_counts is not None else None
             ),
-            schedules=tuple(
-                name for name in KNOWN_SCHEDULES if schedules is None or name in schedules
-            ),
+            schedules=_schedules(schedules),
             methods=tuple(methods) if methods is not None else PLAN_METHODS,
             settings=OverlapSettings(seed=seed),
             layer_weights=tuple(layer_weights) if layer_weights is not None else None,

@@ -24,8 +24,7 @@ from repro.comm.primitives import CollectiveModel
 from repro.core.config import DEFAULT_SETTINGS, OverlapProblem, OverlapSettings
 from repro.core.signaling import GroupAssignment
 from repro.core.wave_grouping import WavePartition
-from repro.gpu.kernels import KernelCategory, KernelLaunch
-from repro.sim.timeline import StreamTimeline
+from repro.gpu.kernels import KernelCategory
 from repro.sim.trace import Trace
 
 COMPUTE_STREAM = "compute"
@@ -159,40 +158,34 @@ class OverlapExecutor:
 
         launch = self.problem.device.kernel_launch_seconds
         jitter = self._jitter(partition, partition.num_groups)
-        timeline = StreamTimeline(launch_overhead=0.0)
+        trace = Trace()
         gemm_body = wave_end[-1] - launch
-        timeline.enqueue(
-            COMPUTE_STREAM,
-            KernelLaunch(
-                name=f"gemm[{self.problem.shape.m}x{self.problem.shape.n}x{self.problem.shape.k}]",
-                duration=gemm_body + launch,
-                category=KernelCategory.GEMM,
-                sm_count=self.compute_sms,
-            ),
+        shape = self.problem.shape
+        trace.record(
+            COMPUTE_STREAM, f"gemm[{shape.m}x{shape.n}x{shape.k}]", 0.0, gemm_body + launch,
+            KernelCategory.GEMM,
         )
 
+        # One communication stream: a group's collective starts once its
+        # signal is polled and launched, and once the previous one drained.
         comm_start = np.zeros(partition.num_groups)
         comm_end = np.zeros(partition.num_groups)
+        end = 0.0
         for group_index in range(partition.num_groups):
-            duration = self.comm_model.latency(payloads[group_index]) * jitter[group_index]
-            span = timeline.enqueue(
-                COMM_STREAM,
-                KernelLaunch(
-                    name=f"{self.comm_model.kind.short_name}-G{group_index + 1}",
-                    duration=duration,
-                    category=KernelCategory.COMMUNICATION,
-                    sm_count=self.comm_model.sm_cost,
-                ),
-                not_before=ready[group_index] + self.settings.comm_launch_s,
+            start = max(end, ready[group_index] + self.settings.comm_launch_s)
+            end = start + self.comm_model.latency(payloads[group_index]) * jitter[group_index]
+            trace.record(
+                COMM_STREAM, f"{self.comm_model.kind.short_name}-G{group_index + 1}", start, end,
+                KernelCategory.COMMUNICATION,
             )
-            comm_start[group_index] = span.start
-            comm_end[group_index] = span.end
+            comm_start[group_index] = start
+            comm_end[group_index] = end
 
-        timeline.trace.validate_stream_order()
+        trace.validate_stream_order()
         return OverlapResult(
             latency=float(comm_end[-1]),
             partition=partition,
-            trace=timeline.trace,
+            trace=trace,
             group_compute_ready=ready,
             group_comm_start=comm_start,
             group_comm_end=comm_end,
@@ -216,32 +209,20 @@ class OverlapExecutor:
         gemm_duration = gemm.duration(include_launch=True) * self.problem.imbalance
         payload = self.problem.output_bytes() * self.problem.imbalance
         comm_duration = self.comm_model.latency(payload)
-        timeline = StreamTimeline(launch_overhead=0.0)
-        timeline.enqueue(
-            COMPUTE_STREAM,
-            KernelLaunch(
-                name="gemm[sequential]",
-                duration=gemm_duration,
-                category=KernelCategory.GEMM,
-                sm_count=self.problem.device.sm_count,
-            ),
-        )
-        span = timeline.enqueue(
-            COMM_STREAM,
-            KernelLaunch(
-                name=f"{self.comm_model.kind.short_name}-full",
-                duration=comm_duration,
-                category=KernelCategory.COMMUNICATION,
-                sm_count=self.comm_model.sm_cost,
-            ),
-            not_before=gemm_duration + self.settings.comm_launch_s,
+        comm_start = gemm_duration + self.settings.comm_launch_s
+        comm_end = comm_start + comm_duration
+        trace = Trace()
+        trace.record(COMPUTE_STREAM, "gemm[sequential]", 0.0, gemm_duration, KernelCategory.GEMM)
+        trace.record(
+            COMM_STREAM, f"{self.comm_model.kind.short_name}-full", comm_start, comm_end,
+            KernelCategory.COMMUNICATION,
         )
         return OverlapResult(
-            latency=float(span.end),
+            latency=float(comm_end),
             partition=partition,
-            trace=timeline.trace,
+            trace=trace,
             group_compute_ready=np.array([gemm_duration]),
-            group_comm_start=np.array([span.start]),
-            group_comm_end=np.array([span.end]),
+            group_comm_start=np.array([comm_start]),
+            group_comm_end=np.array([comm_end]),
             metadata={"sequential_fallback": True, "launch": launch},
         )

@@ -3,20 +3,24 @@
 :class:`FlashOverlapOperator` ties the pieces together for one
 "GEMM + collective" instance:
 
-1. :meth:`plan` runs the offline + online tuning stages and produces an
-   :class:`OverlapPlan` -- the wave-group partition, the tile-to-group
-   assignment and the reordering plan;
-2. :meth:`simulate` executes the plan on the simulated device and returns the
+1. :meth:`simulate` runs the offline + online tuning stages (memoized) and
+   executes the tuned partition on the simulated device, returning the
    latency/trace (what every performance benchmark measures);
-3. :meth:`run_numeric` executes the plan on NumPy data and checks it against
-   the plain collective (what the correctness tests assert);
-4. :meth:`report` compares against the sequential baseline and the perfect
-   -overlap bound.
+2. :meth:`report` compares that against the sequential baseline and the
+   perfect-overlap bound;
+3. :meth:`plan` resolves the functional :class:`OverlapPlan` -- the
+   wave-group partition, the tile-to-group assignment and the reordering
+   plan -- which :meth:`run_numeric` executes on NumPy data and checks
+   against the plain collective (what the correctness tests assert).
+
+Pricing needs only the partition and the fallback flag of the tuning
+result, so :meth:`simulate`, :meth:`report` and :meth:`speedup` never build
+the per-tile assignment or the reordering plan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +28,6 @@ from repro.comm.primitives import CollectiveKind
 from repro.core.baselines import NonOverlapBaseline
 from repro.core.config import DEFAULT_SETTINGS, OverlapProblem, OverlapSettings
 from repro.core.executor import OverlapExecutor, OverlapResult
-from repro.core.predictor import OfflineProfile
 from repro.core.reordering import (
     PipelineResult,
     ReorderPlan,
@@ -99,12 +102,19 @@ class FlashOverlapOperator:
         self.settings = settings
         self.executor = OverlapExecutor(problem, settings)
         self.tuner = PredictiveTuner(settings)
+        self._tuning: TuningResult | None = None
         self._cached_plan: OverlapPlan | None = None
 
     # -- planning ----------------------------------------------------------------
 
+    def _tuned(self) -> TuningResult:
+        """The predictive tuner's pick for this problem (memoized)."""
+        if self._tuning is None:
+            self._tuning = self.tuner.tune(self.problem)
+        return self._tuning
+
     def plan(self, partition: WavePartition | None = None) -> OverlapPlan:
-        """Produce (and cache) the overlap plan.
+        """Produce (and cache) the functional overlap plan.
 
         When ``partition`` is omitted, the predictive tuner picks it; passing
         one explicitly is how the ablation studies evaluate fixed or
@@ -114,8 +124,7 @@ class FlashOverlapOperator:
         if partition is None:
             if self._cached_plan is not None:
                 return self._cached_plan
-            profile = OfflineProfile.build(self.problem, self.settings)
-            tuning = self.tuner.tune(self.problem, profile)
+            tuning = self._tuned()
             partition = tuning.partition
         assignment = self.executor.assignment(partition)
         reorder = build_reorder_plan(
@@ -138,10 +147,15 @@ class FlashOverlapOperator:
     # -- performance ---------------------------------------------------------------
 
     def simulate(self, plan: OverlapPlan | None = None) -> OverlapResult:
-        plan = plan or self.plan()
-        if not plan.use_overlap:
+        """Simulate ``plan``, or the tuned partition when it is omitted."""
+        if plan is None:
+            tuning = self._tuned()
+            use_overlap, partition = tuning.use_overlap, tuning.partition
+        else:
+            use_overlap, partition = plan.use_overlap, plan.partition
+        if not use_overlap:
             return self.executor.simulate_sequential()
-        return self.executor.simulate(plan.partition)
+        return self.executor.simulate(partition)
 
     def report(self, plan: OverlapPlan | None = None) -> SpeedupReport:
         """Compare the overlapped execution against the sequential baseline."""

@@ -26,26 +26,12 @@ from repro.comm.collectives import all_reduce, all_to_all, reduce_scatter_flat
 from repro.comm.primitives import CollectiveKind
 from repro.core.signaling import CountingTable, GroupAssignment
 from repro.tensor.layout import TileLayout
-from repro.tensor.mapping import MappingTable
 from repro.tensor.tiles import gather_tiles_indexed, scatter_tiles_indexed, tile_flat_indices
 
 
 # ---------------------------------------------------------------------------
 # Plan construction
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GroupReorderPlan:
-    """Packing order of one wave group's communication buffer."""
-
-    group_index: int
-    tile_order: tuple[int, ...]
-    mapping: MappingTable
-
-    @property
-    def num_tiles(self) -> int:
-        return len(self.tile_order)
 
 
 @dataclass(frozen=True)
@@ -75,17 +61,20 @@ class SubtokenIndex:
 class ReorderPlan:
     """Full reordering plan of one overlapped operator.
 
-    Beyond the per-group packing orders, the plan lazily precomputes (and
-    caches) the flat index permutations that turn every pre/post-communication
-    reorder into a single ``np.take`` / fancy-index assignment -- the
-    per-tile/per-row loops in :mod:`repro.tensor.tiles` remain as the
-    reference implementation the cached indices are validated against.
+    ``groups[g]`` is the packing order of wave group ``g``'s communication
+    buffer: its tiles in execution order, so a tile's buffer position is its
+    offset in that tuple.  Beyond the packing orders, the plan lazily
+    precomputes (and caches) the flat index permutations that turn every
+    pre/post-communication reorder into a single ``np.take`` / fancy-index
+    assignment -- the per-tile/per-row loops in :mod:`repro.tensor.tiles`
+    remain as the reference implementation the cached indices are validated
+    against.
     """
 
     collective: CollectiveKind
     layout: TileLayout
     n_gpus: int
-    groups: tuple[GroupReorderPlan, ...]
+    groups: tuple[tuple[int, ...], ...]
 
     @property
     def num_groups(self) -> int:
@@ -104,13 +93,13 @@ class ReorderPlan:
         """Flat matrix indices of one group's tile-level packing order.
 
         ``matrix.flat[result]`` equals ``gather_tiles(matrix, layout,
-        tile_order)``; computed once per (plan, group) and reused by every
-        pipeline execution.
+        groups[group_index])``; computed once per (plan, group) and reused by
+        every pipeline execution.
         """
         cache = self._index_cache()
         key = ("tile", group_index)
         if key not in cache:
-            cache[key] = tile_flat_indices(self.layout, self.groups[group_index].tile_order)
+            cache[key] = tile_flat_indices(self.layout, self.groups[group_index])
         return cache[key]
 
     def group_subtile_indices(self, group_index: int) -> np.ndarray:
@@ -125,7 +114,7 @@ class ReorderPlan:
         key = ("subtile", group_index)
         if key not in cache:
             sub_rows = self.layout.tile_m // self.n_gpus
-            order = self.groups[group_index].tile_order
+            order = self.groups[group_index]
             cache[key] = np.concatenate(
                 [
                     tile_flat_indices(self.layout, order, row_limit=(k * sub_rows, (k + 1) * sub_rows))
@@ -143,7 +132,7 @@ class ReorderPlan:
             rows_per_gpu = []
             for k in range(self.n_gpus):
                 rows: list[int] = []
-                for tile in self.groups[group_index].tile_order:
+                for tile in self.groups[group_index]:
                     rs, _ = self.layout.tile_slices(tile)
                     rows.extend(range(rs.start + k * sub_rows, rs.start + (k + 1) * sub_rows))
                 rows_per_gpu.append(rows)
@@ -155,7 +144,7 @@ class ReorderPlan:
         cache = self._index_cache()
         key = ("subtoken", group_index)
         if key not in cache:
-            order = self.groups[group_index].tile_order
+            order = self.groups[group_index]
             rows_parts, cb_parts, len_parts = [], [], []
             for tile in order:
                 rs, cs = self.layout.tile_slices(tile)
@@ -177,23 +166,9 @@ class ReorderPlan:
             )
         return cache[key]
 
-    def global_mapping(self) -> MappingTable:
-        """Tile-level mapping table across all groups (Fig. 5's table)."""
-        table = MappingTable()
-        for group in self.groups:
-            for tile in group.tile_order:
-                table.append(tile)
-        return table
-
-    def all_tiles(self) -> list[int]:
-        tiles: list[int] = []
-        for group in self.groups:
-            tiles.extend(group.tile_order)
-        return tiles
-
     def validate(self) -> None:
         """Check that the plan covers every tile exactly once."""
-        tiles = self.all_tiles()
+        tiles = [tile for group in self.groups for tile in group]
         if sorted(tiles) != list(range(self.layout.num_tiles)):
             raise ValueError("reorder plan does not cover every tile exactly once")
 
@@ -213,17 +188,8 @@ def build_reorder_plan(
     """
     if n_gpus < 1:
         raise ValueError("n_gpus must be >= 1")
-    groups = []
-    position = 0
-    for group_index, tiles in enumerate(group_tiles):
-        mapping = MappingTable()
-        for tile in tiles:
-            mapping.append(int(tile), position)
-            position += 1
-        groups.append(
-            GroupReorderPlan(group_index=group_index, tile_order=tuple(int(t) for t in tiles), mapping=mapping)
-        )
-    plan = ReorderPlan(collective=collective, layout=layout, n_gpus=n_gpus, groups=tuple(groups))
+    groups = tuple(tuple(int(tile) for tile in tiles) for tiles in group_tiles)
+    plan = ReorderPlan(collective=collective, layout=layout, n_gpus=n_gpus, groups=groups)
     plan.validate()
     return plan
 
@@ -295,11 +261,11 @@ def run_allreduce_pipeline(
 
     inputs = [np.asarray(m, dtype=np.float64) for m in matrices]
     outputs = [np.zeros((layout.m, layout.n), dtype=np.float64) for _ in matrices]
-    for group in plan.groups:
+    for group_index in range(plan.num_groups):
         if table is not None:
-            table.assert_ready(group.group_index)
+            table.assert_ready(group_index)
         # Pre-communication reorder: pack the group's tiles contiguously.
-        indices = plan.group_flat_indices(group.group_index)
+        indices = plan.group_flat_indices(group_index)
         buffers = [gather_tiles_indexed(m, indices) for m in inputs]
         # Communication-agnostic NCCL call on the contiguous buffers.
         reduced = all_reduce(buffers)
@@ -365,18 +331,18 @@ def run_reduce_scatter_pipeline(
     owned_values = [np.zeros((layout.m, layout.n), dtype=np.float64) for _ in range(n)]
     owned_rows: list[set[int]] = [set() for _ in range(n)]
 
-    for group in plan.groups:
+    for group_index in range(plan.num_groups):
         if table is not None:
-            table.assert_ready(group.group_index)
+            table.assert_ready(group_index)
         # Pre-communication reorder: for NCCL ReduceScatter the buffer is laid
         # out so that the k-th contiguous chunk holds the k-th sub-tile of
         # every tile in the group.
-        indices = plan.group_subtile_indices(group.group_index)
+        indices = plan.group_subtile_indices(group_index)
         buffers = [gather_tiles_indexed(matrix, indices) for matrix in inputs]
         received = reduce_scatter_flat(buffers)
         # Unpack: GPU k received the reduced k-th sub-tile of every tile.
         chunk_size = indices.size // n
-        group_rows = plan.group_subtile_rows(group.group_index)
+        group_rows = plan.group_subtile_rows(group_index)
         for k in range(n):
             scatter_tiles_indexed(
                 owned_values[k], indices[k * chunk_size : (k + 1) * chunk_size], received[k]
@@ -472,10 +438,9 @@ def _all_to_all_indexed(
             plan = plans[src]
             if group_round >= plan.num_groups:
                 continue
-            group = plan.groups[group_round]
             if tables[src] is not None:
-                tables[src].assert_ready(group.group_index)
-            index = plan.group_subtoken_index(group.group_index)
+                tables[src].assert_ready(group_round)
+            index = plan.group_subtoken_index(group_round)
             token_dst = dest_arrays[src][index.rows]
             for dst in range(n):
                 token_mask = token_dst == dst

@@ -6,9 +6,9 @@ stack:
 
 * :mod:`repro.e2e.estimator` -- resolves each distinct operator shape once
   through a shared exact-shape :class:`~repro.plans.PlanCache` (cross-layer
-  and cross-model plan reuse, with hit/miss stats), then replays the full
-  stream on :class:`~repro.sim.engine.EventEngine` into whole-model
-  latencies and an exportable timeline trace;
+  and cross-model plan reuse, with hit/miss stats), then runs the full
+  stream back to back into whole-model latencies and an exportable timeline
+  trace;
 * :mod:`repro.e2e.report` -- aggregates several workloads into the
   Table-4-style comparison (non-overlap vs FlashOverlap vs perfect-overlap
   bound, per-operator and Fig. 4 pattern breakdowns).

@@ -9,10 +9,10 @@ runs that stream end to end:
    problem is tuned and ground-truth-simulated exactly once -- repeated
    layers (and shapes shared across workloads) are cache hits;
 2. the full stream -- ``layers`` repetitions of the per-layer operator list --
-   is then replayed on the discrete-event engine
-   (:class:`~repro.sim.engine.EventEngine`), producing the whole-model
-   latency and a :class:`~repro.sim.trace.Trace` that can be exported to
-   Chrome trace format;
+   runs back to back on one stream: the whole-model latency is the in-order
+   sum of the occurrence latencies, and an optional
+   :class:`~repro.sim.trace.Trace` (one span per occurrence) can be exported
+   to Chrome trace format;
 3. the same stream is priced under the non-overlap baseline and the
    perfect-overlap bound, giving the Table 4 comparison (overlap vs
    sequential vs bound) per layer and per model.
@@ -31,7 +31,6 @@ from repro import obs
 from repro.core.config import DEFAULT_SETTINGS, OverlapSettings
 from repro.gpu.kernels import KernelCategory
 from repro.plans import CachedPlan, PlanCache
-from repro.sim.engine import EventEngine
 from repro.sim.trace import Trace
 from repro.workloads.operators import EndToEndWorkload, OperatorInstance
 
@@ -102,7 +101,7 @@ class WorkloadEstimate:
     #: One entry per operator of one layer, in stream order (first layer's
     #: cache-hit flags; later layers hit the store by construction).
     operators: list[OperatorEstimate]
-    overlap_total: float  # event-engine makespan of the overlapped stream
+    overlap_total: float  # makespan of the overlapped stream
     non_overlap_total: float
     theoretical_total: float
     plan_stats: dict = field(default_factory=dict)  # store-hit deltas of this estimate
@@ -224,42 +223,24 @@ class EndToEndEstimator:
     def _run_stream(
         self, per_layer: list[OperatorEstimate], layers: int, record_trace: bool
     ) -> tuple[float, Trace | None]:
-        """Replay the full operator stream on the event engine.
+        """Run the full operator stream back to back on one stream.
 
-        Each occurrence is one event chained after its predecessor, so the
-        makespan is the in-order float sum of the occurrence latencies --
+        The makespan is the in-order float sum of the occurrence latencies --
         exactly what summing independently simulated operators yields (the
         differential tests assert bit-equality).
         """
-        engine = EventEngine()
         trace = Trace() if record_trace else None
-        occurrences: list[tuple[str, float, KernelCategory]] = []
+        now = 0.0
         for layer in range(layers):
             for estimate in per_layer:
                 for _ in range(estimate.count):
-                    occurrences.append(
-                        (
-                            f"L{layer}/{estimate.name}",
-                            estimate.overlap_latency,
+                    start, now = now, now + estimate.overlap_latency
+                    if trace is not None:
+                        trace.record(
+                            STREAM, f"L{layer}/{estimate.name}", start, now,
                             self._category(estimate),
                         )
-                    )
-        iterator = iter(occurrences)
-
-        def start_next() -> None:
-            item = next(iterator, None)
-            if item is None:
-                return
-            engine.schedule_after(item[1], finish, item, engine.now)
-
-        def finish(item: tuple[str, float, KernelCategory], start: float) -> None:
-            if trace is not None:
-                trace.record(STREAM, item[0], start, engine.now, item[2])
-            start_next()
-
-        engine.schedule(0.0, start_next)
-        engine.run()
-        return engine.now, trace
+        return now, trace
 
     # -- entry point -----------------------------------------------------------------
 

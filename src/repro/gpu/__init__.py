@@ -13,8 +13,8 @@ all of that analytically for a configurable device:
 * :mod:`repro.gpu.epilogue` -- functional element-wise kernels (RMSNorm, bias,
   activations) and the memory-traffic overhead model of the fused reorderings
   (Table 5),
-* :mod:`repro.gpu.kernels` -- light kernel-launch descriptors shared with the
-  simulator.
+* :mod:`repro.gpu.kernels` -- the kernel categories the simulator's traces
+  are tagged with.
 """
 
 from repro.gpu.device import (
@@ -37,7 +37,7 @@ from repro.gpu.epilogue import (
     rmsnorm,
     silu,
 )
-from repro.gpu.kernels import KernelLaunch, KernelCategory
+from repro.gpu.kernels import KernelCategory
 
 __all__ = [
     "GPUSpec",
@@ -60,6 +60,5 @@ __all__ = [
     "bias_add",
     "relu",
     "silu",
-    "KernelLaunch",
     "KernelCategory",
 ]

@@ -1,9 +1,8 @@
-"""Light kernel-launch descriptors shared by the simulator and the planners."""
+"""Kernel categories shared by the simulator's traces and breakdowns."""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 
 class KernelCategory(enum.Enum):
@@ -15,38 +14,3 @@ class KernelCategory(enum.Enum):
     ELEMENTWISE = "elementwise"
     REORDER = "reorder"
     OTHER = "other"
-
-
-@dataclass(frozen=True)
-class KernelLaunch:
-    """One kernel enqueued on a stream.
-
-    ``duration`` is the modeled execution time in seconds (excluding launch
-    overhead, which the stream/timeline adds per launch).  ``sm_count`` is the
-    number of SMs the kernel occupies while running; it is informational for
-    most kernels but drives the contention model for communication kernels.
-    """
-
-    name: str
-    duration: float
-    category: KernelCategory = KernelCategory.OTHER
-    sm_count: int = 0
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ValueError(f"kernel {self.name!r} has negative duration")
-        if self.sm_count < 0:
-            raise ValueError(f"kernel {self.name!r} has negative SM count")
-
-    def scaled(self, factor: float) -> "KernelLaunch":
-        """Return a copy with the duration scaled by ``factor``."""
-        if factor < 0:
-            raise ValueError("scale factor must be non-negative")
-        return KernelLaunch(
-            name=self.name,
-            duration=self.duration * factor,
-            category=self.category,
-            sm_count=self.sm_count,
-            metadata=dict(self.metadata),
-        )

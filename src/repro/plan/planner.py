@@ -284,6 +284,12 @@ def search_plan(
     # Inputs that fail every shell alike are the caller's error, not
     # infeasible candidates.
     check_pipeline_inputs(workload, tokens)
+    if layers is not None and layers < 1:
+        raise ValueError("layers must be >= 1")
+    if max_configs is not None and max_configs < 1:
+        raise ValueError("max_configs must be >= 1")
+    if deadline_s is not None and deadline_s < 0:
+        raise ValueError("the deadline must be >= 0 seconds")
 
     # Search accounting is registered up front so the counters appear in every
     # profile snapshot, even for searches that never prune or skip a batch.

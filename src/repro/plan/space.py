@@ -73,10 +73,17 @@ def enumerate_shells(
     tp_degrees: Sequence[int] | None = None,
     microbatch_counts: Sequence[int] | None = None,
 ) -> tuple[list[CandidateShell], list[SkippedCandidate]]:
-    """Expand the requested axes into feasible shells plus skip records."""
+    """Expand the requested axes into feasible shells plus skip records.
+
+    A non-positive TP degree or microbatch count is malformed input, not an
+    infeasible candidate, and raises ``ValueError``.
+    """
     total = cluster.total_gpus
     degrees = tuple(tp_degrees) if tp_degrees else default_tp_degrees(total)
     counts = tuple(microbatch_counts) if microbatch_counts else DEFAULT_MICROBATCH_COUNTS
+    for axis, values in (("TP degrees", degrees), ("microbatch counts", counts)):
+        if min(values, default=1) < 1:
+            raise ValueError(f"{axis} must be >= 1, got {sorted(values)}")
 
     shells: list[CandidateShell] = []
     skipped: list[SkippedCandidate] = []
@@ -95,10 +102,5 @@ def enumerate_shells(
             continue
         stages = total // tp
         for microbatches in sorted(set(counts)):
-            if microbatches < 1:
-                skipped.append(
-                    SkippedCandidate(tp, stages, microbatches, "microbatches must be >= 1")
-                )
-                continue
             shells.append(CandidateShell(tp=tp, stages=stages, microbatches=microbatches))
     return shells, skipped

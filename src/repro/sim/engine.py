@@ -22,7 +22,6 @@ class _ScheduledEvent:
     callback: Callable[..., Any] = field(compare=False)
     args: tuple = field(compare=False, default=())
     cancelled: bool = field(compare=False, default=False)
-    executed: bool = field(compare=False, default=False)
 
 
 class EventEngine:
@@ -33,7 +32,6 @@ class EventEngine:
         self._counter = itertools.count()
         self._now = 0.0
         self._processed = 0
-        self._pending = 0
 
     @property
     def now(self) -> float:
@@ -45,22 +43,12 @@ class EventEngine:
         """Number of events executed so far."""
         return self._processed
 
-    @property
-    def pending_events(self) -> int:
-        """Number of live (non-cancelled) events still queued.
-
-        Maintained as a counter updated on schedule/cancel/execute, so the
-        query is O(1) instead of scanning the heap.
-        """
-        return self._pending
-
     def schedule(self, time: float, callback: Callable[..., Any], *args: Any) -> _ScheduledEvent:
         """Schedule ``callback(*args)`` at absolute simulation time ``time``."""
         if time < self._now:
             raise ValueError(f"cannot schedule event at {time} before now ({self._now})")
         event = _ScheduledEvent(time=time, sequence=next(self._counter), callback=callback, args=args)
         heapq.heappush(self._queue, event)
-        self._pending += 1
         return event
 
     def schedule_after(self, delay: float, callback: Callable[..., Any], *args: Any) -> _ScheduledEvent:
@@ -74,10 +62,7 @@ class EventEngine:
 
         Cancelling an already-cancelled or already-executed event is a no-op.
         """
-        if event.cancelled or event.executed:
-            return
         event.cancelled = True
-        self._pending -= 1
 
     def next_event_time(self) -> float | None:
         """Time of the next live event, or None when the queue is drained.
@@ -100,43 +85,13 @@ class EventEngine:
             raise ValueError(f"cannot advance the clock to {time} before now ({self._now})")
         self._now = time
 
-    def run(self, until: float | None = None, max_events: int | None = None) -> float:
-        """Run events until the queue drains (or a limit is reached).
-
-        With ``until=T`` the clock always lands on ``min(T, next-event
-        time)`` -- whether events executed, none were due, or the loop
-        stopped on an event scheduled past ``T`` (``max_events`` exhaustion
-        leaves the clock at the last executed event instead: the caller
-        limited execution, not time).  Returns the final simulation time.
-        """
-        executed = 0
+    def run(self) -> float:
+        """Run events until the queue drains; return the final simulation time."""
         while self._queue:
-            if max_events is not None and executed >= max_events:
-                return self._now
-            event = self._queue[0]
-            if until is not None and event.time > until:
-                break
-            heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)
             if event.cancelled:
                 continue
-            event.executed = True
-            self._pending -= 1
             self._now = max(self._now, event.time)
             event.callback(*event.args)
             self._processed += 1
-            executed += 1
-        if until is not None:
-            upcoming = self.next_event_time()
-            self._now = max(self._now, until if upcoming is None else min(until, upcoming))
         return self._now
-
-    def reset(self) -> None:
-        """Drop all pending events and rewind the clock to zero."""
-        for event in self._queue:
-            # Mark dropped events so a cancel() through a stale handle cannot
-            # decrement the pending counter of the post-reset engine.
-            event.cancelled = True
-        self._queue.clear()
-        self._now = 0.0
-        self._processed = 0
-        self._pending = 0

@@ -8,14 +8,12 @@ tile, used for All-to-All).  This package provides:
 
 * :class:`~repro.tensor.layout.TileLayout` -- the tile grid geometry of an
   ``M x N`` output matrix,
-* :class:`~repro.tensor.mapping.MappingTable` -- the original-index to
-  reordered-index table used by the pre/post communication reorderings,
 * helpers in :mod:`repro.tensor.tiles` to gather tiles (or sub-units) into a
-  contiguous communication buffer and scatter them back.
+  contiguous communication buffer and scatter them back; the packing order of
+  each buffer is a tile tuple of :class:`~repro.core.reordering.ReorderPlan`.
 """
 
 from repro.tensor.layout import TileLayout
-from repro.tensor.mapping import MappingTable
 from repro.tensor.tiles import (
     extract_tile,
     gather_tiles,
@@ -26,7 +24,6 @@ from repro.tensor.tiles import (
 
 __all__ = [
     "TileLayout",
-    "MappingTable",
     "extract_tile",
     "gather_tiles",
     "scatter_tile",

@@ -25,10 +25,10 @@ def allreduce_reference(matrices: Sequence[np.ndarray], plan: ReorderPlan) -> li
     inputs = [np.asarray(m, dtype=np.float64) for m in matrices]
     outputs = [np.zeros((layout.m, layout.n), dtype=np.float64) for _ in matrices]
     for group in plan.groups:
-        buffers = [gather_tiles(m, layout, group.tile_order) for m in inputs]
+        buffers = [gather_tiles(m, layout, group) for m in inputs]
         reduced = all_reduce(buffers)
         for gpu, out in enumerate(outputs):
-            scatter_tiles(out, layout, group.tile_order, reduced[gpu])
+            scatter_tiles(out, layout, group, reduced[gpu])
     return outputs
 
 
@@ -55,7 +55,7 @@ def reduce_scatter_reference(
         for matrix in inputs:
             chunks = []
             for k in range(n):
-                for tile in group.tile_order:
+                for tile in group:
                     rs, cs = layout.tile_slices(tile)
                     sub = matrix[rs.start + k * sub_rows : rs.start + (k + 1) * sub_rows, cs]
                     chunks.append(sub.ravel())
@@ -64,7 +64,7 @@ def reduce_scatter_reference(
         for k in range(n):
             chunk = received[k]
             offset = 0
-            for tile in group.tile_order:
+            for tile in group:
                 rs, cs = layout.tile_slices(tile)
                 size = sub_rows * layout.tile_n
                 block = chunk[offset : offset + size].reshape(sub_rows, layout.tile_n)
@@ -124,7 +124,7 @@ def all_to_all_reference(
             matrix = inputs[src]
             dests = dest_arrays[src]
             layout = plan.layout
-            for tile in group.tile_order:
+            for tile in group:
                 rs, cs = layout.tile_slices(tile)
                 _, col_block = layout.tile_coords(tile)
                 for row in range(rs.start, rs.stop):

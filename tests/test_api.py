@@ -95,6 +95,33 @@ class TestReportProtocol:
             api.sweep(["smoke"], config="matrix.json", out=tmp_path / "r.jsonl")
 
 
+class TestBadInput:
+    """Every malformed facade argument raises ``ValueError`` before any work."""
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: api.estimate(["nope"]), "unknown workload 'nope'"),
+        (lambda: api.serve(workload="nope"), "unknown workload 'nope'"),
+        (lambda: api.serve(distribution="nope"), "unknown length distribution 'nope'"),
+        (lambda: api.pp(["nope"], smoke=True), "unknown workload 'nope'"),
+        (lambda: api.pp(schedules=["bogus"], smoke=True), "unknown schedule 'bogus'"),
+        (lambda: api.pp(schedules=[], smoke=True), "no schedules requested"),
+        (lambda: api.plan("nope", smoke=True), "unknown workload 'nope'"),
+        (lambda: api.plan(schedules=["bogus"], smoke=True), "unknown schedule 'bogus'"),
+        (lambda: api.plan(layers=0, smoke=True), "layers must be >= 1"),
+        (lambda: api.plan(tp_degrees=[0], smoke=True), "TP degrees must be >= 1"),
+        (lambda: api.plan(microbatch_counts=[0], smoke=True), "microbatch counts must be >= 1"),
+        (lambda: api.plan(max_configs=0, smoke=True), "max_configs must be >= 1"),
+        (lambda: api.plan(deadline=-1, smoke=True), "deadline must be >= 0"),
+    ], ids=[
+        "estimate-workload", "serve-workload", "serve-distribution", "pp-workload",
+        "pp-schedule", "pp-no-schedule", "plan-workload", "plan-schedule", "plan-layers",
+        "plan-tp", "plan-microbatches", "plan-max-configs", "plan-deadline",
+    ])
+    def test_raises_value_error(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
 class TestClusterSpec:
     def test_paper_default_resolves_to_none(self):
         assert ClusterSpec().resolve() is None

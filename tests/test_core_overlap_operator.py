@@ -9,6 +9,19 @@ from repro.core.wave_grouping import WavePartition
 from repro.gpu.gemm import GemmShape
 
 
+def _fallback_problem() -> OverlapProblem:
+    """Tiny communication under heavy SM contention: the tuner falls back."""
+    from repro.comm.topology import a800_nvlink
+    from repro.gpu.device import A800
+
+    return OverlapProblem(
+        shape=GemmShape(4096, 4096, 16384),
+        device=A800,
+        topology=a800_nvlink(2),
+        collective=CollectiveKind.REDUCE_SCATTER,
+    )
+
+
 @pytest.fixture
 def operator(small_problem, fast_settings):
     return FlashOverlapOperator(small_problem, fast_settings)
@@ -43,6 +56,34 @@ class TestPlanning:
         assert plan.tuning is not None
         assert plan.tuning.partition == plan.partition
 
+    def test_tuner_runs_once_for_pricing_and_planning(self, paper_operator, monkeypatch):
+        tune = paper_operator.tuner.tune
+        calls = []
+
+        def counting_tune(problem, *args):
+            calls.append(problem)
+            return tune(problem, *args)
+
+        monkeypatch.setattr(paper_operator.tuner, "tune", counting_tune)
+        result = paper_operator.simulate()
+        paper_operator.report()
+        paper_operator.speedup()
+        plan = paper_operator.plan()
+        assert calls == [paper_operator.problem]
+        assert result.partition == plan.partition == plan.tuning.partition
+
+    def test_explicit_partition_is_priced_as_given(self, paper_operator):
+        waves = paper_operator.executor.num_waves()
+        partition = WavePartition.equal_groups(waves, 3)
+        explicit = paper_operator.plan(partition)
+        assert explicit.use_overlap
+        assert paper_operator.simulate(explicit).latency == (
+            paper_operator.executor.simulate(partition).latency
+        )
+        assert paper_operator.report(explicit).overlap_latency == (
+            paper_operator.simulate(explicit).latency
+        )
+
 
 class TestPerformance:
     def test_report_fields_consistent(self, paper_operator):
@@ -68,17 +109,7 @@ class TestPerformance:
         assert tuned <= misconfigured
 
     def test_sequential_fallback_used_when_overlap_hurts(self, fast_settings):
-        # Tiny communication + heavy SM contention: the tuner should fall back.
-        from repro.comm.topology import a800_nvlink
-        from repro.gpu.device import A800
-
-        problem = OverlapProblem(
-            shape=GemmShape(4096, 4096, 16384),
-            device=A800,
-            topology=a800_nvlink(2),
-            collective=CollectiveKind.REDUCE_SCATTER,
-        )
-        operator = FlashOverlapOperator(problem, fast_settings)
+        operator = FlashOverlapOperator(_fallback_problem(), fast_settings)
         report = operator.report()
         # Whether or not the fallback triggers, FlashOverlap never loses more
         # than the modeling noise against the sequential execution.
@@ -88,6 +119,42 @@ class TestPerformance:
         plan = paper_operator.plan(WavePartition.equal_groups(paper_operator.executor.num_waves(), 2))
         result = paper_operator.simulate(plan)
         assert result.partition == plan.partition
+
+
+class TestPricingBuildsNoFunctionalPlan:
+    """``simulate``/``report``/``speedup`` and ``compare_methods`` price from the
+    tuning result alone: no tile-to-group assignment, no reorder plan."""
+
+    @pytest.mark.parametrize("problem_name", ["paper_problem_4090", "fallback"])
+    def test_pricing_matches_the_functional_plan(self, request, problem_name, monkeypatch):
+        from repro.analysis.speedup import compare_methods
+        from repro.core.baselines import NonOverlapBaseline
+        from repro.core.config import DEFAULT_SETTINGS
+        from repro.core.signaling import GroupAssignment
+
+        problem = (
+            _fallback_problem() if problem_name == "fallback"
+            else request.getfixturevalue(problem_name)
+        )
+        expected_operator = FlashOverlapOperator(problem)
+        plan = expected_operator.plan()
+        assert plan.use_overlap is (problem_name != "fallback")
+        expected = expected_operator.simulate(plan).latency
+        non_overlap = NonOverlapBaseline(DEFAULT_SETTINGS).latency(problem)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("pricing built a functional plan")
+
+        monkeypatch.setattr(GroupAssignment, "build", forbidden)
+        monkeypatch.setattr("repro.core.overlap.build_reorder_plan", forbidden)
+        operator = FlashOverlapOperator(problem)
+        assert operator.simulate().latency == expected
+        report = operator.report()
+        assert report.overlap_latency == expected
+        assert report.non_overlap_latency == non_overlap
+        assert operator.speedup() == non_overlap / expected
+        comparison = compare_methods(problem)
+        assert comparison.speedups["flashoverlap"] == non_overlap / expected
 
 
 class TestNumericCorrectness:

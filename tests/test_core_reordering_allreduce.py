@@ -85,9 +85,54 @@ class TestAllReducePipeline:
         with pytest.raises(ValueError):
             build_reorder_plan(CollectiveKind.ALL_REDUCE, small_layout, [[0, 1]], 4)
 
-    def test_mapping_table_is_global_permutation(self, small_layout):
+
+class TestReorderPlanGroups:
+    """``ReorderPlan.groups``: each group's packing order, i.e. the buffer
+    position of every tile."""
+
+    def test_groups_are_a_global_permutation(self, small_layout):
         partition = WavePartition((1, 2, 1))
         plan, _, _ = make_plan(small_layout, partition)
-        table = plan.global_mapping()
-        assert table.is_permutation()
-        assert len(table) == small_layout.num_tiles
+        packed = [tile for group in plan.groups for tile in group]
+        assert len(packed) == small_layout.num_tiles
+        assert sorted(packed) == list(range(small_layout.num_tiles))
+
+    def test_groups_pack_tiles_in_execution_order(self, small_layout):
+        partition = WavePartition((1, 2, 1))
+        plan, _, order = make_plan(small_layout, partition)
+        assert plan.num_groups == partition.num_groups
+        assert [len(group) for group in plan.groups] == [6, 12, 6]
+        assert [tile for group in plan.groups for tile in group] == list(order)
+
+    def test_duplicate_tile_rejected(self, small_layout):
+        tiles = list(range(small_layout.num_tiles))
+        with pytest.raises(ValueError, match="exactly once"):
+            build_reorder_plan(
+                CollectiveKind.ALL_REDUCE, small_layout, [tiles[:12], tiles[11:-1]], 4
+            )
+
+    def test_non_positive_gpu_count_rejected(self, small_layout):
+        tiles = list(range(small_layout.num_tiles))
+        with pytest.raises(ValueError, match="n_gpus"):
+            build_reorder_plan(CollectiveKind.ALL_REDUCE, small_layout, [tiles], 0)
+
+    def test_groups_are_int_tuples(self, small_layout):
+        order = np.arange(small_layout.num_tiles)[::-1]
+        plan = build_reorder_plan(
+            CollectiveKind.ALL_REDUCE, small_layout, [order[:10], order[10:]], 4
+        )
+        assert plan.groups == (tuple(range(23, 13, -1)), tuple(range(13, -1, -1)))
+        assert all(type(tile) is int for group in plan.groups for tile in group)
+
+    def test_tile_buffer_position_is_its_offset_in_the_group(self, rng, small_layout):
+        partition = WavePartition((2, 2))
+        plan, _, _ = make_plan(small_layout, partition)
+        matrix = rng.standard_normal((32, 48))
+        size = small_layout.tile_m * small_layout.tile_n
+        for index, group in enumerate(plan.groups):
+            buffer = matrix.flat[plan.group_flat_indices(index)]
+            for offset, tile in enumerate(group):
+                rows, cols = small_layout.tile_slices(tile)
+                np.testing.assert_array_equal(
+                    buffer[offset * size : (offset + 1) * size], matrix[rows, cols].ravel()
+                )

@@ -111,6 +111,23 @@ class TestTrace:
     def test_trace_off_by_default(self, estimator, workload):
         assert estimator.estimate(workload).trace is None
 
+    def test_occurrences_run_back_to_back_in_stream_order(self, estimator, workload):
+        estimate = estimator.estimate(workload, record_trace=True)
+        expected, now = [], 0.0
+        for layer in range(LAYERS):
+            for op in estimate.operators:
+                for _ in range(op.count):
+                    expected.append((f"L{layer}/{op.name}", now, now + op.overlap_latency))
+                    now += op.overlap_latency
+        spans = estimate.trace.spans
+        assert [(s.name, s.start, s.end) for s in spans] == expected
+        assert estimate.overlap_total == now
+
+    def test_trace_does_not_change_the_total(self, settings, workload):
+        traced = EndToEndEstimator(settings).estimate(workload, record_trace=True)
+        plain = EndToEndEstimator(settings).estimate(workload)
+        assert traced.overlap_total == plain.overlap_total
+
 
 class TestReport:
     def test_estimate_models_runs_all_five(self, settings):

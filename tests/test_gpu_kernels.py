@@ -1,36 +1,9 @@
-"""Tests for kernel-launch descriptors (repro.gpu.kernels)."""
+"""Tests for the kernel categories (repro.gpu.kernels)."""
 
-import pytest
-
-from repro.gpu.kernels import KernelCategory, KernelLaunch
+from repro.gpu.kernels import KernelCategory
 
 
-class TestKernelLaunch:
-    def test_basic_construction(self):
-        kernel = KernelLaunch(name="gemm", duration=1e-3, category=KernelCategory.GEMM, sm_count=64)
-        assert kernel.duration == 1e-3
-        assert kernel.category is KernelCategory.GEMM
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError):
-            KernelLaunch(name="bad", duration=-1.0)
-
-    def test_negative_sm_count_rejected(self):
-        with pytest.raises(ValueError):
-            KernelLaunch(name="bad", duration=1.0, sm_count=-1)
-
-    def test_scaled_copy(self):
-        kernel = KernelLaunch(name="comm", duration=2e-3, metadata={"bytes": 10})
-        scaled = kernel.scaled(0.5)
-        assert scaled.duration == pytest.approx(1e-3)
-        assert scaled.name == "comm"
-        assert scaled.metadata == {"bytes": 10}
-        assert scaled.metadata is not kernel.metadata
-
-    def test_scaled_negative_factor(self):
-        with pytest.raises(ValueError):
-            KernelLaunch(name="x", duration=1.0).scaled(-1.0)
-
+class TestKernelCategory:
     def test_categories_cover_pipeline(self):
         values = {c.value for c in KernelCategory}
         assert {"gemm", "comm", "signal", "elementwise", "reorder"} <= values

@@ -169,6 +169,17 @@ class TestSearchEdges:
         with pytest.raises(KeyError, match="unknown workload 'nope'"):
             search_plan("nope")
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("layers", 0, "layers must be >= 1"),
+        ("max_configs", 0, "max_configs must be >= 1"),
+        ("deadline_s", -1.0, "deadline must be >= 0"),
+        ("tp_degrees", (2, 0), "TP degrees must be >= 1"),
+        ("microbatch_counts", (0, 4), "microbatch counts must be >= 1"),
+    ], ids=["layers", "max-configs", "deadline", "tp-degrees", "microbatch-counts"])
+    def test_malformed_input_raises_instead_of_an_empty_search(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            search_plan(**{**SMOKE, field: value})
+
     @pytest.mark.parametrize("tokens", [0, -4096])
     def test_non_positive_tokens_raise_instead_of_skipping_every_shell(self, tokens):
         with pytest.raises(ValueError, match="tokens must be >= 1"):

@@ -15,7 +15,6 @@ from repro.core.wave_grouping import WavePartition, enumerate_partitions
 from repro.gpu.gemm import GemmShape, GemmTileConfig
 from repro.gpu.swizzle import execution_order, wave_partition
 from repro.tensor.layout import TileLayout
-from repro.tensor.mapping import MappingTable
 from repro.tensor.tiles import gather_tiles, scatter_tiles
 
 # Small bounded strategies keep every example fast.
@@ -67,15 +66,21 @@ class TestGatherScatterProperties:
         np.testing.assert_array_equal(out, matrix)
 
 
-class TestMappingProperties:
-    @given(st.permutations(list(range(12))))
-    def test_mapping_from_order_is_bijective(self, order):
-        table = MappingTable.from_order(order)
-        assert table.is_permutation()
-        perm = table.as_permutation()
-        assert sorted(perm.tolist()) == list(range(12))
-        for position, original in enumerate(order):
-            assert table.position_of(original) == position
+class TestReorderPlanProperties:
+    @given(layouts(), st.integers(min_value=1, max_value=8), st.data())
+    @hyp_settings(max_examples=40)
+    def test_plan_groups_pack_every_tile_once_in_execution_order(self, layout, wave_size, data):
+        waves = wave_partition(execution_order(layout, 2), wave_size)
+        decisions = data.draw(st.lists(st.booleans(), min_size=len(waves) - 1,
+                                       max_size=len(waves) - 1))
+        partition = WavePartition.from_decisions(decisions + [True])
+        plan = build_reorder_plan(
+            CollectiveKind.ALL_REDUCE, layout, partition.group_tiles(waves), 2
+        )
+        packed = [tile for group in plan.groups for tile in group]
+        assert packed == [tile for wave in waves for tile in wave]
+        assert sorted(packed) == list(range(layout.num_tiles))
+        assert plan.num_groups == partition.num_groups
 
 
 class TestWavePartitionProperties:

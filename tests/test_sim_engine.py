@@ -56,60 +56,6 @@ class TestScheduling:
 
 
 class TestControl:
-    def test_run_until_stops_early(self):
-        engine = EventEngine()
-        log = []
-        engine.schedule(1.0, log.append, 1)
-        engine.schedule(5.0, log.append, 5)
-        engine.run(until=2.0)
-        assert log == [1]
-        assert engine.pending_events == 1
-        engine.run()
-        assert log == [1, 5]
-
-    def test_run_until_with_empty_queue_advances_clock(self):
-        engine = EventEngine()
-        assert engine.run(until=3.0) == 3.0
-        assert engine.now == 3.0
-
-    def test_run_until_advances_past_executed_events(self):
-        # Events at 1.0 and 2.0 both execute; the clock must land on `until`,
-        # not stay at the last event time.
-        engine = EventEngine()
-        log = []
-        engine.schedule(1.0, log.append, 1)
-        engine.schedule(2.0, log.append, 2)
-        assert engine.run(until=3.5) == 3.5
-        assert log == [1, 2]
-        assert engine.now == 3.5
-
-    def test_run_until_advances_when_breaking_on_future_event(self):
-        # The head event is past `until`: nothing executes, but simulated
-        # time still passes up to `until` (min(until, next-event time)).
-        engine = EventEngine()
-        log = []
-        engine.schedule(5.0, log.append, 5)
-        assert engine.run(until=2.0) == 2.0
-        assert log == []
-        assert engine.now == 2.0
-        # A later shorter horizon keeps the clock monotonic.
-        assert engine.run(until=1.0) == 2.0
-
-    def test_run_until_skips_cancelled_head_beyond_horizon(self):
-        engine = EventEngine()
-        handle = engine.schedule(5.0, lambda: None)
-        engine.cancel(handle)
-        assert engine.run(until=2.0) == 2.0
-
-    def test_max_events_limit_does_not_advance_to_until(self):
-        engine = EventEngine()
-        log = []
-        engine.schedule(1.0, log.append, 1)
-        engine.schedule(2.0, log.append, 2)
-        engine.run(until=10.0, max_events=1)
-        assert log == [1]
-        assert engine.now == 1.0
-
     def test_next_event_time_peeks_past_cancelled_heads(self):
         engine = EventEngine()
         assert engine.next_event_time() is None
@@ -130,14 +76,6 @@ class TestControl:
         engine.run()
         assert engine.now == 2.0
 
-    def test_max_events_limit(self):
-        engine = EventEngine()
-        log = []
-        for t in range(5):
-            engine.schedule(float(t), log.append, t)
-        engine.run(max_events=2)
-        assert log == [0, 1]
-
     def test_cancel_skips_event(self):
         engine = EventEngine()
         log = []
@@ -147,66 +85,39 @@ class TestControl:
         engine.run()
         assert log == ["y"]
 
-    def test_reset(self):
+    def test_cancelled_events_are_not_processed(self):
         engine = EventEngine()
-        engine.schedule(1.0, lambda: None)
-        engine.run()
-        engine.reset()
-        assert engine.now == 0.0
-        assert engine.pending_events == 0
-        assert engine.processed_events == 0
+        handles = [engine.schedule(float(t), lambda: None) for t in range(4)]
+        engine.cancel(handles[1])
+        engine.cancel(handles[3])
+        assert engine.run() == 2.0
+        assert engine.processed_events == 2
 
-
-class TestPendingCounter:
-    """pending_events is a live counter updated on schedule/cancel/execute."""
-
-    def test_counts_schedule_and_execute(self):
+    def test_cancel_twice_is_noop(self):
         engine = EventEngine()
-        events = [engine.schedule(float(t), lambda: None) for t in range(4)]
-        assert engine.pending_events == 4
-        engine.run(until=1.5)
-        assert engine.pending_events == 2
-        engine.run()
-        assert engine.pending_events == 0
-        assert all(e.executed for e in events)
-
-    def test_cancel_decrements_once(self):
-        engine = EventEngine()
-        handle = engine.schedule(1.0, lambda: None)
-        engine.schedule(2.0, lambda: None)
+        log = []
+        handle = engine.schedule(1.0, log.append, "x")
+        engine.schedule(2.0, log.append, "y")
         engine.cancel(handle)
-        assert engine.pending_events == 1
-        engine.cancel(handle)  # double cancel is a no-op
-        assert engine.pending_events == 1
+        engine.cancel(handle)
         engine.run()
-        assert engine.pending_events == 0
+        assert log == ["y"]
+        assert engine.processed_events == 1
 
     def test_cancel_after_execution_is_noop(self):
         engine = EventEngine()
-        handle = engine.schedule(1.0, lambda: None)
+        log = []
+        handle = engine.schedule(1.0, log.append, "x")
         engine.run()
-        assert engine.pending_events == 0
         engine.cancel(handle)
-        assert engine.pending_events == 0
-
-    def test_counter_tracks_events_scheduled_by_callbacks(self):
-        engine = EventEngine()
-
-        def chain(depth):
-            if depth:
-                engine.schedule_after(1.0, chain, depth - 1)
-
-        engine.schedule(0.0, chain, 3)
-        assert engine.pending_events == 1
+        engine.schedule(2.0, log.append, "y")
         engine.run()
-        assert engine.pending_events == 0
-        assert engine.processed_events == 4
+        assert log == ["x", "y"]
+        assert engine.processed_events == 2
 
-    def test_cancel_of_stale_handle_after_reset_is_noop(self):
+    def test_run_on_empty_queue_keeps_the_clock(self):
         engine = EventEngine()
-        handle = engine.schedule(1.0, lambda: None)
-        engine.reset()
-        engine.cancel(handle)
-        assert engine.pending_events == 0
-        engine.schedule(1.0, lambda: None)
-        assert engine.pending_events == 1
+        assert engine.run() == 0.0
+        engine.advance_to(4.0)
+        assert engine.run() == 4.0
+        assert engine.processed_events == 0
