@@ -4,7 +4,8 @@
 
 Runs perfbench (``BENCHMARK.json``'s command) with ``--trace 0`` once per
 workload and seed, and writes ``BENCH_<pr>.json`` at the repository root: the
-measured commit, the seeds, and per workload the median of every end-to-end
+measured commit, whether ``src`` had uncommitted changes on top of it
+(``dirty``), the seeds, and per workload the median of every end-to-end
 metric over the seeds plus each seed's ``sim_digest``.  A change that claims
 a gain commits its own file; its parent's file is the baseline.  Nothing is
 written when a run exits non-zero, is not correct or fails a query.
@@ -40,13 +41,19 @@ def measure(spec: dict, workload: str, seed: int) -> tuple[dict, str]:
     return result["metrics"], digest
 
 
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1 or not argv[0].isdigit():
         print("usage: python3 benchmarks/ledger.py <pr>", file=sys.stderr)
         return 2
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
-                            text=True, check=True).stdout.strip()
+    commit = _git("rev-parse", "HEAD").strip()
+    # The measured tree is the commit only when src has no uncommitted change.
+    dirty = bool(_git("status", "--porcelain", "--", "src").strip())
     names = [metric["name"] for metric in spec["end_to_end"]]
     workloads = {}
     for workload in (entry["name"] for entry in spec["workloads"]):
@@ -55,7 +62,8 @@ def main(argv: list[str]) -> int:
             "median": {name: statistics.median(m[name]["value"] for m, _ in runs) for name in names},
             "sim_digest": {str(seed): digest for seed, (_, digest) in zip(SEEDS, runs, strict=True)},
         }
-    ledger = {"pr": int(argv[0]), "commit": commit, "seeds": list(SEEDS), "workloads": workloads}
+    ledger = {"pr": int(argv[0]), "commit": commit, "dirty": dirty, "seeds": list(SEEDS),
+              "workloads": workloads}
     path = ROOT / f"BENCH_{argv[0]}.json"
     path.write_text(json.dumps(ledger, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path.relative_to(ROOT)}")

@@ -32,11 +32,11 @@ from repro.core.tuner import (
     search_quality,
 )
 from repro.core.wave_grouping import (
+    PartitionMatrix,
     WavePartition,
-    candidate_partitions,
     design_space_size,
     enumerate_partitions,
-    pruned_partitions,
+    pruned_partition_matrix,
 )
 
 __all__ = [
@@ -58,9 +58,9 @@ __all__ = [
     "TuningResult",
     "search_quality",
     "WavePartition",
+    "PartitionMatrix",
     "enumerate_partitions",
-    "pruned_partitions",
-    "candidate_partitions",
+    "pruned_partition_matrix",
     "design_space_size",
     "CountingTable",
     "GroupAssignment",

@@ -9,7 +9,8 @@ matching the values used in the paper's evaluation (``S1 = 2``, ``SP = 4``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 
 from repro.comm.primitives import CollectiveKind, CollectiveModel
 from repro.comm.topology import Topology
@@ -37,8 +38,8 @@ class OverlapProblem:
     imbalance: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.imbalance < 1.0:
-            raise ValueError("imbalance must be >= 1.0")
+        if not (math.isfinite(self.imbalance) and self.imbalance >= 1.0):
+            raise ValueError(f"imbalance must be finite and >= 1.0, got {self.imbalance}")
 
     # -- derived models ---------------------------------------------------------
 

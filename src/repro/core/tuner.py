@@ -1,9 +1,9 @@
 """Wave-grouping tuners: predictive search, exhaustive search, shape cache.
 
-The online stage of the paper's Alg. 1: enumerate the pruned candidate
-partitions, rank them with the latency predictor, and return the best.  The
-exhaustive tuner ranks the same candidates with the ground-truth executor and
-is what the predictive search is measured against (Fig. 15 / claim C2).  The
+The online stage of the paper's Alg. 1: build the pruned candidates as one
+``PartitionMatrix``, rank its rows with the latency predictor, and decode the
+best.  The exhaustive tuner ranks the same rows with the ground-truth executor;
+the predictive search is measured against it (Fig. 15 / claim C2).  The
 shape cache implements the nearest-neighbour reuse of tuned configurations for
 dynamic workloads (LLM inference) described in Sec. 4.2.2.
 """
@@ -19,7 +19,13 @@ from repro import obs
 from repro.core.config import DEFAULT_SETTINGS, OverlapProblem, OverlapSettings
 from repro.core.executor import OverlapExecutor
 from repro.core.predictor import LatencyPredictor, OfflineProfile
-from repro.core.wave_grouping import WavePartition, candidate_partitions, candidate_partitions_matrix
+from repro.core.wave_grouping import (
+    PartitionMatrix,
+    WavePartition,
+    candidate_partitions_matrix,
+    heuristic_partitions,
+    pruned_partition_matrix,
+)
 from repro.gpu.gemm import GemmShape
 
 
@@ -59,13 +65,12 @@ class PredictiveTuner:
     def __init__(self, settings: OverlapSettings = DEFAULT_SETTINGS) -> None:
         self.settings = settings
 
-    def candidates(self, num_waves: int) -> list[WavePartition]:
-        return candidate_partitions(
-            num_waves,
-            max_first_group=self.settings.max_first_group,
-            max_last_group=self.settings.max_last_group,
-            max_exhaustive_waves=self.settings.max_exhaustive_waves,
-        )
+    def candidates(self, num_waves: int) -> PartitionMatrix:
+        """The pruned design space when tractable, the heuristic family otherwise."""
+        first, last = self.settings.max_first_group, self.settings.max_last_group
+        if num_waves <= self.settings.max_exhaustive_waves:
+            return pruned_partition_matrix(num_waves, first, last)
+        return candidate_partitions_matrix(heuristic_partitions(num_waves, first, last))
 
     def tune(self, problem: OverlapProblem, profile: OfflineProfile | None = None) -> TuningResult:
         with obs.span("tuner.tune", method="predictive"):
@@ -76,15 +81,15 @@ class PredictiveTuner:
         predictor = LatencyPredictor(profile, total_bytes=problem.output_bytes())
         candidates = self.candidates(profile.num_waves)
         obs.counter("tuner.invocations", method="predictive").inc()
-        obs.counter("tuner.candidates", method="predictive").inc(len(candidates))
-        latencies = predictor.predict_batch(candidate_partitions_matrix(candidates))
+        obs.counter("tuner.candidates", method="predictive").inc(candidates.num_candidates)
+        latencies = predictor.predict_batch(candidates)
         index = int(np.argmin(latencies))
-        best, best_latency = candidates[index], float(latencies[index])
+        best_latency = float(latencies[index])
         use_overlap = bool(best_latency <= predictor.predict_non_overlap())
         return TuningResult(
-            partition=best,
+            partition=candidates.partition(index),
             predicted_latency=best_latency,
-            candidates_evaluated=len(candidates),
+            candidates_evaluated=candidates.num_candidates,
             method="predictive",
             use_overlap=use_overlap,
         )
@@ -95,9 +100,9 @@ class ExhaustiveTuner:
 
     This is the paper's exhaustive online-profiling search: accurate but far
     too slow to run per shape in production, so it serves as the quality
-    reference for the predictive search.  Every candidate is ranked by
-    :meth:`OverlapExecutor.simulate`, whose per-wave table all candidates
-    share; the first minimum wins.
+    reference for the predictive search.  Every row of the predictive tuner's
+    candidate matrix is decoded and ranked by :meth:`OverlapExecutor.simulate`,
+    whose per-wave table all candidates share; the first minimum wins.
     """
 
     def __init__(self, settings: OverlapSettings = DEFAULT_SETTINGS) -> None:
@@ -109,7 +114,8 @@ class ExhaustiveTuner:
 
     def _tune(self, problem: OverlapProblem, executor: OverlapExecutor | None) -> TuningResult:
         executor = executor or OverlapExecutor(problem, self.settings)
-        candidates = PredictiveTuner(self.settings).candidates(executor.num_waves())
+        matrix = PredictiveTuner(self.settings).candidates(executor.num_waves())
+        candidates = [matrix.partition(row) for row in range(matrix.num_candidates)]
         obs.counter("tuner.invocations", method="exhaustive").inc()
         obs.counter("tuner.candidates", method="exhaustive").inc(len(candidates))
         latencies = [executor.simulate(partition).latency for partition in candidates]

@@ -4,7 +4,9 @@ A GEMM executes in ``T`` waves.  After each wave the design may either trigger
 the communication of everything accumulated since the previous trigger, or
 keep accumulating; the last wave always triggers.  A choice is therefore a
 *composition* of ``T`` -- an ordered tuple of positive group sizes summing to
-``T`` -- and the raw design space has ``2^(T-1)`` elements (Fig. 9).
+``T`` -- and the raw design space has ``2^(T-1)`` elements (Fig. 9).  The
+tuner builds the pruned space as one boolean decision matrix, a
+:class:`PartitionMatrix`, and decodes only its winning row.
 """
 
 from __future__ import annotations
@@ -151,9 +153,6 @@ def enumerate_partitions(num_waves: int) -> Iterator[WavePartition]:
     """Enumerate the full design space: all ``2^(T-1)`` compositions of ``T``."""
     if num_waves <= 0:
         raise ValueError("num_waves must be positive")
-    if num_waves == 1:
-        yield WavePartition((1,))
-        return
     for mask in range(1 << (num_waves - 1)):
         decisions = [bool(mask >> i & 1) for i in range(num_waves - 1)] + [True]
         yield WavePartition.from_decisions(decisions)
@@ -166,19 +165,28 @@ def design_space_size(num_waves: int) -> int:
     return 1 << (num_waves - 1)
 
 
-def pruned_partitions(
+def pruned_partition_matrix(
     num_waves: int, max_first_group: int, max_last_group: int
-) -> list[WavePartition]:
+) -> PartitionMatrix:
     """The pruned design space: bounded first and last group sizes.
 
     The first group controls the head latency (cold start) and the last group
-    controls the tail, so both are preferred small (Sec. 4.1.3/4.1.4).
+    controls the tail, so both are preferred small (Sec. 4.1.3/4.1.4).  Row
+    ``mask`` communicates after wave ``i`` when bit ``i`` is set, and after the
+    last wave; rows keep :func:`enumerate_partitions`' ascending mask order.
     """
-    return [
-        p
-        for p in enumerate_partitions(num_waves)
-        if p.first_group <= max_first_group and p.last_group <= max_last_group
-    ]
+    masks = np.arange(1 << (num_waves - 1))
+    decisions = np.ones((masks.size, num_waves), dtype=bool)
+    decisions[:, :-1] = (masks[:, None] >> np.arange(num_waves - 1)) & 1
+    # first group <= max_first_group iff a decision falls in those first waves; the last group alike.
+    keep = decisions[:, :max_first_group].any(axis=1)
+    if max_last_group < num_waves:
+        keep &= decisions[:, num_waves - 1 - max_last_group : num_waves - 1].any(axis=1)
+    decisions = decisions[keep]
+    # Each row's group ends in ascending order, padded with the wave count.
+    boundaries = np.sort(np.where(decisions, np.arange(1, num_waves + 1), num_waves), axis=1)
+    sizes = np.diff(boundaries, axis=1, prepend=0)
+    return PartitionMatrix(sizes, np.count_nonzero(decisions, axis=1), boundaries)
 
 
 def heuristic_partitions(
@@ -206,14 +214,16 @@ def heuristic_partitions(
         for growth in (1.0, 1.5, 2.0, 3.0):
             sizes = [first]
             current = float(first)
-            while sum(sizes) < num_waves:
-                current = max(current * growth, current + 1) if growth > 1 else current
-                remaining = num_waves - sum(sizes)
+            remaining = num_waves - first
+            while remaining > 0:
+                if growth > 1:  # capped at the wave count, so it never overflows
+                    current = min(max(current * growth, current + 1), num_waves)
                 size = min(int(round(current)), remaining)
                 # Keep the tail bounded: split an oversized final group.
                 if remaining - size == 0 and size > max_last_group:
                     size = max_last_group
                 sizes.append(max(1, size))
+                remaining -= sizes[-1]
             add(WavePartition.from_sizes(sizes))
     return list(candidates.values())
 
@@ -253,8 +263,7 @@ class PartitionMatrix:
 
     def partition(self, index: int) -> WavePartition:
         """Decode one row back into a :class:`WavePartition`."""
-        count = int(self.counts[index])
-        return WavePartition(tuple(int(s) for s in self.sizes[index, :count]))
+        return WavePartition(tuple(self.sizes[index, : self.counts[index]].tolist()))
 
 
 def candidate_partitions_matrix(partitions: Sequence[WavePartition]) -> PartitionMatrix:
@@ -274,19 +283,3 @@ def candidate_partitions_matrix(partitions: Sequence[WavePartition]) -> Partitio
     for row, partition in enumerate(partitions):
         sizes[row, : counts[row]] = partition.group_sizes
     return PartitionMatrix(sizes=sizes, counts=counts, boundaries=np.cumsum(sizes, axis=1))
-
-
-def candidate_partitions(
-    num_waves: int,
-    max_first_group: int,
-    max_last_group: int,
-    max_exhaustive_waves: int,
-) -> list[WavePartition]:
-    """Candidates used by the tuner: pruned enumeration when tractable,
-    heuristic family otherwise."""
-    if num_waves <= max_exhaustive_waves:
-        pruned = pruned_partitions(num_waves, max_first_group, max_last_group)
-        if pruned:
-            return pruned
-        return list(enumerate_partitions(num_waves))
-    return heuristic_partitions(num_waves, max_first_group, max_last_group)

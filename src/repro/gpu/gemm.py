@@ -128,7 +128,7 @@ class GemmKernelModel:
     def num_tiles(self) -> int:
         return self.layout.num_tiles
 
-    def execution_order(self) -> list[int]:
+    def execution_order(self) -> np.ndarray:
         """Tile indices in launch order (swizzled)."""
         return execution_order(self.layout, self.config.swizzle_size)
 
@@ -141,13 +141,13 @@ class GemmKernelModel:
         return -(-self.num_tiles // self._sms(sm_count))
 
     def wave_tiles(self, sm_count: int | None = None) -> list[list[int]]:
-        """Tile indices of each wave, in execution order."""
+        """Tile indices of each wave, in execution order, as Python lists."""
         return wave_partition(self.execution_order(), self._sms(sm_count))
 
     def wave_bytes(self, sm_count: int | None = None) -> np.ndarray:
         """Exact output bytes of each wave, edge tiles included."""
         layout = self.layout
-        order = np.asarray(self.execution_order())
+        order = self.execution_order()
         row_block, col_block = np.divmod(order, layout.grid_n)
         rows = np.minimum(layout.tile_m, layout.m - row_block * layout.tile_m)
         cols = np.minimum(layout.tile_n, layout.n - col_block * layout.tile_n)
@@ -214,8 +214,7 @@ class GemmKernelModel:
         times = np.empty(self.num_tiles, dtype=np.float64)
         for wave_index, tiles in enumerate(waves):
             spread = rng.uniform(-jitter, 0.0, size=len(tiles)) * wave_len
-            for offset, tile_index in enumerate(tiles):
-                times[tile_index] = wave_end[wave_index] + spread[offset]
+            times[tiles] = wave_end[wave_index] + spread
         return times
 
     def _sms(self, sm_count: int | None) -> int:

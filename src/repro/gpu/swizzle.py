@@ -6,20 +6,24 @@ launch order: tiles are visited column-panel by column-panel (a panel is
 ``swizzle_size`` tile columns wide), walking down the rows within a panel.
 The consequence exploited by FlashOverlap is that the tiles of an execution
 wave are **not contiguous in memory**, which is why a pre-communication
-reordering is needed (paper Sec. 2.1.2 and Fig. 2).
+reordering is needed (paper Sec. 2.1.2 and Fig. 2).  Orders are NumPy index
+arrays cut from the row-major tile grid, one block per column panel; only
+:func:`wave_partition` makes Python lists.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.tensor.layout import TileLayout
 
 
-def unswizzled_order(layout: TileLayout) -> list[int]:
+def unswizzled_order(layout: TileLayout) -> np.ndarray:
     """Row-major (address order) tile execution order."""
-    return list(range(layout.num_tiles))
+    return np.arange(layout.num_tiles)
 
 
-def swizzled_order(layout: TileLayout, swizzle_size: int) -> list[int]:
+def swizzled_order(layout: TileLayout, swizzle_size: int) -> np.ndarray:
     """Tile execution order under block swizzling.
 
     Tiles are launched panel by panel, where a panel is ``swizzle_size``
@@ -30,23 +34,21 @@ def swizzled_order(layout: TileLayout, swizzle_size: int) -> list[int]:
     """
     if swizzle_size <= 0:
         raise ValueError("swizzle_size must be positive")
-    order: list[int] = []
-    for panel_start in range(0, layout.grid_n, swizzle_size):
-        panel_cols = range(panel_start, min(panel_start + swizzle_size, layout.grid_n))
-        for row_block in range(layout.grid_m):
-            for col_block in panel_cols:
-                order.append(layout.tile_index(row_block, col_block))
-    return order
+    grid = np.arange(layout.num_tiles).reshape(layout.grid_m, layout.grid_n)
+    width = layout.grid_n - layout.grid_n % swizzle_size
+    # The full-width panels as one (panel, row, column) block, then the narrower last one.
+    blocks = grid[:, :width].reshape(layout.grid_m, width // swizzle_size, swizzle_size)
+    return np.concatenate([blocks.swapaxes(0, 1).ravel(), grid[:, width:].ravel()])
 
 
-def execution_order(layout: TileLayout, swizzle_size: int | None) -> list[int]:
+def execution_order(layout: TileLayout, swizzle_size: int | None) -> np.ndarray:
     """Return the tile execution order; ``None`` or ``0`` disables swizzling."""
     if not swizzle_size:
         return unswizzled_order(layout)
     return swizzled_order(layout, swizzle_size)
 
 
-def address_discontiguity(layout: TileLayout, order: list[int], window: int) -> float:
+def address_discontiguity(layout: TileLayout, order: np.ndarray, window: int) -> float:
     """Fraction of adjacent pairs in the first ``window`` launched tiles that
     are *not* adjacent in address order.
 
@@ -56,18 +58,17 @@ def address_discontiguity(layout: TileLayout, order: list[int], window: int) -> 
     """
     if window < 2:
         return 0.0
-    window = min(window, len(order))
-    pairs = zip(order[: window - 1], order[1:window])
-    broken = sum(1 for a, b in pairs if b != a + 1)
-    return broken / (window - 1)
+    steps = np.diff(order[:window])
+    return int(np.count_nonzero(steps != 1)) / len(steps)
 
 
-def wave_partition(order: list[int], wave_size: int) -> list[list[int]]:
+def wave_partition(order: np.ndarray, wave_size: int) -> list[list[int]]:
     """Chunk an execution order into waves of ``wave_size`` tiles.
 
     The last wave may be smaller.  ``wave_size`` is normally the number of SMs
-    available to the GEMM kernel.
+    available to the GEMM kernel.  The waves are lists of Python ints.
     """
     if wave_size <= 0:
         raise ValueError("wave_size must be positive")
-    return [order[i : i + wave_size] for i in range(0, len(order), wave_size)]
+    tiles = np.asarray(order).tolist()
+    return [tiles[i : i + wave_size] for i in range(0, len(tiles), wave_size)]

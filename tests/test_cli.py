@@ -310,6 +310,9 @@ class TestCleanErrors:
             (["sweep", "--preset", "nope"], "unknown sweep preset 'nope'; known: ["),
             (["pp", "--smoke", "--tokens", "-5"], "tokens must be >= 1"),
             (["plan", "--smoke", "--tokens", "0"], "tokens must be >= 1"),
+            (["tune", "--imbalance", "nan"], "imbalance must be finite and >= 1.0, got nan"),
+            (["report", "--imbalance", "inf"], "imbalance must be finite and >= 1.0, got inf"),
+            (["compare", "--imbalance", "nan"], "imbalance must be finite and >= 1.0, got nan"),
         ],
     )
     def test_invalid_input_exits_2_without_traceback(self, capsys, argv, message):

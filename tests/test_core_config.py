@@ -49,6 +49,17 @@ class TestOverlapProblem:
                 imbalance=0.5,
             )
 
+    @pytest.mark.parametrize("imbalance", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_imbalance_rejected(self, small_problem, imbalance):
+        with pytest.raises(ValueError, match="imbalance must be finite and >= 1.0"):
+            OverlapProblem(
+                shape=small_problem.shape,
+                device=small_problem.device,
+                topology=small_problem.topology,
+                collective=CollectiveKind.ALL_REDUCE,
+                imbalance=imbalance,
+            )
+
     def test_describe_mentions_primitive_and_device(self, small_problem):
         text = small_problem.describe()
         assert "AR" in text and "tiny-gpu" in text

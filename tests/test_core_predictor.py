@@ -6,7 +6,8 @@ import pytest
 from oracles.predictor import group_bytes, group_comm_times, timeline
 from repro.core.executor import OverlapExecutor
 from repro.core.predictor import LatencyPredictor, OfflineProfile
-from repro.core.wave_grouping import WavePartition, candidate_partitions
+from repro.core.tuner import PredictiveTuner
+from repro.core.wave_grouping import WavePartition
 
 
 @pytest.fixture
@@ -58,10 +59,8 @@ class TestPrediction:
         assert predicted.latency == predicted.comm_end[-1] == predictor.predict(partition)
 
     def test_some_partition_beats_non_overlap(self, predictor, fast_settings):
-        candidates = candidate_partitions(
-            predictor.profile.num_waves, 2, 4, fast_settings.max_exhaustive_waves
-        )
-        best = min(predictor.predict(p) for p in candidates)
+        candidates = PredictiveTuner(fast_settings).candidates(predictor.profile.num_waves)
+        best = predictor.predict_batch(candidates).min()
         assert best < predictor.predict_non_overlap()
 
     def test_single_group_close_to_non_overlap(self, predictor):

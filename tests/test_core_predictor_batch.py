@@ -12,6 +12,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 from oracles.predictor import predict_reference
 from oracles.tuner import predictive_reference
+from oracles.wave_grouping import candidate_partitions
 from repro.comm.primitives import CollectiveKind
 from repro.comm.topology import rtx4090_pcie
 from repro.core.config import OverlapProblem, OverlapSettings
@@ -22,11 +23,7 @@ from repro.core.predictor import (
     profile_cache_info,
 )
 from repro.core.tuner import PredictiveTuner
-from repro.core.wave_grouping import (
-    WavePartition,
-    candidate_partitions,
-    candidate_partitions_matrix,
-)
+from repro.core.wave_grouping import WavePartition, candidate_partitions_matrix
 from repro.gpu.device import RTX_4090
 from repro.gpu.gemm import GemmShape
 
@@ -44,13 +41,9 @@ def _problem(shape: GemmShape, collective=CollectiveKind.ALL_REDUCE, **kwargs) -
 def assert_batch_matches_scalar(problem: OverlapProblem, settings: OverlapSettings) -> None:
     profile = OfflineProfile.build(problem, settings)
     predictor = LatencyPredictor(profile, total_bytes=problem.output_bytes())
-    candidates = candidate_partitions(
-        profile.num_waves,
-        max_first_group=settings.max_first_group,
-        max_last_group=settings.max_last_group,
-        max_exhaustive_waves=settings.max_exhaustive_waves,
-    )
-    batch = predictor.predict_batch(candidates)
+    matrix = PredictiveTuner(settings).candidates(profile.num_waves)
+    candidates = [matrix.partition(row) for row in range(matrix.num_candidates)]
+    batch = predictor.predict_batch(matrix)
     scalar = np.array([predict_reference(predictor, p) for p in candidates])
     np.testing.assert_array_equal(batch, scalar)
     np.testing.assert_array_equal([predictor.predict(p) for p in candidates], scalar)
@@ -160,6 +153,37 @@ class TestTunerFastPath:
         fast = PredictiveTuner(settings).tune(problem)
         reference = predictive_reference(problem, settings)
         assert fast == reference
+
+    def test_fourteen_wave_tune_decodes_only_the_winner(self, monkeypatch):
+        # 1,664 tiles in 14 waves: the pruned space keeps 5,760 of 8,192
+        # compositions, and only the winning row becomes a WavePartition.
+        problem = _problem(GemmShape(3328, 8192, 4096))
+        built = []
+        post_init = WavePartition.__post_init__
+
+        def counting(partition):
+            built.append(partition.group_sizes)
+            post_init(partition)
+
+        monkeypatch.setattr(WavePartition, "__post_init__", counting)
+        result = PredictiveTuner().tune(problem)
+        assert result.partition.num_waves == 14
+        assert result.candidates_evaluated == 5760
+        assert built == [result.partition.group_sizes]
+
+    def test_ties_go_to_the_oracles_first_candidate(self, monkeypatch, paper_problem_4090):
+        settings = OverlapSettings()
+        monkeypatch.setattr(
+            LatencyPredictor, "predict_batch", lambda self, matrix: np.zeros(matrix.num_candidates)
+        )
+        result = PredictiveTuner(settings).tune(paper_problem_4090)
+        waves = OfflineProfile.cached(paper_problem_4090, settings).num_waves
+        oracle = candidate_partitions(
+            waves, settings.max_first_group, settings.max_last_group, settings.max_exhaustive_waves
+        )
+        assert len(oracle) > 1
+        assert result.partition == oracle[0]
+        assert result.predicted_latency == 0.0
 
 
 class TestProfileMemoization:

@@ -48,7 +48,8 @@ class TestPredictiveTuner:
         assert PredictiveTuner(settings).tune(paper_problem_4090).use_overlap
 
     def test_candidates_respect_bounds_for_small_waves(self, settings):
-        candidates = PredictiveTuner(settings).candidates(10)
+        matrix = PredictiveTuner(settings).candidates(10)
+        candidates = [matrix.partition(row) for row in range(matrix.num_candidates)]
         assert all(p.first_group <= settings.max_first_group for p in candidates)
         assert all(p.last_group <= settings.max_last_group for p in candidates)
 
@@ -73,9 +74,9 @@ class TestExhaustiveTuner:
         executor.simulate = lambda partition: single
         candidates = PredictiveTuner(settings).candidates(executor.num_waves())
         result = ExhaustiveTuner(settings).tune(paper_problem_4090, executor)
-        assert result.partition == candidates[0]
+        assert result.partition == candidates.partition(0)
         assert result.predicted_latency == single.latency
-        assert result.candidates_evaluated == len(candidates) > 1
+        assert result.candidates_evaluated == candidates.num_candidates > 1
 
     def test_search_quality_claim_c2(self, paper_problem_4090, settings):
         # Claim C2: the predictive search reaches >99% of the exhaustive

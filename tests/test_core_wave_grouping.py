@@ -1,15 +1,38 @@
 """Tests for wave-group partitions and the design space (repro.core.wave_grouping)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
+from oracles.wave_grouping import candidate_partitions, pruned_partitions
+from repro.comm.primitives import CollectiveKind
+from repro.comm.topology import rtx4090_pcie
+from repro.core.config import OverlapProblem, OverlapSettings
+from repro.core.tuner import PredictiveTuner
 from repro.core.wave_grouping import (
+    PartitionMatrix,
     WavePartition,
-    candidate_partitions,
+    candidate_partitions_matrix,
     design_space_size,
     enumerate_partitions,
     heuristic_partitions,
-    pruned_partitions,
+    pruned_partition_matrix,
 )
+from repro.gpu.device import RTX_4090
+from repro.gpu.gemm import GemmShape
+
+
+def _rows(matrix: PartitionMatrix) -> list[WavePartition]:
+    return [matrix.partition(row) for row in range(matrix.num_candidates)]
+
+
+def assert_same_rows(matrix: PartitionMatrix, partitions: list[WavePartition]) -> None:
+    """``matrix`` encodes ``partitions`` row by row, dtypes included."""
+    expected = candidate_partitions_matrix(partitions)
+    for name in ("sizes", "counts", "boundaries"):
+        got, want = getattr(matrix, name), getattr(expected, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
 
 
 class TestWavePartition:
@@ -92,7 +115,7 @@ class TestDesignSpace:
             list(enumerate_partitions(0))
 
     def test_pruning_bounds_first_and_last_groups(self):
-        pruned = pruned_partitions(8, max_first_group=2, max_last_group=4)
+        pruned = _rows(pruned_partition_matrix(8, max_first_group=2, max_last_group=4))
         assert pruned
         assert all(p.first_group <= 2 and p.last_group <= 4 for p in pruned)
         assert len(pruned) < design_space_size(8)
@@ -100,9 +123,57 @@ class TestDesignSpace:
     def test_pruning_shrinks_with_tighter_bounds(self):
         # Sec. 4.1.4: constraining the first/last group sizes prunes the space.
         full = design_space_size(10)
-        loose = len(pruned_partitions(10, 2, 4))
-        tight = len(pruned_partitions(10, 1, 1))
+        loose = pruned_partition_matrix(10, 2, 4).num_candidates
+        tight = pruned_partition_matrix(10, 1, 1).num_candidates
         assert tight < loose < full
+
+    def test_pruned_rows_keep_the_enumeration_order(self):
+        # T = 4 with both bounds at 2.  Bit i of the mask communicates after
+        # wave i + 1; masks 0, 1 and 4 ((4,), (1, 3), (3, 1)) break a bound,
+        # and the rest stay in ascending mask order, so np.argmin ties go to
+        # the same candidate as in the enumeration.
+        rows = _rows(pruned_partition_matrix(4, 2, 2))
+        assert [p.group_sizes for p in rows] == [
+            (2, 2), (1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 1, 1, 1),
+        ]
+
+    def test_invalid_wave_count_for_the_matrix(self):
+        with pytest.raises(ValueError):
+            pruned_partition_matrix(0, 2, 4)
+
+
+class TestPrunedMatrixMatchesOracle:
+    """The decision matrix against the enumerate-and-filter list, row by row."""
+
+    @hyp_settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_pruned_rows_match(self, data):
+        waves = data.draw(st.integers(min_value=1, max_value=14), label="waves")
+        first = data.draw(st.integers(min_value=1, max_value=waves + 1), label="first")
+        last = data.draw(st.integers(min_value=1, max_value=waves + 1), label="last")
+        assert_same_rows(
+            pruned_partition_matrix(waves, first, last), pruned_partitions(waves, first, last)
+        )
+
+    @pytest.mark.parametrize("waves", range(1, 15))
+    def test_default_bounds_match(self, waves):
+        assert_same_rows(pruned_partition_matrix(waves, 2, 4), pruned_partitions(waves, 2, 4))
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(
+        waves=st.integers(min_value=1, max_value=40),
+        first=st.integers(min_value=1, max_value=4),
+        last=st.integers(min_value=1, max_value=6),
+        exhaustive=st.integers(min_value=1, max_value=12),
+    )
+    def test_tuner_candidates_match(self, waves, first, last, exhaustive):
+        settings = OverlapSettings(
+            max_first_group=first, max_last_group=last, max_exhaustive_waves=exhaustive
+        )
+        assert_same_rows(
+            PredictiveTuner(settings).candidates(waves),
+            candidate_partitions(waves, first, last, exhaustive),
+        )
 
 
 class TestHeuristicCandidates:
@@ -114,11 +185,33 @@ class TestHeuristicCandidates:
         assert len(candidates) >= 10
 
     def test_candidate_partitions_switches_family(self):
-        small = candidate_partitions(8, 2, 4, max_exhaustive_waves=14)
-        large = candidate_partitions(40, 2, 4, max_exhaustive_waves=14)
+        tuner = PredictiveTuner(OverlapSettings(max_exhaustive_waves=14))
+        small = _rows(tuner.candidates(8))
+        large = tuner.candidates(40)
         assert all(p.first_group <= 2 for p in small)
-        assert len(large) < 200
-        assert all(p.num_waves == 40 for p in large)
+        assert large.num_candidates < 200
+        assert np.all(large.total_waves == 40)
 
     def test_candidate_partitions_single_wave(self):
-        assert [p.group_sizes for p in candidate_partitions(1, 2, 4, 14)] == [(1,)]
+        assert [p.group_sizes for p in _rows(PredictiveTuner().candidates(1))] == [(1,)]
+
+    def test_growth_is_clamped_at_the_wave_count(self):
+        # Splitting a long tail into max_last_group-sized groups used to keep
+        # multiplying the geometric size until it overflowed to inf (T = 4743
+        # at the default bounds).
+        candidates = heuristic_partitions(4743, 2, 4)
+        assert all(p.num_waves == 4743 for p in candidates)
+        assert (1,) * 4743 in {p.group_sizes for p in candidates}
+
+    def test_tuner_survives_a_long_split_tail(self):
+        # T = 1058 waves: the family overflowed from T = 1006 at max_last_group=1.
+        problem = OverlapProblem(
+            shape=GemmShape(65536, 32768, 64),
+            device=RTX_4090,
+            topology=rtx4090_pcie(4),
+            collective=CollectiveKind.ALL_REDUCE,
+        )
+        settings = OverlapSettings(max_last_group=1)
+        result = PredictiveTuner(settings).tune(problem)
+        assert result.partition.num_waves == 1058
+        assert result.candidates_evaluated == PredictiveTuner(settings).candidates(1058).num_candidates
