@@ -250,7 +250,7 @@ class PipelineEstimator:
                 bwd_delay=costs.bwd_delay,
             )
             methods[method] = _score(schedule, method)
-            num_cells = len(schedule.cells())
+            num_cells = schedule.num_cells
             if record_trace and method == "overlap":
                 trace = schedule.trace()
         return ScheduleEstimate(name=name, methods=methods, num_cells=num_cells, trace=trace)

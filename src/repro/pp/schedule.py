@@ -5,8 +5,11 @@ input-gradient backward (``B``) and weight-gradient (``W``) -- a position in
 one stage's serial execution order, and each generator times its cells as it
 places them.  All three share one greedy list-scheduling pass: a cell starts
 when its stage is free *and* its cross-stage dependencies (plus the
-inter-stage P2P transfer) have arrived, so every :class:`Cell` of a generated
-:class:`Schedule` carries its ``start`` and ``end``.
+inter-stage P2P transfer) have arrived.  The pass looks those dependencies up
+in per-stage F-end and B-end lists indexed by microbatch and appends every
+placed cell to its stage's columns (kind, microbatch, duration, start, end);
+a :class:`Schedule` stores the columns, and builds :class:`Cell` objects
+only when asked for them.
 
 The three generators:
 
@@ -34,9 +37,10 @@ The three generators:
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, replace
-from itertools import count
-from math import fsum
+from itertools import count, repeat
+from math import fsum, isfinite
 
 from repro.gpu.kernels import KernelCategory
 from repro.sim.trace import Trace
@@ -71,18 +75,14 @@ class StageCostVector:
 
     def __post_init__(self) -> None:
         for name in ("forward", "dgrad", "wgrad"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} duration must be non-negative")
+            value = getattr(self, name)
+            if not (isfinite(value) and value >= 0):
+                raise ValueError(f"{name} duration must be finite and non-negative, got {value}")
 
     @property
     def backward(self) -> float:
         """The bundled dgrad + wgrad backward cell of GPipe / 1F1B."""
         return self.dgrad + self.wgrad
-
-    @property
-    def useful(self) -> float:
-        """True per-microbatch compute (excludes any recomputation)."""
-        return self.forward + self.dgrad + self.wgrad
 
 
 @dataclass(frozen=True)
@@ -103,13 +103,24 @@ class Cell:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Per-stage execution orders of timed cells, plus what timing depended on."""
+    """Timed cells as per-stage columns, plus what timing depended on.
+
+    Each column tuple is indexed by stage and lists that stage's cells in
+    serial execution order: ``kinds`` holds one ``"F"``/``"B"``/``"W"``
+    character per cell, and ``microbatches``, ``durations``, ``starts`` and
+    ``ends`` the matching values.  Every aggregate reads the columns;
+    :attr:`stage_orders` and :meth:`cells` build :class:`Cell` objects on
+    each call.
+    """
 
     name: str
     num_stages: int
     num_microbatches: int
-    #: Serial execution order of each stage (index = stage).
-    stage_orders: tuple[tuple[Cell, ...], ...]
+    kinds: tuple[str, ...]
+    microbatches: tuple[tuple[int, ...], ...]
+    durations: tuple[tuple[float, ...], ...]
+    starts: tuple[tuple[float, ...], ...]
+    ends: tuple[tuple[float, ...], ...]
     fwd_delay: float  # P2P transfer of forward activations between stages
     bwd_delay: float  # P2P transfer of backward gradients between stages
     #: Non-useful (recomputation) work per stage per microbatch, carried
@@ -118,8 +129,18 @@ class Schedule:
     #: True when backward is split into B + W cells (zero-bubble).
     split_backward: bool = False
 
+    @property
+    def stage_orders(self) -> tuple[tuple[Cell, ...], ...]:
+        """Serial execution order of each stage (index = stage), as cells."""
+        columns = zip(self.microbatches, self.kinds, self.durations, self.starts, self.ends)
+        return tuple(tuple(map(Cell, repeat(stage), *column)) for stage, column in enumerate(columns))
+
     def cells(self) -> list[Cell]:
         return [cell for order in self.stage_orders for cell in order]
+
+    @property
+    def num_cells(self) -> int:
+        return sum(map(len, self.kinds))
 
     @property
     def makespan(self) -> float:
@@ -127,18 +148,19 @@ class Schedule:
 
         Ends never decrease within a stage, so this is the latest end of all.
         """
-        return max(order[-1].end for order in self.stage_orders)
+        return max(ends[-1] for ends in self.ends)
 
     def stage_work(self) -> tuple[float, ...]:
         """Per-stage busy time: cell durations left-folded in stage order."""
-        return tuple(sum([cell.duration for cell in order]) for order in self.stage_orders)
+        return tuple(map(sum, self.durations))
 
     def useful_work(self) -> float:
         """Total F+B+W compute across all stages (recomputation excluded)."""
-        overhead = list(self.recompute) or [0.0] * self.num_stages
+        overhead = self.recompute or (0.0,) * self.num_stages
         return fsum(
-            cell.duration - (overhead[cell.stage] if cell.kind == "B" else 0.0)
-            for cell in self.cells()
+            duration - (cost if kind == "B" else 0.0)
+            for kinds, durations, cost in zip(self.kinds, self.durations, overhead)
+            for kind, duration in zip(kinds, durations)
         )
 
     def trace(self) -> Trace:
@@ -153,52 +175,56 @@ class Schedule:
         order.  End times tie constantly under uniform costs, which is why
         the dispatch sequence, not the stage, breaks ties.
         """
-        cells = self.cells()
-        position = {(cell.kind, cell.stage, cell.microbatch): i for i, cell in enumerate(cells)}
+        columns = zip(self.kinds, self.microbatches, self.starts, self.ends)
+        rows = [(stage, *row) for stage, column in enumerate(columns) for row in zip(*column)]
+        position = {(kind, stage, mb): i for i, (stage, kind, mb, _, _) in enumerate(rows)}
         last = self.num_stages - 1
-        pending = [0] * len(cells)
-        successors: list[list[int]] = [[] for _ in cells]
-        for i, cell in enumerate(cells):
-            stage, mb = cell.stage, cell.microbatch
-            if cell.kind == "F":
+        pending = [0] * len(rows)
+        successors: list[list[int]] = [[] for _ in rows]
+        for i, (stage, kind, mb, _, _) in enumerate(rows):
+            if kind == "F":
                 preds = [position["F", stage - 1, mb]] if stage else []
-            elif cell.kind == "B":
+            elif kind == "B":
                 preds = [position["F", stage, mb]]
                 if stage < last:
                     preds.append(position["B", stage + 1, mb])
             else:
                 preds = [position["B", stage, mb]]
-            if i and cells[i - 1].stage == stage:
+            if i and rows[i - 1][0] == stage:
                 preds.append(i - 1)
             pending[i] = len(preds)
             for pred in preds:
                 successors[pred].append(i)
 
         sequence = count()
-        heap = [(cells[i].end, next(sequence), i) for i, waiting in enumerate(pending) if not waiting]
+        heap = [(rows[i][4], next(sequence), i) for i, waiting in enumerate(pending) if not waiting]
         heapq.heapify(heap)
         trace = Trace()
         while heap:
             u = heapq.heappop(heap)[2]
-            cell = cells[u]
-            trace.record(
-                f"stage{cell.stage}", cell.name, cell.start, cell.end, _CELL_CATEGORIES[cell.kind]
-            )
+            stage, kind, mb, start, end = rows[u]
+            trace.record(f"stage{stage}", f"{kind}{mb}@s{stage}", start, end, _CELL_CATEGORIES[kind])
             # Successor lists are in position order, which is stage order:
             # positions are stage-major and one finish releases at most one
             # cell per stage.
             for v in successors[u]:
                 pending[v] -= 1
                 if not pending[v]:
-                    heapq.heappush(heap, (cells[v].end, next(sequence), v))
+                    heapq.heappush(heap, (rows[v][4], next(sequence), v))
         return trace
 
 
-def _check_costs(stages: tuple[StageCostVector, ...], microbatches: int) -> None:
+def _check_costs(
+    stages: tuple[StageCostVector, ...], microbatches: int, fwd_delay: float, bwd_delay: float
+) -> None:
     if not stages:
         raise ValueError("a schedule needs at least one stage")
     if microbatches < 1:
         raise ValueError("microbatches must be >= 1")
+    # A NaN or negative delay would let a cell start before its input arrives.
+    for name, delay in (("fwd_delay", fwd_delay), ("bwd_delay", bwd_delay)):
+        if not (isfinite(delay) and delay >= 0):
+            raise ValueError(f"{name} must be finite and non-negative, got {delay}")
 
 
 #: W-placement policies the zero-bubble generator searches over (in
@@ -227,70 +253,83 @@ def _list_schedule(
     Each stage runs its ``fb_orders`` F/B cells in order; a cell starts once
     its stage is free and its dependencies (plus the P2P transfer) have
     arrived.  The pass keeps one cursor per stage and advances each stage
-    while its head cell is ready.  ``backward[s]`` is stage ``s``'s B
-    duration.  ``policy`` is ``None`` for a bundled backward (no W cells);
-    otherwise it names the :data:`_ZB_POLICIES` member that places each B's
-    W cell.
+    while its head cell is ready, reading dependency ends from per-stage
+    F-end and B-end lists indexed by microbatch (``None`` until placed).
+    ``backward[s]`` is stage ``s``'s B duration.  ``policy`` is ``None`` for
+    a bundled backward (no W cells); otherwise it names the
+    :data:`_ZB_POLICIES` member that places each B's W cell.
     """
     num_stages = len(stages)
     last = num_stages - 1
-
-    ends: dict[tuple[str, int, int], float] = {}  # (kind, stage, mb) -> end
+    f_ends: list[list[float | None]] = [[None] * microbatches for _ in stages]
+    b_ends: list[list[float | None]] = [[None] * microbatches for _ in stages]
+    # One (kind, microbatch, duration, start, end) row per placed cell.
+    rows: list[list[tuple[str, int, float, float, float]]] = [[] for _ in stages]
     free = [0.0] * num_stages
     heads = [0] * num_stages
-    pending_w: list[list[int]] = [[] for _ in range(num_stages)]
-    orders: list[list[Cell]] = [[] for _ in range(num_stages)]
-
-    def place(stage: int, kind: str, mb: int, duration: float, start: float) -> None:
-        end = start + duration
-        orders[stage].append(Cell(stage, mb, kind, duration, start, end))
-        ends[(kind, stage, mb)] = end
-        free[stage] = end
+    # What a stage's cursor reads: its order, the upstream F ends its F cells
+    # wait on, its own F and B ends, the downstream B ends its B cells wait
+    # on, its rows, its pool of deferred W cells and its durations.
+    lanes = [
+        (fb_orders[s], f_ends[s - 1] if s else None, f_ends[s], b_ends[s],
+         b_ends[s + 1] if s < last else None, rows[s], deque(), cost.forward, backward[s], cost.wgrad)
+        for s, cost in enumerate(stages)
+    ]
+    defer, inline, pool = policy == "defer", policy == "inline", policy in ("defer", "eager")
 
     remaining = sum(len(order) for order in fb_orders)
     while remaining:
-        progressed = False
-        for stage in range(num_stages):
-            cost = stages[stage]
-            while heads[stage] < len(fb_orders[stage]):
-                kind, mb = fb_orders[stage][heads[stage]]
+        before = remaining
+        for stage, lane in enumerate(lanes):
+            order, upstream, own_f, own_b, downstream, placed, pending_w, forward, bwd, wgrad = lane
+            head, free_at = heads[stage], free[stage]
+            while head < len(order):
+                kind, mb = order[head]
                 if kind == "F":
-                    dep_keys = [("F", stage - 1, mb)] if stage > 0 else []
-                    delays = [fwd_delay]
-                    duration = cost.forward
+                    if upstream is None:
+                        ready = 0.0
+                    else:
+                        ready = upstream[mb]
+                        if ready is None:
+                            break
+                        ready += fwd_delay
+                    duration = forward
                 else:
-                    dep_keys = [("F", stage, mb)]
-                    delays = [0.0]
-                    if stage < last:
-                        dep_keys.append(("B", stage + 1, mb))
-                        delays.append(bwd_delay)
-                    duration = backward[stage]
-                if any(key not in ends for key in dep_keys):
-                    break
-                ready = max(
-                    (ends[key] + delay for key, delay in zip(dep_keys, delays)),
-                    default=0.0,
-                )
+                    ready = own_f[mb]
+                    if ready is None:
+                        break
+                    ready += 0.0  # the same-stage F -> B edge carries no transfer
+                    if downstream is not None:
+                        arrival = downstream[mb]
+                        if arrival is None:
+                            break
+                        arrival += bwd_delay
+                        if arrival > ready:
+                            ready = arrival
+                    duration = bwd
                 # Fill the gap in front of this cell with deferred W work:
                 # `defer` only when the W provably cannot delay the cell,
                 # `eager` whenever the stage would otherwise idle (inline and
                 # bundled backwards keep no pool, so the loop never runs).
-                while pending_w[stage] and (
-                    free[stage] + cost.wgrad <= ready
-                    if policy == "defer"
-                    else free[stage] < ready
-                ):
-                    place(stage, "W", pending_w[stage].pop(0), cost.wgrad, free[stage])
-                place(stage, kind, mb, duration, max(free[stage], ready))
-                if kind == "B" and policy is not None:
-                    if policy == "inline":
-                        place(stage, "W", mb, cost.wgrad, free[stage])
-                    else:
-                        pending_w[stage].append(mb)
-                heads[stage] += 1
-                remaining -= 1
-                progressed = True
-        if not progressed:  # every generator's order is feasible; this guards new ones
+                while pending_w and (free_at + wgrad <= ready if defer else free_at < ready):
+                    placed.append(("W", pending_w.popleft(), wgrad, free_at, free_at + wgrad))
+                    free_at += wgrad
+                start = ready if ready > free_at else free_at
+                free_at = start + duration
+                placed.append((kind, mb, duration, start, free_at))
+                if kind == "F":
+                    own_f[mb] = free_at
+                else:
+                    own_b[mb] = free_at
+                    if inline:
+                        placed.append(("W", mb, wgrad, free_at, free_at + wgrad))
+                        free_at += wgrad
+                    elif pool:
+                        pending_w.append(mb)
+                head += 1
+            remaining -= head - heads[stage]
+            heads[stage], free[stage] = head, free_at
+        if remaining == before:  # every generator's order is feasible; this guards new ones
             stuck = [
                 f"{order[head][0]}{order[head][1]}@s{stage}"
                 for stage, (order, head) in enumerate(zip(fb_orders, heads))
@@ -299,17 +338,15 @@ def _list_schedule(
             raise RuntimeError(
                 f"{name} list scheduling stalled: cells {stuck} wait on cells that never finish"
             )
-    for stage in range(num_stages):
-        for mb in pending_w[stage]:
-            place(stage, "W", mb, stages[stage].wgrad, free[stage])
+    for stage, (*_, placed, pending_w, _, _, wgrad) in enumerate(lanes):
+        free_at = free[stage]
+        for mb in pending_w:
+            placed.append(("W", mb, wgrad, free_at, free_at + wgrad))
+            free_at += wgrad
+    kinds, mbs, durations, starts, ends = zip(*(zip(*placed) for placed in rows))
     return Schedule(
-        name=name,
-        num_stages=num_stages,
-        num_microbatches=microbatches,
-        stage_orders=tuple(tuple(order) for order in orders),
-        fwd_delay=fwd_delay,
-        bwd_delay=bwd_delay,
-        split_backward=policy is not None,
+        name, num_stages, microbatches, tuple(map("".join, kinds)), mbs, durations, starts, ends,
+        fwd_delay, bwd_delay, split_backward=policy is not None,
     )
 
 
@@ -320,7 +357,7 @@ def gpipe_schedule(
     bwd_delay: float = 0.0,
 ) -> Schedule:
     """GPipe: all forwards, then all backwards, with activation recompute."""
-    _check_costs(stages, microbatches)
+    _check_costs(stages, microbatches, fwd_delay, bwd_delay)
     order = [("F", m) for m in range(microbatches)] + [("B", m) for m in range(microbatches)]
     # Rematerialisation: the backward cell re-runs the stage's forward before
     # computing dgrad + wgrad (GPipe stores only boundary activations).
@@ -358,7 +395,7 @@ def one_f_one_b_schedule(
     bwd_delay: float = 0.0,
 ) -> Schedule:
     """1F1B (PipeDream-flush): warmup forwards, steady 1F1B, cooldown."""
-    _check_costs(stages, microbatches)
+    _check_costs(stages, microbatches, fwd_delay, bwd_delay)
     return _list_schedule(
         "1f1b",
         stages,
@@ -388,7 +425,7 @@ def zero_bubble_schedule(
     so the selected step time -- and therefore the bubble ratio -- is never
     worse than 1F1B's.
     """
-    _check_costs(stages, microbatches)
+    _check_costs(stages, microbatches, fwd_delay, bwd_delay)
     fb_orders = _one_f_one_b_orders(len(stages), microbatches)
     dgrad = tuple(cost.dgrad for cost in stages)
     return min(
@@ -440,15 +477,16 @@ def stage_peak_inflight(schedule: Schedule) -> tuple[int, ...]:
     (GPipe's recomputation stores only the stage-boundary activation, the
     other schedules keep every layer's).
     """
+    release = "W" if schedule.split_backward else "B"
     peaks = []
-    for order in schedule.stage_orders:
+    for kinds in schedule.kinds:
         live = peak = 0
-        release = "W" if schedule.split_backward else "B"
-        for cell in order:
-            if cell.kind == "F":
+        for kind in kinds:
+            if kind == "F":
                 live += 1
-                peak = max(peak, live)
-            elif cell.kind == release:
+                if live > peak:
+                    peak = live
+            elif kind == release:
                 live -= 1
         peaks.append(peak)
     return tuple(peaks)

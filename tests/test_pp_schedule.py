@@ -9,9 +9,12 @@ recomputation), 15 (1F1B) and 13 (zero-bubble).
 import pytest
 
 from oracles.replay import critical_path, dependencies
+from repro.api import PP_SMOKE
+from repro.cluster import ClusterSpec
 from repro.core.config import OverlapSettings
 from repro.pp import PipelineEstimator
 from repro.pp.schedule import (
+    KNOWN_SCHEDULES,
     Cell,
     Schedule,
     StageCostVector,
@@ -133,6 +136,52 @@ class TestHandComputedSteps:
             one_f_one_b_schedule(UNIFORM, 0)
         with pytest.raises(ValueError, match="non-negative"):
             StageCostVector(-1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("field", ["forward", "dgrad", "wgrad"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_durations_are_rejected(self, field, value):
+        # NaN passed the old `< 0` check and turned every aggregate into NaN.
+        durations = {"forward": 1.0, "dgrad": 1.0, "wgrad": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} duration must be finite"):
+            StageCostVector(**durations)
+
+    @pytest.mark.parametrize("name", sorted(KNOWN_SCHEDULES))
+    @pytest.mark.parametrize("delay", ["fwd_delay", "bwd_delay"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_invalid_transfer_delays_are_rejected(self, name, delay, value):
+        # A NaN ready time loses every comparison and a negative delay
+        # undercuts the transfer: either lets F0@s1 start before F0@s0 ends.
+        with pytest.raises(ValueError, match=f"{delay} must be finite and non-negative"):
+            generate_schedule(name, UNIFORM, 4, **{delay: value})
+
+
+class TestEstimatorBuildsNoCells:
+    @pytest.mark.parametrize("record_trace", [False, True])
+    def test_smoke_estimate_constructs_no_cell(self, monkeypatch, record_trace):
+        """Scores, counts and traces read the columns; cells exist on demand only."""
+        settings = OverlapSettings()
+        cluster = ClusterSpec()
+        (name,) = PP_SMOKE["workloads"]
+        workload = build_pipeline_workload(
+            name, stages=PP_SMOKE["stages"], microbatches=PP_SMOKE["microbatches"],
+            layers=PP_SMOKE["layers"], device=cluster.device_spec,
+            topology=cluster.resolve(), settings=settings,
+        )
+        constructed = []
+        init = Cell.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Cell, "__init__", counting_init)
+        estimate = PipelineEstimator(settings).estimate(workload, record_trace=record_trace)
+        assert constructed == []
+        # The wrapper does see constructions: the on-demand view makes one per cell.
+        costs = (StageCostVector(1.0, 1.0, 1.0),) * workload.num_stages
+        schedule = generate_schedule("zero-bubble", costs, workload.microbatches)
+        assert len(schedule.cells()) == estimate.schedules["zero-bubble"].num_cells
+        assert len(constructed) == schedule.num_cells
 
 
 class TestEstimatorTraces:

@@ -4,7 +4,9 @@ Every generator times its cells in one list-scheduling pass as it places
 them, and ``Schedule.trace`` rebuilds the event order from those times.
 Both must be **bit-identical** to the engine-driven oracle in
 ``tests/oracles/replay``: every cell's ``(start, end)``, the makespan, the
-per-stage work folds, and the trace spans in the same order.  Hypothesis
+per-stage work folds, and the trace spans in the same order.  The
+on-demand :class:`Cell` view must also repeat the stored columns field by
+field.  Hypothesis
 draws cost models over 1-8 stages and 1-24 microbatches with random transfer
 delays, and a tied strategy whose costs and delays come from {0, 1, 2}: end
 times collide constantly and zero-cost cells finish at their start, so the
@@ -15,6 +17,8 @@ the same stuck cells, instead of returning a partial timeline.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import pytest
 from hypothesis import given, settings as hsettings
 from hypothesis import strategies as st
@@ -22,7 +26,6 @@ from hypothesis import strategies as st
 from oracles.replay import replay_reference
 from repro.pp.schedule import (
     KNOWN_SCHEDULES,
-    Cell,
     Schedule,
     StageCostVector,
     _list_schedule,
@@ -50,6 +53,22 @@ def cost_models(draw, durations=DURATIONS, delays=DELAYS):
 def assert_matches_oracle(schedule):
     reference = replay_reference(schedule)
     assert {cell.name: (cell.start, cell.end) for cell in schedule.cells()} == reference.spans
+    # The on-demand cells hold exactly the columns, field by field.
+    assert schedule.num_cells == len(schedule.cells())
+    for stage, order in enumerate(schedule.stage_orders):
+        assert [
+            (cell.stage, cell.kind, cell.microbatch, cell.duration, cell.start, cell.end)
+            for cell in order
+        ] == list(
+            zip(
+                repeat(stage),
+                schedule.kinds[stage],
+                schedule.microbatches[stage],
+                schedule.durations[stage],
+                schedule.starts[stage],
+                schedule.ends[stage],
+            )
+        )
     assert schedule.makespan == reference.makespan
     assert schedule.stage_work() == reference.stage_work
     # The aggregates are plain python floats (JSON stability).
@@ -118,11 +137,22 @@ def _time_in_one_pass():
 
 
 def _replay_event_by_event():
-    orders = tuple(
-        tuple(Cell(stage, mb, kind, 1.0, 0.0, 1.0) for kind, mb in order)
-        for stage, order in enumerate(INFEASIBLE)
+    def column(value):
+        return tuple((value,) * len(order) for order in INFEASIBLE)
+
+    schedule = Schedule(
+        "1f1b",
+        2,
+        1,
+        kinds=tuple("".join(kind for kind, _ in order) for order in INFEASIBLE),
+        microbatches=tuple(tuple(mb for _, mb in order) for order in INFEASIBLE),
+        durations=column(1.0),
+        starts=column(0.0),
+        ends=column(1.0),
+        fwd_delay=0.0,
+        bwd_delay=0.0,
     )
-    return replay_reference(Schedule("1f1b", 2, 1, orders, fwd_delay=0.0, bwd_delay=0.0))
+    return replay_reference(schedule)
 
 
 class TestErrorParity:
