@@ -6,13 +6,13 @@ Both must be **bit-identical** to the engine-driven oracle in
 ``tests/oracles/replay``: every cell's ``(start, end)``, the makespan, the
 per-stage work folds, and the trace spans in the same order.  The
 on-demand :class:`Cell` view must also repeat the stored columns field by
-field.  Hypothesis
-draws cost models over 1-8 stages and 1-24 microbatches with random transfer
-delays, and a tied strategy whose costs and delays come from {0, 1, 2}: end
-times collide constantly and zero-cost cells finish at their start, so the
-trace order is decided by the dispatch tie-breaks rather than by time.
-Both timing paths also refuse an order no list scheduler can finish, naming
-the same stuck cells, instead of returning a partial timeline.
+field.  Hypothesis draws cost models over 1-8 stages and 1-24 microbatches
+with random transfer delays, and a tied strategy whose costs and delays come
+from {0, 1, 2}: end times collide constantly and zero-cost cells finish at
+their start, so the trace order is decided by the dispatch tie-breaks rather
+than by time.  Both timing paths also refuse an order no list scheduler can
+finish, naming the same stuck cells, instead of returning a partial
+timeline.
 """
 
 from __future__ import annotations
