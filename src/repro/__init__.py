@@ -14,9 +14,9 @@ The package mirrors the paper's structure:
 * :mod:`repro.sweep` -- parallel scenario sweeps (matrices, presets, worker
   fan-out, JSONL result store, aggregation),
 * :mod:`repro.plans` -- the shared store of tuned, pre-simulated overlap
-  plans (exact or shape-bucketed keying) behind serving and e2e estimation,
+  plans (keyed by the exact problem) behind serving and e2e estimation,
 * :mod:`repro.serve` -- online serving simulation (request traffic,
-  continuous batching, shape-bucketed plan cache, TTFT/TPOT/goodput metrics),
+  continuous batching, one cached plan per token bucket, TTFT/TPOT/goodput metrics),
 * :mod:`repro.e2e` -- whole-model latency estimation over the paper's
   end-to-end workloads with cross-layer plan reuse (Table 4 / Fig. 12).
 

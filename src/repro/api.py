@@ -376,8 +376,7 @@ def serve(
             settings=settings,
         )
         warm = GemmShapeCache.load(warm_cache, missing_ok=True) if warm_cache else None
-        cache = PlanCache(settings, capacity=plan_cache, warm_start=warm,
-                          min_bucket=config.min_bucket)
+        cache = PlanCache(settings, capacity=plan_cache, warm_start=warm)
         slo = SLO(ttft_s=slo_ttft, tpot_s=slo_tpot)
 
         overlap = ServingSimulator(
@@ -394,8 +393,7 @@ def serve(
         if injector is not None:
             fault_free_result = ServingSimulator(
                 config,
-                plan_cache=PlanCache(settings, capacity=plan_cache, warm_start=warm,
-                                     min_bucket=config.min_bucket),
+                plan_cache=PlanCache(settings, capacity=plan_cache, warm_start=warm),
                 mode="overlap",
             ).run(generated)
         if warm_cache and warm is not None:

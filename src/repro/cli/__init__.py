@@ -34,7 +34,7 @@ Sub-commands:
   worker processes into a JSONL result store, with resume and shape-cache
   warm start;
 * ``serve``   -- simulate online serving (Poisson or trace arrivals,
-  continuous batching, shape-bucketed plan cache) and report TTFT/TPOT
+  continuous batching, one cached plan per token bucket) and report TTFT/TPOT
   percentiles, throughput and goodput, optionally against the non-overlap
   baseline;
 * ``e2e``     -- estimate whole-model latency for the paper's end-to-end

@@ -5,9 +5,9 @@ black box characterised by (1) the data semantics of each collective and
 (2) its latency as a function of message size on a given interconnect.  This
 package provides both halves:
 
-* **functional collectives** (:mod:`repro.comm.collectives`,
-  :mod:`repro.comm.ring`) operate on lists of NumPy arrays -- one per
-  simulated GPU -- and are used for the numerical-correctness path;
+* **functional collectives** (:mod:`repro.comm.collectives`) operate on
+  lists of NumPy arrays -- one per simulated GPU -- and are used for the
+  numerical-correctness path;
 * **latency models** (:mod:`repro.comm.topology`,
   :mod:`repro.comm.bandwidth`, :mod:`repro.comm.primitives`) reproduce the
   size-dependent effective-bandwidth curve of Fig. 8 for PCIe / NVLink / HCCS
@@ -32,7 +32,6 @@ from repro.comm.collectives import (
     reduce_scatter,
     reduce_scatter_flat,
 )
-from repro.comm.ring import ring_all_reduce, ring_reduce_scatter, ring_all_gather
 
 __all__ = [
     "InterconnectKind",
@@ -52,7 +51,4 @@ __all__ = [
     "reduce_scatter_flat",
     "all_gather",
     "all_to_all",
-    "ring_all_reduce",
-    "ring_reduce_scatter",
-    "ring_all_gather",
 ]

@@ -47,10 +47,6 @@ class OverlapResult:
     def num_groups(self) -> int:
         return len(self.partition.group_sizes)
 
-    def head_overlap_tail(self) -> tuple[float, float, float]:
-        """Head / overlapped / tail decomposition of the timeline (Fig. 8)."""
-        return self.trace.head_tail_overlap(COMPUTE_STREAM, COMM_STREAM)
-
     def speedup_over(self, baseline_latency: float) -> float:
         if self.latency <= 0:
             raise ValueError("result has non-positive latency")

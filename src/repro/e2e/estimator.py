@@ -5,8 +5,8 @@ stream of :class:`~repro.workloads.operators.OperatorInstance`; this module
 runs that stream end to end:
 
 1. every "GEMM + collective" operator is resolved through a shared
-   :class:`~repro.plans.PlanCache` in exact-shape mode, so each *distinct*
-   problem is tuned and ground-truth-simulated exactly once -- repeated
+   :class:`~repro.plans.PlanCache`, keyed by the exact problem, so each
+   *distinct* problem is tuned and ground-truth-simulated exactly once -- repeated
    layers (and shapes shared across workloads) are cache hits;
 2. the full stream -- ``layers`` repetitions of the per-layer operator list --
    runs back to back on one stream: the whole-model latency is the in-order
@@ -42,22 +42,13 @@ STREAM = "model"
 DEFAULT_STORE_CAPACITY = 1024
 
 
-def make_plan_store(
-    settings: OverlapSettings = DEFAULT_SETTINGS,
-    reuse: bool = True,
-    warm_start=None,
-) -> PlanCache:
-    """The estimator's plan store: exact-shape keying, LRU far off the path.
+def make_plan_store(settings: OverlapSettings = DEFAULT_SETTINGS, reuse: bool = True) -> PlanCache:
+    """The estimator's plan store: exact-shape keys, LRU far off the path.
 
     ``reuse=False`` sets capacity 0 -- every lookup re-tunes, the "no plan
     reuse" arm of the differential tests and the e2e benchmark.
     """
-    return PlanCache(
-        settings,
-        capacity=DEFAULT_STORE_CAPACITY if reuse else 0,
-        warm_start=warm_start,
-        bucketing=False,
-    )
+    return PlanCache(settings, capacity=DEFAULT_STORE_CAPACITY if reuse else 0)
 
 
 @dataclass(frozen=True)
@@ -162,18 +153,12 @@ class EndToEndEstimator:
         settings: OverlapSettings = DEFAULT_SETTINGS,
         plan_store: PlanCache | None = None,
         reuse: bool = True,
-        warm_start=None,
     ) -> None:
         self.settings = settings
         # Explicit None check: an empty PlanCache is falsy (len() == 0).
         if plan_store is None:
-            plan_store = make_plan_store(settings, reuse=reuse, warm_start=warm_start)
+            plan_store = make_plan_store(settings, reuse=reuse)
         self.plan_store = plan_store
-        if self.plan_store.bucketing:
-            raise ValueError(
-                "the e2e estimator needs an exact-shape plan store "
-                "(PlanCache(bucketing=False)); bucketed M would distort the estimate"
-            )
 
     # -- per-operator resolution ---------------------------------------------------
 

@@ -48,20 +48,6 @@ def execution_order(layout: TileLayout, swizzle_size: int | None) -> np.ndarray:
     return swizzled_order(layout, swizzle_size)
 
 
-def address_discontiguity(layout: TileLayout, order: np.ndarray, window: int) -> float:
-    """Fraction of adjacent pairs in the first ``window`` launched tiles that
-    are *not* adjacent in address order.
-
-    A value of 0 means the first wave is a contiguous block (communication
-    could proceed without reordering); larger values quantify how much the
-    swizzle scrambles addresses.
-    """
-    if window < 2:
-        return 0.0
-    steps = np.diff(order[:window])
-    return int(np.count_nonzero(steps != 1)) / len(steps)
-
-
 def wave_partition(order: np.ndarray, wave_size: int) -> list[list[int]]:
     """Chunk an execution order into waves of ``wave_size`` tiles.
 

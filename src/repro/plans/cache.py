@@ -10,15 +10,11 @@ instance would put a milliseconds-scale search on the critical path, so a
 from the cache -- the paper's shape-cache reuse argument (Sec. 4.2.2) applied
 at system granularity.
 
-Two keying modes cover the two consumers:
-
-* **bucketed** (``bucketing=True``, the serving default): ``M`` is rounded up
-  to a power-of-two bucket edge, so decode iterations whose token counts
-  cluster share one plan per bucket;
-* **exact** (``bucketing=False``, the end-to-end estimator): the key is the
-  exact problem, so repeated layers reuse their plans while the simulated
-  latency stays that of the true shape (no rounding error enters the model
-  estimate).
+The key is the exact problem, so repeated layers reuse their plans while the
+simulated latency stays that of the true shape.  Serving rounds each
+iteration's token count up to a power-of-two bucket edge
+(:func:`bucket_tokens`) before it builds the problems it looks up, so
+decode iterations whose token counts cluster share one plan per bucket.
 
 The cache is LRU with hit/miss/evict counters, can warm-start from a
 persisted :class:`~repro.core.tuner.GemmShapeCache` (the offline tuning
@@ -61,7 +57,7 @@ def bucket_tokens(tokens: int, min_bucket: int = 16) -> int:
 class CachedPlan:
     """One tuned, pre-simulated plan for a cached problem."""
 
-    problem: OverlapProblem  # the (possibly bucketed) problem the plan was tuned for
+    problem: OverlapProblem  # the problem the plan was tuned for
     tuning: TuningResult
     overlap_latency: float  # simulated latency of the tuned execution
     non_overlap_latency: float  # sequential GEMM-then-collective baseline
@@ -83,8 +79,7 @@ class PlanCache:
     ``capacity=0`` disables caching entirely (every lookup tunes afresh),
     which is the "no plan cache" / "no reuse" arm of the serving and e2e
     benchmarks.  A ``warm_start`` :class:`GemmShapeCache` short-circuits tuner
-    invocations for shapes close to an already-tuned entry.  ``bucketing``
-    selects the keying mode (see the module docstring).
+    invocations for shapes close to an already-tuned entry.
     """
 
     def __init__(
@@ -92,18 +87,12 @@ class PlanCache:
         settings: OverlapSettings = DEFAULT_SETTINGS,
         capacity: int = 64,
         warm_start: GemmShapeCache | None = None,
-        min_bucket: int = 16,
-        bucketing: bool = True,
     ) -> None:
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
-        if min_bucket < 1:
-            raise ValueError("min_bucket must be >= 1")
         self.settings = settings
         self.capacity = capacity
         self.warm_start = warm_start
-        self.min_bucket = min_bucket
-        self.bucketing = bucketing
         self._tuner = PredictiveTuner(settings)
         self._entries: OrderedDict[tuple, CachedPlan] = OrderedDict()
         self.hits = 0
@@ -117,29 +106,18 @@ class PlanCache:
 
     # -- keys --------------------------------------------------------------------
 
-    def bucketed_problem(self, problem: OverlapProblem) -> OverlapProblem:
-        """The problem with ``M`` rounded up to its bucket edge (exact mode: as is)."""
-        if not self.bucketing:
-            return problem
-        shape = problem.shape
-        bucketed_m = bucket_tokens(shape.m, self.min_bucket)
-        if bucketed_m == shape.m:
-            return problem
-        return problem.with_shape(replace(shape, m=bucketed_m))
-
     def key(self, problem: OverlapProblem) -> tuple:
-        """Cache key of the bucketed problem (everything latency depends on)."""
-        bucketed = self.bucketed_problem(problem)
+        """Cache key of the problem (everything latency depends on)."""
         return (
-            bucketed.shape.m,
-            bucketed.shape.n,
-            bucketed.shape.k,
-            bucketed.device.name,
-            bucketed.topology.name,
-            bucketed.n_gpus,
-            bucketed.collective.name,
-            bucketed.dtype_bytes,
-            bucketed.imbalance,
+            problem.shape.m,
+            problem.shape.n,
+            problem.shape.k,
+            problem.device.name,
+            problem.topology.name,
+            problem.n_gpus,
+            problem.collective.name,
+            problem.dtype_bytes,
+            problem.imbalance,
         )
 
     # -- lookup ------------------------------------------------------------------
@@ -156,7 +134,7 @@ class PlanCache:
 
         self.misses += 1
         obs.counter("plan_store.misses").inc()
-        entry = self._build_plan(self.bucketed_problem(problem))
+        entry = self._build_plan(problem)
         if self.capacity > 0:
             self._entries[key] = entry
             while len(self._entries) > self.capacity:
@@ -178,25 +156,25 @@ class PlanCache:
         self.hits += lookups
         obs.counter("plan_store.hits").inc(lookups)
 
-    def _build_plan(self, bucketed: OverlapProblem) -> CachedPlan:
-        shape = bucketed.shape
+    def _build_plan(self, problem: OverlapProblem) -> CachedPlan:
+        shape = problem.shape
         with obs.span("plan_store.build", m=shape.m, n=shape.n, k=shape.k):
-            return self._build_plan_inner(bucketed)
+            return self._build_plan_inner(problem)
 
-    def _build_plan_inner(self, bucketed: OverlapProblem) -> CachedPlan:
+    def _build_plan_inner(self, problem: OverlapProblem) -> CachedPlan:
         tuning = None
         if self.warm_start is not None:
-            tuning = self.warm_start.lookup(bucketed, self.settings)
+            tuning = self.warm_start.lookup(problem, self.settings)
             if tuning is not None:
                 self.warm_start_hits += 1
                 obs.counter("plan_store.warm_start_hits").inc()
         if tuning is None:
             self.tuner_invocations += 1
             obs.counter("plan_store.tuner_invocations").inc()
-            tuning = self._tuner.tune(bucketed)
+            tuning = self._tuner.tune(problem)
             if self.warm_start is not None:
-                self.warm_start.add(bucketed.shape, tuning)
-        executor = OverlapExecutor(bucketed, self.settings)
+                self.warm_start.add(problem.shape, tuning)
+        executor = OverlapExecutor(problem, self.settings)
         sequential_latency = executor.simulate_sequential().latency
         # Ground-truth validation of the overlap-vs-fallback decision: the
         # tuner's (or a warm-start entry's) ``use_overlap`` flag is a
@@ -210,10 +188,10 @@ class PlanCache:
             tuning = replace(tuning, use_overlap=use_overlap)
         overlap_latency = candidate_latency if use_overlap else sequential_latency
         return CachedPlan(
-            problem=bucketed,
+            problem=problem,
             tuning=tuning,
             overlap_latency=overlap_latency,
-            non_overlap_latency=NonOverlapBaseline(self.settings).latency(bucketed),
+            non_overlap_latency=NonOverlapBaseline(self.settings).latency(problem),
             theoretical_latency=executor.theoretical_latency(),
         )
 

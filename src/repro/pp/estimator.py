@@ -166,10 +166,9 @@ class PipelineEstimator:
         settings: OverlapSettings = DEFAULT_SETTINGS,
         estimator: EndToEndEstimator | None = None,
         reuse: bool = True,
-        warm_start=None,
     ) -> None:
         self.settings = settings
-        self.e2e = estimator or EndToEndEstimator(settings, reuse=reuse, warm_start=warm_start)
+        self.e2e = estimator or EndToEndEstimator(settings, reuse=reuse)
 
     @property
     def plan_store(self):

@@ -8,8 +8,9 @@ when its stage is free *and* its cross-stage dependencies (plus the
 inter-stage P2P transfer) have arrived.  The pass looks those dependencies up
 in per-stage F-end and B-end lists indexed by microbatch and appends every
 placed cell to its stage's columns (kind, microbatch, duration, start, end);
-a :class:`Schedule` stores the columns, and builds :class:`Cell` objects
-only when asked for them.
+a :class:`Schedule` stores the columns, builds :class:`Cell` objects only
+when asked for them, and traces each stage as one stream in the order the
+stage runs its cells.
 
 The three generators:
 
@@ -36,10 +37,9 @@ The three generators:
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass, replace
-from itertools import count, repeat
+from itertools import repeat
 from math import fsum, isfinite
 
 from repro.gpu.kernels import KernelCategory
@@ -164,53 +164,18 @@ class Schedule:
         )
 
     def trace(self) -> Trace:
-        """The cells as a trace (one stream per stage) in completion order.
+        """The cells as a trace: one stream per stage, in execution order.
 
-        Spans are listed in the order an event loop applying the same
-        list-scheduling rule would finish them: by ``(end, dispatch
-        sequence)``.  A cell is dispatched when its last predecessor finishes
-        -- the previous cell on its stage, plus ``F(m, s-1)`` for an F cell,
-        ``F(m, s)`` and ``B(m, s+1)`` for a B cell, or ``B(m, s)`` for a W
-        cell -- and the cells one finish releases are dispatched in stage
-        order.  End times tie constantly under uniform costs, which is why
-        the dispatch sequence, not the stage, breaks ties.
+        Streams ``stage0`` to ``stage{S-1}`` are recorded one after another,
+        each listing its stage's cells in the order the stage runs them (the
+        columns as stored).  Trace readers work stream by stream, so the
+        spans carry no order across stages.
         """
-        columns = zip(self.kinds, self.microbatches, self.starts, self.ends)
-        rows = [(stage, *row) for stage, column in enumerate(columns) for row in zip(*column)]
-        position = {(kind, stage, mb): i for i, (stage, kind, mb, _, _) in enumerate(rows)}
-        last = self.num_stages - 1
-        pending = [0] * len(rows)
-        successors: list[list[int]] = [[] for _ in rows]
-        for i, (stage, kind, mb, _, _) in enumerate(rows):
-            if kind == "F":
-                preds = [position["F", stage - 1, mb]] if stage else []
-            elif kind == "B":
-                preds = [position["F", stage, mb]]
-                if stage < last:
-                    preds.append(position["B", stage + 1, mb])
-            else:
-                preds = [position["B", stage, mb]]
-            if i and rows[i - 1][0] == stage:
-                preds.append(i - 1)
-            pending[i] = len(preds)
-            for pred in preds:
-                successors[pred].append(i)
-
-        sequence = count()
-        heap = [(rows[i][4], next(sequence), i) for i, waiting in enumerate(pending) if not waiting]
-        heapq.heapify(heap)
         trace = Trace()
-        while heap:
-            u = heapq.heappop(heap)[2]
-            stage, kind, mb, start, end = rows[u]
-            trace.record(f"stage{stage}", f"{kind}{mb}@s{stage}", start, end, _CELL_CATEGORIES[kind])
-            # Successor lists are in position order, which is stage order:
-            # positions are stage-major and one finish releases at most one
-            # cell per stage.
-            for v in successors[u]:
-                pending[v] -= 1
-                if not pending[v]:
-                    heapq.heappush(heap, (rows[v][4], next(sequence), v))
+        for stage, column in enumerate(zip(self.kinds, self.microbatches, self.starts, self.ends)):
+            stream = f"stage{stage}"
+            for kind, mb, start, end in zip(*column):
+                trace.record(stream, f"{kind}{mb}@s{stage}", start, end, _CELL_CATEGORIES[kind])
         return trace
 
 

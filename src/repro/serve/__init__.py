@@ -7,10 +7,11 @@ system:
   generators with named prompt/output length distributions;
 * :mod:`repro.serve.scheduler` -- Orca/vLLM-style continuous batching with
   chunked prefill, emitting the per-iteration GEMM shapes;
-* :class:`~repro.plans.cache.PlanCache` (re-exported here) -- LRU,
-  shape-bucketed cache of tuned :class:`~repro.core.tuner.TuningResult`
-  plans (with :class:`~repro.core.tuner.GemmShapeCache` warm start) so
-  repeated shapes skip the tuner;
+* :class:`~repro.plans.cache.PlanCache` (re-exported here) -- LRU cache of
+  tuned :class:`~repro.core.tuner.TuningResult` plans (with
+  :class:`~repro.core.tuner.GemmShapeCache` warm start) so repeated shapes
+  skip the tuner; the simulator looks up one shape per token bucket
+  (:func:`~repro.plans.cache.bucket_tokens`);
 * :mod:`repro.serve.simulator` -- the event-driven serving loop on
   :class:`~repro.sim.engine.EventEngine`, executing overlap plans or the
   non-overlap baseline per iteration;

@@ -5,7 +5,7 @@ arrive on the :class:`~repro.sim.engine.EventEngine` clock, the
 continuous-batching scheduler packs them into iterations, and every iteration
 executes one stack of decoder layers whose row-parallel "GEMM + AllReduce"
 pairs run either as tuned FlashOverlap plans (``mode="overlap"``, plans served
-by the shape-bucketed :class:`~repro.plans.cache.PlanCache`) or as the
+by the :class:`~repro.plans.cache.PlanCache`, one plan per token bucket) or as the
 sequential non-overlap baseline (``mode="non-overlap"``).  Per-request TTFT /
 TPOT / end-to-end latencies fall out of the event timeline.
 
@@ -170,7 +170,7 @@ class ServingSimulator:
         self.config = config
         self.mode = mode
         if plan_cache is None and mode == "overlap":
-            plan_cache = PlanCache(config.settings, min_bucket=config.min_bucket)
+            plan_cache = PlanCache(config.settings)
         self.plan_cache = plan_cache
         self.faults = faults
         # The injector already carries the policy it was compiled under; an

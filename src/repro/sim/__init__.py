@@ -7,8 +7,8 @@ as spans of a trace.  This package provides:
 
 * :mod:`repro.sim.engine` -- a small discrete-event engine (heap of timed
   callbacks) that clocks the serving loop,
-* :mod:`repro.sim.trace` -- timeline traces made of spans, with overlap /
-  busy-time queries and an ASCII rendering for quick inspection.
+* :mod:`repro.sim.trace` -- timeline traces made of spans on named streams,
+  with an ASCII rendering for quick inspection (one row per stream).
 """
 
 from repro.sim.engine import EventEngine

@@ -1,10 +1,10 @@
-"""Timeline traces: spans on named streams, with overlap queries.
+"""Timeline traces: spans on named streams.
 
 A trace is the simulated analogue of an Nsight timeline: every kernel
-execution becomes a :class:`Span` on a stream.  The analysis helpers compute
-the quantities discussed in the paper -- head latency, overlapped time, tail
-latency -- and an ASCII rendering makes it easy to eyeball a plan from a
-terminal or a test failure message.
+execution becomes a :class:`Span` on a stream.  Readers work stream by
+stream -- an ASCII rendering makes it easy to eyeball a plan from a
+terminal or a test failure message, and :mod:`repro.sim.trace_export`
+writes one Chrome-trace thread per stream.
 """
 
 from __future__ import annotations
@@ -32,20 +32,12 @@ class Span:
     def duration(self) -> float:
         return self.end - self.start
 
-    def overlaps(self, other: "Span") -> float:
-        """Overlapped duration with another span."""
-        return max(0.0, min(self.end, other.end) - max(self.start, other.start))
-
 
 @dataclass
 class Trace:
     """An ordered collection of spans."""
 
     spans: list[Span] = field(default_factory=list)
-
-    def add(self, span: Span) -> Span:
-        self.spans.append(span)
-        return span
 
     def record(
         self,
@@ -54,8 +46,8 @@ class Trace:
         start: float,
         end: float,
         category: KernelCategory = KernelCategory.OTHER,
-    ) -> Span:
-        return self.add(Span(stream=stream, name=name, start=start, end=end, category=category))
+    ) -> None:
+        self.spans.append(Span(stream, name, start, end, category))
 
     # -- queries ---------------------------------------------------------------
 
@@ -68,44 +60,11 @@ class Trace:
     def spans_on(self, stream: str) -> list[Span]:
         return [s for s in self.spans if s.stream == stream]
 
-    def by_category(self, category: KernelCategory) -> list[Span]:
-        return [s for s in self.spans if s.category == category]
-
     def makespan(self) -> float:
         """End time of the last span (start of time is 0)."""
         if not self.spans:
             return 0.0
         return max(s.end for s in self.spans)
-
-    def busy_time(self, stream: str) -> float:
-        """Total busy time of a stream (spans on one stream never overlap)."""
-        return sum(s.duration for s in self.spans_on(stream))
-
-    def overlapped_time(self, stream_a: str, stream_b: str) -> float:
-        """Total wall-clock time during which both streams are busy."""
-        total = 0.0
-        for a in self.spans_on(stream_a):
-            for b in self.spans_on(stream_b):
-                total += a.overlaps(b)
-        return total
-
-    def category_time(self, category: KernelCategory) -> float:
-        return sum(s.duration for s in self.by_category(category))
-
-    def head_tail_overlap(self, compute_stream: str, comm_stream: str) -> tuple[float, float, float]:
-        """Split the makespan into (head, overlapped, tail) as in Fig. 8.
-
-        Head is the time before the first communication span starts; tail is
-        the time after the last compute span ends; overlapped is the busy-busy
-        intersection of the two streams.
-        """
-        comm = self.spans_on(comm_stream)
-        compute = self.spans_on(compute_stream)
-        if not comm or not compute:
-            return self.makespan(), 0.0, 0.0
-        head = min(s.start for s in comm)
-        tail = max(0.0, self.makespan() - max(s.end for s in compute))
-        return head, self.overlapped_time(compute_stream, comm_stream), tail
 
     # -- rendering --------------------------------------------------------------
 

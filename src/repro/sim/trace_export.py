@@ -148,8 +148,3 @@ def export_chrome_trace(
         events.extend(obs_spans_to_chrome_events(obs_spans))
     payload = {"traceEvents": events, "displayTimeUnit": "ms"}
     return atomic_write_text(path, json.dumps(payload, indent=2))
-
-
-def load_chrome_trace(path: str | Path) -> dict:
-    """Read back a Chrome trace JSON file (round-trip helper for tests/tools)."""
-    return json.loads(Path(path).read_text(encoding="utf-8"))

@@ -81,7 +81,7 @@ def _execute_scenario(
     payload: dict,
     cache: GemmShapeCache | None,
     baselines: bool,
-    plans: PricedCellStore | None = None,
+    plans: PricedCellStore | None,
 ) -> dict:
     """Run one sweep job; module-level so worker processes can pickle it.
 
@@ -446,15 +446,7 @@ class SweepRunner:
             if attempt and self.retry_backoff_s:
                 time.sleep(self.retry_backoff_s * 2 ** (attempt - 1))
             try:
-                # The 4th argument is only passed when a store is attached, so
-                # tests (and callers) stubbing the 3-argument execution hook
-                # keep working unchanged.
-                if self.plan_store is not None:
-                    record = _execute_scenario(
-                        scenario.to_dict(), self.cache, self.baselines, self.plan_store
-                    )
-                else:
-                    record = _execute_scenario(scenario.to_dict(), self.cache, self.baselines)
+                record = _execute_scenario(scenario.to_dict(), self.cache, self.baselines, self.plan_store)
             except Exception as error:  # noqa: BLE001 - crash analog, retried
                 last_error = f"{type(error).__name__}: {error}"
                 last_traceback = traceback.format_exc()

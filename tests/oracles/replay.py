@@ -6,7 +6,8 @@ dependencies plus their P2P delay -- and runs it on the engine.  Each stage
 head starts as soon as its stage is free and its dependencies (plus their
 delays) have finished; each finish event records its span, frees the stage
 and pumps every stage head again.  Trace spans are recorded in finish-event
-order, which defines the span order :meth:`Schedule.trace` must reproduce.
+order; on each stream that is the stage's execution order, which
+:meth:`Schedule.trace` must reproduce stream by stream.
 :func:`critical_path` recomputes the step time a third way, as a longest
 path over the same DAG with no engine at all.
 """

@@ -1,12 +1,13 @@
-"""Step-by-step ring collectives.
+"""Step-by-step ring collectives: the algorithm behind the latency model's traffic.
 
 NCCL's default algorithm for large messages is the bandwidth-optimal ring
 (Patarasuk & Yuan): an AllReduce of ``S`` elements on ``n`` ranks moves
 ``2 * (n - 1) / n * S`` elements per rank, a ReduceScatter or AllGather moves
-``(n - 1) / n * S``.  This module implements the ring chunk schedule
-explicitly so that (a) the functional results can be checked against the
-direct collectives and (b) the per-rank traffic used by the latency model is
-derived from the algorithm rather than hard-coded.
+``(n - 1) / n * S``.  The latency model hard-codes those factors in
+:func:`repro.comm.primitives.ring_volume_factor`.  This oracle runs the ring
+chunk schedule step by step and counts what each rank sends, so the tests
+can check the functional results against the direct collectives and the
+hard-coded factors against the traffic the algorithm actually moves.
 """
 
 from __future__ import annotations

@@ -239,15 +239,35 @@ class TestServeCommand:
         assert ", 0 tuner invocations)" in capsys.readouterr().out
 
 
+def _thread_events(path) -> dict[str, list[tuple]]:
+    """The ``X`` events of a Chrome trace file per thread, keyed by thread name."""
+    import json
+
+    events = json.loads(path.read_text(encoding="utf-8"))["traceEvents"]
+    names = {e["tid"]: e["args"]["name"] for e in events if e["name"] == "thread_name"}
+    threads: dict[str, list[tuple]] = {name: [] for name in names.values()}
+    for e in events:
+        if e["ph"] == "X":
+            threads[names[e["tid"]]].append((e["name"], e["ts"], e["dur"]))
+    return threads
+
+
+def _stream_spans(trace) -> dict[str, list[tuple]]:
+    """A trace's spans per stream, as the Chrome export writes them."""
+    return {
+        stream: [(s.name, s.start * 1e6, s.duration * 1e6) for s in trace.spans_on(stream)]
+        for stream in trace.streams()
+    }
+
+
 class TestPipelineCommand:
     def test_pp_trace_export_lists_the_oracle_spans(self, capsys, tmp_path):
         """`repro pp --smoke --trace` writes one Chrome trace per schedule.
 
-        Each trace holds the FlashOverlap arm's cells as ``X`` events in the
-        order the event-by-event oracle finishes them.
+        Each trace holds the FlashOverlap arm's cells as ``X`` events, one
+        thread per stage, and each thread lists the event-by-event oracle's
+        spans on that stage in order.
         """
-        import json
-
         from oracles.replay import replay_reference
         from repro.api import PP_SMOKE
         from repro.cluster import ClusterSpec
@@ -275,14 +295,42 @@ class TestPipelineCommand:
                 schedule_name, costs.vectors("overlap"), workload.microbatches,
                 fwd_delay=costs.fwd_delay, bwd_delay=costs.bwd_delay,
             )
-            path = tmp_path / f"t-{workload.name}-{schedule_name}.json"
-            events = json.loads(path.read_text(encoding="utf-8"))["traceEvents"]
-            threads = [e["args"]["name"] for e in events if e["name"] == "thread_name"]
-            assert threads == [f"stage{stage}" for stage in range(PP_SMOKE["stages"])]
-            reference = replay_reference(schedule).trace
-            assert [(e["name"], e["ts"], e["dur"]) for e in events if e["ph"] == "X"] == [
-                (span.name, span.start * 1e6, span.duration * 1e6) for span in reference.spans
-            ]
+            threads = _thread_events(tmp_path / f"t-{workload.name}-{schedule_name}.json")
+            assert list(threads) == [f"stage{stage}" for stage in range(PP_SMOKE["stages"])]
+            assert threads == _stream_spans(replay_reference(schedule).trace)
+            assert sum(map(len, threads.values())) == schedule.num_cells
+
+
+class TestTraceWriters:
+    """`repro e2e --trace` and `repro plan --trace` write what their producers recorded."""
+
+    def test_e2e_writes_each_workload_estimate_trace(self, capsys, tmp_path):
+        import repro.api as api
+
+        assert main(["e2e", "--smoke", "--trace", str(tmp_path / "e")]) == 0
+        capsys.readouterr()
+        estimates = api.estimate(smoke=True, record_trace=True).estimates
+        written = sorted(path.name for path in tmp_path.iterdir())
+        assert written == sorted(f"e-{estimate.name}.json" for estimate in estimates)
+        for estimate in estimates:
+            threads = _thread_events(tmp_path / f"e-{estimate.name}.json")
+            assert threads == _stream_spans(estimate.trace)
+            assert list(threads) == estimate.trace.streams()
+
+    def test_plan_writes_the_winner_replay_trace(self, capsys, tmp_path):
+        import repro.api as api
+        from repro.plan import replay_plan
+
+        assert main(["plan", "--smoke", "--trace", str(tmp_path / "p")]) == 0
+        capsys.readouterr()
+        winner = api.plan(smoke=True).winner
+        replay = replay_plan(winner, record_trace=True)
+        trace = replay.estimates[0].schedules[winner.schedule].trace
+        path = tmp_path / f"p-{winner.workload}-winner.json"
+        assert sorted(tmp_path.iterdir()) == [path]
+        threads = _thread_events(path)
+        assert threads == _stream_spans(trace)
+        assert list(threads) == [f"stage{stage}" for stage in range(winner.stages)]
 
 
 class TestParser:

@@ -1,10 +1,16 @@
-"""Tests for the ring collectives (repro.comm.ring)."""
+"""The step-by-step ring collectives (``tests/oracles/ring``) against the models.
+
+The ring results must equal the direct collectives, and the traffic each rank
+sends must equal the factor the latency model hard-codes in
+:func:`repro.comm.primitives.ring_volume_factor`.
+"""
 
 import numpy as np
 import pytest
 
+from oracles.ring import ring_all_gather, ring_all_reduce, ring_reduce_scatter
 from repro.comm.collectives import all_gather, all_reduce, reduce_scatter_flat
-from repro.comm.ring import ring_all_gather, ring_all_reduce, ring_reduce_scatter
+from repro.comm.primitives import CollectiveKind, ring_volume_factor
 
 
 @pytest.fixture(params=[2, 3, 4, 8])
@@ -21,12 +27,12 @@ class TestRingReduceScatter:
         for a, b in zip(ring_result, direct):
             np.testing.assert_allclose(a, b)
 
-    def test_traffic_matches_ring_bound(self, rng, n_ranks):
+    def test_traffic_matches_the_latency_model(self, rng, n_ranks):
         size = n_ranks * 8
         buffers = [rng.standard_normal(size) for _ in range(n_ranks)]
         _, report = ring_reduce_scatter(buffers)
-        expected = (n_ranks - 1) / n_ranks * size
-        assert report.volume_factor(size) == pytest.approx(expected / size)
+        expected = ring_volume_factor(CollectiveKind.REDUCE_SCATTER, n_ranks)
+        assert report.volume_factor(size) == pytest.approx(expected)
 
     def test_uneven_chunks_still_correct(self, rng):
         buffers = [rng.standard_normal(10) for _ in range(3)]
@@ -50,11 +56,11 @@ class TestRingAllGather:
         for a, b in zip(ring_result, direct):
             np.testing.assert_allclose(a, np.asarray(b).ravel())
 
-    def test_traffic_matches_ring_bound(self, rng, n_ranks):
+    def test_traffic_matches_the_latency_model(self, rng, n_ranks):
         chunks = [rng.standard_normal(7) for _ in range(n_ranks)]
         _, report = ring_all_gather(chunks)
-        total = 7 * n_ranks
-        assert report.elements_sent_per_rank == pytest.approx((n_ranks - 1) / n_ranks * total)
+        expected = ring_volume_factor(CollectiveKind.ALL_GATHER, n_ranks)
+        assert report.volume_factor(7 * n_ranks) == pytest.approx(expected)
 
 
 class TestRingAllReduce:
@@ -65,12 +71,12 @@ class TestRingAllReduce:
         for a, b in zip(ring_result, direct):
             np.testing.assert_allclose(a, b)
 
-    def test_volume_factor_is_twice_reduce_scatter(self, rng, n_ranks):
+    def test_traffic_matches_the_latency_model(self, rng, n_ranks):
         size = n_ranks * 4
         buffers = [rng.standard_normal(size) for _ in range(n_ranks)]
         _, report = ring_all_reduce(buffers)
-        expected_factor = 2.0 * (n_ranks - 1) / n_ranks
-        assert report.volume_factor(size) == pytest.approx(expected_factor)
+        expected = ring_volume_factor(CollectiveKind.ALL_REDUCE, n_ranks)
+        assert report.volume_factor(size) == pytest.approx(expected)
         assert report.steps == 2 * (n_ranks - 1)
 
     def test_single_rank_degenerates(self, rng):
@@ -78,6 +84,7 @@ class TestRingAllReduce:
         result, report = ring_all_reduce(buffers)
         np.testing.assert_allclose(result[0], buffers[0])
         assert report.elements_sent_per_rank == 0.0
+        assert report.volume_factor(6) == ring_volume_factor(CollectiveKind.ALL_REDUCE, 1)
 
     def test_combine_rejects_rank_mismatch(self, rng):
         _, r2 = ring_all_reduce([rng.standard_normal(4) for _ in range(2)])

@@ -33,7 +33,7 @@ class TestEventDrivenSimulation:
     def test_signal_markers_recorded(self, executor):
         partition = WavePartition.equal_groups(executor.num_waves(), 4)
         result = executor.simulate(partition)
-        signals = result.trace.by_category(KernelCategory.SIGNAL)
+        signals = [s for s in result.trace.spans if s.category is KernelCategory.SIGNAL]
         assert len(signals) == partition.num_groups
         comm = [s for s in result.trace.spans_on(COMM_STREAM)
                 if s.category is KernelCategory.COMMUNICATION]

@@ -6,8 +6,7 @@ import pytest
 
 from repro.core.config import OverlapSettings
 from repro.e2e import EndToEndEstimator, estimate_models, make_plan_store
-from repro.plans import PlanCache
-from repro.sim.trace_export import export_chrome_trace, load_chrome_trace
+from repro.sim.trace_export import export_chrome_trace
 from repro.workloads.e2e import build_workload, workload_builders
 
 #: Small-but-real workload parameters shared by the suite (cheap to tune).
@@ -85,14 +84,9 @@ class TestEstimator:
         with pytest.raises(ValueError, match="OverlapSettings"):
             estimator.estimate(other)
 
-    def test_bucketed_store_rejected(self, settings):
-        with pytest.raises(ValueError, match="exact-shape"):
-            EndToEndEstimator(settings, plan_store=PlanCache(settings, bucketing=True))
-
     def test_make_plan_store_modes(self, settings):
         assert make_plan_store(settings).capacity > 0
         assert make_plan_store(settings, reuse=False).capacity == 0
-        assert not make_plan_store(settings).bucketing
 
 
 class TestTrace:
@@ -104,7 +98,8 @@ class TestTrace:
         assert len(trace.spans) == occurrences
         trace.validate_stream_order()
         assert trace.makespan() == estimate.overlap_total
-        payload = load_chrome_trace(export_chrome_trace(trace, tmp_path / "e2e.json"))
+        path = export_chrome_trace(trace, tmp_path / "e2e.json")
+        payload = json.loads(path.read_text(encoding="utf-8"))
         slices = [e for e in payload["traceEvents"] if e["ph"] == "X"]
         assert len(slices) == occurrences
 

@@ -193,7 +193,7 @@ class TestSweepQuarantineFlight:
             collectives=["allreduce"],
         )
 
-        def crash(payload, cache, baselines):
+        def crash(payload, cache, baselines, plans):
             raise OSError("worker crashed")
 
         monkeypatch.setattr(runner_module, "_execute_scenario", crash)
@@ -222,7 +222,7 @@ class TestSweepQuarantineFlight:
         )
         monkeypatch.setattr(
             runner_module, "_execute_scenario",
-            lambda payload, cache, baselines: (_ for _ in ()).throw(OSError("crash")),
+            lambda payload, cache, baselines, plans: (_ for _ in ()).throw(OSError("crash")),
         )
         store = ResultStore(tmp_path / "results.jsonl")
         summary = SweepRunner(store, max_retries=0, retry_backoff_s=0.0).run(matrix)

@@ -116,8 +116,9 @@ class TestHandComputedSteps:
         assert schedule.makespan == 6.75
         assert schedule.stage_work() == (3.0, 4.0)
         trace = schedule.trace()
-        assert [span.name for span in trace.spans] == [
-            "F0@s0", "F0@s1", "B0@s1", "W0@s1", "B0@s0", "W0@s0",
+        assert [(span.stream, span.name) for span in trace.spans] == [
+            ("stage0", "F0@s0"), ("stage0", "B0@s0"), ("stage0", "W0@s0"),
+            ("stage1", "F0@s1"), ("stage1", "B0@s1"), ("stage1", "W0@s1"),
         ]
         trace.validate_stream_order()
 

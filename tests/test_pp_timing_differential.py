@@ -1,18 +1,19 @@
 """Differential suite: the schedule generators' timing vs the event-by-event oracle.
 
 Every generator times its cells in one list-scheduling pass as it places
-them, and ``Schedule.trace`` rebuilds the event order from those times.
-Both must be **bit-identical** to the engine-driven oracle in
+them, and ``Schedule.trace`` lists each stage's cells as one stream.  Both
+must be **bit-identical** to the engine-driven oracle in
 ``tests/oracles/replay``: every cell's ``(start, end)``, the makespan, the
-per-stage work folds, and the trace spans in the same order.  The
-on-demand :class:`Cell` view must also repeat the stored columns field by
-field.  Hypothesis draws cost models over 1-8 stages and 1-24 microbatches
-with random transfer delays, and a tied strategy whose costs and delays come
-from {0, 1, 2}: end times collide constantly and zero-cost cells finish at
-their start, so the trace order is decided by the dispatch tie-breaks rather
-than by time.  Both timing paths also refuse an order no list scheduler can
-finish, naming the same stuck cells, instead of returning a partial
-timeline.
+per-stage work folds, and every stream's spans in order (a stage runs its
+cells serially, so each stream has one order; how the oracle interleaves
+streams is its event loop's business).  The on-demand :class:`Cell` view
+must also repeat the stored columns field by field.  Hypothesis draws cost
+models over 1-8 stages and 1-24 microbatches with random transfer delays,
+and a tied strategy whose costs and delays come from {0, 1, 2}: ready and
+free times collide constantly and zero-cost cells finish at their start, so
+every ``>`` in the pass meets its equal case.  Both timing paths also refuse
+an order no list scheduler can finish, naming the same stuck cells, instead
+of returning a partial timeline.
 """
 
 from __future__ import annotations
@@ -73,7 +74,13 @@ def assert_matches_oracle(schedule):
     assert schedule.stage_work() == reference.stage_work
     # The aggregates are plain python floats (JSON stability).
     assert all(type(work) is float for work in schedule.stage_work())
-    assert schedule.trace().spans == reference.trace.spans  # span order included
+    trace = schedule.trace()
+    streams = [f"stage{stage}" for stage in range(schedule.num_stages)]
+    assert trace.streams() == streams
+    assert len(trace.spans) == schedule.num_cells
+    for stream in streams:
+        # Span equality: name, start, end (floats with ==) and category.
+        assert trace.spans_on(stream) == reference.trace.spans_on(stream)
 
 
 def assert_generators_match_oracle(model):

@@ -4,9 +4,9 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings as hyp_settings
 from hypothesis import strategies as st
 
+from oracles.ring import ring_all_reduce
 from repro.comm.collectives import all_reduce, reduce_scatter_flat
 from repro.comm.primitives import CollectiveKind
-from repro.comm.ring import ring_all_reduce
 from repro.core.config import OverlapProblem, OverlapSettings
 from repro.core.executor import OverlapExecutor
 from repro.core.reordering import build_reorder_plan, run_allreduce_pipeline

@@ -1,4 +1,4 @@
-"""Tests for the shape-bucketed LRU plan cache (repro.plans.cache)."""
+"""Tests for the exact-key LRU plan cache and token bucketing (repro.plans.cache)."""
 
 import pytest
 
@@ -25,7 +25,7 @@ class TestBucketing:
 
 @pytest.fixture
 def problem(small_problem):
-    """The conftest small problem (m=32: already on a bucket edge)."""
+    """The conftest small problem (m=32)."""
     return small_problem
 
 
@@ -36,20 +36,21 @@ def at_tokens(problem, m):
 
 
 class TestLookup:
-    def test_same_bucket_is_a_hit(self, problem, fast_settings):
+    def test_equal_problem_is_a_hit(self, problem, fast_settings):
         cache = PlanCache(fast_settings, capacity=4)
-        first = cache.lookup(at_tokens(problem, 17))
-        second = cache.lookup(at_tokens(problem, 32))  # same bucket (32)
+        first = cache.lookup(at_tokens(problem, 32))
+        second = cache.lookup(at_tokens(problem, 32))  # a fresh, equal problem
         assert (cache.hits, cache.misses) == (1, 1)
         assert second is first
         assert cache.tuner_invocations == 1
 
-    def test_distinct_buckets_miss(self, problem, fast_settings):
+    def test_distinct_m_misses(self, problem, fast_settings):
+        """Keys are exact: M is never rounded, even within one token bucket."""
         cache = PlanCache(fast_settings, capacity=4)
-        cache.lookup(at_tokens(problem, 16))
-        cache.lookup(at_tokens(problem, 32))
+        plans = [cache.lookup(at_tokens(problem, m)) for m in (17, 32)]
         assert (cache.hits, cache.misses) == (0, 2)
         assert len(cache) == 2
+        assert [plan.problem.shape.m for plan in plans] == [17, 32]
 
     def test_plan_never_slower_than_baseline(self, problem, fast_settings):
         cache = PlanCache(fast_settings, capacity=4)
@@ -131,8 +132,8 @@ class TestCacheHitIdenticalToFreshTune:
         fresh = fresh_cache.lookup(problem)
 
         cache = PlanCache(fast_settings, capacity=4)
-        cache.lookup(at_tokens(problem, 20))  # miss tunes the bucket (32)
-        hit = cache.lookup(problem)  # hit on the same bucket
+        cache.lookup(at_tokens(problem, 32))  # miss tunes an equal problem
+        hit = cache.lookup(problem)
         assert cache.hits == 1
 
         assert hit.tuning == fresh.tuning
@@ -143,9 +144,8 @@ class TestCacheHitIdenticalToFreshTune:
 
 class TestWarmStart:
     def test_warm_start_skips_the_tuner(self, problem, fast_settings):
-        bucketed = PlanCache(fast_settings).bucketed_problem(problem)
         warm = GemmShapeCache()
-        warm.add(bucketed.shape, PredictiveTuner(fast_settings).tune(bucketed))
+        warm.add(problem.shape, PredictiveTuner(fast_settings).tune(problem))
 
         cache = PlanCache(fast_settings, capacity=4, warm_start=warm)
         cache.lookup(problem)
@@ -165,13 +165,12 @@ class TestWarmStart:
         re-checked against the ground-truth executor in *both* directions."""
         from dataclasses import replace
 
-        bucketed = PlanCache(fast_settings).bucketed_problem(problem)
         honest = PlanCache(fast_settings, capacity=4).lookup(problem)
 
-        tuned = PredictiveTuner(fast_settings).tune(bucketed)
+        tuned = PredictiveTuner(fast_settings).tune(problem)
         warm = GemmShapeCache()
         # Persist the entry with the overlap decision flipped.
-        warm.add(bucketed.shape, replace(tuned, use_overlap=not honest.tuning.use_overlap))
+        warm.add(problem.shape, replace(tuned, use_overlap=not honest.tuning.use_overlap))
 
         plan = PlanCache(fast_settings, capacity=4, warm_start=warm).lookup(problem)
         assert plan.tuning.use_overlap == honest.tuning.use_overlap

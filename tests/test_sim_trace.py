@@ -23,13 +23,6 @@ class TestSpan:
         with pytest.raises(ValueError):
             Span("s", "x", 3.0, 1.0)
 
-    def test_overlap(self):
-        a = Span("s", "a", 0.0, 5.0)
-        b = Span("t", "b", 3.0, 8.0)
-        c = Span("t", "c", 6.0, 7.0)
-        assert a.overlaps(b) == 2.0
-        assert a.overlaps(c) == 0.0
-
 
 class TestTraceQueries:
     def test_streams_and_spans_on(self, trace):
@@ -39,29 +32,6 @@ class TestTraceQueries:
     def test_makespan(self, trace):
         assert trace.makespan() == 14.0
         assert Trace().makespan() == 0.0
-
-    def test_busy_time(self, trace):
-        assert trace.busy_time("compute") == 10.0
-        assert trace.busy_time("comm") == 8.0
-
-    def test_overlapped_time(self, trace):
-        assert trace.overlapped_time("compute", "comm") == 4.0
-
-    def test_category_time(self, trace):
-        assert trace.category_time(KernelCategory.COMMUNICATION) == 8.0
-        assert trace.category_time(KernelCategory.SIGNAL) == 0.0
-
-    def test_head_tail_overlap(self, trace):
-        head, overlapped, tail = trace.head_tail_overlap("compute", "comm")
-        assert head == 4.0
-        assert overlapped == 4.0
-        assert tail == 4.0
-
-    def test_head_tail_overlap_without_comm(self):
-        t = Trace()
-        t.record("compute", "gemm", 0.0, 5.0)
-        head, overlapped, tail = t.head_tail_overlap("compute", "comm")
-        assert (head, overlapped, tail) == (5.0, 0.0, 0.0)
 
 
 class TestValidationAndRendering:

@@ -43,7 +43,7 @@ class TestFlakyJobsRetry:
     def test_crashes_are_retried_until_success(self, scenarios, store):
         calls: dict[str, int] = {}
 
-        def flaky(payload, cache, baselines):
+        def flaky(payload, cache, baselines, plans):
             job_id = job_id_of(payload)
             calls[job_id] = calls.get(job_id, 0) + 1
             if calls[job_id] <= 2:
@@ -68,7 +68,7 @@ class TestFlakyJobsRetry:
 
 class TestQuarantine:
     def test_exhausted_retries_quarantine_the_job(self, scenarios, store, monkeypatch):
-        def always_crash(payload, cache, baselines):
+        def always_crash(payload, cache, baselines, plans):
             raise OSError("dead")
 
         monkeypatch.setattr(runner_module, "_execute_scenario", always_crash)
@@ -87,7 +87,7 @@ class TestQuarantine:
     def test_quarantined_jobs_are_retried_on_resume(self, scenarios, store, monkeypatch):
         monkeypatch.setattr(
             runner_module, "_execute_scenario",
-            lambda payload, cache, baselines: (_ for _ in ()).throw(OSError("dead")),
+            lambda payload, cache, baselines, plans: (_ for _ in ()).throw(OSError("dead")),
         )
         SweepRunner(store, max_retries=0, retry_backoff_s=0.0).run(scenarios)
         # Quarantined records never count as completed ...
@@ -96,7 +96,7 @@ class TestQuarantine:
         # ... so a resumed run re-attempts every one of them.
         monkeypatch.setattr(
             runner_module, "_execute_scenario",
-            lambda payload, cache, baselines: ok_record(payload),
+            lambda payload, cache, baselines, plans: ok_record(payload),
         )
         summary = SweepRunner(store, resume=True, retry_backoff_s=0.0).run(scenarios)
         assert summary.executed == len(scenarios)
@@ -109,7 +109,7 @@ class TestDeterministicErrorsNotRetried:
     def test_in_job_errors_run_exactly_once(self, scenarios, store, monkeypatch):
         calls: dict[str, int] = {}
 
-        def in_job_error(payload, cache, baselines):
+        def in_job_error(payload, cache, baselines, plans):
             job_id = job_id_of(payload)
             calls[job_id] = calls.get(job_id, 0) + 1
             return {"job_id": job_id, "scenario": payload,
