@@ -79,6 +79,22 @@ class TestRingAllReduce:
         assert report.volume_factor(size) == pytest.approx(expected)
         assert report.steps == 2 * (n_ranks - 1)
 
+    def test_traffic_is_reduce_scatter_plus_all_gather(self, rng, n_ranks):
+        """The ring AllReduce is a ring ReduceScatter followed by a ring AllGather."""
+        size = n_ranks * 4
+        buffers = [rng.standard_normal(size) for _ in range(n_ranks)]
+        _, all_reduce_report = ring_all_reduce(buffers)
+        scattered, scatter_report = ring_reduce_scatter(buffers)
+        _, gather_report = ring_all_gather(scattered)
+        assert all_reduce_report.steps == scatter_report.steps + gather_report.steps
+        assert all_reduce_report.elements_sent_per_rank == pytest.approx(
+            scatter_report.elements_sent_per_rank + gather_report.elements_sent_per_rank
+        )
+        assert ring_volume_factor(CollectiveKind.ALL_REDUCE, n_ranks) == pytest.approx(
+            ring_volume_factor(CollectiveKind.REDUCE_SCATTER, n_ranks)
+            + ring_volume_factor(CollectiveKind.ALL_GATHER, n_ranks)
+        )
+
     def test_single_rank_degenerates(self, rng):
         buffers = [rng.standard_normal(6)]
         result, report = ring_all_reduce(buffers)

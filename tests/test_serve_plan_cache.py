@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.comm.primitives import CollectiveKind
 from repro.core.baselines import NonOverlapBaseline
+from repro.core.executor import OverlapExecutor
 from repro.core.tuner import GemmShapeCache, PredictiveTuner
 from repro.plans.cache import PlanCache, bucket_tokens
 
@@ -35,6 +37,20 @@ def at_tokens(problem, m):
     return problem.with_shape(replace(problem.shape, m=m))
 
 
+def varied(problem, field):
+    """``problem`` with one latency input changed."""
+    from dataclasses import replace
+
+    if field in ("n", "k"):
+        return problem.with_shape(replace(problem.shape, **{field: 2 * getattr(problem.shape, field)}))
+    changes = {
+        "collective": CollectiveKind.REDUCE_SCATTER,
+        "dtype_bytes": 2 * problem.dtype_bytes,
+        "imbalance": 1.25,
+    }
+    return replace(problem, **{field: changes[field]})
+
+
 class TestLookup:
     def test_equal_problem_is_a_hit(self, problem, fast_settings):
         cache = PlanCache(fast_settings, capacity=4)
@@ -51,6 +67,23 @@ class TestLookup:
         assert (cache.hits, cache.misses) == (0, 2)
         assert len(cache) == 2
         assert [plan.problem.shape.m for plan in plans] == [17, 32]
+
+    @pytest.mark.parametrize("field", ["n", "k", "collective", "dtype_bytes", "imbalance"])
+    def test_key_separates_every_latency_input(self, problem, fast_settings, field):
+        cache = PlanCache(fast_settings)
+        other = varied(problem, field)
+        assert cache.key(other) != cache.key(problem)
+        assert cache.key(varied(problem, field)) == cache.key(other)
+
+    def test_plan_is_priced_at_the_exact_shape(self, problem, fast_settings):
+        """A token count between bucket edges is tuned and simulated as given."""
+        exact = at_tokens(problem, 17)
+        plan = PlanCache(fast_settings).lookup(exact)
+        assert plan.problem == exact
+        baseline = NonOverlapBaseline(fast_settings)
+        assert plan.non_overlap_latency == baseline.latency(exact)
+        assert plan.non_overlap_latency != baseline.latency(at_tokens(problem, 32))
+        assert plan.theoretical_latency == OverlapExecutor(exact, fast_settings).theoretical_latency()
 
     def test_plan_never_slower_than_baseline(self, problem, fast_settings):
         cache = PlanCache(fast_settings, capacity=4)

@@ -33,6 +33,26 @@ class TestTraceQueries:
         assert trace.makespan() == 14.0
         assert Trace().makespan() == 0.0
 
+    def test_record_appends_spans_in_call_order(self):
+        t = Trace()
+        t.record("stage1", "F0@s1", 2.0, 3.0, KernelCategory.GEMM)
+        t.record("stage0", "F0@s0", 0.0, 1.0)
+        t.record("stage1", "B0@s1", 3.0, 5.0)
+        assert t.spans == [
+            Span("stage1", "F0@s1", 2.0, 3.0, KernelCategory.GEMM),
+            Span("stage0", "F0@s0", 0.0, 1.0, KernelCategory.OTHER),
+            Span("stage1", "B0@s1", 3.0, 5.0, KernelCategory.OTHER),
+        ]
+
+    def test_streams_follow_first_appearance(self):
+        t = Trace()
+        t.record("stage1", "a", 0.0, 1.0)
+        t.record("stage0", "b", 0.0, 1.0)
+        t.record("stage1", "c", 1.0, 2.0)
+        assert t.streams() == ["stage1", "stage0"]
+        assert [s.name for s in t.spans_on("stage1")] == ["a", "c"]
+        assert t.spans_on("stage2") == []
+
 
 class TestValidationAndRendering:
     def test_validate_stream_order_ok(self, trace):
@@ -44,6 +64,15 @@ class TestValidationAndRendering:
         t.record("comm", "b", 4.0, 6.0)
         with pytest.raises(ValueError):
             t.validate_stream_order()
+
+    def test_validate_stream_order_ignores_recording_order(self):
+        """Spans of one stream may be recorded out of time order, and spans
+        on different streams may overlap freely."""
+        t = Trace()
+        t.record("stage0", "late", 5.0, 8.0)
+        t.record("stage0", "early", 0.0, 5.0)
+        t.record("stage1", "across", 1.0, 7.0)
+        t.validate_stream_order()
 
     def test_render_ascii_contains_streams(self, trace):
         art = trace.render_ascii(width=60)

@@ -9,6 +9,7 @@ retry/quarantine machinery without real tuning work.
 import pytest
 
 import repro.sweep.runner as runner_module
+from repro.plans.store import PricedCellStore
 from repro.sweep.matrix import Scenario, ScenarioMatrix
 from repro.sweep.runner import SweepRunner
 from repro.sweep.store import ResultStore
@@ -64,6 +65,34 @@ class TestFlakyJobsRetry:
         assert all(r["attempts"] == 3 for r in summary.records)
         # Successful jobs land in the store as completed.
         assert store.completed_ids() == {s.job_id for s in scenarios}
+
+
+class TestExecutionArguments:
+    @pytest.mark.parametrize("with_plan_store", [True, False], ids=["store", "no-store"])
+    def test_every_attempt_receives_the_runner_state(self, scenarios, store, monkeypatch,
+                                                     with_plan_store):
+        """Retried attempts get the runner's live shape cache, baseline flag
+        and priced-cell store."""
+        plan_store = PricedCellStore() if with_plan_store else None
+        seen: list[tuple] = []
+
+        def crash_once(payload, cache, baselines, plans):
+            seen.append((job_id_of(payload), cache, baselines, plans))
+            if len(seen) % 2:
+                raise OSError("worker died")
+            return ok_record(payload)
+
+        monkeypatch.setattr(runner_module, "_execute_scenario", crash_once)
+        runner = SweepRunner(store, baselines=True, plan_store=plan_store,
+                             max_retries=1, retry_backoff_s=0.0)
+        summary = runner.run(scenarios)
+
+        assert summary.failed == 0
+        assert [job for job, *_ in seen] == [s.job_id for s in scenarios for _ in range(2)]
+        for _, cache, baselines, plans in seen:
+            assert cache is runner.cache
+            assert baselines is True
+            assert plans is plan_store
 
 
 class TestQuarantine:
