@@ -5,24 +5,26 @@ A800 substrate: the GEMM+AR / GEMM+RS / GEMM+A2A shares should be a
 substantial fraction (the paper quotes roughly 30-45% for the TP workloads).
 """
 
-from repro.analysis.breakdown import breakdown_fractions, latency_breakdown_table
+from repro.analysis.breakdown import breakdown_fractions, estimate_breakdown_table
+from repro.e2e import EndToEndEstimator
 from repro.workloads.e2e import llama2_training_workload, paper_workloads
 
 from conftest import run_once
 
 
 def collect_breakdowns(settings):
-    workloads = paper_workloads(settings)
+    estimator = EndToEndEstimator(settings)
     # Fig. 4 additionally profiles Llama2-7B training under TP=4, PP=2.
-    workloads.append(llama2_training_workload(settings=settings))
-    return workloads, [breakdown_fractions(w) for w in workloads]
+    workloads = [*paper_workloads(), llama2_training_workload()]
+    estimates = [estimator.estimate(workload) for workload in workloads]
+    return estimates, [breakdown_fractions(estimate) for estimate in estimates]
 
 
 def test_fig04_time_share(benchmark, save_report, fast_settings):
-    workloads, fractions = run_once(benchmark, lambda: collect_breakdowns(fast_settings))
-    save_report("fig04_time_share", latency_breakdown_table(workloads))
+    estimates, fractions = run_once(benchmark, lambda: collect_breakdowns(fast_settings))
+    save_report("fig04_time_share", estimate_breakdown_table(estimates))
 
-    by_name = {w.name: f for w, f in zip(workloads, fractions)}
+    by_name = {e.name: f for e, f in zip(estimates, fractions)}
     inference = by_name["Llama3-70B inference (TP=8)"]
     training = by_name["Llama3-70B training (TP=8)"]
     moe = by_name["Mixtral-8x7B training (EP=4, TP=2)"]

@@ -7,21 +7,26 @@ The paper reports end-to-end gains of 1.05-1.13x on A800 servers.
 """
 
 from repro.analysis.reporting import format_table
+from repro.e2e import EndToEndEstimator
 from repro.workloads.e2e import paper_workloads
 
 from conftest import run_once
 
 
 def collect(settings):
+    estimator = EndToEndEstimator(settings)
     results = []
-    for workload in paper_workloads(settings):
-        operator_speedups = workload.operator_speedups()
+    for workload in paper_workloads():
+        estimate = estimator.estimate(workload)
+        shares = estimate.pattern_shares()
         results.append(
             {
-                "name": workload.name,
-                "e2e": workload.speedup(),
-                "operators": operator_speedups,
-                "target_fraction": workload.overlap_target_fraction(),
+                "name": estimate.name,
+                "e2e": estimate.speedup,
+                "operators": {
+                    op.name: op.speedup for op in estimate.operators if op.is_overlap_target
+                },
+                "target_fraction": sum(v for k, v in shares.items() if k != "others"),
             }
         )
     return results

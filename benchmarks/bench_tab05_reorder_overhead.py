@@ -74,7 +74,7 @@ def test_tab05_functional_reorder_cost(benchmark, save_report, rng=np.random.def
     """Functional check: a full gather+scatter pass over the output touches each
     element twice -- the same order of work as the RMSNorm it is fused into."""
     from repro.tensor.layout import TileLayout
-    from repro.tensor.tiles import gather_tiles, scatter_tiles
+    from repro.tensor.tiles import gather_tiles_indexed, scatter_tiles_indexed, tile_flat_indices
     from repro.gpu.swizzle import swizzled_order
 
     layout = TileLayout(m=512, n=512, tile_m=64, tile_n=64)
@@ -82,9 +82,10 @@ def test_tab05_functional_reorder_cost(benchmark, save_report, rng=np.random.def
     order = swizzled_order(layout, 3)
 
     def reorder_round_trip():
-        buffer = gather_tiles(matrix, layout, order)
+        indices = tile_flat_indices(layout, order)
+        buffer = gather_tiles_indexed(matrix, indices)
         out = np.zeros_like(matrix)
-        scatter_tiles(out, layout, order, buffer)
+        scatter_tiles_indexed(out, indices, buffer)
         return out
 
     out = benchmark(reorder_round_trip)

@@ -20,6 +20,7 @@ from repro import CollectiveKind, FlashOverlapOperator, GemmShape, GemmTileConfi
 from repro.analysis.breakdown import breakdown_fractions
 from repro.analysis.reporting import format_table
 from repro.comm.topology import InterconnectKind, Topology
+from repro.e2e import EndToEndEstimator
 from repro.gpu.device import GPUSpec
 from repro.workloads.e2e import mixtral_training_workload
 from repro.workloads.moe import MIXTRAL_8X7B, route_tokens
@@ -33,15 +34,16 @@ def routing_demo() -> None:
 
 
 def layer_demo() -> None:
-    workload = mixtral_training_workload(input_tokens=32768, layers=1)
-    shares = breakdown_fractions(workload)
+    estimate = EndToEndEstimator().estimate(mixtral_training_workload(input_tokens=32768, layers=1))
+    shares = breakdown_fractions(estimate)
     rows = [[pattern, f"{share * 100:.1f}%"] for pattern, share in shares.items()]
     print(format_table(["pattern", "share of layer latency"], rows,
                        title="Mixtral-8x7B training layer (EP=4, TP=2) breakdown"))
     print()
-    for name, speedup in workload.operator_speedups().items():
-        print(f"  {name:30s} {speedup:.3f}x")
-    print(f"\nend-to-end layer speedup with FlashOverlap: {workload.speedup():.3f}x\n")
+    for op in estimate.operators:
+        if op.is_overlap_target:
+            print(f"  {op.name:30s} {op.speedup:.3f}x")
+    print(f"\nend-to-end layer speedup with FlashOverlap: {estimate.speedup:.3f}x\n")
 
 
 def correctness_demo() -> None:

@@ -1,4 +1,10 @@
-"""Analysis helpers: speedup surveys, heatmaps, breakdowns and text reports."""
+"""Analysis helpers: speedup surveys, heatmaps, breakdowns and text reports.
+
+The speedup surveys (Figs. 10, 11, 13, 16) price single operators through
+:class:`~repro.core.overlap.FlashOverlapOperator`; the Fig. 4 breakdowns
+render :class:`~repro.e2e.estimator.WorkloadEstimate` objects, so every
+model-level number comes from :class:`~repro.e2e.estimator.EndToEndEstimator`.
+"""
 
 from repro.analysis.reporting import format_heatmap, format_markdown_table, format_table
 from repro.analysis.speedup import (
@@ -8,7 +14,7 @@ from repro.analysis.speedup import (
     speedup_heatmap,
     summarize_speedups,
 )
-from repro.analysis.breakdown import latency_breakdown_table
+from repro.analysis.breakdown import breakdown_fractions, estimate_breakdown_table
 
 __all__ = [
     "format_table",
@@ -19,5 +25,6 @@ __all__ = [
     "summarize_speedups",
     "HeatmapResult",
     "speedup_heatmap",
-    "latency_breakdown_table",
+    "breakdown_fractions",
+    "estimate_breakdown_table",
 ]

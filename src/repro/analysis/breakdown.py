@@ -1,41 +1,30 @@
-"""Latency-share breakdowns of end-to-end workloads (paper Fig. 4)."""
+"""Latency-share breakdowns of end-to-end estimates (paper Fig. 4).
+
+Both helpers read :class:`~repro.e2e.estimator.WorkloadEstimate` objects
+(anything with ``name`` and ``pattern_shares()``); shares come from the
+non-overlap pricing, matching the paper's profiling figure.
+"""
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
 from repro.analysis.reporting import format_table
-from repro.workloads.operators import EndToEndWorkload
 
 #: Column order of the Fig. 4 breakdown.
 PATTERNS = ("GEMM+AR", "GEMM+RS", "GEMM+A2A", "others")
 
 
-def _shares_table(named_shares: Iterable[tuple[str, dict]]) -> str:
-    """Render (name, pattern -> fraction) pairs as the Fig. 4 share table."""
-    rows = [
-        [name] + [f"{shares.get(pattern, 0.0) * 100:.1f}%" for pattern in PATTERNS]
-        for name, shares in named_shares
-    ]
-    return format_table(["workload", *PATTERNS], rows, title="GEMM + collective latency share")
-
-
-def latency_breakdown_table(workloads: Iterable[EndToEndWorkload]) -> str:
-    """Render the per-workload latency shares as a text table."""
-    return _shares_table((workload.name, workload.breakdown()) for workload in workloads)
-
-
-def breakdown_fractions(workload: EndToEndWorkload) -> dict[str, float]:
-    """The Fig. 4 fractions of one workload, with every pattern present."""
-    shares = workload.breakdown()
+def breakdown_fractions(estimate) -> dict[str, float]:
+    """The Fig. 4 fractions of one estimate, with every pattern present."""
+    shares = estimate.pattern_shares()
     return {pattern: shares.get(pattern, 0.0) for pattern in PATTERNS}
 
 
 def estimate_breakdown_table(estimates: Iterable) -> str:
-    """Render the Fig. 4 latency shares of e2e estimates as a text table.
-
-    Accepts :class:`~repro.e2e.estimator.WorkloadEstimate` objects (anything
-    with ``name`` and ``pattern_shares()``); shares come from the non-overlap
-    pricing, matching the paper's profiling figure.
-    """
-    return _shares_table((estimate.name, estimate.pattern_shares()) for estimate in estimates)
+    """Render the Fig. 4 latency shares of e2e estimates as a text table."""
+    rows = [
+        [estimate.name] + [f"{share * 100:.1f}%" for share in breakdown_fractions(estimate).values()]
+        for estimate in estimates
+    ]
+    return format_table(["workload", *PATTERNS], rows, title="GEMM + collective latency share")

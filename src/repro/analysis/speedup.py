@@ -33,7 +33,6 @@ def compare_methods(
     problem: OverlapProblem,
     methods: Sequence[BaselineMethod] | None = None,
     settings: OverlapSettings = DEFAULT_SETTINGS,
-    include_flashoverlap: bool = True,
 ) -> OperatorComparison:
     """Evaluate FlashOverlap and the baselines on one problem."""
     methods = list(methods) if methods is not None else default_baselines(settings)
@@ -43,9 +42,8 @@ def compare_methods(
         result = method.evaluate(problem)
         if result.supported:
             comparison.speedups[method.name] = non_overlap / result.latency
-    if include_flashoverlap:
-        overlap = FlashOverlapOperator(problem, settings).simulate().latency
-        comparison.speedups["flashoverlap"] = non_overlap / overlap
+    overlap = FlashOverlapOperator(problem, settings).simulate().latency
+    comparison.speedups["flashoverlap"] = non_overlap / overlap
     return comparison
 
 

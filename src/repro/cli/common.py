@@ -110,12 +110,12 @@ def cluster_from_args(args: argparse.Namespace) -> ClusterSpec:
 
 
 def topology_from_args(args: argparse.Namespace):
-    """Resolution of the single-problem commands: a topology is always concrete."""
-    if getattr(args, "nodes", None):
-        from repro.comm.topology import multinode_a800
+    """Resolution of the single-problem commands: a topology is always concrete.
 
-        return multinode_a800(n_nodes=args.nodes, gpus_per_node=args.gpus_per_node)
-    return known_topologies()[args.topology].with_n_gpus(args.gpus)
+    Their ``--topology`` / ``--gpus`` defaults are set, so the
+    :class:`ClusterSpec` they describe never resolves to ``None``.
+    """
+    return cluster_from_args(args).resolve()
 
 
 def problem_from_args(args: argparse.Namespace) -> OverlapProblem:

@@ -83,10 +83,6 @@ class SpeedupReport:
         return self.non_overlap_latency / self.overlap_latency
 
     @property
-    def theoretical_speedup(self) -> float:
-        return self.non_overlap_latency / self.theoretical_latency
-
-    @property
     def ratio_of_theoretical(self) -> float:
         """Fraction of the perfect-overlap speedup actually achieved."""
         return self.theoretical_latency / self.overlap_latency

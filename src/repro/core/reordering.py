@@ -66,9 +66,10 @@ class ReorderPlan:
     offset in that tuple.  Beyond the packing orders, the plan lazily
     precomputes (and caches) the flat index permutations that turn every
     pre/post-communication reorder into a single ``np.take`` / fancy-index
-    assignment -- the per-tile/per-row loops in :mod:`repro.tensor.tiles`
-    remain as the reference implementation the cached indices are validated
-    against.
+    assignment.  The per-tile/per-row loops these indices replace live only
+    in the test oracles (``tests/oracles/tiles.py`` and
+    ``tests/oracles/reordering.py``), which the differential suite holds the
+    cached indices to.
     """
 
     collective: CollectiveKind
@@ -92,8 +93,8 @@ class ReorderPlan:
     def group_flat_indices(self, group_index: int) -> np.ndarray:
         """Flat matrix indices of one group's tile-level packing order.
 
-        ``matrix.flat[result]`` equals ``gather_tiles(matrix, layout,
-        groups[group_index])``; computed once per (plan, group) and reused by
+        ``matrix.flat[result]`` is the group's tiles in pack order, each
+        flattened row-major; computed once per (plan, group) and reused by
         every pipeline execution.
         """
         cache = self._index_cache()
@@ -159,8 +160,8 @@ class ReorderPlan:
                 rows=rows,
                 col_blocks=np.concatenate(cb_parts) if cb_parts else np.empty(0, dtype=np.int64),
                 lengths=lengths,
-                # Row-major within each tile, tiles in pack order: the same
-                # permutation gather_tiles would realize, element for element.
+                # Row-major within each tile, tiles in pack order: the
+                # group's tile-level packing permutation.
                 flat_indices=tile_flat_indices(self.layout, order),
                 token_of_elem=np.repeat(np.arange(rows.size, dtype=np.int64), lengths),
             )

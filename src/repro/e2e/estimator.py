@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from repro import obs
 from repro.core.config import DEFAULT_SETTINGS, OverlapSettings
 from repro.gpu.kernels import KernelCategory
-from repro.plans import CachedPlan, PlanCache
+from repro.plans import PlanCache
 from repro.sim.trace import Trace
 from repro.workloads.operators import EndToEndWorkload, OperatorInstance
 
@@ -112,12 +112,15 @@ class WorkloadEstimate:
     def layer_overlap_latency(self) -> float:
         return self.overlap_total / self.layers
 
-    def pattern_shares(self, method: str = "non-overlap") -> dict[str, float]:
-        """Latency share per pattern (Fig. 4), fractions summing to 1."""
-        attr = "non_overlap_latency" if method == "non-overlap" else "overlap_latency"
+    def pattern_shares(self) -> dict[str, float]:
+        """Latency share per pattern (Fig. 4), fractions summing to 1.
+
+        Shares come from the non-overlap pricing, matching the paper's
+        profiling figure.
+        """
         totals: dict[str, float] = {}
         for op in self.operators:
-            totals[op.pattern] = totals.get(op.pattern, 0.0) + getattr(op, attr) * op.count
+            totals[op.pattern] = totals.get(op.pattern, 0.0) + op.non_overlap_latency * op.count
         grand = sum(totals.values())
         if grand <= 0:
             return dict.fromkeys(totals, 0.0)
@@ -141,24 +144,17 @@ class WorkloadEstimate:
 class EndToEndEstimator:
     """Estimate whole-model latency through a shared plan store.
 
-    One estimator owns one :class:`~repro.plans.PlanCache`; estimating several
-    workloads through the same estimator shares tuned plans across them
-    (cross-layer *and* cross-model reuse).  Pass ``reuse=False`` to re-tune
-    every operator occurrence -- the estimates are bit-identical either way,
-    only the wall-clock cost differs.
+    One estimator owns one :class:`~repro.plans.PlanCache` and the
+    :class:`~repro.core.config.OverlapSettings` it prices under; workloads
+    carry shapes only.  Estimating several workloads through the same
+    estimator shares tuned plans across them (cross-layer *and* cross-model
+    reuse).  Pass ``reuse=False`` to re-tune every operator occurrence -- the
+    estimates are bit-identical either way, only the wall-clock cost differs.
     """
 
-    def __init__(
-        self,
-        settings: OverlapSettings = DEFAULT_SETTINGS,
-        plan_store: PlanCache | None = None,
-        reuse: bool = True,
-    ) -> None:
+    def __init__(self, settings: OverlapSettings = DEFAULT_SETTINGS, reuse: bool = True) -> None:
         self.settings = settings
-        # Explicit None check: an empty PlanCache is falsy (len() == 0).
-        if plan_store is None:
-            plan_store = make_plan_store(settings, reuse=reuse)
-        self.plan_store = plan_store
+        self.plan_store = make_plan_store(settings, reuse=reuse)
 
     # -- per-operator resolution ---------------------------------------------------
 
@@ -169,11 +165,8 @@ class EndToEndEstimator:
         prices its forward/backward cells with it), so their per-operator
         latencies are bit-identical to an e2e estimate of the same stream.
         """
-        return self._resolve(op)[0]
-
-    def _resolve(self, op: OperatorInstance) -> tuple[OperatorEstimate, CachedPlan | None]:
         if op.problem is None:
-            estimate = OperatorEstimate(
+            return OperatorEstimate(
                 name=op.name,
                 pattern=op.pattern(),
                 count=op.count,
@@ -182,10 +175,9 @@ class EndToEndEstimator:
                 non_overlap_latency=op.other_latency,
                 theoretical_latency=op.other_latency,
             )
-            return estimate, None
         hits_before = self.plan_store.hits
         plan = self.plan_store.lookup(op.problem)
-        estimate = OperatorEstimate(
+        return OperatorEstimate(
             name=op.name,
             pattern=op.pattern(),
             count=op.count,
@@ -196,7 +188,6 @@ class EndToEndEstimator:
             use_overlap=plan.tuning.use_overlap,
             plan_cached=self.plan_store.hits > hits_before,
         )
-        return estimate, plan
 
     # -- stream simulation -----------------------------------------------------------
 
@@ -235,11 +226,6 @@ class EndToEndEstimator:
             return self._estimate(workload, record_trace)
 
     def _estimate(self, workload: EndToEndWorkload, record_trace: bool) -> WorkloadEstimate:
-        if workload.settings != self.settings:
-            raise ValueError(
-                f"workload {workload.name!r} carries different OverlapSettings than "
-                "the estimator's plan store; build both from the same settings"
-            )
         hits_before = self.plan_store.hits
         misses_before = self.plan_store.misses
         tunes_before = self.plan_store.tuner_invocations
@@ -248,7 +234,7 @@ class EndToEndEstimator:
         # stats reflect the reuse structure (layer 2+ of an identical layer
         # hits the store), while the simulated latencies stay exact.
         with obs.span("e2e.price"):
-            per_layer = [self._resolve(op)[0] for op in workload.operators]
+            per_layer = [self.resolve_operator(op) for op in workload.operators]
             for _ in range(workload.layers - 1):
                 for op in workload.operators:
                     if op.problem is not None:

@@ -110,7 +110,6 @@ def estimate_models(
     topology: Topology | None = None,
     layers: int | None = None,
     settings: OverlapSettings = DEFAULT_SETTINGS,
-    estimator: EndToEndEstimator | None = None,
     reuse: bool = True,
     record_trace: bool = False,
 ) -> EndToEndReport:
@@ -120,12 +119,11 @@ def estimate_models(
     workload (``tokens=None`` keeps each model's paper default input size).
     """
     names = list(names) if names else sorted(workload_builders())
-    estimator = estimator or EndToEndEstimator(settings, reuse=reuse)
+    estimator = EndToEndEstimator(settings, reuse=reuse)
     estimates = []
     for name in names:
         workload = build_workload(
-            name, tokens=tokens, device=device, topology=topology, layers=layers,
-            settings=settings,
+            name, tokens=tokens, device=device, topology=topology, layers=layers
         )
         estimates.append(estimator.estimate(workload, record_trace=record_trace))
     return EndToEndReport(

@@ -254,7 +254,6 @@ def search_plan(
     prune: bool = True,
     deadline_s: float | None = None,
     clock: Callable[[], float] | None = None,
-    estimator: PipelineEstimator | None = None,
 ) -> PlanSearchReport:
     """Search the joint parallelism space of one workload on one cluster.
 
@@ -274,7 +273,7 @@ def search_plan(
     fake clock.
     """
     cluster = cluster or ClusterSpec()
-    estimator = estimator or PipelineEstimator(settings)
+    estimator = PipelineEstimator(settings)
     schedules = tuple(name for name in KNOWN_SCHEDULES if name in set(schedules))
     if not schedules:
         raise ValueError(f"no known schedules requested; known: {sorted(KNOWN_SCHEDULES)}")
@@ -324,7 +323,6 @@ def search_plan(
                     device=cluster.device_spec,
                     topology=topology,
                     layers=layers,
-                    settings=settings,
                 )
             except (KeyError, ValueError) as error:
                 skipped.append(
@@ -367,7 +365,6 @@ def search_plan(
                         device=cluster.device_spec,
                         topology=topology,
                         layers=layers,
-                        settings=settings,
                         partition=stage_layers,
                     )
                 batches.append(

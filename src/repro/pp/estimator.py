@@ -161,14 +161,8 @@ class PipelineEstimator:
     reported latencies are bit-identical with reuse disabled.
     """
 
-    def __init__(
-        self,
-        settings: OverlapSettings = DEFAULT_SETTINGS,
-        estimator: EndToEndEstimator | None = None,
-        reuse: bool = True,
-    ) -> None:
-        self.settings = settings
-        self.e2e = estimator or EndToEndEstimator(settings, reuse=reuse)
+    def __init__(self, settings: OverlapSettings = DEFAULT_SETTINGS, reuse: bool = True) -> None:
+        self.e2e = EndToEndEstimator(settings, reuse=reuse)
 
     @property
     def plan_store(self):
@@ -189,11 +183,6 @@ class PipelineEstimator:
         schedules: tuple[str, ...],
         record_trace: bool,
     ) -> PipelineEstimate:
-        if workload.settings != self.settings:
-            raise ValueError(
-                f"workload {workload.name!r} carries different OverlapSettings than "
-                "the pipeline estimator; build both from the same settings"
-            )
         hits_before = self.plan_store.hits
         misses_before = self.plan_store.misses
         # The microbatch stream first: its estimate sees the same fresh-store

@@ -88,7 +88,6 @@ def estimate_pipelines(
     topology: Topology | None = None,
     layers: int | None = None,
     settings: OverlapSettings = DEFAULT_SETTINGS,
-    estimator: PipelineEstimator | None = None,
     reuse: bool = True,
     record_trace: bool = False,
     partition: tuple[int, ...] | None = None,
@@ -100,7 +99,7 @@ def estimate_pipelines(
     balanced stage split with an explicit per-stage layer count (what a
     replayed planner JSON carries).
     """
-    estimator = estimator or PipelineEstimator(settings, reuse=reuse)
+    estimator = PipelineEstimator(settings, reuse=reuse)
     estimates = []
     for name in names:
         workload = build_pipeline_workload(
@@ -111,7 +110,6 @@ def estimate_pipelines(
             device=device,
             topology=topology,
             layers=layers,
-            settings=settings,
             partition=partition,
         )
         estimates.append(estimator.estimate(workload, schedules, record_trace=record_trace))

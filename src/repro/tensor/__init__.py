@@ -9,24 +9,12 @@ tile, used for All-to-All).  This package provides:
 * :class:`~repro.tensor.layout.TileLayout` -- the tile grid geometry of an
   ``M x N`` output matrix,
 * helpers in :mod:`repro.tensor.tiles` to gather tiles (or sub-units) into a
-  contiguous communication buffer and scatter them back; the packing order of
-  each buffer is a tile tuple of :class:`~repro.core.reordering.ReorderPlan`.
+  contiguous communication buffer and scatter them back through one flat
+  index permutation (:func:`~repro.tensor.tiles.tile_flat_indices`); the
+  packing order of each buffer is a tile tuple of
+  :class:`~repro.core.reordering.ReorderPlan`.
 """
 
 from repro.tensor.layout import TileLayout
-from repro.tensor.tiles import (
-    extract_tile,
-    gather_tiles,
-    scatter_tile,
-    scatter_tiles,
-    split_tile_rows,
-)
 
-__all__ = [
-    "TileLayout",
-    "extract_tile",
-    "gather_tiles",
-    "scatter_tile",
-    "scatter_tiles",
-    "split_tile_rows",
-]
+__all__ = ["TileLayout"]

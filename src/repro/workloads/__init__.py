@@ -8,8 +8,15 @@ Two levels of workloads drive the evaluation:
 * **model-level** (:mod:`repro.workloads.llm`, :mod:`repro.workloads.moe`,
   :mod:`repro.workloads.t2v`, :mod:`repro.workloads.e2e`) -- per-layer
   operator streams of the Table 4 applications (Llama3-70B TP inference and
-  training, Mixtral-8x7B EP+TP training, Step-Video-T2V TP inference), used
-  for the Fig. 4 latency breakdown and the Fig. 12 end-to-end speedups.
+  training, Mixtral-8x7B EP+TP training, Step-Video-T2V TP inference) and of
+  the Fig. 4 Llama2-7B profiling run, plus their pipeline-parallel split
+  (:mod:`repro.workloads.pipeline`).
+
+Workloads describe shapes only and price nothing: :mod:`repro.e2e` turns an
+operator stream into the Fig. 4 latency breakdown and the Fig. 12 / Table 4
+end-to-end speedups, and :mod:`repro.pp` schedules the pipeline split.  The
+one thing this package takes from :mod:`repro.core` is
+:class:`~repro.core.config.OverlapProblem`, the shape of one overlap target.
 """
 
 from repro.workloads.parallelism import ParallelismConfig

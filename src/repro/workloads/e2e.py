@@ -3,7 +3,9 @@
 Each builder returns an :class:`~repro.workloads.operators.EndToEndWorkload`
 whose operator stream describes one transformer layer of the application; the
 ``layers`` field repeats it (the paper truncates the training models to 8 / 4
-layers so that they fit on one node, which is mirrored here).
+layers so that they fit on one node, which is mirrored here).  A workload is
+shapes only: :class:`~repro.e2e.estimator.EndToEndEstimator` prices it, under
+the estimator's own :class:`~repro.core.config.OverlapSettings`.
 
 | Application      | Model            | Parallelism   | Input size            |
 |------------------|------------------|---------------|-----------------------|
@@ -16,7 +18,6 @@ layers so that they fit on one node, which is mirrored here).
 from __future__ import annotations
 
 from repro.comm.topology import Topology, a800_nvlink
-from repro.core.config import DEFAULT_SETTINGS, OverlapSettings
 from repro.gpu.device import A800, GPUSpec
 from repro.workloads.llm import LLAMA2_7B, LLAMA3_70B, llm_inference_layer, llm_training_layer
 from repro.workloads.moe import MIXTRAL_8X7B, moe_training_layer
@@ -58,13 +59,12 @@ def llama3_inference_workload(
     device: GPUSpec = A800,
     topology: Topology | None = None,
     layers: int = 8,
-    settings: OverlapSettings = DEFAULT_SETTINGS,
 ) -> EndToEndWorkload:
     """Llama3-70B prefill under TP=8 (vLLM-style chunked prefill)."""
     parallelism, topology = _tp_parallelism(topology, default_tp=8)
     ops = llm_inference_layer(LLAMA3_70B, chunk_size, parallelism, device, topology)
     return EndToEndWorkload(
-        name=f"Llama3-70B inference (TP={parallelism.tp})", operators=ops, layers=layers, settings=settings
+        name=f"Llama3-70B inference (TP={parallelism.tp})", operators=ops, layers=layers
     )
 
 
@@ -73,13 +73,12 @@ def llama3_training_workload(
     device: GPUSpec = A800,
     topology: Topology | None = None,
     layers: int = 8,
-    settings: OverlapSettings = DEFAULT_SETTINGS,
 ) -> EndToEndWorkload:
     """Llama3-70B training (8 layers) under TP=8 with sequence parallelism."""
     parallelism, topology = _tp_parallelism(topology, default_tp=8)
     ops = llm_training_layer(LLAMA3_70B, input_tokens, parallelism, device, topology)
     return EndToEndWorkload(
-        name=f"Llama3-70B training (TP={parallelism.tp})", operators=ops, layers=layers, settings=settings
+        name=f"Llama3-70B training (TP={parallelism.tp})", operators=ops, layers=layers
     )
 
 
@@ -88,7 +87,6 @@ def llama2_training_workload(
     device: GPUSpec = A800,
     topology: Topology | None = None,
     layers: int = 8,
-    settings: OverlapSettings = DEFAULT_SETTINGS,
 ) -> EndToEndWorkload:
     """Llama2-7B training under TP=4 (the Fig. 4 profiling workload).
 
@@ -99,7 +97,7 @@ def llama2_training_workload(
     parallelism, topology = _tp_parallelism(topology, default_tp=4, pp=2)
     ops = llm_training_layer(LLAMA2_7B, input_tokens, parallelism, device, topology)
     return EndToEndWorkload(
-        name=f"Llama2-7B training (TP={parallelism.tp}, PP={parallelism.pp})", operators=ops, layers=layers, settings=settings
+        name=f"Llama2-7B training (TP={parallelism.tp}, PP={parallelism.pp})", operators=ops, layers=layers
     )
 
 
@@ -108,7 +106,6 @@ def mixtral_training_workload(
     device: GPUSpec = A800,
     topology: Topology | None = None,
     layers: int = 4,
-    settings: OverlapSettings = DEFAULT_SETTINGS,
 ) -> EndToEndWorkload:
     """Mixtral-8x7B training (4 layers) under EP=4, TP=2.
 
@@ -128,7 +125,7 @@ def mixtral_training_workload(
         parallelism = ParallelismConfig(tp=max(1, topology.n_gpus // 4), ep=4)
     ops = moe_training_layer(MIXTRAL_8X7B, input_tokens, parallelism, device, topology)
     return EndToEndWorkload(
-        name=f"Mixtral-8x7B training (EP={parallelism.ep}, TP={parallelism.tp})", operators=ops, layers=layers, settings=settings
+        name=f"Mixtral-8x7B training (EP={parallelism.ep}, TP={parallelism.tp})", operators=ops, layers=layers
     )
 
 
@@ -137,31 +134,30 @@ def step_video_workload(
     device: GPUSpec = A800,
     topology: Topology | None = None,
     layers: int = 8,
-    settings: OverlapSettings = DEFAULT_SETTINGS,
 ) -> EndToEndWorkload:
     """Step-Video-T2V DiT inference under TP=4."""
     parallelism, topology = _tp_parallelism(topology, default_tp=4)
     ops = t2v_inference_layer(STEP_VIDEO_T2V, input_tokens, parallelism, device, topology)
     return EndToEndWorkload(
-        name=f"Step-Video-T2V (TP={parallelism.tp})", operators=ops, layers=layers, settings=settings
+        name=f"Step-Video-T2V (TP={parallelism.tp})", operators=ops, layers=layers
     )
 
 
-def paper_workloads(settings: OverlapSettings = DEFAULT_SETTINGS) -> list[EndToEndWorkload]:
+def paper_workloads() -> list[EndToEndWorkload]:
     """All four Table 4 applications with their default parameters."""
     return [
-        llama3_inference_workload(settings=settings),
-        mixtral_training_workload(settings=settings),
-        llama3_training_workload(settings=settings),
-        step_video_workload(settings=settings),
+        llama3_inference_workload(),
+        mixtral_training_workload(),
+        llama3_training_workload(),
+        step_video_workload(),
     ]
 
 
 #: Every paper workload by slug (the Table 4 four plus the Fig. 4 profiling
 #: model).  Each builder takes the input token count as its first positional
-#: argument and accepts ``device`` / ``topology`` / ``layers`` / ``settings``
-#: keywords, so the registry is what the CLI, the e2e sweep presets and the
-#: benchmarks drive.
+#: argument and accepts ``device`` / ``topology`` / ``layers`` keywords, so
+#: the registry is what the CLI, the e2e sweep presets and the benchmarks
+#: drive.
 _WORKLOAD_BUILDERS = {
     "llama3-inference": llama3_inference_workload,
     "llama3-training": llama3_training_workload,
@@ -182,7 +178,6 @@ def build_workload(
     device: GPUSpec = A800,
     topology: Topology | None = None,
     layers: int | None = None,
-    settings: OverlapSettings = DEFAULT_SETTINGS,
 ) -> EndToEndWorkload:
     """Instantiate a registry workload, overriding only the passed knobs.
 
@@ -197,7 +192,7 @@ def build_workload(
         raise KeyError(
             f"unknown workload {name!r}; known: {sorted(_WORKLOAD_BUILDERS)}"
         ) from None
-    kwargs: dict = {"device": device, "topology": topology, "settings": settings}
+    kwargs: dict = {"device": device, "topology": topology}
     if layers is not None:
         kwargs["layers"] = layers
     if tokens is not None:

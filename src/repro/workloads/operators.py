@@ -1,4 +1,4 @@
-"""Operator streams and end-to-end workload aggregation.
+"""Operator streams of the end-to-end workloads.
 
 A model forward (or forward+backward) pass is flattened into a list of
 :class:`OperatorInstance`:
@@ -10,17 +10,17 @@ A model forward (or forward+backward) pass is flattened into a list of
   column-parallel GEMMs, norms, optimizer steps) and cost the same under every
   method.
 
-:class:`EndToEndWorkload` aggregates a stream into the Fig. 4 latency-share
-breakdown and the Fig. 12 end-to-end speedups.
+:class:`EndToEndWorkload` is such a stream plus its layer count.  It prices
+nothing itself: :class:`~repro.e2e.estimator.EndToEndEstimator` prices it
+through its plan store into the Fig. 4 latency shares and the Fig. 12 /
+Table 4 end-to-end speedups.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.baselines import BaselineMethod, NonOverlapBaseline
-from repro.core.config import DEFAULT_SETTINGS, OverlapProblem, OverlapSettings
-from repro.core.overlap import FlashOverlapOperator
+from repro.core.config import OverlapProblem
 
 
 @dataclass(frozen=True)
@@ -58,74 +58,7 @@ class EndToEndWorkload:
     name: str
     operators: list[OperatorInstance]
     layers: int = 1
-    settings: OverlapSettings = field(default_factory=lambda: DEFAULT_SETTINGS)
 
     def __post_init__(self) -> None:
         if self.layers < 1:
             raise ValueError("layers must be >= 1")
-        self._latency_cache: dict[tuple[str, int], float] = {}
-
-    # -- per-operator latencies ---------------------------------------------------
-
-    def _overlap_latency(self, problem: OverlapProblem) -> float:
-        operator = FlashOverlapOperator(problem, self.settings)
-        return operator.simulate().latency
-
-    def _method_latency(self, op: OperatorInstance, method: BaselineMethod | str) -> float:
-        if op.problem is None:
-            return op.other_latency
-        key = (f"{op.name}|{method if isinstance(method, str) else method.name}", id(op))
-        if key in self._latency_cache:
-            return self._latency_cache[key]
-        if isinstance(method, str):
-            if method == "flashoverlap":
-                latency = self._overlap_latency(op.problem)
-            elif method == "non-overlap":
-                latency = NonOverlapBaseline(self.settings).latency(op.problem)
-            else:
-                raise ValueError(f"unknown method {method!r}")
-        else:
-            result = method.evaluate(op.problem)
-            latency = result.latency if result.supported else float("inf")
-        self._latency_cache[key] = latency
-        return latency
-
-    # -- aggregation ----------------------------------------------------------------
-
-    def total_latency(self, method: BaselineMethod | str = "non-overlap") -> float:
-        """End-to-end latency of the stream under one execution method."""
-        per_layer = sum(
-            self._method_latency(op, method) * op.count for op in self.operators
-        )
-        return per_layer * self.layers
-
-    def speedup(self, method: BaselineMethod | str = "flashoverlap") -> float:
-        """End-to-end speedup of ``method`` over the non-overlap execution."""
-        return self.total_latency("non-overlap") / self.total_latency(method)
-
-    def breakdown(self, method: BaselineMethod | str = "non-overlap") -> dict[str, float]:
-        """Latency share per pattern (Fig. 4): fractions summing to 1."""
-        totals: dict[str, float] = {}
-        for op in self.operators:
-            pattern = op.pattern()
-            totals[pattern] = totals.get(pattern, 0.0) + self._method_latency(op, method) * op.count
-        grand = sum(totals.values())
-        if grand <= 0:
-            return {k: 0.0 for k in totals}
-        return {k: v / grand for k, v in sorted(totals.items())}
-
-    def operator_speedups(self, method: BaselineMethod | str = "flashoverlap") -> dict[str, float]:
-        """Per overlap-target speedup (the "size 1"/"size 2" bars of Fig. 12)."""
-        speedups: dict[str, float] = {}
-        for op in self.operators:
-            if op.problem is None:
-                continue
-            non_overlap = self._method_latency(op, "non-overlap")
-            this = self._method_latency(op, method)
-            speedups[op.name] = non_overlap / this
-        return speedups
-
-    def overlap_target_fraction(self) -> float:
-        """Fraction of end-to-end time spent in "GEMM + collective" pairs."""
-        breakdown = self.breakdown()
-        return sum(v for k, v in breakdown.items() if k != "others")

@@ -31,7 +31,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.comm.topology import Topology
-from repro.core.config import DEFAULT_SETTINGS, OverlapSettings
 from repro.gpu.device import A800, GPUSpec
 from repro.gpu.gemm import DTYPE_BYTES
 from repro.workloads.e2e import build_workload, workload_builders
@@ -192,10 +191,6 @@ class PipelineWorkload:
     def num_stages(self) -> int:
         return len(self.stage_layers)
 
-    @property
-    def settings(self) -> OverlapSettings:
-        return self.microbatch.settings
-
     def describe(self) -> str:
         tokens = (
             f", {self.microbatch_tokens} tokens/microbatch"
@@ -224,7 +219,6 @@ def build_pipeline_workload(
     device: GPUSpec = A800,
     topology: Topology | None = None,
     layers: int | None = None,
-    settings: OverlapSettings = DEFAULT_SETTINGS,
     partition: Sequence[int] | None = None,
 ) -> PipelineWorkload:
     """Instantiate a registry workload as a pipeline-parallel workload.
@@ -260,7 +254,6 @@ def build_pipeline_workload(
         device=device,
         topology=topology,
         layers=layers,
-        settings=settings,
     )
     if partition is not None:
         stage_layers = tuple(int(count) for count in partition)

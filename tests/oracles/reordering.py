@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from oracles.tiles import gather_tiles, scatter_tiles
 from repro.comm.collectives import all_reduce, all_to_all, reduce_scatter_flat
 from repro.core.reordering import ReorderPlan
-from repro.tensor.tiles import gather_tiles, scatter_tiles
 
 
 def allreduce_reference(matrices: Sequence[np.ndarray], plan: ReorderPlan) -> list[np.ndarray]:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.breakdown import PATTERNS, breakdown_fractions, latency_breakdown_table
+from repro.analysis.breakdown import PATTERNS, breakdown_fractions, estimate_breakdown_table
 from repro.analysis.reporting import format_heatmap, format_markdown_table, format_table
 from repro.analysis.speedup import (
     compare_methods,
@@ -14,6 +14,7 @@ from repro.analysis.speedup import (
 from repro.comm.primitives import CollectiveKind
 from repro.comm.topology import rtx4090_pcie
 from repro.core.config import OverlapProblem, OverlapSettings
+from repro.e2e import EndToEndEstimator
 from repro.gpu.device import RTX_4090
 from repro.gpu.gemm import GemmShape
 from repro.workloads.e2e import llama3_inference_workload
@@ -80,13 +81,15 @@ class TestSpeedupSurveys:
 
 
 class TestBreakdown:
-    def test_breakdown_fractions_contains_all_patterns(self, settings):
-        workload = llama3_inference_workload(layers=1, settings=settings)
-        fractions = breakdown_fractions(workload)
-        assert set(fractions) == set(PATTERNS)
+    @pytest.fixture
+    def estimate(self, settings):
+        return EndToEndEstimator(settings).estimate(llama3_inference_workload(layers=1))
+
+    def test_breakdown_fractions_contains_all_patterns(self, estimate):
+        fractions = breakdown_fractions(estimate)
+        assert list(fractions) == list(PATTERNS)
         assert sum(fractions.values()) == pytest.approx(1.0)
 
-    def test_breakdown_table_renders(self, settings):
-        workload = llama3_inference_workload(layers=1, settings=settings)
-        text = latency_breakdown_table([workload])
-        assert "GEMM+AR" in text and "%" in text
+    def test_breakdown_table_renders(self, estimate):
+        text = estimate_breakdown_table([estimate])
+        assert "GEMM+AR" in text and "%" in text and estimate.name in text

@@ -114,6 +114,37 @@ class TestMultinodeKnobs:
         assert code == 0
         assert "a800-2node-ib" in out
 
+    #: Single-problem commands: shape flags, default placement, placement line.
+    SINGLE_PROBLEM = [
+        ("report", ["--m", "1024", "--n", "4096", "--k", "4096"], ("rtx4090-pcie", 4),
+         "on {n}x RTX 4090 ({name})"),
+        ("tune", ["--m", "1024", "--n", "4096", "--k", "4096"], ("rtx4090-pcie", 4),
+         "on {n}x RTX 4090 ({name})"),
+        ("compare", ["--m", "1024", "--n", "4096", "--k", "4096"], ("rtx4090-pcie", 4),
+         "on {n}x RTX 4090 ({name})"),
+        ("verify", [], ("tiny-pcie", 4), "on {n} simulated GPUs ({name})"),
+    ]
+
+    @pytest.mark.parametrize("nodes", [0, 1, 2], ids=lambda nodes: f"nodes{nodes}")
+    @pytest.mark.parametrize(("command", "shape", "defaults", "placement"), SINGLE_PROBLEM,
+                             ids=[row[0] for row in SINGLE_PROBLEM])
+    def test_nodes_resolve_through_the_cluster_spec(
+        self, capsys, command, shape, defaults, placement, nodes
+    ):
+        """Every subcommand reads --nodes the way ClusterSpec does."""
+        from repro.cluster import ClusterSpec
+
+        code = main([command, *shape, "--nodes", str(nodes)])
+        captured = capsys.readouterr()
+        if nodes == 0:
+            assert code == 2
+            assert captured.err.strip() == f"repro {command}: error: nodes must be >= 1"
+            return
+        topology, gpus = defaults
+        expected = ClusterSpec(topology=topology, gpus=gpus, nodes=nodes).resolve()
+        assert code == 0
+        assert placement.format(n=expected.n_gpus, name=expected.name) in captured.out
+
 
 class TestSweepCommand:
     def test_list_presets(self, capsys):
@@ -285,7 +316,7 @@ class TestPipelineCommand:
         workload = build_pipeline_workload(
             name, stages=PP_SMOKE["stages"], microbatches=PP_SMOKE["microbatches"],
             layers=PP_SMOKE["layers"], device=cluster.device_spec,
-            topology=cluster.resolve(), settings=settings,
+            topology=cluster.resolve(),
         )
         costs = price_pipeline(workload, EndToEndEstimator(settings))
         written = sorted(path.name for path in tmp_path.iterdir())

@@ -15,6 +15,7 @@ from oracles.reordering import (
     allreduce_reference,
     reduce_scatter_reference,
 )
+from oracles.tiles import gather_tiles, scatter_tiles
 from repro.comm.primitives import CollectiveKind
 from repro.core.reordering import (
     build_reorder_plan,
@@ -23,13 +24,7 @@ from repro.core.reordering import (
     run_reduce_scatter_pipeline,
 )
 from repro.tensor.layout import TileLayout
-from repro.tensor.tiles import (
-    gather_tiles,
-    gather_tiles_indexed,
-    scatter_tiles,
-    scatter_tiles_indexed,
-    tile_flat_indices,
-)
+from repro.tensor.tiles import gather_tiles_indexed, scatter_tiles_indexed, tile_flat_indices
 
 
 def _grouped_plan(collective, layout, n_gpus, num_groups, rng):

@@ -102,7 +102,7 @@ def workloads(draw) -> EndToEndWorkload:
     n_ops = draw(st.integers(min_value=1, max_value=5))
     ops = [draw(operators(index=i)) for i in range(n_ops)]
     layers = draw(st.integers(min_value=1, max_value=3))
-    return EndToEndWorkload(name="random", operators=ops, layers=layers, settings=FAST)
+    return EndToEndWorkload(name="random", operators=ops, layers=layers)
 
 
 @hsettings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -245,9 +245,7 @@ def test_pipeline_reuse_is_bit_identical_with_default_settings():
     settings = OverlapSettings()
 
     def step_latencies(reuse: bool) -> dict:
-        workload = build_pipeline_workload(
-            "llama3-training", stages=2, microbatches=4, layers=4, settings=settings
-        )
+        workload = build_pipeline_workload("llama3-training", stages=2, microbatches=4, layers=4)
         estimate = PipelineEstimator(settings, reuse=reuse).estimate(workload)
         return {
             (name, method): result.step_latency

@@ -89,8 +89,7 @@ def test_bubble_strictly_decreasing_across_grid():
     estimator = PipelineEstimator(settings)
     for stages, microbatches in itertools.product((2, 4), (4, 8)):
         workload = build_pipeline_workload(
-            "llama3-training", stages=stages, microbatches=microbatches, layers=4,
-            settings=settings,
+            "llama3-training", stages=stages, microbatches=microbatches, layers=4
         )
         bubbles = estimator.estimate(workload).bubble_ratios()
         assert bubbles["gpipe"] > bubbles["1f1b"] > bubbles["zero-bubble"], (

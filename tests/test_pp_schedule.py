@@ -166,7 +166,7 @@ class TestEstimatorBuildsNoCells:
         workload = build_pipeline_workload(
             name, stages=PP_SMOKE["stages"], microbatches=PP_SMOKE["microbatches"],
             layers=PP_SMOKE["layers"], device=cluster.device_spec,
-            topology=cluster.resolve(), settings=settings,
+            topology=cluster.resolve(),
         )
         constructed = []
         init = Cell.__init__
@@ -188,9 +188,7 @@ class TestEstimatorBuildsNoCells:
 class TestEstimatorTraces:
     def test_only_a_traced_estimate_builds_the_overlap_trace(self, monkeypatch):
         settings = OverlapSettings()
-        workload = build_pipeline_workload(
-            "llama3-training", stages=2, microbatches=4, layers=4, settings=settings
-        )
+        workload = build_pipeline_workload("llama3-training", stages=2, microbatches=4, layers=4)
         estimator = PipelineEstimator(settings)
         traced = estimator.estimate(workload, record_trace=True)
         for estimate in traced.schedules.values():

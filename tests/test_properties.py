@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from oracles.ring import ring_all_reduce
+from oracles.tiles import gather_tiles, scatter_tiles
 from repro.comm.collectives import all_reduce, reduce_scatter_flat
 from repro.comm.primitives import CollectiveKind
 from repro.core.config import OverlapProblem, OverlapSettings
@@ -15,7 +16,6 @@ from repro.core.wave_grouping import WavePartition, enumerate_partitions
 from repro.gpu.gemm import GemmShape, GemmTileConfig
 from repro.gpu.swizzle import execution_order, wave_partition
 from repro.tensor.layout import TileLayout
-from repro.tensor.tiles import gather_tiles, scatter_tiles
 
 # Small bounded strategies keep every example fast.
 _dims = st.integers(min_value=1, max_value=6)

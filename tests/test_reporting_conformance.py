@@ -10,12 +10,7 @@ import json
 
 import pytest
 
-from repro.analysis.breakdown import (
-    PATTERNS,
-    breakdown_fractions,
-    estimate_breakdown_table,
-    latency_breakdown_table,
-)
+from repro.analysis.breakdown import PATTERNS, breakdown_fractions, estimate_breakdown_table
 from repro.analysis.reporting import format_table
 from repro.core.config import OverlapSettings
 from repro.e2e import EndToEndEstimator
@@ -95,15 +90,22 @@ class TestBreakdownPercentages:
         return sums
 
     def test_workload_breakdown_sums_to_100(self, settings):
-        workload = build_workload("llama2-training", tokens=1024, layers=1, settings=settings)
-        fractions = breakdown_fractions(workload)
-        assert set(fractions) == set(PATTERNS)
-        assert sum(fractions.values()) == pytest.approx(1.0)
-        for row_sum in self._shares_from_table(latency_breakdown_table([workload])):
+        estimator = EndToEndEstimator(settings)
+        estimates = [
+            estimator.estimate(build_workload(name, tokens=1024, layers=1))
+            for name in ("llama2-training", "mixtral-training")
+        ]
+        for estimate in estimates:
+            fractions = breakdown_fractions(estimate)
+            assert set(fractions) == set(PATTERNS)
+            assert sum(fractions.values()) == pytest.approx(1.0)
+        row_sums = self._shares_from_table(estimate_breakdown_table(estimates))
+        assert len(row_sums) == len(estimates)
+        for row_sum in row_sums:
             assert row_sum == pytest.approx(100.0, abs=0.2)
 
     def test_estimate_breakdown_sums_to_100(self, settings):
-        workload = build_workload("llama2-training", tokens=1024, layers=1, settings=settings)
+        workload = build_workload("llama2-training", tokens=1024, layers=1)
         estimate = EndToEndEstimator(settings).estimate(workload)
         assert sum(estimate.pattern_shares().values()) == pytest.approx(1.0)
         table = estimate_breakdown_table([estimate])

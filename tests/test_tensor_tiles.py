@@ -1,16 +1,16 @@
-"""Tests for tile gather/scatter helpers (repro.tensor.tiles)."""
+"""Tests for the tile-by-tile gather/scatter oracle (tests/oracles/tiles.py)."""
 
 import numpy as np
 import pytest
 
-from repro.tensor.layout import TileLayout
-from repro.tensor.tiles import (
+from oracles.tiles import (
     extract_tile,
     gather_tiles,
     scatter_tile,
     scatter_tiles,
     split_tile_rows,
 )
+from repro.tensor.layout import TileLayout
 
 
 @pytest.fixture

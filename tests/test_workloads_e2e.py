@@ -1,11 +1,13 @@
-"""Tests for the end-to-end workload aggregation (Fig. 4 / Fig. 12)."""
+"""Tests for the end-to-end operator streams, priced by the e2e estimator (Fig. 4 / Fig. 12)."""
+
+import dataclasses
 
 import pytest
 
-from repro.comm.primitives import CollectiveKind
-from repro.core.baselines import VanillaDecompositionBaseline
-from repro.core.config import OverlapProblem, OverlapSettings
+from repro.core.config import OverlapSettings
+from repro.e2e import EndToEndEstimator
 from repro.workloads.e2e import (
+    llama2_training_workload,
     llama3_inference_workload,
     mixtral_training_workload,
     paper_workloads,
@@ -15,13 +17,17 @@ from repro.workloads.operators import EndToEndWorkload, OperatorInstance
 
 
 @pytest.fixture
-def settings():
-    return OverlapSettings(executor_jitter=0.0, bandwidth_profile_noise=0.0)
+def estimator():
+    return EndToEndEstimator(OverlapSettings(executor_jitter=0.0, bandwidth_profile_noise=0.0))
 
 
 @pytest.fixture
-def inference(settings):
-    return llama3_inference_workload(layers=1, settings=settings)
+def inference(estimator):
+    return estimator.estimate(llama3_inference_workload(layers=1))
+
+
+def _operator_speedups(estimate) -> list[float]:
+    return [op.speedup for op in estimate.operators if op.is_overlap_target]
 
 
 class TestOperatorInstance:
@@ -42,38 +48,33 @@ class TestOperatorInstance:
 
 
 class TestEndToEndWorkload:
+    def test_a_workload_is_a_plain_operator_stream(self):
+        fields = [field.name for field in dataclasses.fields(EndToEndWorkload)]
+        assert fields == ["name", "operators", "layers"]
+
     def test_breakdown_sums_to_one(self, inference):
-        shares = inference.breakdown()
+        shares = inference.pattern_shares()
         assert sum(shares.values()) == pytest.approx(1.0)
         assert shares["GEMM+AR"] > 0.2  # Fig. 4: GEMM+AR is a large share
 
     def test_overlap_target_fraction_in_paper_band(self, inference):
         # Sec. 2.3.1: GEMM+AR occupies roughly 30-45% of TP inference time.
-        assert 0.25 < inference.overlap_target_fraction() < 0.55
+        assert 0.25 < 1.0 - inference.pattern_shares()["others"] < 0.55
 
     def test_flashoverlap_speedup_above_one(self, inference):
-        speedup = inference.speedup()
-        assert 1.02 < speedup < 1.35
+        assert 1.02 < inference.speedup < 1.35
 
     def test_e2e_speedup_below_operator_speedups(self, inference):
         # Amdahl: the end-to-end gain cannot exceed the per-operator gains.
-        operator_speedups = inference.operator_speedups()
+        operator_speedups = _operator_speedups(inference)
         assert operator_speedups
-        assert inference.speedup() < max(operator_speedups.values())
+        assert inference.speedup < max(operator_speedups)
 
-    def test_baseline_method_evaluation(self, inference):
-        vanilla = VanillaDecompositionBaseline()
-        assert inference.speedup(vanilla) >= 0.95
-        assert inference.speedup(vanilla) <= inference.speedup("flashoverlap") * 1.05
-
-    def test_layers_scale_latency_linearly(self, settings):
-        one = llama3_inference_workload(layers=1, settings=settings)
-        four = llama3_inference_workload(layers=4, settings=settings)
-        assert four.total_latency() == pytest.approx(4 * one.total_latency(), rel=1e-6)
-
-    def test_unknown_method_rejected(self, inference):
-        with pytest.raises(ValueError):
-            inference.total_latency("magic")
+    def test_layers_scale_latency_linearly(self, estimator):
+        one = estimator.estimate(llama3_inference_workload(layers=1))
+        four = estimator.estimate(llama3_inference_workload(layers=4))
+        assert four.non_overlap_total == pytest.approx(4 * one.non_overlap_total, rel=1e-6)
+        assert four.overlap_total == pytest.approx(4 * one.overlap_total, rel=1e-6)
 
     def test_invalid_layers(self, paper_problem_4090):
         with pytest.raises(ValueError):
@@ -81,30 +82,26 @@ class TestEndToEndWorkload:
 
 
 class TestPaperWorkloads:
-    def test_all_four_applications_build(self, settings):
-        workloads = paper_workloads(settings)
+    def test_all_four_applications_build(self):
+        workloads = paper_workloads()
         assert len(workloads) == 4
         names = " ".join(w.name for w in workloads)
         assert "Llama3-70B" in names and "Mixtral" in names and "Step-Video" in names
 
-    def test_mixtral_has_a2a_share(self, settings):
-        workload = mixtral_training_workload(layers=1, settings=settings)
-        shares = workload.breakdown()
+    def test_mixtral_has_a2a_share(self, estimator):
+        shares = estimator.estimate(mixtral_training_workload(layers=1)).pattern_shares()
         assert shares.get("GEMM+A2A", 0.0) > 0.05
 
-    def test_step_video_has_largest_ar_share(self, settings):
-        t2v = step_video_workload(layers=1, settings=settings).breakdown()["GEMM+AR"]
-        moe = mixtral_training_workload(layers=1, settings=settings).breakdown().get("GEMM+AR", 0.0)
-        assert t2v > moe
+    def test_step_video_has_largest_ar_share(self, estimator):
+        t2v = estimator.estimate(step_video_workload(layers=1)).pattern_shares()["GEMM+AR"]
+        moe = estimator.estimate(mixtral_training_workload(layers=1)).pattern_shares()
+        assert t2v > moe.get("GEMM+AR", 0.0)
 
-    def test_every_paper_workload_speeds_up(self, settings):
-        for workload in paper_workloads(settings):
-            assert workload.speedup() > 1.0, workload.name
+    def test_every_paper_workload_speeds_up(self, estimator):
+        for workload in paper_workloads():
+            assert estimator.estimate(workload).speedup > 1.0, workload.name
 
-    def test_llama2_training_workload(self, settings):
-        from repro.workloads.e2e import llama2_training_workload
-
-        workload = llama2_training_workload(layers=1, settings=settings)
-        shares = workload.breakdown()
-        assert shares.get("GEMM+RS", 0.0) > 0.15
-        assert workload.speedup() > 1.0
+    def test_llama2_training_workload(self, estimator):
+        estimate = estimator.estimate(llama2_training_workload(layers=1))
+        assert estimate.pattern_shares().get("GEMM+RS", 0.0) > 0.15
+        assert estimate.speedup > 1.0

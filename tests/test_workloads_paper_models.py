@@ -1,9 +1,9 @@
-"""Paper-model conformance: exact shapes, collectives and settings plumbing.
+"""Paper-model conformance: exact shapes, collectives and registry plumbing.
 
 Complements ``test_workloads_models.py`` (structural checks) with the exact
 per-model expectations of the paper's Table 4 workloads: every overlap
-target's (M, N, K) and collective kind, MoE routing bounds, and the
-``settings``/registry plumbing the e2e estimator relies on.
+target's (M, N, K) and collective kind, MoE routing bounds, and the registry
+plumbing (device, topology, layers, tokens) the e2e estimator relies on.
 """
 
 import math
@@ -12,15 +12,13 @@ import pytest
 
 from repro.comm.primitives import CollectiveKind
 from repro.comm.topology import a800_nvlink
-from repro.core.config import DEFAULT_SETTINGS, OverlapSettings
-from repro.gpu.device import A800
+from repro.gpu.device import H100
 from repro.workloads.e2e import (
     build_workload,
     llama2_training_workload,
     llama3_inference_workload,
     llama3_training_workload,
     mixtral_training_workload,
-    paper_workloads,
     step_video_workload,
     workload_builders,
 )
@@ -109,29 +107,21 @@ class TestMoERouting:
             assert (report.tokens_per_expert >= 0).all()
 
 
-class TestSettingsPropagation:
-    def test_paper_workloads_propagate_settings(self):
-        custom = OverlapSettings(seed=11, executor_jitter=0.0)
-        workloads = paper_workloads(settings=custom)
-        assert len(workloads) == 4
-        for workload in workloads:
-            assert workload.settings is custom, workload.name
-        # Defaults stay the shared default settings object.
-        for workload in paper_workloads():
-            assert workload.settings is DEFAULT_SETTINGS, workload.name
-
-    def test_registry_builders_propagate_settings_and_knobs(self):
-        custom = OverlapSettings(seed=7)
+class TestRegistryPlumbing:
+    def test_registry_builders_propagate_knobs(self):
         topology = a800_nvlink(4)
         for name in workload_builders():
-            workload = build_workload(
-                name, tokens=1024, device=A800, topology=topology, layers=2, settings=custom
-            )
-            assert workload.settings is custom, name
+            workload = build_workload(name, tokens=1024, device=H100, topology=topology, layers=2)
             assert workload.layers == 2, name
-            for op in workload.operators:
-                if op.problem is not None:
-                    assert op.problem.topology is topology, (name, op.name)
+            targets = _targets(workload)
+            for op_name, problem in targets.items():
+                assert problem.device is H100, (name, op_name)
+                assert problem.topology is topology, (name, op_name)
+            # Every overlap target's GEMM work is linear in the input tokens.
+            doubled = _targets(build_workload(name, tokens=2048, device=H100, topology=topology))
+            assert {op: p.shape.m * p.shape.k for op, p in doubled.items()} == {
+                op: 2 * p.shape.m * p.shape.k for op, p in targets.items()
+            }, name
 
     def test_registry_layer_defaults_match_paper(self):
         # The paper truncates the training models to 8 / 4 layers per node.
