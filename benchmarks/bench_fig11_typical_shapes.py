@@ -11,6 +11,7 @@ from repro.analysis.speedup import compare_methods
 from repro.comm.primitives import CollectiveKind
 from repro.comm.topology import a800_nvlink
 from repro.core.config import OverlapProblem
+from repro.core.overlap import FlashOverlapOperator
 from repro.gpu.device import A800
 from repro.workloads.shapes import fig11_shapes
 
@@ -26,7 +27,8 @@ def collect(settings, smoke_mode=False):
         problem = OverlapProblem(
             shape=shape, device=A800, topology=topology, collective=CollectiveKind.REDUCE_SCATTER
         )
-        results.append((shape, compare_methods(problem, settings=settings)))
+        report = FlashOverlapOperator(problem, settings).report()
+        results.append((shape, compare_methods(report, settings=settings)))
     return results
 
 

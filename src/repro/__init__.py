@@ -51,7 +51,7 @@ from repro.core import (
     OverlapPlan,
     OverlapProblem,
     OverlapSettings,
-    SpeedupReport,
+    PricedPlan,
     WavePartition,
 )
 from repro.gpu import (
@@ -89,7 +89,7 @@ __all__ = [
     "OverlapProblem",
     "OverlapSettings",
     "OverlapPlan",
-    "SpeedupReport",
+    "PricedPlan",
     "WavePartition",
     "DEFAULT_SETTINGS",
     # gpu

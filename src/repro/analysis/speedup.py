@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.baselines import BaselineMethod, NonOverlapBaseline, default_baselines
+from repro.core.baselines import BaselineMethod, default_baselines
 from repro.core.config import DEFAULT_SETTINGS, OverlapProblem, OverlapSettings
-from repro.core.overlap import FlashOverlapOperator
+from repro.core.overlap import FlashOverlapOperator, PricedPlan
 from repro.gpu.gemm import GemmShape
 
 
@@ -30,20 +30,22 @@ class OperatorComparison:
 
 
 def compare_methods(
-    problem: OverlapProblem,
+    plan: PricedPlan,
     methods: Sequence[BaselineMethod] | None = None,
     settings: OverlapSettings = DEFAULT_SETTINGS,
 ) -> OperatorComparison:
-    """Evaluate FlashOverlap and the baselines on one problem."""
+    """Evaluate the baselines next to FlashOverlap's priced ``plan``.
+
+    FlashOverlap's entry is ``plan.speedup`` itself: nothing is tuned again.
+    For a bare problem, pass ``FlashOverlapOperator(problem, settings).report()``.
+    """
     methods = list(methods) if methods is not None else default_baselines(settings)
-    non_overlap = NonOverlapBaseline(settings).latency(problem)
-    comparison = OperatorComparison(problem=problem)
+    comparison = OperatorComparison(problem=plan.problem)
     for method in methods:
-        result = method.evaluate(problem)
+        result = method.evaluate(plan.problem)
         if result.supported:
-            comparison.speedups[method.name] = non_overlap / result.latency
-    overlap = FlashOverlapOperator(problem, settings).simulate().latency
-    comparison.speedups["flashoverlap"] = non_overlap / overlap
+            comparison.speedups[method.name] = plan.non_overlap_latency / result.latency
+    comparison.speedups["flashoverlap"] = plan.speedup
     return comparison
 
 
@@ -114,7 +116,5 @@ def shape_survey(
     methods: Sequence[BaselineMethod] | None = None,
 ) -> list[OperatorComparison]:
     """Run the method comparison over a suite of shapes (Fig. 10 / 11 / 16)."""
-    return [
-        compare_methods(problem_builder(shape), methods=methods, settings=settings)
-        for shape in shapes
-    ]
+    reports = (FlashOverlapOperator(problem_builder(shape), settings).report() for shape in shapes)
+    return [compare_methods(report, methods=methods, settings=settings) for report in reports]

@@ -24,10 +24,13 @@ def add_parser(sub) -> None:
 
 def run(args: argparse.Namespace) -> int:
     from repro.analysis.speedup import compare_methods
+    from repro.core.overlap import FlashOverlapOperator
 
     with profile_scope(args, NAME) as session:
         problem = problem_from_args(args)
-        comparison = compare_methods(problem, settings=settings_from_args(args))
+        settings = settings_from_args(args)
+        report = FlashOverlapOperator(problem, settings).report()
+        comparison = compare_methods(report, settings=settings)
     print(f"problem: {problem.describe()}")
     width = max(len(name) for name in comparison.speedups)
     for name, speedup in sorted(comparison.speedups.items(), key=lambda kv: -kv[1]):

@@ -27,13 +27,12 @@ def run(args: argparse.Namespace) -> int:
 
     with profile_scope(args, NAME) as session:
         problem = problem_from_args(args)
-        operator = FlashOverlapOperator(problem, settings_from_args(args))
-        plan = operator.plan()
-        report = operator.report()
+        report = FlashOverlapOperator(problem, settings_from_args(args)).report()
+    tuning = report.tuning
     print(f"problem           : {problem.describe()}")
-    print(f"waves             : {plan.partition.num_waves}")
-    print(f"tuned partition   : {plan.partition}")
-    print(f"mode              : {'overlap' if plan.use_overlap else 'sequential fallback'}")
+    print(f"waves             : {tuning.partition.num_waves}")
+    print(f"tuned partition   : {tuning.partition}")
+    print(f"mode              : {'overlap' if tuning.use_overlap else 'sequential fallback'}")
     print(f"non-overlap       : {report.non_overlap_latency * 1e3:.3f} ms")
     print(f"FlashOverlap      : {report.overlap_latency * 1e3:.3f} ms")
     print(f"theoretical bound : {report.theoretical_latency * 1e3:.3f} ms")

@@ -13,7 +13,7 @@ from repro.core.baselines import (
 )
 from repro.core.config import DEFAULT_SETTINGS, OverlapProblem, OverlapSettings
 from repro.core.executor import COMM_STREAM, COMPUTE_STREAM, OverlapExecutor, OverlapResult
-from repro.core.overlap import FlashOverlapOperator, OverlapPlan, SpeedupReport
+from repro.core.overlap import FlashOverlapOperator, OverlapPlan, PricedPlan
 from repro.core.predictor import LatencyPredictor, OfflineProfile
 from repro.core.reordering import (
     PipelineResult,
@@ -45,7 +45,7 @@ __all__ = [
     "DEFAULT_SETTINGS",
     "FlashOverlapOperator",
     "OverlapPlan",
-    "SpeedupReport",
+    "PricedPlan",
     "OverlapExecutor",
     "OverlapResult",
     "COMPUTE_STREAM",

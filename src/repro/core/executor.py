@@ -47,11 +47,6 @@ class OverlapResult:
     def num_groups(self) -> int:
         return len(self.partition.group_sizes)
 
-    def speedup_over(self, baseline_latency: float) -> float:
-        if self.latency <= 0:
-            raise ValueError("result has non-positive latency")
-        return baseline_latency / self.latency
-
 
 class OverlapExecutor:
     """Simulate FlashOverlap (and its sequential counterpart) for one problem."""

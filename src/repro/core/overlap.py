@@ -1,13 +1,18 @@
-"""The public FlashOverlap operator.
+"""The public FlashOverlap operator and the one pricing rule.
+
+:func:`price_plan` is the only code that chooses between overlap and the
+sequential fallback, so a :class:`PricedPlan` is never slower than the plain
+GEMM-then-collective run.  The plan store, the operator and sweep jobs all
+price through it.
 
 :class:`FlashOverlapOperator` ties the pieces together for one
 "GEMM + collective" instance:
 
-1. :meth:`simulate` runs the offline + online tuning stages (memoized) and
-   executes the tuned partition on the simulated device, returning the
+1. :meth:`report` tunes the problem and prices the pick with
+   :func:`price_plan` (memoized);
+2. :meth:`simulate` executes that choice -- the tuned partition or the
+   sequential fallback -- on the simulated device, returning the
    latency/trace (what every performance benchmark measures);
-2. :meth:`report` compares that against the sequential baseline and the
-   perfect-overlap bound;
 3. :meth:`plan` resolves the functional :class:`OverlapPlan` -- the
    wave-group partition, the tile-to-group assignment and the reordering
    plan -- which :meth:`run_numeric` executes on NumPy data and checks
@@ -20,7 +25,7 @@ the per-tile assignment or the reordering plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,7 +63,7 @@ class OverlapPlan:
 
     @property
     def use_overlap(self) -> bool:
-        """False when the tuner decided the sequential fallback is faster."""
+        """False when :func:`price_plan` found the sequential fallback faster."""
         return self.tuning.use_overlap if self.tuning is not None else True
 
     def describe(self) -> str:
@@ -69,23 +74,63 @@ class OverlapPlan:
         )
 
 
-@dataclass(frozen=True)
-class SpeedupReport:
-    """Summary of one operator-level comparison."""
+#: Version of :func:`price_plan`'s arithmetic.  Stored prices carry it (the
+#: sweep's priced-cell keys), so a price made by another rule is never
+#: replayed.  Bump it whenever ``price_plan``'s arithmetic changes.
+PRICING_VERSION = 1
 
-    problem_description: str
-    overlap_latency: float
-    non_overlap_latency: float
-    theoretical_latency: float
+
+@dataclass(frozen=True)
+class PricedPlan:
+    """One tuned problem, priced against the sequential run and the bound."""
+
+    problem: OverlapProblem  # the problem the plan was priced for
+    tuning: TuningResult  # its ``use_overlap`` checked against the simulation
+    overlap_latency: float  # simulated latency of the chosen execution
+    non_overlap_latency: float  # sequential GEMM-then-collective baseline
+    theoretical_latency: float  # perfect-overlap lower bound
 
     @property
     def speedup(self) -> float:
         return self.non_overlap_latency / self.overlap_latency
 
     @property
+    def bound_speedup(self) -> float:
+        """Speedup of the perfect-overlap bound over the sequential baseline."""
+        return self.non_overlap_latency / self.theoretical_latency
+
+    @property
     def ratio_of_theoretical(self) -> float:
         """Fraction of the perfect-overlap speedup actually achieved."""
         return self.theoretical_latency / self.overlap_latency
+
+
+def price_plan(
+    problem: OverlapProblem,
+    tuning: TuningResult,
+    settings: OverlapSettings = DEFAULT_SETTINGS,
+) -> PricedPlan:
+    """Price ``tuning`` on ``problem``, falling back when overlap is slower.
+
+    The tuning's ``use_overlap`` flag is a prediction -- and a warm-start
+    entry may even have been tuned for another shape or platform -- so the
+    tuned partition is always simulated on *this* problem and kept only if
+    it is no slower than the simulated sequential execution.
+    """
+    executor = OverlapExecutor(problem, settings)
+    sequential_latency = executor.simulate_sequential().latency
+    candidate_latency = executor.simulate(tuning.partition).latency
+    # bool(): a NumPy latency would otherwise leak a non-JSON np.bool_.
+    use_overlap = bool(candidate_latency <= sequential_latency)
+    if use_overlap != tuning.use_overlap:
+        tuning = replace(tuning, use_overlap=use_overlap)
+    return PricedPlan(
+        problem=problem,
+        tuning=tuning,
+        overlap_latency=candidate_latency if use_overlap else sequential_latency,
+        non_overlap_latency=NonOverlapBaseline(settings).latency(problem),
+        theoretical_latency=executor.theoretical_latency(),
+    )
 
 
 class FlashOverlapOperator:
@@ -98,29 +143,23 @@ class FlashOverlapOperator:
         self.settings = settings
         self.executor = OverlapExecutor(problem, settings)
         self.tuner = PredictiveTuner(settings)
-        self._tuning: TuningResult | None = None
+        self._priced: PricedPlan | None = None
         self._cached_plan: OverlapPlan | None = None
 
     # -- planning ----------------------------------------------------------------
 
-    def _tuned(self) -> TuningResult:
-        """The predictive tuner's pick for this problem (memoized)."""
-        if self._tuning is None:
-            self._tuning = self.tuner.tune(self.problem)
-        return self._tuning
-
     def plan(self, partition: WavePartition | None = None) -> OverlapPlan:
         """Produce (and cache) the functional overlap plan.
 
-        When ``partition`` is omitted, the predictive tuner picks it; passing
-        one explicitly is how the ablation studies evaluate fixed or
-        misconfigured groupings.
+        When ``partition`` is omitted, the priced tuning of :meth:`report`
+        supplies it; passing one explicitly is how the ablation studies
+        evaluate fixed or misconfigured groupings.
         """
         tuning = None
         if partition is None:
             if self._cached_plan is not None:
                 return self._cached_plan
-            tuning = self._tuned()
+            tuning = self.report().tuning
             partition = tuning.partition
         assignment = self.executor.assignment(partition)
         reorder = build_reorder_plan(
@@ -142,30 +181,22 @@ class FlashOverlapOperator:
 
     # -- performance ---------------------------------------------------------------
 
+    def report(self) -> PricedPlan:
+        """The predictive tuner's pick priced by :func:`price_plan` (memoized)."""
+        if self._priced is None:
+            tuning = self.tuner.tune(self.problem)
+            self._priced = price_plan(self.problem, tuning, self.settings)
+        return self._priced
+
     def simulate(self, plan: OverlapPlan | None = None) -> OverlapResult:
-        """Simulate ``plan``, or the tuned partition when it is omitted."""
-        if plan is None:
-            tuning = self._tuned()
-            use_overlap, partition = tuning.use_overlap, tuning.partition
-        else:
-            use_overlap, partition = plan.use_overlap, plan.partition
-        if not use_overlap:
+        """Simulate ``plan``, or the priced choice of :meth:`report` when omitted."""
+        choice = plan if plan is not None else self.report().tuning
+        if not choice.use_overlap:
             return self.executor.simulate_sequential()
-        return self.executor.simulate(partition)
+        return self.executor.simulate(choice.partition)
 
-    def report(self, plan: OverlapPlan | None = None) -> SpeedupReport:
-        """Compare the overlapped execution against the sequential baseline."""
-        result = self.simulate(plan)
-        non_overlap = NonOverlapBaseline(self.settings).latency(self.problem)
-        return SpeedupReport(
-            problem_description=self.problem.describe(),
-            overlap_latency=result.latency,
-            non_overlap_latency=non_overlap,
-            theoretical_latency=self.executor.theoretical_latency(),
-        )
-
-    def speedup(self, plan: OverlapPlan | None = None) -> float:
-        return self.report(plan).speedup
+    def speedup(self) -> float:
+        return self.report().speedup
 
     # -- correctness ---------------------------------------------------------------
 

@@ -18,29 +18,23 @@ decode iterations whose token counts cluster share one plan per bucket.
 
 The cache is LRU with hit/miss/evict counters, can warm-start from a
 persisted :class:`~repro.core.tuner.GemmShapeCache` (the offline tuning
-artifact the sweep subsystem already writes), and pre-simulates the overlap
-latency, the non-overlap baseline and the perfect-overlap bound of each plan
-so a consumer's per-instance cost is a dictionary lookup.
-
-Because the one-time cost of building a cache entry is amortized over every
-instance that reuses it, the cache also *validates* the tuner's
-overlap-vs-fallback decision against the ground-truth executor: when the
-simulated overlap latency loses to the sequential execution (typical for the
-tiny decode-dominated GEMMs, where the predictor's non-overlap estimate is
-least accurate), the entry is demoted to the sequential fallback.  A cached
-plan is therefore never slower than the non-overlap baseline.
+artifact the sweep subsystem already writes), and stores each entry as the
+:class:`~repro.core.overlap.PricedPlan` of
+:func:`~repro.core.overlap.price_plan`, so a consumer's per-instance cost is
+a dictionary lookup.  ``price_plan`` checks the tuner's (or a warm-start
+entry's) overlap-vs-fallback decision against the ground-truth executor --
+the tiny decode-dominated GEMMs are where the predictor errs most -- so a
+cached plan is never slower than the non-overlap baseline.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
 
 from repro import obs
-from repro.core.baselines import NonOverlapBaseline
 from repro.core.config import DEFAULT_SETTINGS, OverlapProblem, OverlapSettings
-from repro.core.executor import OverlapExecutor
-from repro.core.tuner import GemmShapeCache, PredictiveTuner, TuningResult
+from repro.core.overlap import PricedPlan, price_plan
+from repro.core.tuner import GemmShapeCache, PredictiveTuner
 
 
 def bucket_tokens(tokens: int, min_bucket: int = 16) -> int:
@@ -51,26 +45,6 @@ def bucket_tokens(tokens: int, min_bucket: int = 16) -> int:
     while bucket < tokens:
         bucket *= 2
     return bucket
-
-
-@dataclass(frozen=True)
-class CachedPlan:
-    """One tuned, pre-simulated plan for a cached problem."""
-
-    problem: OverlapProblem  # the problem the plan was tuned for
-    tuning: TuningResult
-    overlap_latency: float  # simulated latency of the tuned execution
-    non_overlap_latency: float  # sequential GEMM-then-collective baseline
-    theoretical_latency: float  # perfect-overlap lower bound
-
-    @property
-    def speedup(self) -> float:
-        return self.non_overlap_latency / self.overlap_latency
-
-    @property
-    def bound_speedup(self) -> float:
-        """Speedup of the perfect-overlap bound over the sequential baseline."""
-        return self.non_overlap_latency / self.theoretical_latency
 
 
 class PlanCache:
@@ -94,7 +68,7 @@ class PlanCache:
         self.capacity = capacity
         self.warm_start = warm_start
         self._tuner = PredictiveTuner(settings)
-        self._entries: OrderedDict[tuple, CachedPlan] = OrderedDict()
+        self._entries: OrderedDict[tuple, PricedPlan] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -122,7 +96,7 @@ class PlanCache:
 
     # -- lookup ------------------------------------------------------------------
 
-    def lookup(self, problem: OverlapProblem) -> CachedPlan:
+    def lookup(self, problem: OverlapProblem) -> PricedPlan:
         """The cached plan for ``problem``'s key, tuning on a miss."""
         key = self.key(problem)
         entry = self._entries.get(key)
@@ -156,12 +130,12 @@ class PlanCache:
         self.hits += lookups
         obs.counter("plan_store.hits").inc(lookups)
 
-    def _build_plan(self, problem: OverlapProblem) -> CachedPlan:
+    def _build_plan(self, problem: OverlapProblem) -> PricedPlan:
         shape = problem.shape
         with obs.span("plan_store.build", m=shape.m, n=shape.n, k=shape.k):
             return self._build_plan_inner(problem)
 
-    def _build_plan_inner(self, problem: OverlapProblem) -> CachedPlan:
+    def _build_plan_inner(self, problem: OverlapProblem) -> PricedPlan:
         tuning = None
         if self.warm_start is not None:
             tuning = self.warm_start.lookup(problem, self.settings)
@@ -174,26 +148,7 @@ class PlanCache:
             tuning = self._tuner.tune(problem)
             if self.warm_start is not None:
                 self.warm_start.add(problem.shape, tuning)
-        executor = OverlapExecutor(problem, self.settings)
-        sequential_latency = executor.simulate_sequential().latency
-        # Ground-truth validation of the overlap-vs-fallback decision: the
-        # tuner's (or a warm-start entry's) ``use_overlap`` flag is a
-        # prediction -- and a warm-start entry may even have been tuned on a
-        # different platform -- so always simulate the candidate partition on
-        # *this* problem and take whichever execution is faster.
-        candidate_latency = executor.simulate(tuning.partition).latency
-        # bool(): a NumPy latency would otherwise leak a non-JSON np.bool_.
-        use_overlap = bool(candidate_latency <= sequential_latency)
-        if use_overlap != tuning.use_overlap:
-            tuning = replace(tuning, use_overlap=use_overlap)
-        overlap_latency = candidate_latency if use_overlap else sequential_latency
-        return CachedPlan(
-            problem=problem,
-            tuning=tuning,
-            overlap_latency=overlap_latency,
-            non_overlap_latency=NonOverlapBaseline(self.settings).latency(problem),
-            theoretical_latency=executor.theoretical_latency(),
-        )
+        return price_plan(problem, tuning, self.settings)
 
     # -- stats -------------------------------------------------------------------
 

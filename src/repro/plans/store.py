@@ -1,15 +1,15 @@
 """Content-addressed store of priced sweep cells.
 
 A sweep job prices one *cell*: tune (or warm-start) a partition for an
-overlap problem, then simulate the overlap execution, the sequential
-baseline and the perfect-overlap bound.  All of that is a deterministic
-function of the scenario content -- shape, platform, collective, imbalance,
-seed and settings overrides -- so a sweep point whose content is unchanged
-since a previous run does not need to be re-priced at all.  The
-:class:`PricedCellStore` keys the priced outputs by a content hash of the
-scenario (:func:`plan_key`, the same canonical-JSON digest idiom as
-``Scenario.job_id``) and replays them on a hit; only the cells whose content
-actually changed are re-simulated.  That is the incremental-re-simulation
+overlap problem, then price it with :func:`~repro.core.overlap.price_plan`.
+That is a deterministic function of the scenario content -- shape, platform,
+collective, imbalance, seed and settings overrides -- and of the pricing
+rule, so a sweep point whose content is unchanged since a previous run does
+not need to be re-priced at all.  The sweep keys the priced outputs in a
+:class:`PricedCellStore` by a content hash of the scenario and
+``PRICING_VERSION`` (:func:`plan_key`, the same canonical-JSON digest idiom
+as ``Scenario.job_id``) and replays them on a hit; only the cells whose
+content or pricing rule changed are re-simulated.  That is the incremental-re-simulation
 half of ROADMAP item 3: editing one axis of a big matrix re-prices the
 touched cells and replays the rest from the store.
 

@@ -19,7 +19,7 @@ system:
   goodput under an SLO.
 """
 
-from repro.plans.cache import CachedPlan, PlanCache, bucket_tokens
+from repro.plans.cache import PlanCache, bucket_tokens
 from repro.serve.arrivals import (
     LengthDistribution,
     PoissonArrivals,
@@ -59,7 +59,6 @@ __all__ = [
     "iteration_gemm_shapes",
     "profile_iteration_tokens",
     "PlanCache",
-    "CachedPlan",
     "bucket_tokens",
     "SLO",
     "LatencyStats",

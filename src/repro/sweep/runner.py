@@ -1,9 +1,10 @@
 """Fan a scenario matrix out over worker processes.
 
 The :class:`SweepRunner` executes every :class:`~repro.sweep.matrix.Scenario`
-of a matrix -- tune (or reuse a cached partition), simulate, compare against
-the sequential baseline -- and appends one record per job to a
-:class:`~repro.sweep.store.ResultStore`.
+of a matrix -- tune (or reuse a cached partition), then price it with
+:func:`~repro.core.overlap.price_plan`, the same rule as the plan store and
+the operator, so no record is slower than its sequential fallback -- and
+appends one record per job to a :class:`~repro.sweep.store.ResultStore`.
 
 Determinism is a design constraint: the same matrix on 1 worker or N workers
 produces identical records.  To guarantee that, every job looks partitions up
@@ -35,8 +36,7 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.analysis.speedup import compare_methods
-from repro.core.baselines import NonOverlapBaseline
-from repro.core.executor import OverlapExecutor
+from repro.core.overlap import PRICING_VERSION, price_plan
 from repro.core.predictor import profile_cache_info
 from repro.core.tuner import GemmShapeCache, PredictiveTuner
 from repro.plans.store import PricedCellStore, plan_key
@@ -44,9 +44,10 @@ from repro.sweep.matrix import Scenario, ScenarioMatrix
 from repro.sweep.store import ResultStore
 
 #: The priced fields of one sweep record -- everything downstream of tuning
-#: and simulation, all deterministic functions of the scenario content.  This
-#: is what a :class:`PricedCellStore` cell carries (plus ``method_speedups``
-#: when the cell was priced with baselines).
+#: and simulation, all deterministic functions of the scenario content and
+#: of ``PRICING_VERSION`` (both are in the cell key).  This is what a
+#: :class:`PricedCellStore` cell carries (plus ``method_speedups`` when the
+#: cell was priced with baselines).
 _PRICED_FIELDS = (
     "use_overlap",
     "partition",
@@ -95,15 +96,17 @@ def _execute_scenario(
     scenario = Scenario.from_dict(payload)
     record: dict = {"job_id": scenario.job_id, "scenario": scenario.to_dict()}
     try:
-        cell_key = plan_key(scenario.to_dict()) if plans is not None else None
+        content = {"pricing_version": PRICING_VERSION, "scenario": record["scenario"]}
+        cell_key = plan_key(content) if plans is not None else None
         cell = plans.lookup(cell_key) if plans is not None else None
         if cell is not None and baselines and "method_speedups" not in cell:
             cell = None  # the stored cell was priced without baselines
         if cell is not None:
-            # The scenario content is unchanged since the cell was priced, and
-            # pricing is deterministic, so replaying the stored values is
-            # bit-identical to re-simulating (the differential tests assert
-            # this).  No tuner or executor work happens at all.
+            # The scenario content and the pricing rule are unchanged since
+            # the cell was priced, and pricing is deterministic, so replaying
+            # the stored values is bit-identical to re-simulating (the
+            # differential tests assert this).  No tuner or executor work
+            # happens at all.
             if not baselines:
                 cell.pop("method_speedups", None)
             record.update(cell)
@@ -117,34 +120,29 @@ def _execute_scenario(
         tuned = result is None
         if tuned:
             result = PredictiveTuner(settings).tune(problem)
-
-        executor = OverlapExecutor(problem, settings)
-        if result.use_overlap:
-            overlap_latency = executor.simulate(result.partition).latency
-        else:
-            overlap_latency = executor.simulate_sequential().latency
-        non_overlap = NonOverlapBaseline(settings).latency(problem)
-        theoretical = executor.theoretical_latency()
+        priced = price_plan(problem, result, settings)
 
         record.update(
             status="ok",
             tuned=tuned,
             cache_hit=not tuned,
-            use_overlap=result.use_overlap,
-            partition=list(result.partition.group_sizes),
-            candidates_evaluated=result.candidates_evaluated,
-            overlap_latency=overlap_latency,
-            non_overlap_latency=non_overlap,
-            theoretical_latency=theoretical,
-            speedup=non_overlap / overlap_latency,
-            ratio_of_theoretical=theoretical / overlap_latency,
+            use_overlap=priced.tuning.use_overlap,
+            partition=list(priced.tuning.partition.group_sizes),
+            candidates_evaluated=priced.tuning.candidates_evaluated,
+            overlap_latency=priced.overlap_latency,
+            non_overlap_latency=priced.non_overlap_latency,
+            theoretical_latency=priced.theoretical_latency,
+            speedup=priced.speedup,
+            ratio_of_theoretical=priced.ratio_of_theoretical,
         )
         if tuned:
+            # The cache keeps the tuner's own pick, as the plan store's warm
+            # start does; every reuse is priced again on its own problem.
             fresh = GemmShapeCache()
             fresh.add(problem.shape, result)
             record["cache_entry"] = json.loads(fresh.to_json())[0]
         if baselines:
-            comparison = compare_methods(problem, settings=settings)
+            comparison = compare_methods(priced, settings=settings)
             record["method_speedups"] = dict(comparison.speedups)
         if plans is not None:
             fresh_cell = {field: record[field] for field in _PRICED_FIELDS}
@@ -275,8 +273,8 @@ class SweepRunner:
         per-method aggregation of :mod:`repro.analysis.speedup`).
     plan_store:
         Content-addressed :class:`PricedCellStore`: jobs whose scenario
-        content matches a stored cell replay the priced values instead of
-        re-simulating (see :mod:`repro.plans.store`).  Workers receive the
+        content and ``PRICING_VERSION`` match a stored cell replay the priced
+        values instead of re-simulating (see :mod:`repro.plans.store`).  Workers receive the
         initial snapshot once at pool-init time; freshly priced cells are
         merged back after the run (and written to ``plan_store_path`` if
         given).  ``plan_store_path`` alone loads/creates the store at that

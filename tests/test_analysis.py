@@ -14,6 +14,7 @@ from repro.analysis.speedup import (
 from repro.comm.primitives import CollectiveKind
 from repro.comm.topology import rtx4090_pcie
 from repro.core.config import OverlapProblem, OverlapSettings
+from repro.core.overlap import FlashOverlapOperator
 from repro.e2e import EndToEndEstimator
 from repro.gpu.device import RTX_4090
 from repro.gpu.gemm import GemmShape
@@ -53,8 +54,11 @@ class TestSpeedupSurveys:
         )
 
     def test_compare_methods_includes_flashoverlap(self, settings):
-        comparison = compare_methods(self._problem(GemmShape(2048, 8192, 8192)), settings=settings)
-        assert "flashoverlap" in comparison.speedups
+        problem = self._problem(GemmShape(2048, 8192, 8192))
+        report = FlashOverlapOperator(problem, settings).report()
+        comparison = compare_methods(report, settings=settings)
+        assert comparison.problem is problem
+        assert comparison.speedups["flashoverlap"] == report.speedup
         assert "vanilla-decomposition" in comparison.speedups
         # P2P methods are excluded on the PCIe box.
         assert "flux" not in comparison.speedups

@@ -1,12 +1,15 @@
 """Tests for the high-level FlashOverlapOperator (repro.core.overlap)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.comm.primitives import CollectiveKind
-from repro.core.config import OverlapProblem
-from repro.core.overlap import FlashOverlapOperator
+from repro.core.config import DEFAULT_SETTINGS, OverlapProblem
+from repro.core.overlap import FlashOverlapOperator, price_plan
 from repro.core.wave_grouping import WavePartition
 from repro.gpu.gemm import GemmShape
+from repro.plans.cache import PlanCache
 
 
 def _fallback_problem() -> OverlapProblem:
@@ -80,8 +83,13 @@ class TestPlanning:
         assert paper_operator.simulate(explicit).latency == (
             paper_operator.executor.simulate(partition).latency
         )
-        assert paper_operator.report(explicit).overlap_latency == (
-            paper_operator.simulate(explicit).latency
+        # price_plan prices the same partition as given, unless the
+        # sequential fallback beats it.
+        tuning = replace(paper_operator.report().tuning, partition=partition)
+        priced = price_plan(paper_operator.problem, tuning, paper_operator.settings)
+        assert priced.overlap_latency == min(
+            paper_operator.simulate(explicit).latency,
+            paper_operator.executor.simulate_sequential().latency,
         )
 
 
@@ -129,7 +137,6 @@ class TestPricingBuildsNoFunctionalPlan:
     def test_pricing_matches_the_functional_plan(self, request, problem_name, monkeypatch):
         from repro.analysis.speedup import compare_methods
         from repro.core.baselines import NonOverlapBaseline
-        from repro.core.config import DEFAULT_SETTINGS
         from repro.core.signaling import GroupAssignment
 
         problem = (
@@ -150,11 +157,49 @@ class TestPricingBuildsNoFunctionalPlan:
         operator = FlashOverlapOperator(problem)
         assert operator.simulate().latency == expected
         report = operator.report()
+        assert report.tuning.use_overlap is plan.use_overlap
         assert report.overlap_latency == expected
         assert report.non_overlap_latency == non_overlap
         assert operator.speedup() == non_overlap / expected
-        comparison = compare_methods(problem)
+        comparison = compare_methods(report)
         assert comparison.speedups["flashoverlap"] == non_overlap / expected
+
+
+def _serving_problem() -> OverlapProblem:
+    """A decode GEMM+AllReduce whose tuned overlap loses to the sequential run."""
+    from repro.comm.topology import a800_nvlink
+    from repro.gpu.device import A800
+
+    return OverlapProblem(
+        shape=GemmShape(16, 8192, 2048),
+        device=A800,
+        topology=a800_nvlink(4),
+        collective=CollectiveKind.ALL_REDUCE,
+    )
+
+
+class TestOneFallbackRule:
+    """The operator and the plan store price through the one ``price_plan``."""
+
+    @pytest.mark.parametrize("which", ["paper", "fallback", "serving"])
+    def test_operator_report_equals_the_plan_store_entry(self, paper_problem_4090, which):
+        problem = {
+            "paper": paper_problem_4090,
+            "fallback": _fallback_problem(),
+            "serving": _serving_problem(),
+        }[which]
+        report = FlashOverlapOperator(problem, DEFAULT_SETTINGS).report()
+        assert report == PlanCache(DEFAULT_SETTINGS).lookup(problem)
+        assert report.speedup >= 1.0
+
+    def test_a_predicted_overlap_that_loses_falls_back(self):
+        operator = FlashOverlapOperator(_serving_problem())
+        assert operator.tuner.tune(operator.problem).use_overlap
+        report = operator.report()
+        assert not report.tuning.use_overlap
+        assert not operator.plan().use_overlap
+        assert operator.simulate().latency == report.overlap_latency
+        assert report.overlap_latency == operator.executor.simulate_sequential().latency
 
 
 class TestNumericCorrectness:

@@ -13,6 +13,7 @@ from repro.sweep.aggregate import (
     summarize_by_group,
 )
 from repro.sweep.matrix import ScenarioMatrix
+from repro.sweep.presets import matrix_from_preset
 from repro.sweep.runner import SweepRunner
 from repro.sweep.store import ResultStore
 
@@ -164,6 +165,33 @@ class TestSweepRunner:
             assert "vanilla-decomposition" in record["method_speedups"]
 
 
+class TestOneFallbackRule:
+    """Sweep jobs price through ``price_plan``, like the plan store."""
+
+    @pytest.mark.parametrize("preset", ["smoke", "serving-rate32"])
+    def test_no_record_is_slower_than_sequential(self, store, preset):
+        summary = SweepRunner(store).run(matrix_from_preset(preset))
+        assert summary.failed == 0
+        for record in summary.records:
+            assert record["speedup"] >= 1 - 1e-12, record["job_id"]
+
+    def test_a_baselines_record_has_one_flashoverlap_price(self, tmp_path):
+        # The second run reuses warm entries tuned for other collectives and
+        # platforms; the baselines must still compare against the record's
+        # own price, not a fresh tune of the problem.
+        cache = GemmShapeCache()
+        smoke = matrix_from_preset("smoke")
+        SweepRunner(ResultStore(tmp_path / "cold.jsonl"), cache=cache).run(smoke)
+        warm = SweepRunner(
+            ResultStore(tmp_path / "warm.jsonl"), cache=cache, baselines=True
+        ).run(smoke)
+        assert warm.cache_hits == len(warm.records) == 12
+        for record in warm.records:
+            assert record["method_speedups"]["flashoverlap"] == record["speedup"], (
+                record["job_id"]
+            )
+
+
 PRICED_FIELDS = (
     "use_overlap", "partition", "candidates_evaluated", "overlap_latency",
     "non_overlap_latency", "theoretical_latency", "speedup", "ratio_of_theoretical",
@@ -275,6 +303,20 @@ class TestSweepPricedCells:
         by_id = {r["job_id"]: r for r in enriched.records}
         for record in replay.records:
             assert record["method_speedups"] == by_id[record["job_id"]]["method_speedups"]
+
+    def test_a_cell_priced_by_another_rule_is_not_replayed(self, store, tiny_matrix):
+        # Cells stored under the scenario content alone carry no pricing
+        # version: they were priced by an earlier rule and must miss.
+        cells = PricedCellStore()
+        sentinel = {field: -1.0 for field in PRICED_FIELDS}
+        for scenario in tiny_matrix.expand():
+            cells.add(plan_key(scenario.to_dict()), sentinel)
+        summary = SweepRunner(store, plan_store=cells).run(tiny_matrix)
+        assert summary.priced_hits == 0
+        assert summary.tuned == 4
+        for record in summary.records:
+            assert record["speedup"] > 0
+        assert len(cells) == 8  # the fresh cells sit beside the stale ones
 
     def test_ride_along_keys_never_reach_the_result_store(self, store, tiny_matrix):
         SweepRunner(store, plan_store=PricedCellStore()).run(tiny_matrix)
