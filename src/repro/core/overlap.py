@@ -95,11 +95,6 @@ class PricedPlan:
         return self.non_overlap_latency / self.overlap_latency
 
     @property
-    def bound_speedup(self) -> float:
-        """Speedup of the perfect-overlap bound over the sequential baseline."""
-        return self.non_overlap_latency / self.theoretical_latency
-
-    @property
     def ratio_of_theoretical(self) -> float:
         """Fraction of the perfect-overlap speedup actually achieved."""
         return self.theoretical_latency / self.overlap_latency
