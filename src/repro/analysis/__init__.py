@@ -6,7 +6,7 @@ render :class:`~repro.e2e.estimator.WorkloadEstimate` objects, so every
 model-level number comes from :class:`~repro.e2e.estimator.EndToEndEstimator`.
 """
 
-from repro.analysis.reporting import format_heatmap, format_markdown_table, format_table
+from repro.analysis.reporting import format_heatmap, format_table
 from repro.analysis.speedup import (
     HeatmapResult,
     OperatorComparison,
@@ -18,7 +18,6 @@ from repro.analysis.breakdown import breakdown_fractions, estimate_breakdown_tab
 
 __all__ = [
     "format_table",
-    "format_markdown_table",
     "format_heatmap",
     "OperatorComparison",
     "compare_methods",

@@ -1,4 +1,4 @@
-"""Plain-text / markdown rendering of result tables and heatmaps.
+"""Plain-text rendering of result tables and heatmaps.
 
 The benchmarks print the same rows and series the paper reports; these helpers
 keep that formatting in one place so every bench produces consistent output.
@@ -81,15 +81,6 @@ def format_table(
     lines.append("-" * len(header_line))
     for row in str_rows:
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def format_markdown_table(headers: Sequence[str], rows: Sequence[Sequence], precision: int = 3) -> str:
-    """GitHub-flavoured markdown table."""
-    lines = ["| " + " | ".join(str(h) for h in headers) + " |"]
-    lines.append("|" + "|".join("---" for _ in headers) + "|")
-    for row in rows:
-        lines.append("| " + " | ".join(_format_cell(cell, precision) for cell in row) + " |")
     return "\n".join(lines)
 
 

@@ -76,9 +76,6 @@ class HeatmapResult:
     speedup: np.ndarray
     theoretical_ratio: np.ndarray
 
-    def peak_speedup(self) -> float:
-        return float(np.max(self.speedup))
-
     def mean_theoretical_ratio(self) -> float:
         return float(np.mean(self.theoretical_ratio))
 

@@ -25,13 +25,7 @@ from repro.comm.topology import (
 )
 from repro.comm.bandwidth import AnalyticBandwidthCurve, SampledBandwidthCurve, sample_bandwidth
 from repro.comm.primitives import CollectiveKind, CollectiveModel
-from repro.comm.collectives import (
-    all_gather,
-    all_reduce,
-    all_to_all,
-    reduce_scatter,
-    reduce_scatter_flat,
-)
+from repro.comm.collectives import all_reduce, all_to_all, reduce_scatter_flat
 
 __all__ = [
     "InterconnectKind",
@@ -47,8 +41,6 @@ __all__ = [
     "CollectiveKind",
     "CollectiveModel",
     "all_reduce",
-    "reduce_scatter",
     "reduce_scatter_flat",
-    "all_gather",
     "all_to_all",
 ]

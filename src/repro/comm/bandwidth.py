@@ -71,18 +71,6 @@ class AnalyticBandwidthCurve:
             time = arr / bw
         return np.where(arr <= 0, 0.0, time)
 
-    def utilization(self, nbytes: float) -> float:
-        """Fraction of peak bandwidth achieved at this message size."""
-        if nbytes <= 0:
-            return 0.0
-        return self.bandwidth(nbytes) / self.peak_bandwidth_bytes
-
-    def knee_bytes(self, target_utilization: float = 0.8) -> float:
-        """Message size required to reach ``target_utilization`` of peak."""
-        if not 0 < target_utilization < 1:
-            raise ValueError("target_utilization must be in (0, 1)")
-        return self.half_saturation_bytes * target_utilization / (1 - target_utilization)
-
 
 @dataclass(frozen=True)
 class SampledBandwidthCurve:
@@ -157,19 +145,22 @@ class SampledBandwidthCurve:
         return np.where(arr <= 0, 0.0, out)
 
 
-def default_sample_sizes(min_bytes: int = 64 * 1024, max_bytes: int = 1 << 30,
-                         points_per_decade: int = 4) -> np.ndarray:
-    """Log-spaced message sizes used for offline bandwidth profiling."""
-    if min_bytes <= 0 or max_bytes <= min_bytes:
-        raise ValueError("need 0 < min_bytes < max_bytes")
-    decades = np.log10(max_bytes / min_bytes)
+#: Smallest and largest message sizes of the offline bandwidth profile.
+_MIN_SAMPLE_BYTES = 64 * 1024
+_MAX_SAMPLE_BYTES = 1 << 30
+
+
+def default_sample_sizes(points_per_decade: int = 4) -> np.ndarray:
+    """Log-spaced message sizes (64 KiB to 1 GiB) used for offline bandwidth profiling."""
+    decades = np.log10(_MAX_SAMPLE_BYTES / _MIN_SAMPLE_BYTES)
     count = max(2, int(round(decades * points_per_decade)) + 1)
-    return np.unique(np.geomspace(min_bytes, max_bytes, count).astype(np.int64)).astype(np.float64)
+    return np.unique(np.geomspace(_MIN_SAMPLE_BYTES, _MAX_SAMPLE_BYTES, count)
+                     .astype(np.int64)).astype(np.float64)
 
 
 def sample_bandwidth(
     curve: AnalyticBandwidthCurve,
-    sizes_bytes: np.ndarray | None = None,
+    sizes_bytes: np.ndarray,
     noise: float = 0.0,
     seed: int = 0,
 ) -> SampledBandwidthCurve:
@@ -179,7 +170,7 @@ def sample_bandwidth(
     a relative multiplicative error, which is one of the sources of the
     predictor error studied in Fig. 15.
     """
-    sizes = default_sample_sizes() if sizes_bytes is None else np.asarray(sizes_bytes, dtype=np.float64)
+    sizes = np.asarray(sizes_bytes, dtype=np.float64)
     bws = np.asarray(curve.bandwidth(sizes), dtype=np.float64)
     if noise > 0:
         rng = np.random.default_rng(seed)

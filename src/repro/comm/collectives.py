@@ -32,23 +32,6 @@ def all_reduce(buffers: Sequence[np.ndarray]) -> list[np.ndarray]:
     return [total.copy() for _ in buffers]
 
 
-def reduce_scatter(buffers: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Sum-ReduceScatter along the leading axis.
-
-    The reduced tensor is split into ``n`` equal row blocks; rank ``g``
-    receives block ``g``.  The leading dimension must be divisible by the
-    number of ranks (as it is for the GEMM outputs used in tensor parallelism).
-    """
-    _check_same_shape(buffers)
-    n = len(buffers)
-    rows = buffers[0].shape[0]
-    if rows % n != 0:
-        raise ValueError(f"leading dim {rows} not divisible by {n} ranks")
-    total = np.sum(np.stack([np.asarray(b, dtype=np.float64) for b in buffers]), axis=0)
-    chunk = rows // n
-    return [total[g * chunk : (g + 1) * chunk].copy() for g in range(n)]
-
-
 def reduce_scatter_flat(buffers: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Sum-ReduceScatter over the flattened buffer (NCCL's native semantics).
 
@@ -64,14 +47,6 @@ def reduce_scatter_flat(buffers: Sequence[np.ndarray]) -> list[np.ndarray]:
     total = np.sum(np.stack(flat), axis=0)
     chunk = size // n
     return [total[g * chunk : (g + 1) * chunk].copy() for g in range(n)]
-
-
-def all_gather(chunks: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """AllGather along the leading axis: every rank receives the concatenation."""
-    if not chunks:
-        raise ValueError("need at least one chunk")
-    gathered = np.concatenate([np.asarray(c) for c in chunks], axis=0)
-    return [gathered.copy() for _ in chunks]
 
 
 def all_to_all(send: Sequence[Sequence[np.ndarray]]) -> list[list[np.ndarray]]:
@@ -121,11 +96,3 @@ def all_to_all_rows(
         np.concatenate(parts, axis=0) if parts else np.empty((0,) + buffers[0].shape[1:])
         for parts in received
     ]
-
-
-def broadcast(buffers: Sequence[np.ndarray], root: int = 0) -> list[np.ndarray]:
-    """Broadcast from ``root`` to every rank."""
-    if not 0 <= root < len(buffers):
-        raise IndexError(f"root {root} out of range for {len(buffers)} ranks")
-    src = np.asarray(buffers[root])
-    return [src.copy() for _ in buffers]

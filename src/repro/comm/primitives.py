@@ -90,11 +90,6 @@ class CollectiveModel:
     def n_gpus(self) -> int:
         return self.topology.n_gpus
 
-    @property
-    def sm_cost(self) -> int:
-        """SMs occupied by the communication kernels while they run."""
-        return self.topology.comm_sm_count
-
     def volume_factor(self) -> float:
         return ring_volume_factor(self.kind, self.n_gpus)
 
@@ -121,12 +116,7 @@ class CollectiveModel:
             raise ValueError("payload_bytes must be non-negative")
         if payload_bytes == 0:
             return 0.0
-        wire = self.wire_bytes(payload_bytes)
-        if hasattr(self.curve, "transfer_time"):
-            transfer = self.curve.transfer_time(wire)
-        else:  # pragma: no cover - defensive
-            transfer = wire / self.curve.bandwidth(wire)
-        return self.setup_latency() + transfer
+        return self.setup_latency() + self.curve.transfer_time(self.wire_bytes(payload_bytes))
 
     def latency_array(self, payload_bytes) -> np.ndarray:
         """Vectorized :meth:`latency` over an array of per-rank payloads.
@@ -142,26 +132,12 @@ class CollectiveModel:
         transfer = self.curve.transfer_time(wire)
         return np.where(payloads == 0.0, 0.0, self.setup_latency() + transfer)
 
-    def effective_bandwidth(self, payload_bytes: float) -> float:
-        """Observed algorithm bandwidth: payload divided by call latency."""
-        lat = self.latency(payload_bytes)
-        if lat <= 0:
-            return 0.0
-        return payload_bytes / lat
-
     def bus_bandwidth(self, payload_bytes: float) -> float:
         """Observed bus bandwidth (NCCL convention): wire bytes over latency."""
         lat = self.latency(payload_bytes)
         if lat <= 0:
             return 0.0
         return self.wire_bytes(payload_bytes) / lat
-
-    def segmented_latency(self, payload_bytes: float, segments: int) -> float:
-        """Total latency when the payload is split into equal segments,
-        each communicated with its own call (communication fragmentation)."""
-        if segments <= 0:
-            raise ValueError("segments must be positive")
-        return segments * self.latency(payload_bytes / segments)
 
     def with_curve(self, curve: AnalyticBandwidthCurve | SampledBandwidthCurve) -> "CollectiveModel":
         """Return a copy using a different bandwidth curve (e.g. a sampled one)."""

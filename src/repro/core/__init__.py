@@ -9,7 +9,6 @@ from repro.core.baselines import (
     NonOverlapBaseline,
     VanillaDecompositionBaseline,
     default_baselines,
-    feature_matrix,
 )
 from repro.core.config import DEFAULT_SETTINGS, OverlapProblem, OverlapSettings
 from repro.core.executor import COMM_STREAM, COMPUTE_STREAM, OverlapExecutor, OverlapResult
@@ -35,7 +34,6 @@ from repro.core.wave_grouping import (
     PartitionMatrix,
     WavePartition,
     design_space_size,
-    enumerate_partitions,
     pruned_partition_matrix,
 )
 
@@ -59,7 +57,6 @@ __all__ = [
     "search_quality",
     "WavePartition",
     "PartitionMatrix",
-    "enumerate_partitions",
     "pruned_partition_matrix",
     "design_space_size",
     "CountingTable",
@@ -79,5 +76,4 @@ __all__ = [
     "FluxFusionBaseline",
     "CublasMpBaseline",
     "default_baselines",
-    "feature_matrix",
 ]

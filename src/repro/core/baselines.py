@@ -35,11 +35,6 @@ class BaselineResult:
     latency: float
     supported: bool = True
 
-    def speedup_over(self, reference_latency: float) -> float:
-        if not self.supported:
-            raise ValueError(f"{self.method} is not supported on this problem")
-        return reference_latency / self.latency
-
 
 class BaselineMethod:
     """Interface shared by all baseline latency models."""
@@ -221,24 +216,3 @@ def default_baselines(settings: OverlapSettings = DEFAULT_SETTINGS) -> list[Base
         FluxFusionBaseline(settings),
         CublasMpBaseline(settings),
     ]
-
-
-def feature_matrix() -> dict[str, dict[str, bool]]:
-    """Table 1: which design feature each method family provides."""
-    return {
-        "decomposition-based": {
-            "tile_wise": False,
-            "interference_free": False,
-            "comm_agnostic": True,
-        },
-        "fusion-based": {
-            "tile_wise": True,
-            "interference_free": False,
-            "comm_agnostic": False,
-        },
-        "signaling-based (FlashOverlap)": {
-            "tile_wise": True,
-            "interference_free": True,
-            "comm_agnostic": True,
-        },
-    }

@@ -100,7 +100,7 @@ class OfflineProfile:
     wave_time: float
     wave_bytes: float
     comm_model: CollectiveModel
-    sequential_compute_time: float = 0.0
+    sequential_compute_time: float
     imbalance: float = 1.0
 
     @classmethod
@@ -148,19 +148,17 @@ class OfflineProfile:
         """
         return cls.build(problem, settings)
 
-    def total_output_bytes(self, problem_bytes: float | None = None) -> float:
-        """Total bytes the collective must move (defaults to full waves)."""
-        if problem_bytes is not None:
-            return problem_bytes
-        return self.num_waves * self.wave_bytes
-
 
 class LatencyPredictor:
-    """Analytical latency prediction of an overlapped execution (Alg. 1)."""
+    """Analytical latency prediction of an overlapped execution (Alg. 1).
 
-    def __init__(self, profile: OfflineProfile, total_bytes: float | None = None) -> None:
+    ``total_bytes`` is the payload the collective must move: the problem's
+    output, which the last group's partial wave trims from full waves.
+    """
+
+    def __init__(self, profile: OfflineProfile, total_bytes: float) -> None:
         self.profile = profile
-        self._total_bytes = profile.total_output_bytes(total_bytes)
+        self._total_bytes = total_bytes
 
     def predict(self, partition: WavePartition) -> float:
         """Predicted total latency of one overlapped execution."""
@@ -218,12 +216,8 @@ class LatencyPredictor:
         """Predicted latency of the sequential (non-overlapped) execution.
 
         The sequential path does not reserve SMs for communication, so its
-        compute term is the uncontended GEMM duration (falling back to the
-        contended estimate when the profile does not carry one).
+        compute term is the uncontended GEMM duration.
         """
-        compute = self.profile.sequential_compute_time
-        if compute <= 0.0:
-            compute = self.profile.num_waves * self.profile.wave_time
-        compute *= self.profile.imbalance
+        compute = self.profile.sequential_compute_time * self.profile.imbalance
         comm = self.profile.comm_model.latency(self._total_bytes * self.profile.imbalance)
         return compute + comm

@@ -97,9 +97,6 @@ class GroupAssignment:
     def num_groups(self) -> int:
         return len(self.group_tiles)
 
-    def tiles_of(self, group_index: int) -> tuple[int, ...]:
-        return self.group_tiles[group_index]
-
     def group_tile_counts(self) -> tuple[int, ...]:
         return tuple(len(t) for t in self.group_tiles)
 

@@ -153,6 +153,10 @@ def _tuning_result_from_dict(payload: dict) -> TuningResult:
     )
 
 
+#: Largest log2-space (M, N, K) distance at which a cached partition is reused.
+MAX_REUSE_DISTANCE = 1.0
+
+
 @dataclass
 class ShapeCacheEntry:
     shape: GemmShape
@@ -184,12 +188,12 @@ class GemmShapeCache:
             + abs(math.log2(a.k / b.k))
         )
 
-    def nearest(self, shape: GemmShape, required_waves: int | None = None) -> ShapeCacheEntry | None:
-        """Closest cached shape, optionally restricted to a wave count."""
+    def nearest(self, shape: GemmShape, required_waves: int) -> ShapeCacheEntry | None:
+        """Closest cached shape whose partition covers ``required_waves`` waves."""
         best: ShapeCacheEntry | None = None
         best_distance = math.inf
         for entry in self.entries:
-            if required_waves is not None and entry.result.partition.num_waves != required_waves:
+            if entry.result.partition.num_waves != required_waves:
                 continue
             distance = self._distance(shape, entry.shape)
             if distance < best_distance:
@@ -267,16 +271,16 @@ class GemmShapeCache:
         self,
         problem: OverlapProblem,
         settings: OverlapSettings = DEFAULT_SETTINGS,
-        max_distance: float = 1.0,
     ) -> TuningResult | None:
         """Nearest cached result reusable for ``problem``, or None.
 
         A cached partition is reusable when its wave count matches the
-        problem's and the log-space shape distance is within ``max_distance``.
+        problem's and the log-space shape distance is within
+        ``MAX_REUSE_DISTANCE`` (one doubling of one dimension).
         """
         executor_waves = OverlapExecutor(problem, settings).num_waves()
         entry = self.nearest(problem.shape, required_waves=executor_waves)
-        if entry is not None and self._distance(problem.shape, entry.shape) <= max_distance:
+        if entry is not None and self._distance(problem.shape, entry.shape) <= MAX_REUSE_DISTANCE:
             return entry.result
         return None
 
@@ -284,10 +288,9 @@ class GemmShapeCache:
         self,
         problem: OverlapProblem,
         tuner: PredictiveTuner,
-        max_distance: float = 1.0,
     ) -> TuningResult:
         """Reuse the nearest cached partition when close enough, else tune."""
-        cached = self.lookup(problem, tuner.settings, max_distance)
+        cached = self.lookup(problem, tuner.settings)
         if cached is not None:
             return cached
         result = tuner.tune(problem)

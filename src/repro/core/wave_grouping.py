@@ -11,7 +11,7 @@ tuner builds the pruned space as one boolean decision matrix, a
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,25 +58,6 @@ class WavePartition:
             sizes.append(remainder)
         return cls(tuple(sizes))
 
-    @classmethod
-    def from_decisions(cls, decisions: Sequence[bool]) -> "WavePartition":
-        """Build a partition from the binary "communicate after wave i" vector.
-
-        ``decisions`` has one entry per wave; the last wave's decision is
-        forced to True (all remaining data must be communicated).
-        """
-        if not decisions:
-            raise ValueError("need at least one wave")
-        sizes = []
-        current = 0
-        for index, flag in enumerate(decisions):
-            current += 1
-            last = index == len(decisions) - 1
-            if flag or last:
-                sizes.append(current)
-                current = 0
-        return cls(tuple(sizes))
-
     # -- properties -------------------------------------------------------------
 
     @property
@@ -87,14 +68,6 @@ class WavePartition:
     def num_groups(self) -> int:
         return len(self.group_sizes)
 
-    @property
-    def first_group(self) -> int:
-        return self.group_sizes[0]
-
-    @property
-    def last_group(self) -> int:
-        return self.group_sizes[-1]
-
     def boundaries(self) -> list[int]:
         """Cumulative wave counts at the end of each group (1-based waves)."""
         total = 0
@@ -103,22 +76,6 @@ class WavePartition:
             total += size
             result.append(total)
         return result
-
-    def decisions(self) -> list[bool]:
-        """The binary "communicate after wave i" vector of this partition."""
-        flags = [False] * self.num_waves
-        for boundary in self.boundaries():
-            flags[boundary - 1] = True
-        return flags
-
-    def group_of_wave(self, wave_index: int) -> int:
-        """Group index containing wave ``wave_index`` (0-based)."""
-        if not 0 <= wave_index < self.num_waves:
-            raise IndexError(f"wave {wave_index} outside 0..{self.num_waves - 1}")
-        for group_index, boundary in enumerate(self.boundaries()):
-            if wave_index < boundary:
-                return group_index
-        raise AssertionError("unreachable")  # pragma: no cover
 
     def group_waves(self, group_index: int) -> range:
         """Wave indices (0-based) belonging to one group."""
@@ -149,15 +106,6 @@ class WavePartition:
 # -- design-space enumeration -------------------------------------------------
 
 
-def enumerate_partitions(num_waves: int) -> Iterator[WavePartition]:
-    """Enumerate the full design space: all ``2^(T-1)`` compositions of ``T``."""
-    if num_waves <= 0:
-        raise ValueError("num_waves must be positive")
-    for mask in range(1 << (num_waves - 1)):
-        decisions = [bool(mask >> i & 1) for i in range(num_waves - 1)] + [True]
-        yield WavePartition.from_decisions(decisions)
-
-
 def design_space_size(num_waves: int) -> int:
     """Size of the unpruned design space."""
     if num_waves <= 0:
@@ -173,7 +121,7 @@ def pruned_partition_matrix(
     The first group controls the head latency (cold start) and the last group
     controls the tail, so both are preferred small (Sec. 4.1.3/4.1.4).  Row
     ``mask`` communicates after wave ``i`` when bit ``i`` is set, and after the
-    last wave; rows keep :func:`enumerate_partitions`' ascending mask order.
+    last wave; rows keep ascending mask order.
     """
     masks = np.arange(1 << (num_waves - 1))
     decisions = np.ones((masks.size, num_waves), dtype=bool)

@@ -108,10 +108,6 @@ class WorkloadEstimate:
         """End-to-end speedup of the perfect-overlap bound (Table 4 column)."""
         return self.non_overlap_total / self.theoretical_total
 
-    @property
-    def layer_overlap_latency(self) -> float:
-        return self.overlap_total / self.layers
-
     def pattern_shares(self) -> dict[str, float]:
         """Latency share per pattern (Fig. 4), fractions summing to 1.
 

@@ -70,14 +70,14 @@ class FaultInjector:
         self.failovers = sum(1 for w in self.downtime if w.failover)
         self.recovery_times = [w.duration for w in self.downtime]
 
-        # Compute speed: downtime is speed 0, stragglers are 1/factor.
-        windows = [SpeedWindow(w.start, w.end, 0.0) for w in self.downtime]
-        windows += [
+        # Compute speed: stragglers run at 1/factor.  Outages are only the
+        # crash/recover events above: no iteration starts while the replica is
+        # down, and a crash aborts the iteration in flight.
+        self.compute = SpeedTimeline([
             SpeedWindow(e.start, e.end, 1.0 / e.factor)
             for e in plan.of_kind("straggler")
             if e.factor != 1.0
-        ]
-        self.compute = SpeedTimeline(windows)
+        ])
 
         self._degraded = plan.of_kind("degraded-link")
         self._drops = plan.of_kind("drop")

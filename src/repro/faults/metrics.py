@@ -10,7 +10,7 @@ where both arms are in hand.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 
 __all__ = ["build_fault_stats"]
 
@@ -21,26 +21,20 @@ def build_fault_stats(
     num_requests: int,
     attempts: int,
     retries: int,
-    failures: Iterable[Mapping] | Iterable,
+    failures: Iterable,
     wasted_iterations: int,
     wasted_tokens: int,
 ) -> dict:
     """Summarise one faulted serving run.
 
-    ``failures`` is the run's list of failure records (objects or dicts with
-    an ``outcome`` field); ``attempts`` counts every arrival attempt including
-    retries, so ``attempts / num_requests`` is the retry amplification.
+    ``failures`` lists the run's
+    :class:`~repro.serve.metrics.FailureRecord` objects; ``attempts`` counts
+    every arrival attempt including retries, so ``attempts / num_requests`` is
+    the retry amplification.
     """
-
-    def outcome_of(record) -> str:
-        if isinstance(record, Mapping):
-            return record["outcome"]
-        return record.outcome
-
     outcomes: dict[str, int] = {"dropped": 0, "shed": 0, "timed-out": 0}
     for record in failures:
-        outcome = outcome_of(record)
-        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        outcomes[record.outcome] = outcomes.get(record.outcome, 0) + 1
 
     recovery = injector.recovery_times if injector is not None else []
     stats = {

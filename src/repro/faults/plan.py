@@ -122,10 +122,6 @@ class FaultPlan:
         """Events of one kind, in start order."""
         return tuple(sorted((e for e in self.events if e.kind == kind), key=lambda e: e.start))
 
-    @property
-    def is_fault_free(self) -> bool:
-        return not self.events
-
     def describe(self) -> str:
         by_kind = {kind: len(self.of_kind(kind)) for kind in FAULT_KINDS}
         parts = [f"{count} {kind}" for kind, count in by_kind.items() if count]

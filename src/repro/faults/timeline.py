@@ -1,14 +1,12 @@
-"""Piecewise-constant speed timelines for fault modelling.
+"""Piecewise-constant speed timelines for straggler modelling.
 
 A :class:`SpeedTimeline` maps simulation time to a *speed factor*: 1.0 is
-nominal, values below 1.0 model a straggling resource (1/slowdown), and 0.0
-models a resource that is down.  The two queries the simulators need are
-
-* :meth:`SpeedTimeline.speed_at` -- the factor at one instant, and
-* :meth:`SpeedTimeline.finish_time` -- when a task of ``work`` fault-free
-  seconds finishes if it starts at ``start`` and progresses at the timeline's
-  rate (work integrates across segment boundaries; zero-speed segments stall
-  the task until they end).
+nominal and values below 1.0 model a straggling resource (1/slowdown).
+Replica outages are not speeds: they are the crash/recover events of
+:class:`~repro.faults.injector.FaultInjector`.  The one query the serving
+loop needs is :meth:`SpeedTimeline.finish_time` -- when a task of ``work``
+fault-free seconds finishes if it starts at ``start`` and progresses at the
+timeline's rate (work integrates across segment boundaries).
 
 Timelines are pure, deterministic functions of their windows, so the same
 fault plan replays bit-identically.  The fault-free timeline (no windows)
@@ -43,8 +41,7 @@ class SpeedTimeline:
     """Piecewise-constant speed factor over time (1.0 outside all windows).
 
     Overlapping windows compose multiplicatively: two concurrent 2x
-    stragglers run the resource at 0.25 speed, and any zero-speed window
-    forces the whole overlap to zero.
+    stragglers run the resource at 0.25 speed.
     """
 
     def __init__(self, windows: list[SpeedWindow] | None = None) -> None:
@@ -65,19 +62,12 @@ class SpeedTimeline:
         """True when the timeline never deviates from speed 1.0."""
         return not self._segments
 
-    def speed_at(self, time: float) -> float:
-        for left, right, speed in self._segments:
-            if left <= time < right:
-                return speed
-        return 1.0
-
     def finish_time(self, start: float, work: float) -> float:
         """When ``work`` fault-free seconds of work finish if started at ``start``.
 
-        Work progresses at ``speed_at(t)`` per wall-clock second; zero-speed
-        segments contribute no progress (the task stalls until the segment
-        ends).  Raises if the timeline ends in an *unbounded* zero-speed
-        window, which cannot happen for windows built from a finite plan.
+        Work progresses at the composed speed factor per wall-clock second; a
+        zero-speed segment contributes no progress (the task stalls until the
+        segment ends).
         """
         if work < 0:
             raise ValueError("work must be non-negative")
@@ -97,30 +87,10 @@ class SpeedTimeline:
                     return now + remaining
                 now = left
                 remaining -= gap
-            span = right - now
-            if speed == 0.0:
-                now = right
-                continue
-            capacity = span * speed
+            capacity = (right - now) * speed
             if remaining <= capacity:
                 return now + remaining / speed
             now = right
             remaining -= capacity
         # Past the last segment the speed is nominal again.
         return now + remaining
-
-    def downtime_within(self, horizon: float) -> float:
-        """Total zero-speed time inside ``[0, horizon]``."""
-        if horizon <= 0:
-            return 0.0
-        total = 0.0
-        for left, right, speed in self._segments:
-            if speed == 0.0:
-                total += max(0.0, min(right, horizon) - max(left, 0.0))
-        return total
-
-    def availability(self, horizon: float) -> float:
-        """Fraction of ``[0, horizon]`` the resource is up (speed > 0)."""
-        if horizon <= 0:
-            return 1.0
-        return max(0.0, 1.0 - self.downtime_within(horizon) / horizon)

@@ -32,10 +32,7 @@ from repro.gpu.swizzle import execution_order, swizzled_order, unswizzled_order
 from repro.gpu.epilogue import (
     ElementwiseKernelModel,
     ReorderOverheadModel,
-    bias_add,
-    relu,
     rmsnorm,
-    silu,
 )
 from repro.gpu.kernels import KernelCategory
 
@@ -57,8 +54,5 @@ __all__ = [
     "ElementwiseKernelModel",
     "ReorderOverheadModel",
     "rmsnorm",
-    "bias_add",
-    "relu",
-    "silu",
     "KernelCategory",
 ]

@@ -5,8 +5,8 @@ that already touch the data: the pre-communication reorder goes into the GEMM
 epilogue, and the post-communication reorder goes into the next element-wise
 kernel (RMSNorm in the paper's Table 5 study).  This module provides
 
-* functional NumPy implementations of the element-wise operators used by the
-  workloads (RMSNorm, bias add, ReLU, SiLU),
+* a functional NumPy RMSNorm, the element-wise operator the ReduceScatter
+  pipeline fuses its post-communication reorder into,
 * a duration model for element-wise kernels (memory-bound roofline),
 * :class:`ReorderOverheadModel`, which estimates the relative latency increase
   of fusing a reorder at tile / sub-tile / sub-token granularity, following
@@ -46,22 +46,6 @@ def rmsnorm(x: np.ndarray, weight: np.ndarray | None = None, eps: float = 1e-6) 
     return out
 
 
-def bias_add(x: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Row-broadcast bias addition."""
-    return np.asarray(x) + np.asarray(bias)
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    """Rectified linear unit."""
-    return np.maximum(np.asarray(x), 0)
-
-
-def silu(x: np.ndarray) -> np.ndarray:
-    """Sigmoid linear unit (swish)."""
-    x = np.asarray(x, dtype=np.float64)
-    return x / (1.0 + np.exp(-x))
-
-
 # -- duration model -----------------------------------------------------------
 
 
@@ -97,8 +81,8 @@ class ReorderOverheadModel:
     Two effects are modeled, following Sec. 6.6 of the paper:
 
     * **mapping-table traffic** -- one index per reordered unit must be read;
-      relative to the payload this is ``index_bytes / (unit_row_bytes)`` for
-      each row segment the unit contributes;
+      relative to the payload this is ``index_bytes`` per contiguous row
+      segment the unit contributes;
     * **irregular access** -- gathering units that are no longer adjacent in
       memory under-utilises cache lines; the penalty grows as the contiguous
       span of a unit row shrinks relative to a cache line, and shrinks with
@@ -120,19 +104,6 @@ class ReorderOverheadModel:
     def _bandwidth_scale(self) -> float:
         """Devices with less HBM bandwidth feel irregular access more."""
         return (self.reference_bandwidth_gbps / self.device.hbm_bandwidth_gbps) ** 0.25
-
-    def unit_row_bytes(self, unit: str, config: GemmTileConfig, n_gpus: int,
-                       dtype_bytes: int = DTYPE_BYTES) -> float:
-        """Contiguous bytes of one row segment of a reordered unit."""
-        self._check_unit(unit)
-        if unit == "tile":
-            return config.tile_n * dtype_bytes
-        if unit == "subtile":
-            # A sub-tile keeps full tile rows; contiguity is the same as a tile
-            # row, but there are ``n_gpus`` times more units to index.
-            return config.tile_n * dtype_bytes
-        # sub-token: one row of one tile, addressed per token.
-        return config.tile_n * dtype_bytes / max(1, n_gpus) * n_gpus / max(1, n_gpus)
 
     def table_traffic_ratio(self, unit: str, config: GemmTileConfig, n_gpus: int,
                             dtype_bytes: int = DTYPE_BYTES) -> float:

@@ -61,10 +61,6 @@ class GemmShape:
         """Minimum HBM traffic: read A and B once, write C once."""
         return self.input_bytes(dtype_bytes) + self.output_bytes(dtype_bytes)
 
-    def arithmetic_intensity(self, dtype_bytes: int = DTYPE_BYTES) -> float:
-        """FLOPs per byte of minimum memory traffic."""
-        return self.flops / self.total_bytes(dtype_bytes)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"GEMM(M={self.m}, N={self.n}, K={self.k})"
 

@@ -156,9 +156,9 @@ def _aggregate_phases(nodes: list, total: float | None) -> list[dict]:
 class ObsSession:
     """One observability session: tracer, metrics, flight recorder, clock."""
 
-    def __init__(self, clock=None, flight_capacity: int = 512) -> None:
+    def __init__(self, clock=None) -> None:
         self.clock = clock or SystemClock()
-        self.recorder = FlightRecorder(flight_capacity)
+        self.recorder = FlightRecorder()
         self.tracer = Tracer(self.clock, recorder=self.recorder)
         self.metrics = MetricsRegistry()
 
@@ -200,7 +200,7 @@ class ObsSession:
 
 
 @contextmanager
-def observe(clock=None, flight_capacity: int = 512):
+def observe(clock=None):
     """Activate an observability session for the duration of the block.
 
     Re-entrant: an inner ``observe()`` joins the active session instead of
@@ -211,7 +211,7 @@ def observe(clock=None, flight_capacity: int = 512):
     if _SESSION is not None:
         yield _SESSION
         return
-    session = ObsSession(clock=clock, flight_capacity=flight_capacity)
+    session = ObsSession(clock=clock)
     _SESSION = session
     try:
         yield session

@@ -1,7 +1,7 @@
 """Auto-parallelism planner: joint search over TP x PP x microbatches x
 schedule x overlap, priced through the shared plan store (``repro plan``)."""
 
-from repro.plan.frontier import PlanPoint, dominates, pareto_frontier
+from repro.plan.frontier import PlanPoint, pareto_frontier
 from repro.plan.memory import peak_activation_bytes, stage_activation_bytes
 from repro.plan.planner import (
     PLAN_METHODS,
@@ -27,7 +27,6 @@ __all__ = [
     "PlanSearchReport",
     "SkippedCandidate",
     "default_tp_degrees",
-    "dominates",
     "enumerate_shells",
     "estimate_plan",
     "pareto_frontier",

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-__all__ = ["PlanPoint", "dominates", "pareto_frontier"]
+__all__ = ["PlanPoint", "pareto_frontier"]
 
 
 @dataclass(frozen=True)
@@ -68,16 +68,6 @@ class PlanPoint:
             "bubble_ratio": self.bubble_ratio,
             "speedup": self.speedup,
         }
-
-
-def dominates(a: PlanPoint, b: PlanPoint) -> bool:
-    """True when ``a`` strictly dominates ``b`` (<= both axes, < in one)."""
-    if a.step_latency > b.step_latency or a.peak_activation_bytes > b.peak_activation_bytes:
-        return False
-    return (
-        a.step_latency < b.step_latency
-        or a.peak_activation_bytes < b.peak_activation_bytes
-    )
 
 
 def pareto_frontier(points: Iterable[PlanPoint]) -> list[PlanPoint]:

@@ -37,11 +37,15 @@ from repro.core.overlap import PricedPlan, price_plan
 from repro.core.tuner import GemmShapeCache, PredictiveTuner
 
 
-def bucket_tokens(tokens: int, min_bucket: int = 16) -> int:
+#: Smallest token bucket of the serving plan lookups (powers of two upwards).
+MIN_BUCKET_TOKENS = 16
+
+
+def bucket_tokens(tokens: int) -> int:
     """Round a token count up to the next power-of-two bucket edge."""
     if tokens < 1:
         raise ValueError("tokens must be >= 1")
-    bucket = max(1, min_bucket)
+    bucket = MIN_BUCKET_TOKENS
     while bucket < tokens:
         bucket *= 2
     return bucket
@@ -159,10 +163,6 @@ class PlanCache:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
-
-    def cached_keys(self) -> list[tuple]:
-        """Keys in LRU order (least recently used first)."""
-        return list(self._entries)
 
     def stats(self) -> dict:
         return {

@@ -7,8 +7,8 @@ collective, imbalance, seed and settings overrides -- and of the pricing
 rule, so a sweep point whose content is unchanged since a previous run does
 not need to be re-priced at all.  The sweep keys the priced outputs in a
 :class:`PricedCellStore` by a content hash of the scenario and
-``PRICING_VERSION`` (:func:`plan_key`, the same canonical-JSON digest idiom
-as ``Scenario.job_id``) and replays them on a hit; only the cells whose
+``PRICING_VERSION`` (:func:`plan_key`, the canonical-JSON digest that
+``Scenario.job_id`` also truncates) and replays them on a hit; only the cells whose
 content or pricing rule changed are re-simulated.  That is the incremental-re-simulation
 half of ROADMAP item 3: editing one axis of a big matrix re-prices the
 touched cells and replays the rest from the store.
@@ -38,9 +38,9 @@ __all__ = ["plan_key", "PricedCellStore"]
 def plan_key(payload: Mapping) -> str:
     """Content hash of a JSON-serialisable payload (canonical form).
 
-    The digest is stable across runs, hosts and dict insertion orders --
-    the same construction as ``Scenario.job_id``, reusable for any cell
-    whose pricing is a pure function of its content.
+    The digest is stable across runs, hosts and dict insertion orders, so
+    it keys any cell whose pricing is a pure function of its content;
+    ``Scenario.job_id`` is its first 12 hex digits.
     """
     digest = hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode("utf-8")

@@ -131,9 +131,6 @@ class PipelineEstimate:
     def num_stages(self) -> int:
         return len(self.stage_layers)
 
-    def bubble_ratios(self) -> dict[str, float]:
-        return {name: estimate.bubble_ratio for name, estimate in self.schedules.items()}
-
     def to_dict(self) -> dict:
         payload = {
             "name": self.name,

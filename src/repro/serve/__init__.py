@@ -42,7 +42,6 @@ from repro.serve.simulator import (
     ServeConfig,
     ServingResult,
     ServingSimulator,
-    compare_serving,
 )
 
 __all__ = [
@@ -69,5 +68,4 @@ __all__ = [
     "ServeConfig",
     "ServingSimulator",
     "ServingResult",
-    "compare_serving",
 ]

@@ -259,17 +259,20 @@ def iteration_gemm_shapes(total_tokens: int, model: ModelConfig, tp: int) -> lis
     ]
 
 
+#: Fixed iteration duration and iteration cap of the scheduler dry run.
+DRY_RUN_ITERATION_S = 5e-3
+DRY_RUN_MAX_ITERATIONS = 100_000
+
+
 def profile_iteration_tokens(
     requests: list[Request],
     max_batch_tokens: int = 2048,
     max_batch_size: int = 64,
-    iteration_time: float = 5e-3,
-    max_iterations: int = 100_000,
 ) -> list[int]:
     """Dry-run the scheduler over a trace with a fixed iteration duration.
 
     Returns the total token count of every iteration.  No latency model is
-    involved (each iteration is assumed to take ``iteration_time``), so this
+    involved (each iteration is assumed to take ``DRY_RUN_ITERATION_S``), so this
     is a cheap, deterministic way to discover which GEMM ``M`` values a given
     traffic level produces -- the sweep presets use it to grid over arrival
     rates without running the full simulator.
@@ -293,7 +296,7 @@ def profile_iteration_tokens(
             continue
         tokens.append(batch.total_tokens)
         scheduler.apply(batch)
-        now += iteration_time
-        if len(tokens) >= max_iterations:
-            raise RuntimeError(f"dry run exceeded {max_iterations} iterations")
+        now += DRY_RUN_ITERATION_S
+        if len(tokens) >= DRY_RUN_MAX_ITERATIONS:
+            raise RuntimeError(f"dry run exceeded {DRY_RUN_MAX_ITERATIONS} iterations")
     return tokens

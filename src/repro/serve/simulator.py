@@ -55,6 +55,9 @@ from repro.workloads.parallelism import ParallelismConfig
 
 SERVE_MODES = ("overlap", "non-overlap")
 
+#: Fixed per-iteration overhead (scheduling, sampling, detokenization).
+ITERATION_OVERHEAD_US = 50.0
+
 #: Models the serving CLI can instantiate by name.
 SERVE_MODELS: dict[str, ModelConfig] = {
     "llama2-7b": LLAMA2_7B,
@@ -84,17 +87,11 @@ class ServeConfig:
     layers: int = 4
     max_batch_tokens: int = 2048
     max_batch_size: int = 32
-    #: Fixed per-iteration overhead (scheduling, sampling, detokenization).
-    iteration_overhead_us: float = 50.0
-    #: Smallest token bucket of the plan cache (powers of two upwards).
-    min_bucket: int = 16
     settings: OverlapSettings = DEFAULT_SETTINGS
 
     def __post_init__(self) -> None:
         if self.layers < 1:
             raise ValueError("layers must be >= 1")
-        if self.iteration_overhead_us < 0:
-            raise ValueError("iteration_overhead_us must be non-negative")
 
     @property
     def tp(self) -> int:
@@ -210,7 +207,7 @@ class ServingSimulator:
         the plan cache keys on topology name, so degraded and nominal plans
         coexist in one cache.
         """
-        bucket = bucket_tokens(total_tokens, self.config.min_bucket)
+        bucket = bucket_tokens(total_tokens)
         key = (bucket, comm_factor)
         if self.mode == "non-overlap" and key in self._baseline_latency_by_bucket:
             return self._baseline_latency_by_bucket[key]
@@ -220,7 +217,7 @@ class ServingSimulator:
                 per_layer += self._overlap_target_latency(op.problem) * op.count
             else:
                 per_layer += op.other_latency * op.count
-        latency = per_layer * self.config.layers + self.config.iteration_overhead_us * 1e-6
+        latency = per_layer * self.config.layers + ITERATION_OVERHEAD_US * 1e-6
         if self.mode == "non-overlap":
             self._baseline_latency_by_bucket[key] = latency
         return latency
@@ -313,7 +310,7 @@ class ServingSimulator:
             state["tokens"] += batch.total_tokens
             iterations_counter.inc()
             tokens_counter.inc(batch.total_tokens)
-            bucket = bucket_tokens(batch.total_tokens, self.config.min_bucket)
+            bucket = bucket_tokens(batch.total_tokens)
             token_buckets[bucket] = token_buckets.get(bucket, 0) + 1
             for request_id in outcome.first_tokens:
                 first_token_times[request_id] = now
@@ -376,7 +373,7 @@ class ServingSimulator:
             state["tokens"] += batch.total_tokens * count
             iterations_counter.inc(count)
             tokens_counter.inc(batch.total_tokens * count)
-            bucket = bucket_tokens(batch.total_tokens, self.config.min_bucket)
+            bucket = bucket_tokens(batch.total_tokens)
             token_buckets[bucket] += count
             for _ in range(count):
                 latency_histogram.observe(latency)
@@ -531,26 +528,3 @@ class ServingSimulator:
             wasted_tokens=state["wasted_tokens"],
             fault_stats=fault_stats,
         )
-
-
-def compare_serving(
-    config: ServeConfig,
-    requests: list[Request],
-    plan_cache: PlanCache | None = None,
-    faults: FaultInjector | None = None,
-    resilience: ResiliencePolicy | None = None,
-) -> dict[str, ServingResult]:
-    """Run the same traffic under overlap and non-overlap execution.
-
-    The two runs share nothing but the request list (and the fault timeline,
-    when given), so the baseline's slower iterations feed back into its
-    queueing delays -- the serving-level effect operator-level speedup numbers
-    cannot show.
-    """
-    overlap = ServingSimulator(
-        config, plan_cache=plan_cache, mode="overlap", faults=faults, resilience=resilience
-    ).run(requests)
-    baseline = ServingSimulator(
-        config, mode="non-overlap", faults=faults, resilience=resilience
-    ).run(requests)
-    return {"overlap": overlap, "non-overlap": baseline}

@@ -18,8 +18,6 @@ A sweep turns the one-off benchmark scripts into a reusable subsystem:
 
 from repro.sweep.aggregate import (
     group_summary_table,
-    method_summary,
-    records_to_comparisons,
     scenario_table,
     summarize_by_group,
 )
@@ -37,8 +35,6 @@ __all__ = [
     "ResultStore",
     "SweepRunner",
     "SweepSummary",
-    "method_summary",
-    "records_to_comparisons",
     "scenario_table",
     "group_summary_table",
     "summarize_by_group",

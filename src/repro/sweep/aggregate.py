@@ -1,9 +1,7 @@
 """Turn stored sweep records into the tables the paper-style analysis emits.
 
-Bridges the sweep subsystem to :mod:`repro.analysis`: records can be lifted
-back into :class:`~repro.analysis.speedup.OperatorComparison` objects (so the
-existing per-method aggregation applies unchanged) and rendered with the
-shared :mod:`repro.analysis.reporting` formatters.
+Per-group statistics over the scenario axes, rendered with the shared
+:mod:`repro.analysis.reporting` formatters.
 """
 
 from __future__ import annotations
@@ -13,26 +11,10 @@ from collections.abc import Iterable
 import numpy as np
 
 from repro.analysis.reporting import format_table
-from repro.analysis.speedup import OperatorComparison, summarize_speedups
-from repro.sweep.matrix import Scenario
 
 
 def _ok(records: Iterable[dict]) -> list[dict]:
     return [r for r in records if r.get("status") == "ok"]
-
-
-def records_to_comparisons(records: Iterable[dict]) -> list[OperatorComparison]:
-    """Lift sweep records into the analysis layer's comparison objects.
-
-    Records from a ``baselines=True`` sweep carry every method's speedup;
-    plain records contribute the FlashOverlap-vs-non-overlap ratio only.
-    """
-    comparisons = []
-    for record in _ok(records):
-        problem = Scenario.from_dict(record["scenario"]).to_problem()
-        speedups = dict(record.get("method_speedups") or {"flashoverlap": record["speedup"]})
-        comparisons.append(OperatorComparison(problem=problem, speedups=speedups))
-    return comparisons
 
 
 def summarize_by_group(
@@ -102,8 +84,3 @@ def group_summary_table(
     return format_table(
         ["group", "n", "mean", "min", "max", "of-theory"], rows, title=title
     )
-
-
-def method_summary(records: Iterable[dict]) -> dict[str, dict[str, float]]:
-    """Per-method mean/min/max over a ``baselines=True`` sweep."""
-    return summarize_speedups(records_to_comparisons(records))

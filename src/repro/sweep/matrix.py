@@ -13,8 +13,6 @@ Scenarios are built from plain strings and numbers -- not live model objects
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
 
@@ -23,6 +21,7 @@ from repro.comm.topology import known_topologies
 from repro.core.config import OverlapProblem, OverlapSettings
 from repro.gpu.device import device_by_name
 from repro.gpu.gemm import GemmShape
+from repro.plans.store import plan_key
 
 #: OverlapSettings fields a matrix is allowed to vary (a grid axis of the
 #: design-space exploration, not arbitrary code injection from JSON configs).
@@ -81,10 +80,7 @@ class Scenario:
     @property
     def job_id(self) -> str:
         """Deterministic content-derived ID, stable across runs and hosts."""
-        digest = hashlib.sha256(
-            json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
-        ).hexdigest()
-        return f"{self.workload}-{digest[:12]}"
+        return f"{self.workload}-{plan_key(self.to_dict())[:12]}"
 
     def to_dict(self) -> dict:
         return {

@@ -88,10 +88,3 @@ class ResultStore:
             for record in self.records()
             if record.get("status", "ok") == "ok"
         }
-
-    def latest_by_id(self) -> dict[str, dict]:
-        """Last record per job ID (a retry overrides its failed predecessor)."""
-        latest: dict[str, dict] = {}
-        for record in self.records():
-            latest[record["job_id"]] = record
-        return latest

@@ -94,33 +94,11 @@ class TileLayout:
         rows, cols = self.tile_shape(tile_index)
         return rows * cols
 
-    def tile_row_range(self, tile_index: int) -> range:
-        """Global row indices covered by a tile."""
-        rs, _ = self.tile_slices(tile_index)
-        return range(rs.start, rs.stop)
-
-    def tiles_in_row_block(self, row_block: int) -> list[int]:
-        """All tile indices that share a tile row (``row_block``)."""
-        if not 0 <= row_block < self.grid_m:
-            raise IndexError(f"row_block {row_block} outside grid of {self.grid_m}")
-        base = row_block * self.grid_n
-        return list(range(base, base + self.grid_n))
-
-    def row_block_of_row(self, row: int) -> int:
-        """Tile row containing global matrix row ``row``."""
-        if not 0 <= row < self.m:
-            raise IndexError(f"row {row} outside matrix of {self.m} rows")
-        return row // self.tile_m
-
     # -- helpers -----------------------------------------------------------
 
     def is_uniform(self) -> bool:
         """True when every tile has the full ``tile_m x tile_n`` shape."""
         return self.m % self.tile_m == 0 and self.n % self.tile_n == 0
-
-    def all_tile_indices(self) -> list[int]:
-        """Tile indices in row-major (address) order."""
-        return list(range(self.num_tiles))
 
     def _check_index(self, tile_index: int) -> None:
         if not 0 <= tile_index < self.num_tiles:

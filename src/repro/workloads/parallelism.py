@@ -30,20 +30,6 @@ class ParallelismConfig:
         """Total number of GPUs (EP shares ranks with DP in Megatron-style setups)."""
         return self.tp * self.pp * max(self.dp, self.ep)
 
-    @property
-    def uses_tensor_parallel_collectives(self) -> bool:
-        return self.tp > 1
-
-    @property
-    def uses_expert_parallel_collectives(self) -> bool:
-        return self.ep > 1
-
-    def shard_columns(self, columns: int) -> int:
-        """Per-GPU width of a column-parallel weight."""
-        if columns % self.tp != 0:
-            raise ValueError(f"{columns} columns not divisible by tp={self.tp}")
-        return columns // self.tp
-
     def shard_rows(self, rows: int) -> int:
         """Per-GPU height of a row-parallel weight."""
         if rows % self.tp != 0:

@@ -56,6 +56,17 @@ class TestTuneCommand:
         partition_line = [l for l in first.splitlines() if l.startswith("partition")][0]
         assert partition_line in second
 
+    def test_tune_prints_the_mode_report_prices(self, capsys):
+        """The tuner predicts overlap here, but the simulation falls back."""
+        problem = ["--m", "512", "--n", "6144", "--k", "3072", "--device", "a800",
+                   "--topology", "a800-nvlink", "--gpus", "4"]
+        modes = []
+        for command in ("tune", "report"):
+            assert main([command, *problem]) == 0
+            out = capsys.readouterr().out
+            modes.append([line for line in out.splitlines() if line.startswith("mode")])
+        assert modes[0] == modes[1] == ["mode              : sequential fallback"]
+
 
 class TestCompareCommand:
     def test_compare_lists_baselines(self, capsys):

@@ -27,11 +27,12 @@ class TestAnalyticCurve:
         assert curve.bandwidth(1 << 34) > 0.95 * curve.peak_bandwidth_bytes
 
     def test_half_saturation_point(self, curve):
-        assert curve.utilization(curve.half_saturation_bytes) == pytest.approx(0.5)
+        half = curve.bandwidth(curve.half_saturation_bytes) / curve.peak_bandwidth_bytes
+        assert half == pytest.approx(0.5)
 
     def test_small_message_degradation(self, curve):
         # Paper Sec. 3.2.2: a 192 KB tile achieves only ~13% of the bandwidth.
-        assert curve.utilization(192 * 1024) < 0.2
+        assert curve.bandwidth(192 * 1024) / curve.peak_bandwidth_bytes < 0.2
 
     def test_zero_size(self, curve):
         assert curve.bandwidth(0) == 0.0
@@ -43,18 +44,14 @@ class TestAnalyticCurve:
         t2 = curve.transfer_time(1 << 21)
         assert t2 - t1 == pytest.approx((1 << 20) / curve.peak_bandwidth_bytes)
 
-    def test_knee_bytes(self, curve):
-        knee = curve.knee_bytes(0.8)
-        assert curve.utilization(knee) == pytest.approx(0.8)
-        with pytest.raises(ValueError):
-            curve.knee_bytes(1.5)
-
     def test_nvlink_needs_larger_messages_to_saturate(self):
         # A fast link amortises its per-transfer cost only with big messages,
-        # so the NVLink knee sits at a larger message size than the PCIe knee.
+        # so at one mid-size message NVLink reaches a smaller share of its peak.
         pcie = AnalyticBandwidthCurve.for_topology(rtx4090_pcie(4))
         nvlink = AnalyticBandwidthCurve.for_topology(a800_nvlink(4))
-        assert nvlink.knee_bytes() > pcie.knee_bytes()
+        size = 4 << 20
+        assert (nvlink.bandwidth(size) / nvlink.peak_bandwidth_bytes
+                < pcie.bandwidth(size) / pcie.peak_bandwidth_bytes)
 
 
 class TestSampledCurve:
@@ -63,21 +60,21 @@ class TestSampledCurve:
         return AnalyticBandwidthCurve.for_topology(a800_nvlink(4))
 
     def test_sampling_without_noise_interpolates_exactly(self, analytic):
-        sampled = sample_bandwidth(analytic, noise=0.0)
+        sampled = sample_bandwidth(analytic, default_sample_sizes(), noise=0.0)
         for size in (1 << 20, 5 << 20, 123 << 20):
             assert sampled.transfer_time(size) == pytest.approx(
                 analytic.transfer_time(size), rel=1e-6
             )
 
     def test_extrapolation_beyond_samples(self, analytic):
-        sampled = sample_bandwidth(analytic, noise=0.0)
+        sampled = sample_bandwidth(analytic, default_sample_sizes(), noise=0.0)
         big = float(sampled.sizes_bytes[-1] * 8)
         assert sampled.transfer_time(big) == pytest.approx(analytic.transfer_time(big), rel=0.05)
 
     def test_noise_changes_samples_deterministically(self, analytic):
-        a = sample_bandwidth(analytic, noise=0.05, seed=1)
-        b = sample_bandwidth(analytic, noise=0.05, seed=1)
-        c = sample_bandwidth(analytic, noise=0.05, seed=2)
+        a = sample_bandwidth(analytic, default_sample_sizes(), noise=0.05, seed=1)
+        b = sample_bandwidth(analytic, default_sample_sizes(), noise=0.05, seed=1)
+        c = sample_bandwidth(analytic, default_sample_sizes(), noise=0.05, seed=2)
         np.testing.assert_array_equal(a.bandwidths_bytes, b.bandwidths_bytes)
         assert not np.array_equal(a.bandwidths_bytes, c.bandwidths_bytes)
 
@@ -90,7 +87,7 @@ class TestSampledCurve:
             SampledBandwidthCurve(np.array([1.0, 2.0]), np.array([1.0, -1.0]))
 
     def test_zero_size(self, analytic):
-        sampled = sample_bandwidth(analytic)
+        sampled = sample_bandwidth(analytic, default_sample_sizes())
         assert sampled.bandwidth(0) == 0.0
 
 
@@ -105,12 +102,6 @@ class TestSampleSizes:
         dense = default_sample_sizes(points_per_decade=8)
         sparse = default_sample_sizes(points_per_decade=2)
         assert len(dense) > len(sparse)
-
-    def test_invalid_range(self):
-        with pytest.raises(ValueError):
-            default_sample_sizes(min_bytes=0)
-        with pytest.raises(ValueError):
-            default_sample_sizes(min_bytes=100, max_bytes=50)
 
 
 class TestVectorizedCurves:

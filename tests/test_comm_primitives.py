@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.comm.bandwidth import AnalyticBandwidthCurve, sample_bandwidth
+from repro.comm.bandwidth import AnalyticBandwidthCurve, default_sample_sizes, sample_bandwidth
 from repro.comm.primitives import CollectiveKind, CollectiveModel, ring_volume_factor
 from repro.comm.topology import a800_nvlink, rtx4090_pcie
 
@@ -64,15 +64,11 @@ class TestLatencyModel:
         size = 64 << 20
         whole = model.latency(size)
         for segments in (2, 4, 16):
-            assert model.segmented_latency(size, segments) >= whole
+            assert segments * model.latency(size / segments) >= whole
 
     def test_segmentation_penalty_grows_with_fragmentation(self, model):
         size = 64 << 20
-        assert model.segmented_latency(size, 64) > model.segmented_latency(size, 4)
-
-    def test_invalid_segments(self, model):
-        with pytest.raises(ValueError):
-            model.segmented_latency(1 << 20, 0)
+        assert 64 * model.latency(size / 64) > 4 * model.latency(size / 4)
 
     def test_bus_bandwidth_approaches_peak(self, model):
         bus = model.bus_bandwidth(1 << 30)
@@ -81,7 +77,7 @@ class TestLatencyModel:
 
     def test_effective_bandwidth_below_bus_bandwidth_for_allreduce(self, model):
         size = 64 << 20
-        assert model.effective_bandwidth(size) < model.bus_bandwidth(size)
+        assert size / model.latency(size) < model.bus_bandwidth(size)
 
     def test_a2a_setup_scales_with_peers(self):
         topo = rtx4090_pcie(8)
@@ -89,13 +85,11 @@ class TestLatencyModel:
         ar = CollectiveModel(CollectiveKind.ALL_REDUCE, topo)
         assert a2a.setup_latency() > ar.setup_latency()
 
-    def test_sm_cost_comes_from_topology(self, model):
-        assert model.sm_cost == model.topology.comm_sm_count
-
     def test_with_sampled_curve_close_to_analytic(self):
         topo = a800_nvlink(4)
         model = CollectiveModel(CollectiveKind.REDUCE_SCATTER, topo)
-        sampled = sample_bandwidth(AnalyticBandwidthCurve.for_topology(topo), noise=0.0)
+        sampled = sample_bandwidth(AnalyticBandwidthCurve.for_topology(topo), default_sample_sizes(),
+                                   noise=0.0)
         swapped = model.with_curve(sampled)
         for size in (1 << 20, 64 << 20, 512 << 20):
             assert swapped.latency(size) == pytest.approx(model.latency(size), rel=1e-3)

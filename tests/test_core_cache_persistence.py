@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import OverlapSettings
-from repro.core.tuner import GemmShapeCache, PredictiveTuner, TuningResult
+from repro.core.tuner import GemmShapeCache, PredictiveTuner, ShapeCacheEntry, TuningResult
 from repro.core.wave_grouping import WavePartition
 from repro.gpu.gemm import GemmShape
 
@@ -98,7 +98,13 @@ class TestErgonomics:
         assert GemmShapeCache().lookup(paper_problem_4090, settings) is None
 
     def test_lookup_respects_max_distance(self, populated_cache, paper_problem_4090, settings):
-        hit = populated_cache.lookup(paper_problem_4090, settings, max_distance=1.0)
-        assert hit is not None
-        # An impossible distance bound turns the same query into a miss.
-        assert populated_cache.lookup(paper_problem_4090, settings, max_distance=-1.0) is None
+        result = populated_cache.lookup(paper_problem_4090, settings)
+        assert result is not None
+        shape = paper_problem_4090.shape
+
+        def cached_at(m: int) -> GemmShapeCache:
+            return GemmShapeCache([ShapeCacheEntry(GemmShape(m, shape.n, shape.k), result)])
+
+        # Same wave count; only the log2 shape distance (1 vs 2) differs.
+        assert cached_at(2 * shape.m).lookup(paper_problem_4090, settings) is result
+        assert cached_at(4 * shape.m).lookup(paper_problem_4090, settings) is None

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles.wave_grouping import from_decisions
 from repro.comm.primitives import CollectiveKind
 from repro.core.baselines import NonOverlapBaseline
 from repro.core.executor import COMM_STREAM, COMPUTE_STREAM, OverlapExecutor
@@ -43,7 +44,7 @@ class TestBasics:
         )
         assert per_wave.dtype == np.float64
         assert per_wave.tolist() == wave_bytes.tolist()
-        partition = WavePartition.from_decisions(
+        partition = from_decisions(
             [index % 2 == 1 for index in range(small_executor.num_waves() - 1)] + [True]
         )
         ends = np.cumsum(partition.group_sizes)

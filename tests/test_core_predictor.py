@@ -35,10 +35,6 @@ class TestOfflineProfile:
 
         assert isinstance(profile.comm_model.curve, SampledBandwidthCurve)
 
-    def test_total_output_bytes_override(self, profile):
-        assert profile.total_output_bytes(123.0) == 123.0
-        assert profile.total_output_bytes() == profile.num_waves * profile.wave_bytes
-
 
 class TestPrediction:
     def test_group_bytes_respect_total(self, predictor, paper_problem_4090):
@@ -81,9 +77,9 @@ class TestPrediction:
         balanced = OfflineProfile.build(paper_problem_4090, fast_settings)
         skewed = replace(balanced, imbalance=1.4)
         partition = WavePartition.equal_groups(balanced.num_waves, 2)
-        assert LatencyPredictor(skewed).predict(partition) > LatencyPredictor(balanced).predict(
-            partition
-        )
+        total = paper_problem_4090.output_bytes()
+        assert (LatencyPredictor(skewed, total).predict(partition)
+                > LatencyPredictor(balanced, total).predict(partition))
 
     def test_fragmentation_penalty_visible(self, predictor):
         # Per-wave signaling pays more per-call setup than a 4-wave grouping:

@@ -98,13 +98,14 @@ class TestPredictBatchEquivalence:
 
     def test_rejects_wave_count_mismatch(self, paper_problem_4090, fast_settings):
         profile = OfflineProfile.build(paper_problem_4090, fast_settings)
-        predictor = LatencyPredictor(profile)
+        predictor = LatencyPredictor(profile, total_bytes=paper_problem_4090.output_bytes())
         with pytest.raises(ValueError, match="waves"):
             predictor.predict_batch([WavePartition.single_group(profile.num_waves + 1)])
 
     def test_empty_batch(self, paper_problem_4090, fast_settings):
         profile = OfflineProfile.build(paper_problem_4090, fast_settings)
-        assert LatencyPredictor(profile).predict_batch([]).size == 0
+        predictor = LatencyPredictor(profile, total_bytes=paper_problem_4090.output_bytes())
+        assert predictor.predict_batch([]).size == 0
 
 
 class TestPartitionMatrix:

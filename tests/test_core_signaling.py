@@ -57,8 +57,7 @@ class TestCountingTable:
 class TestGroupAssignment:
     def test_groups_follow_wave_partition(self, assignment):
         assert assignment.num_groups == 2
-        assert assignment.tiles_of(0) == (0, 2)
-        assert assignment.tiles_of(1) == (4, 1, 3, 5)
+        assert assignment.group_tiles == ((0, 2), (4, 1, 3, 5))
         assert assignment.group_tile_counts() == (2, 4)
 
     def test_group_of_tile(self, assignment):

@@ -50,8 +50,8 @@ class TestPredictiveTuner:
     def test_candidates_respect_bounds_for_small_waves(self, settings):
         matrix = PredictiveTuner(settings).candidates(10)
         candidates = [matrix.partition(row) for row in range(matrix.num_candidates)]
-        assert all(p.first_group <= settings.max_first_group for p in candidates)
-        assert all(p.last_group <= settings.max_last_group for p in candidates)
+        assert all(p.group_sizes[0] <= settings.max_first_group for p in candidates)
+        assert all(p.group_sizes[-1] <= settings.max_last_group for p in candidates)
 
 
 class TestExhaustiveTuner:
@@ -153,4 +153,4 @@ class TestShapeCache:
         assert cache.nearest(paper_problem_4090.shape, required_waves=3) is None
 
     def test_empty_cache(self, paper_problem_4090):
-        assert GemmShapeCache().nearest(paper_problem_4090.shape) is None
+        assert GemmShapeCache().nearest(paper_problem_4090.shape, required_waves=1) is None

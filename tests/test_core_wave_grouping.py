@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from oracles.wave_grouping import candidate_partitions, pruned_partitions
+from oracles.wave_grouping import (
+    candidate_partitions,
+    enumerate_partitions,
+    from_decisions,
+    pruned_partitions,
+)
 from repro.comm.primitives import CollectiveKind
 from repro.comm.topology import rtx4090_pcie
 from repro.core.config import OverlapProblem, OverlapSettings
@@ -14,7 +19,6 @@ from repro.core.wave_grouping import (
     WavePartition,
     candidate_partitions_matrix,
     design_space_size,
-    enumerate_partitions,
     heuristic_partitions,
     pruned_partition_matrix,
 )
@@ -40,8 +44,6 @@ class TestWavePartition:
         partition = WavePartition((1, 2, 2))
         assert partition.num_waves == 5
         assert partition.num_groups == 3
-        assert partition.first_group == 1
-        assert partition.last_group == 2
         assert partition.boundaries() == [1, 3, 5]
 
     def test_invalid_sizes(self):
@@ -64,20 +66,13 @@ class TestWavePartition:
 
     def test_decision_round_trip(self):
         # Fig. 9 example: partition (1, 2, 2) communicates after waves 1, 3, 5.
-        partition = WavePartition((1, 2, 2))
-        decisions = partition.decisions()
-        assert decisions == [True, False, True, False, True]
-        assert WavePartition.from_decisions(decisions) == partition
+        partition = from_decisions([True, False, True, False, True])
+        assert partition == WavePartition((1, 2, 2))
+        assert partition.boundaries() == [1, 3, 5]
 
     def test_from_decisions_forces_last_wave(self):
-        partition = WavePartition.from_decisions([False, True, False, False])
+        partition = from_decisions([False, True, False, False])
         assert partition.group_sizes == (2, 2)
-
-    def test_group_of_wave(self):
-        partition = WavePartition((2, 3))
-        assert [partition.group_of_wave(w) for w in range(5)] == [0, 0, 1, 1, 1]
-        with pytest.raises(IndexError):
-            partition.group_of_wave(5)
 
     def test_group_waves(self):
         partition = WavePartition((1, 2, 2))
@@ -117,7 +112,7 @@ class TestDesignSpace:
     def test_pruning_bounds_first_and_last_groups(self):
         pruned = _rows(pruned_partition_matrix(8, max_first_group=2, max_last_group=4))
         assert pruned
-        assert all(p.first_group <= 2 and p.last_group <= 4 for p in pruned)
+        assert all(p.group_sizes[0] <= 2 and p.group_sizes[-1] <= 4 for p in pruned)
         assert len(pruned) < design_space_size(8)
 
     def test_pruning_shrinks_with_tighter_bounds(self):
@@ -188,7 +183,7 @@ class TestHeuristicCandidates:
         tuner = PredictiveTuner(OverlapSettings(max_exhaustive_waves=14))
         small = _rows(tuner.candidates(8))
         large = tuner.candidates(40)
-        assert all(p.first_group <= 2 for p in small)
+        assert all(p.group_sizes[0] <= 2 for p in small)
         assert large.num_candidates < 200
         assert np.all(large.total_waves == 40)
 

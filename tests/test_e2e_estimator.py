@@ -71,7 +71,6 @@ class TestEstimator:
             build_workload("llama2-training", tokens=TOKENS, layers=3)
         )
         assert three.overlap_total == pytest.approx(3 * one.overlap_total, rel=1e-9)
-        assert three.layer_overlap_latency == pytest.approx(one.overlap_total, rel=1e-9)
 
     def test_pattern_shares_sum_to_one(self, estimator, workload):
         shares = estimator.estimate(workload).pattern_shares()

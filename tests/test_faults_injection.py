@@ -140,6 +140,23 @@ class TestCrashMonotonicity:
         assert faulted_goodput <= free_goodput
 
 
+class TestOutagesAreEventsOnly:
+    """A crash is its crash/recover event pair and nothing else: the compute
+    timeline keeps no speed-0 copy of the outage."""
+
+    @pytest.mark.parametrize("preset", ["replica-crash", "double-crash"])
+    @pytest.mark.parametrize("warm_spares", [0, 1])
+    def test_crash_leaves_the_compute_timeline_nominal(self, preset, warm_spares):
+        plan = build_fault_preset(preset, horizon=10.0)
+        injector = FaultInjector(plan, ResiliencePolicy(warm_spares=warm_spares))
+        assert injector.downtime
+        assert injector.compute.is_nominal
+        for window in injector.downtime:
+            start = window.start - 0.25
+            work = window.duration + 0.5  # spans the whole outage
+            assert injector.straggler_finish(start, work) == start + work
+
+
 class TestResilienceMechanics:
     def test_drops_with_retries_recover_requests(self, config):
         requests = make_requests()

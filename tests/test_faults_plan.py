@@ -70,10 +70,6 @@ class TestFaultPlan:
         ))
         assert [e.start for e in plan.of_kind("straggler")] == [1.0, 5.0]
 
-    def test_fault_free(self):
-        assert FaultPlan().is_fault_free
-        assert not FaultPlan(events=(FaultEvent(kind="crash", start=0.0, duration=1.0),)).is_fault_free
-
     def test_save_load_round_trip(self, tmp_path):
         plan = build_fault_preset("replica-crash", horizon=10.0)
         path = plan.save(tmp_path / "plan.json")
@@ -175,10 +171,6 @@ class TestSpeedTimeline:
     def test_slowdown_stretches_work(self):
         timeline = SpeedTimeline((SpeedWindow(start=0.0, end=10.0, speed=0.5),))
         assert timeline.finish_time(0.0, 1.0) == pytest.approx(2.0)
-
-    def test_availability(self):
-        timeline = SpeedTimeline((SpeedWindow(start=0.0, end=2.0, speed=0.0),))
-        assert timeline.availability(8.0) == pytest.approx(0.75)
 
 
 class TestFaultInjector:

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gpu.device import A800, RTX_4090
-from repro.gpu.epilogue import (
-    ElementwiseKernelModel,
-    ReorderOverheadModel,
-    bias_add,
-    relu,
-    rmsnorm,
-    silu,
-)
+from repro.gpu.epilogue import ElementwiseKernelModel, ReorderOverheadModel, rmsnorm
 from repro.gpu.gemm import GemmShape, GemmTileConfig
 
 
@@ -34,17 +27,6 @@ class TestFunctionalOperators:
         full = rmsnorm(x)
         sharded = np.concatenate([rmsnorm(x[:5]), rmsnorm(x[5:])], axis=0)
         np.testing.assert_allclose(full, sharded)
-
-    def test_bias_add(self, rng):
-        x = rng.standard_normal((3, 5))
-        b = rng.standard_normal(5)
-        np.testing.assert_allclose(bias_add(x, b), x + b)
-
-    def test_relu_and_silu(self):
-        x = np.array([-2.0, 0.0, 3.0])
-        np.testing.assert_array_equal(relu(x), [0.0, 0.0, 3.0])
-        out = silu(x)
-        assert out[0] < 0 and out[1] == 0 and out[2] == pytest.approx(3.0 / (1 + np.exp(-3.0)))
 
 
 class TestElementwiseModel:

@@ -15,7 +15,8 @@ Plus the unit semantics of the activation-memory model the points carry.
 from hypothesis import given, settings as hsettings
 from hypothesis import strategies as st
 
-from repro.plan import PlanPoint, dominates, pareto_frontier
+from oracles.frontier import dominates
+from repro.plan import PlanPoint, pareto_frontier
 from repro.plan.memory import peak_activation_bytes, stage_activation_bytes
 
 LATENCY = st.floats(min_value=1e-4, max_value=1.0, allow_nan=False, allow_infinity=False)

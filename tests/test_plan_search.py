@@ -20,11 +20,11 @@ import json
 
 import pytest
 
+from oracles.frontier import dominates
 from repro.cluster import ClusterSpec
 from repro.core.config import OverlapSettings
 from repro.plan import (
     ParallelismPlan,
-    dominates,
     estimate_plan,
     search_plan,
     verify_replay,

@@ -91,7 +91,8 @@ def test_bubble_strictly_decreasing_across_grid():
         workload = build_pipeline_workload(
             "llama3-training", stages=stages, microbatches=microbatches, layers=4
         )
-        bubbles = estimator.estimate(workload).bubble_ratios()
+        schedules = estimator.estimate(workload).schedules
+        bubbles = {name: estimate.bubble_ratio for name, estimate in schedules.items()}
         assert bubbles["gpipe"] > bubbles["1f1b"] > bubbles["zero-bubble"], (
             stages, microbatches, bubbles,
         )

@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 
 from oracles.ring import ring_all_reduce
 from oracles.tiles import gather_tiles, scatter_tiles
+from oracles.wave_grouping import enumerate_partitions, from_decisions
 from repro.comm.collectives import all_reduce, reduce_scatter_flat
 from repro.comm.primitives import CollectiveKind
 from repro.core.config import OverlapProblem, OverlapSettings
 from repro.core.executor import OverlapExecutor
 from repro.core.reordering import build_reorder_plan, run_allreduce_pipeline
 from repro.core.signaling import GroupAssignment
-from repro.core.wave_grouping import WavePartition, enumerate_partitions
+from repro.core.wave_grouping import WavePartition
 from repro.gpu.gemm import GemmShape, GemmTileConfig
 from repro.gpu.swizzle import execution_order, wave_partition
 from repro.tensor.layout import TileLayout
@@ -73,7 +74,7 @@ class TestReorderPlanProperties:
         waves = wave_partition(execution_order(layout, 2), wave_size)
         decisions = data.draw(st.lists(st.booleans(), min_size=len(waves) - 1,
                                        max_size=len(waves) - 1))
-        partition = WavePartition.from_decisions(decisions + [True])
+        partition = from_decisions(decisions + [True])
         plan = build_reorder_plan(
             CollectiveKind.ALL_REDUCE, layout, partition.group_tiles(waves), 2
         )
@@ -87,7 +88,8 @@ class TestWavePartitionProperties:
     @given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=6))
     def test_partition_round_trips_through_decisions(self, sizes):
         partition = WavePartition.from_sizes(sizes)
-        assert WavePartition.from_decisions(partition.decisions()) == partition
+        ends = set(partition.boundaries())
+        assert from_decisions([w + 1 in ends for w in range(partition.num_waves)]) == partition
         assert partition.boundaries()[-1] == partition.num_waves
 
     @given(st.integers(min_value=1, max_value=9))
@@ -181,7 +183,7 @@ def executor_cases(draw, device, topology):
     executor = OverlapExecutor(problem, OverlapSettings())
     decisions = draw(st.lists(st.booleans(), min_size=executor.num_waves() - 1,
                               max_size=executor.num_waves() - 1))
-    return executor, WavePartition.from_decisions([*decisions, True])
+    return executor, from_decisions([*decisions, True])
 
 
 class TestWaveTableProperties:

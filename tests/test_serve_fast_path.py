@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from oracles.serve import serve_reference
 from repro.faults import FaultInjector, ResiliencePolicy, build_fault_preset, fault_presets
 from repro.serve.arrivals import PoissonArrivals, distribution_by_name, length_distributions
-from repro.serve.simulator import ServeConfig, ServingSimulator, compare_serving
+from repro.serve.simulator import ServeConfig, ServingSimulator
 from repro.sim.engine import EventEngine
 
 
@@ -118,7 +118,7 @@ class TestFaultFreeBitIdentity:
         assert payload(fast) == payload(reference)
         assert fast.plan_cache_stats == reference.plan_cache_stats
 
-    def test_compare_serving_matches_reference(self):
+    def test_both_arms_match_reference(self):
         config = ServeConfig(layers=1, max_batch_tokens=512, max_batch_size=8)
         requests = PoissonArrivals(
             rate_rps=64.0,
@@ -126,10 +126,10 @@ class TestFaultFreeBitIdentity:
             seed=1,
             num_requests=8,
         ).generate()
-        fast = compare_serving(config, requests)
         for arm in ("overlap", "non-overlap"):
+            fast = ServingSimulator(config, mode=arm).run(requests)
             reference = serve_reference(ServingSimulator(config, mode=arm), requests)
-            assert payload(fast[arm]) == payload(reference)
+            assert payload(fast) == payload(reference)
 
 
 class TestFaultedBitIdentity:

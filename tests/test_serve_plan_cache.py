@@ -17,9 +17,6 @@ class TestBucketing:
     def test_power_of_two_rounding(self, tokens, expected):
         assert bucket_tokens(tokens) == expected
 
-    def test_min_bucket_floor(self):
-        assert bucket_tokens(3, min_bucket=64) == 64
-
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             bucket_tokens(0)
@@ -105,21 +102,18 @@ class TestLookup:
 class TestLRUEviction:
     def test_eviction_order_is_least_recently_used(self, problem, fast_settings):
         cache = PlanCache(fast_settings, capacity=2)
-        key_a = cache.key(at_tokens(problem, 16))
-        key_b = cache.key(at_tokens(problem, 32))
-        key_c = cache.key(at_tokens(problem, 64))
-
         cache.lookup(at_tokens(problem, 16))  # A
         cache.lookup(at_tokens(problem, 32))  # B
         cache.lookup(at_tokens(problem, 16))  # touch A: B is now LRU
-        assert cache.cached_keys() == [key_b, key_a]
 
         cache.lookup(at_tokens(problem, 64))  # C evicts B
         assert cache.evictions == 1
-        assert cache.cached_keys() == [key_a, key_c]
+        cache.lookup(at_tokens(problem, 16))  # A survived: C is now LRU
+        assert (cache.hits, cache.misses) == (2, 3)
 
         cache.lookup(at_tokens(problem, 32))  # B was evicted: tunes again
         assert cache.misses == 4
+        assert cache.evictions == 2
         assert cache.tuner_invocations == 4
 
     def test_counters_and_stats(self, problem, fast_settings):

@@ -16,7 +16,6 @@ from repro.serve import (
     PoissonArrivals,
     ServeConfig,
     ServingSimulator,
-    compare_serving,
     distribution_by_name,
 )
 
@@ -39,7 +38,8 @@ def requests():
 
 @pytest.fixture(scope="module")
 def results(config, requests):
-    return compare_serving(config, requests)
+    return {mode: ServingSimulator(config, mode=mode).run(requests)
+            for mode in ("overlap", "non-overlap")}
 
 
 class TestSimulation:

@@ -68,29 +68,3 @@ class TestIndexConversions:
         assert rows == 100 - 3 * 32
         assert cols == 70 - 2 * 32
         assert layout.tile_elements(last) == rows * cols
-
-
-class TestRowHelpers:
-    def test_tiles_in_row_block(self):
-        layout = TileLayout(m=64, n=128, tile_m=32, tile_n=32)
-        assert layout.tiles_in_row_block(1) == [4, 5, 6, 7]
-        with pytest.raises(IndexError):
-            layout.tiles_in_row_block(2)
-
-    def test_row_block_of_row(self):
-        layout = TileLayout(m=64, n=128, tile_m=32, tile_n=32)
-        assert layout.row_block_of_row(0) == 0
-        assert layout.row_block_of_row(31) == 0
-        assert layout.row_block_of_row(32) == 1
-        with pytest.raises(IndexError):
-            layout.row_block_of_row(64)
-
-    def test_tile_row_range_matches_slices(self):
-        layout = TileLayout(m=80, n=64, tile_m=32, tile_n=32)
-        for t in range(layout.num_tiles):
-            rs, _ = layout.tile_slices(t)
-            assert list(layout.tile_row_range(t)) == list(range(rs.start, rs.stop))
-
-    def test_all_tile_indices(self):
-        layout = TileLayout(m=64, n=64, tile_m=32, tile_n=32)
-        assert layout.all_tile_indices() == [0, 1, 2, 3]

@@ -12,19 +12,12 @@ class TestParallelismConfig:
         assert ParallelismConfig(tp=2, ep=4).world_size == 8
         assert ParallelismConfig().world_size == 1
 
-    def test_collective_flags(self):
-        assert ParallelismConfig(tp=2).uses_tensor_parallel_collectives
-        assert not ParallelismConfig().uses_tensor_parallel_collectives
-        assert ParallelismConfig(ep=8).uses_expert_parallel_collectives
-
     def test_sharding(self):
-        config = ParallelismConfig(tp=4)
-        assert config.shard_columns(28672) == 7168
-        assert config.shard_rows(8192) == 2048
+        assert ParallelismConfig(tp=4).shard_rows(8192) == 2048
 
     def test_sharding_indivisible_rejected(self):
         with pytest.raises(ValueError):
-            ParallelismConfig(tp=3).shard_columns(8192)
+            ParallelismConfig(tp=3).shard_rows(8192)
 
     def test_invalid_degrees(self):
         with pytest.raises(ValueError):
