@@ -67,6 +67,19 @@ class TestTuneCommand:
             modes.append([line for line in out.splitlines() if line.startswith("mode")])
         assert modes[0] == modes[1] == ["mode              : sequential fallback"]
 
+    def test_tune_cache_keeps_the_tuners_own_pick(self, capsys, tmp_path):
+        """The priced mode is printed; the cache file stores what the tuner chose."""
+        import json
+
+        cache_file = tmp_path / "cache.json"
+        assert main(["tune", "--m", "512", "--n", "6144", "--k", "3072", "--device", "a800",
+                     "--topology", "a800-nvlink", "--gpus", "4",
+                     "--cache", str(cache_file)]) == 0
+        assert "mode              : sequential fallback" in capsys.readouterr().out
+        (entry,) = json.loads(cache_file.read_text())
+        assert entry["shape"] == {"m": 512, "n": 6144, "k": 3072}
+        assert entry["result"]["use_overlap"] is True
+
 
 class TestCompareCommand:
     def test_compare_lists_baselines(self, capsys):

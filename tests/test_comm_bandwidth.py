@@ -78,6 +78,18 @@ class TestSampledCurve:
         np.testing.assert_array_equal(a.bandwidths_bytes, b.bandwidths_bytes)
         assert not np.array_equal(a.bandwidths_bytes, c.bandwidths_bytes)
 
+    def test_samples_exactly_the_given_sizes(self, analytic):
+        sizes = np.array([1 << 16, 1 << 20, 1 << 24], dtype=np.float64)
+        sampled = sample_bandwidth(analytic, sizes)
+        np.testing.assert_array_equal(sampled.sizes_bytes, sizes)
+        np.testing.assert_array_equal(sampled.bandwidths_bytes, analytic.bandwidth(sizes))
+
+    def test_noise_is_a_bounded_relative_error(self, analytic):
+        sizes = default_sample_sizes()
+        noisy = sample_bandwidth(analytic, sizes, noise=0.05, seed=3)
+        ratio = noisy.bandwidths_bytes / analytic.bandwidth(sizes)
+        assert np.all(np.abs(ratio - 1.0) <= 0.05)
+
     def test_invalid_samples_rejected(self):
         with pytest.raises(ValueError):
             SampledBandwidthCurve(np.array([1.0]), np.array([1.0]))
@@ -97,6 +109,10 @@ class TestSampleSizes:
         assert np.all(np.diff(sizes) > 0)
         assert sizes[0] >= 64 * 1024
         assert sizes[-1] <= (1 << 30) + 1
+
+    def test_range_is_64_kib_to_1_gib(self):
+        sizes = default_sample_sizes()
+        assert (sizes[0], sizes[-1]) == (64 * 1024, 1 << 30)
 
     def test_points_per_decade(self):
         dense = default_sample_sizes(points_per_decade=8)

@@ -41,6 +41,18 @@ class TestReduceScatter:
         for rank, out in enumerate(results):
             np.testing.assert_allclose(out, expected[rank * 4 : (rank + 1) * 4])
 
+    def test_row_split_semantics(self, buffers):
+        # The flat split of a row-major matrix whose rows divide evenly gives
+        # every rank a contiguous block of whole rows of the sum.
+        results = reduce_scatter_flat(buffers)
+        expected = sum(buffers)
+        for rank, out in enumerate(results):
+            np.testing.assert_allclose(out.reshape(2, 6), expected[rank * 2 : (rank + 1) * 2])
+
+    def test_flat_shape_mismatch_rejected(self, rng):
+        with pytest.raises(ValueError, match="differs"):
+            reduce_scatter_flat([rng.standard_normal(8), rng.standard_normal((2, 4))])
+
     def test_flat_indivisible_rejected(self, rng):
         with pytest.raises(ValueError):
             reduce_scatter_flat([rng.standard_normal(10) for _ in range(4)])

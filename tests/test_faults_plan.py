@@ -70,6 +70,16 @@ class TestFaultPlan:
         ))
         assert [e.start for e in plan.of_kind("straggler")] == [1.0, 5.0]
 
+    def test_fault_free(self):
+        empty = FaultPlan()
+        assert empty.describe().endswith(": fault-free")
+        injector = FaultInjector(empty)
+        assert (injector.crashes, injector.downtime) == (0, [])
+        assert injector.compute.is_nominal
+        assert injector.availability(10.0) == 1.0
+        crashed = FaultPlan(events=(FaultEvent(kind="crash", start=0.0, duration=1.0),))
+        assert crashed.describe().endswith(": 1 crash")
+
     def test_save_load_round_trip(self, tmp_path):
         plan = build_fault_preset("replica-crash", horizon=10.0)
         path = plan.save(tmp_path / "plan.json")
@@ -172,6 +182,29 @@ class TestSpeedTimeline:
         timeline = SpeedTimeline((SpeedWindow(start=0.0, end=10.0, speed=0.5),))
         assert timeline.finish_time(0.0, 1.0) == pytest.approx(2.0)
 
+    def test_work_started_inside_a_stall_resumes_at_its_end(self):
+        timeline = SpeedTimeline((SpeedWindow(start=1.0, end=3.0, speed=0.0),))
+        assert timeline.finish_time(2.0, 0.5) == pytest.approx(3.5)
+        assert timeline.finish_time(2.0, 0.0) == 2.0
+
+    def test_concurrent_windows_compose_multiplicatively(self):
+        # Two concurrent 2x stragglers run the resource at 0.25 speed.
+        timeline = SpeedTimeline((
+            SpeedWindow(start=0.0, end=10.0, speed=0.5),
+            SpeedWindow(start=0.0, end=4.0, speed=0.5),
+        ))
+        assert timeline.finish_time(0.0, 1.0) == pytest.approx(4.0)
+        # Past the overlap only the first window applies.
+        assert timeline.finish_time(4.0, 1.0) == pytest.approx(6.0)
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="precede"):
+            SpeedWindow(start=2.0, end=2.0, speed=0.5)
+        with pytest.raises(ValueError, match="non-negative"):
+            SpeedWindow(start=0.0, end=1.0, speed=-0.5)
+        with pytest.raises(ValueError, match="non-negative"):
+            SpeedTimeline(()).finish_time(0.0, -1.0)
+
 
 class TestFaultInjector:
     def test_downtime_and_recovery(self):
@@ -181,6 +214,41 @@ class TestFaultInjector:
         assert not injector.is_down(3.5)
         assert injector.next_up(2.5) == pytest.approx(3.0)
         assert injector.availability(10.0) == pytest.approx(0.9)
+
+    def test_availability_counts_every_outage_within_the_horizon(self):
+        plan = FaultPlan(events=(
+            FaultEvent(kind="crash", start=1.0, duration=1.0),
+            FaultEvent(kind="crash", start=7.0, duration=2.0),
+        ))
+        injector = FaultInjector(plan)
+        assert injector.availability(8.0) == pytest.approx(0.75)  # 1 s + 1 s of 8 s
+        assert injector.availability(10.0) == pytest.approx(0.7)
+        assert injector.availability(0.0) == 1.0
+
+    def test_next_up_rides_out_back_to_back_outages(self):
+        plan = FaultPlan(events=(
+            FaultEvent(kind="crash", start=2.0, duration=1.0),
+            FaultEvent(kind="crash", start=3.0, duration=1.0),
+        ))
+        injector = FaultInjector(plan)
+        assert injector.crash_times() == [2.0, 3.0]
+        assert injector.next_up(2.5) == 4.0
+        assert not injector.is_down(4.0)  # windows are half-open
+        assert injector.next_up(5.0) == 5.0
+
+    def test_drop_windows_compose_independently(self):
+        plan = FaultPlan(events=(
+            FaultEvent(kind="drop", start=0.0, duration=4.0, probability=0.5),
+            FaultEvent(kind="drop", start=2.0, duration=4.0, probability=0.5),
+        ))
+        injector = FaultInjector(plan)
+        assert injector.drop_probability_at(1.0) == pytest.approx(0.5)
+        assert injector.drop_probability_at(3.0) == pytest.approx(0.75)
+        assert injector.drop_probability_at(7.0) == 0.0
+        certain = FaultPlan(events=(
+            FaultEvent(kind="drop", start=0.0, duration=1.0, probability=1.0),
+        ))
+        assert all(FaultInjector(certain).drops(i, 1, 0.5) for i in range(8))
 
     def test_warm_spares_shrink_outages(self):
         plan = FaultPlan(events=(FaultEvent(kind="crash", start=2.0, duration=1.0),))

@@ -7,8 +7,10 @@ tree (and the profile JSON built from it) byte for byte.
 
 import json
 
+import pytest
+
 from repro import obs
-from repro.obs import FakeClock
+from repro.obs import FakeClock, FlightRecorder
 
 #: The tree `_traced_run` must produce under FakeClock(start=0, step=1).
 #: Ticks in tree order: root opens at 0; a spans [1, 2); b spans [3, 6)
@@ -123,3 +125,26 @@ class TestSpanBehaviour:
             with tracer.span("s"):
                 pass
         assert len(tracer.roots) == 2
+
+
+class TestFlightRecorder:
+    def test_ring_buffer_keeps_the_newest_entries(self, tmp_path):
+        recorder = FlightRecorder(capacity=3)
+        for tick in range(5):
+            recorder.record_event("tick", float(tick), {"n": tick})
+        assert len(recorder) == 3
+        assert recorder.recorded == 5  # counts past eviction
+        assert [entry["attrs"]["n"] for entry in recorder.entries()] == [2, 3, 4]
+        lines = recorder.dump_jsonl(tmp_path / "flight.jsonl").read_text().splitlines()
+        assert [json.loads(line)["time_s"] for line in lines] == [2.0, 3.0, 4.0]
+
+    def test_session_snapshot_reports_capacity_and_recorded(self):
+        with obs.observe(clock=FakeClock()) as session:
+            for _ in range(3):
+                obs.event("tick")
+        recorder = session.snapshot().to_dict()["flight_recorder"]
+        assert recorder == {"capacity": session.recorder.capacity, "recorded": 3}
+
+    def test_capacity_must_be_positive(self):
+        with pytest.raises(ValueError, match="capacity"):
+            FlightRecorder(capacity=0)

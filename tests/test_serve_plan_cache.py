@@ -6,7 +6,7 @@ from repro.comm.primitives import CollectiveKind
 from repro.core.baselines import NonOverlapBaseline
 from repro.core.executor import OverlapExecutor
 from repro.core.tuner import GemmShapeCache, PredictiveTuner
-from repro.plans.cache import PlanCache, bucket_tokens
+from repro.plans.cache import MIN_BUCKET_TOKENS, PlanCache, bucket_tokens
 
 
 class TestBucketing:
@@ -16,6 +16,13 @@ class TestBucketing:
     )
     def test_power_of_two_rounding(self, tokens, expected):
         assert bucket_tokens(tokens) == expected
+
+    def test_bucket_is_the_smallest_edge_covering_the_count(self):
+        for tokens in range(1, 4097):
+            bucket = bucket_tokens(tokens)
+            assert bucket >= max(tokens, MIN_BUCKET_TOKENS)
+            assert bucket & (bucket - 1) == 0  # a power of two
+            assert bucket == MIN_BUCKET_TOKENS or bucket // 2 < tokens
 
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):

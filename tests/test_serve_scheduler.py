@@ -228,6 +228,13 @@ class TestProfileIterationTokens:
         assert a == b
         assert a  # produced at least one iteration
 
+    def test_dry_run_stops_at_the_iteration_cap(self, monkeypatch):
+        from repro.serve import scheduler
+
+        monkeypatch.setattr(scheduler, "DRY_RUN_MAX_ITERATIONS", 3)
+        with pytest.raises(RuntimeError, match="exceeded 3 iterations"):
+            profile_iteration_tokens(self._requests(), max_batch_tokens=256)
+
     def test_budget_respected_and_tokens_conserved(self):
         requests = self._requests()
         tokens = profile_iteration_tokens(requests, max_batch_tokens=256)

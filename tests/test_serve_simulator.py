@@ -7,6 +7,7 @@ under a second.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.serve import (
     ServingSimulator,
     distribution_by_name,
 )
+from repro.serve.simulator import ITERATION_OVERHEAD_US
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +104,21 @@ class TestOverlapBeatsBaseline:
         overlap = results["overlap"].metrics()
         baseline = results["non-overlap"].metrics()
         assert overlap.goodput_requests_per_s >= baseline.goodput_requests_per_s
+
+
+class TestIterationLatency:
+    def test_overhead_is_paid_once_per_iteration(self, config):
+        overhead = ITERATION_OVERHEAD_US * 1e-6
+        one = ServingSimulator(replace(config, layers=1), mode="non-overlap")
+        two = ServingSimulator(config, mode="non-overlap")
+        per_layer = one.iteration_latency(512) - overhead
+        assert per_layer > 0
+        assert two.iteration_latency(512) - overhead == pytest.approx(2 * per_layer)
+
+    def test_token_counts_in_one_bucket_cost_the_same(self, config):
+        simulator = ServingSimulator(config, mode="non-overlap")
+        assert simulator.iteration_latency(300) == simulator.iteration_latency(512)
+        assert simulator.iteration_latency(513) > simulator.iteration_latency(512)
 
 
 class TestServeConfig:

@@ -98,3 +98,76 @@ def test_allowlist_names_an_existing_class():
         for qualified, _ in _definitions(_parse(path).body, _module_name(path))
     }
     assert ALLOWED in defined
+
+
+# -- the rules themselves, on small sources ----------------------------------
+
+
+def _uses(source: str, count_strings: bool) -> set[str]:
+    return set(_used_names(ast.parse(source), count_strings))
+
+
+def test_definitions_qualify_methods_and_skip_private_names():
+    tree = ast.parse(
+        "class Model:\n"
+        "    def latency(self): ...\n"
+        "    def _helper(self): ...\n"
+        "    class Inner:\n"
+        "        def run(self): ...\n"
+        "def build(): ...\n"
+        "def _private(): ...\n"
+        "class _Hidden:\n"
+        "    def visible(self): ...\n"
+    )
+    assert list(_definitions(tree.body, "repro.m")) == [
+        ("repro.m.Model", "Model"),
+        ("repro.m.Model.latency", "latency"),
+        ("repro.m.Model.Inner", "Inner"),
+        ("repro.m.Model.Inner.run", "run"),
+        ("repro.m.build", "build"),
+    ]
+
+
+def test_module_names_map_packages_to_their_init():
+    assert _module_name(SRC / "obs" / "clock.py") == "repro.obs.clock"
+    assert _module_name(SRC / "obs" / "__init__.py") == "repro.obs"
+
+
+def test_names_attributes_and_import_aliases_are_uses():
+    used = _uses(
+        "from repro.core.overlap import price_plan as price\n"
+        "import repro.faults.injector\n"
+        "value = model.latency(size)\n",
+        count_strings=False,
+    )
+    assert {"price_plan", "price", "repro", "faults", "injector"} <= used
+    assert {"value", "model", "latency", "size"} <= used
+
+
+def test_strings_count_outside_src_split_at_dots():
+    source = 'TARGETS = ("FaultInjector.next_up", "crash_times")\n'
+    assert {"FaultInjector", "next_up", "crash_times"} <= _uses(source, count_strings=True)
+    assert not {"FaultInjector", "next_up", "crash_times"} & _uses(source, count_strings=False)
+
+
+def test_src_docstrings_are_not_uses():
+    source = (
+        '"""crash_times"""\n'
+        "def f():\n"
+        '    """next_up"""\n'
+        "    return 1\n"
+    )
+    used = _uses(source, count_strings=False)
+    assert "crash_times" not in used and "next_up" not in used
+
+
+def test_names_inside_f_strings_are_uses():
+    used = _uses('text = f"{report.summary_table()} in {elapsed:.3f} s"\n', count_strings=False)
+    assert {"report", "summary_table", "elapsed"} <= used
+
+
+def test_allowlist_covers_fakeclock_and_its_methods_only():
+    assert _allowed("repro.obs.clock.FakeClock")
+    assert _allowed("repro.obs.clock.FakeClock.advance")
+    assert not _allowed("repro.obs.clock.FakeClockFactory")
+    assert not _allowed("repro.obs.clock.SystemClock.now")

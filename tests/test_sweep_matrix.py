@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import OverlapSettings
+from repro.plans.store import plan_key
 from repro.sweep.matrix import Platform, Scenario, ScenarioMatrix
 from repro.sweep.presets import matrix_from_preset, sweep_presets
 
@@ -52,6 +53,13 @@ class TestExpansion:
                      topology="rtx4090-pcie", gpus=4, collective="allreduce")
         assert a.job_id == b.job_id
         assert a.job_id != c.job_id
+
+    def test_job_id_is_the_workload_and_a_plan_key_prefix(self):
+        scenario = Scenario(workload="w", m=512, n=1024, k=1024, device="rtx4090",
+                            topology="rtx4090-pcie", gpus=4, collective="allreduce")
+        assert scenario.job_id == f"w-{plan_key(scenario.to_dict())[:12]}"
+        # Pinned: result files written by earlier versions must still resume.
+        assert scenario.job_id == "w-5f3af6ecab2a"
 
 
 class TestScenarioMaterialisation:
