@@ -23,6 +23,7 @@ the same plan JSON replays bit-identically through the serving simulator
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,6 +52,7 @@ class FaultEvent:
     window length for the other kinds.  ``factor`` is the slowdown multiplier
     (>= 1) for stragglers and the remaining bandwidth fraction (0 < f <= 1)
     for degraded links; ``probability`` only applies to ``drop`` events.
+    Every number, and the window's end, must be finite.
     """
 
     kind: str
@@ -63,6 +65,9 @@ class FaultEvent:
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}; known: {FAULT_KINDS}")
+        for name in ("start", "duration", "end", "factor", "probability"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"fault {name} must be finite, got {getattr(self, name)}")
         if self.start < 0:
             raise ValueError("fault start must be non-negative")
         if self.duration <= 0:

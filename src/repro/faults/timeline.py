@@ -33,8 +33,8 @@ class SpeedWindow:
     def __post_init__(self) -> None:
         if not self.start < self.end:
             raise ValueError(f"window start {self.start} must precede end {self.end}")
-        if self.speed < 0:
-            raise ValueError("speed must be non-negative")
+        if not self.speed > 0:
+            raise ValueError(f"speed must be positive, got {self.speed}")
 
 
 class SpeedTimeline:
@@ -65,9 +65,7 @@ class SpeedTimeline:
     def finish_time(self, start: float, work: float) -> float:
         """When ``work`` fault-free seconds of work finish if started at ``start``.
 
-        Work progresses at the composed speed factor per wall-clock second; a
-        zero-speed segment contributes no progress (the task stalls until the
-        segment ends).
+        Work progresses at the composed speed factor per wall-clock second.
         """
         if work < 0:
             raise ValueError("work must be non-negative")

@@ -1,7 +1,7 @@
 """Flight recorder: a ring buffer of recent spans and events.
 
 Every closed span and every ``obs.event(...)`` lands here (newest evicting
-oldest past ``capacity``), so when something goes wrong -- a sweep job is
+oldest past :data:`FLIGHT_CAPACITY`), so when something goes wrong -- a sweep job is
 quarantined, a CLI run crashes under ``--profile`` -- the recent history can
 be dumped as a JSONL artifact without having recorded everything.
 """
@@ -11,15 +11,16 @@ from __future__ import annotations
 from collections import deque
 from pathlib import Path
 
+#: Entries the ring buffer keeps; older ones are evicted.
+FLIGHT_CAPACITY = 512
+
 
 class FlightRecorder:
     """Bounded ring buffer of span/event dicts, dumpable as JSONL."""
 
-    def __init__(self, capacity: int = 512) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._entries: deque[dict] = deque(maxlen=capacity)
+    def __init__(self) -> None:
+        self.capacity = FLIGHT_CAPACITY
+        self._entries: deque[dict] = deque(maxlen=self.capacity)
         self.recorded = 0  # total entries ever recorded (kept past eviction)
 
     def __len__(self) -> int:

@@ -7,10 +7,9 @@ tree (and the profile JSON built from it) byte for byte.
 
 import json
 
-import pytest
-
 from repro import obs
 from repro.obs import FakeClock, FlightRecorder
+from repro.obs.recorder import FLIGHT_CAPACITY
 
 #: The tree `_traced_run` must produce under FakeClock(start=0, step=1).
 #: Ticks in tree order: root opens at 0; a spans [1, 2); b spans [3, 6)
@@ -128,8 +127,11 @@ class TestSpanBehaviour:
 
 
 class TestFlightRecorder:
-    def test_ring_buffer_keeps_the_newest_entries(self, tmp_path):
-        recorder = FlightRecorder(capacity=3)
+    def test_ring_buffer_keeps_the_newest_entries(self, tmp_path, monkeypatch):
+        from repro.obs import recorder as recorder_module
+
+        monkeypatch.setattr(recorder_module, "FLIGHT_CAPACITY", 3)
+        recorder = FlightRecorder()
         for tick in range(5):
             recorder.record_event("tick", float(tick), {"n": tick})
         assert len(recorder) == 3
@@ -143,8 +145,4 @@ class TestFlightRecorder:
             for _ in range(3):
                 obs.event("tick")
         recorder = session.snapshot().to_dict()["flight_recorder"]
-        assert recorder == {"capacity": session.recorder.capacity, "recorded": 3}
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError, match="capacity"):
-            FlightRecorder(capacity=0)
+        assert recorder == {"capacity": FLIGHT_CAPACITY, "recorded": 3}
