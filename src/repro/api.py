@@ -23,6 +23,7 @@ parity tests under ``tests/test_api.py`` assert per subcommand.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -245,7 +246,7 @@ def serve(
     Arguments left at ``None`` take :data:`SERVE_DEFAULTS` (or the CI-sized
     smoke scenario with ``smoke=True``, which also implies ``baseline``).
     Raises :class:`ValueError` when the traffic generator produces no
-    requests or ``failover_delay`` is negative.
+    requests or ``failover_delay`` is negative or not finite.
 
     ``faults`` (a :class:`~repro.faults.FaultPlan` or a path to its JSON) or
     ``fault_preset`` (a named preset scaled to the traffic horizon) injects a
@@ -280,8 +281,11 @@ def serve(
         )
         from repro.serve.simulator import SERVE_MODELS, SMOKE_SCENARIO
 
-        if failover_delay < 0:  # checked even when no resilience policy is built
-            raise ValueError("failover_delay must be non-negative")
+        # Checked even when no resilience policy is built.
+        if not (math.isfinite(failover_delay) and failover_delay >= 0):
+            raise ValueError(
+                f"failover_delay must be finite and non-negative, got {failover_delay}"
+            )
         scenario = {
             "rate": rate,
             "requests": requests,

@@ -13,6 +13,7 @@ Two layers:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,10 +34,10 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.backoff_s < 0:
-            raise ValueError("backoff_s must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
+        if not (math.isfinite(self.backoff_s) and self.backoff_s >= 0):
+            raise ValueError(f"backoff_s must be finite and non-negative, got {self.backoff_s}")
+        if not (math.isfinite(self.multiplier) and self.multiplier >= 1.0):
+            raise ValueError(f"multiplier must be finite and >= 1, got {self.multiplier}")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError("jitter must be in [0, 1]")
 
@@ -79,14 +80,20 @@ class ResiliencePolicy:
     failover_delay_s: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError("deadline_s must be positive when set")
+        if self.deadline_s is not None and not (
+            math.isfinite(self.deadline_s) and self.deadline_s > 0
+        ):
+            raise ValueError(
+                f"deadline_s must be finite and positive when set, got {self.deadline_s}"
+            )
         if self.admission_limit is not None and self.admission_limit < 1:
             raise ValueError("admission_limit must be >= 1 when set")
         if self.warm_spares < 0:
             raise ValueError("warm_spares must be non-negative")
-        if self.failover_delay_s < 0:
-            raise ValueError("failover_delay_s must be non-negative")
+        if not (math.isfinite(self.failover_delay_s) and self.failover_delay_s >= 0):
+            raise ValueError(
+                f"failover_delay_s must be finite and non-negative, got {self.failover_delay_s}"
+            )
 
     @property
     def engaged(self) -> bool:

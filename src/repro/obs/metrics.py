@@ -74,6 +74,10 @@ class Histogram:
     def observe(self, value: float) -> None:
         self.values.append(value)
 
+    def observe_repeated(self, value: float, times: int) -> None:
+        """``observe(value)`` ``times`` times over."""
+        self.values.extend([value] * times)
+
     def percentile(self, p: float) -> float:
         """Nearest-rank percentile (``p`` in [0, 100]); 0.0 when empty."""
         if not self.values:
@@ -120,6 +124,9 @@ class _NullHistogram:
     __slots__ = ()
 
     def observe(self, value: float) -> None:
+        pass
+
+    def observe_repeated(self, value: float, times: int) -> None:
         pass
 
 

@@ -134,6 +134,24 @@ class PlanCache:
         self.hits += lookups
         obs.counter("plan_store.hits").inc(lookups)
 
+    def repeat_lookups(self, looked_up: list[tuple[tuple, PricedPlan]]) -> bool:
+        """Repeat earlier lookups, given as their ``(key, plan)`` results in order.
+
+        When every plan is still the cached entry of its key, each repeat
+        would hit: the keys move to the LRU end in lookup order and the hits
+        are counted in bulk.  When an entry was evicted or rebuilt since,
+        nothing changes and the result is False; the caller then looks its
+        problems up again.
+        """
+        entries = self._entries
+        for key, plan in looked_up:
+            if entries.get(key) is not plan:
+                return False
+        for key, _ in looked_up:
+            entries.move_to_end(key)
+        self.count_repeat_hits(len(looked_up))
+        return True
+
     def _build_plan(self, problem: OverlapProblem) -> PricedPlan:
         shape = problem.shape
         with obs.span("plan_store.build", m=shape.m, n=shape.n, k=shape.k):

@@ -20,6 +20,7 @@ reproducible down to the last digit.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
@@ -75,7 +76,7 @@ class LengthDistribution:
 
     def _draw(self, rng: np.random.Generator, median: int, bounds: tuple[int, int]) -> int:
         value = rng.lognormal(mean=float(np.log(median)), sigma=self.sigma)
-        return int(np.clip(round(value), bounds[0], bounds[1]))
+        return min(max(round(value), bounds[0]), bounds[1])
 
     def sample(self, rng: np.random.Generator) -> tuple[int, int]:
         """One (prompt_tokens, output_tokens) draw."""
@@ -147,14 +148,16 @@ class PoissonArrivals:
     duration_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.rate_rps <= 0:
-            raise ValueError("rate_rps must be positive")
+        if not (math.isfinite(self.rate_rps) and self.rate_rps > 0):
+            raise ValueError(f"rate_rps must be finite and positive, got {self.rate_rps}")
         if self.num_requests is None and self.duration_s is None:
             raise ValueError("set num_requests and/or duration_s to bound the traffic")
         if self.num_requests is not None and self.num_requests < 1:
             raise ValueError("num_requests must be >= 1")
-        if self.duration_s is not None and self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        if self.duration_s is not None and not (
+            math.isfinite(self.duration_s) and self.duration_s > 0
+        ):
+            raise ValueError(f"duration_s must be finite and positive, got {self.duration_s}")
 
     def generate(self) -> list[Request]:
         """The deterministic request list for this seed."""

@@ -18,6 +18,7 @@ identical metrics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,8 +141,10 @@ class SLO:
     tpot_s: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.ttft_s <= 0 or self.tpot_s <= 0:
-            raise ValueError("SLO bounds must be positive")
+        for name in ("ttft_s", "tpot_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"SLO {name} must be finite and positive, got {value}")
 
     def met_by(self, record: RequestRecord) -> bool:
         return record.ttft <= self.ttft_s and record.tpot <= self.tpot_s

@@ -18,6 +18,15 @@ from repro.serve.simulator import ServeConfig, ServingResult
 __all__ = ["ServeReport"]
 
 
+def _ratio(numerator: float, denominator: float) -> str:
+    """``numerator / denominator`` as ``1.234x``; ``n/a`` when the denominator is 0.
+
+    An arm that completes no request (every one timed out, say) has zero
+    latency statistics, so its ratios are undefined.
+    """
+    return f"{numerator / denominator:.3f}x" if denominator else "n/a"
+
+
 @dataclass
 class ServeReport(ReportMixin):
     """One serving simulation: overlap arm, optional baseline, SLO, traffic.
@@ -102,9 +111,9 @@ class ServeReport(ReportMixin):
             lines.append(
                 f"baseline   : e2e mean {base.e2e_latency.mean * 1e3:.2f} ms "
                 f"vs {metrics.e2e_latency.mean * 1e3:.2f} ms overlapped "
-                f"({base.e2e_latency.mean / metrics.e2e_latency.mean:.3f}x), "
-                f"TTFT p99 {base.ttft.p99 / metrics.ttft.p99:.3f}x, "
-                f"makespan {self.baseline.makespan_s / self.overlap.makespan_s:.3f}x"
+                f"({_ratio(base.e2e_latency.mean, metrics.e2e_latency.mean)}), "
+                f"TTFT p99 {_ratio(base.ttft.p99, metrics.ttft.p99)}, "
+                f"makespan {_ratio(self.baseline.makespan_s, self.overlap.makespan_s)}"
             )
         faults = self.fault_summary()
         if faults is not None:

@@ -23,27 +23,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 
 from repro.gpu.gemm import GemmShape
 from repro.serve.arrivals import Request
 from repro.workloads.llm import ModelConfig
-
-
-@dataclass
-class RequestState:
-    """Mutable per-request progress inside the scheduler."""
-
-    request: Request
-    prefill_remaining: int
-    output_remaining: int
-
-    @property
-    def prefill_done(self) -> bool:
-        return self.prefill_remaining == 0
-
-    @property
-    def finished(self) -> bool:
-        return self.prefill_done and self.output_remaining == 0
 
 
 @dataclass(frozen=True)
@@ -61,14 +45,7 @@ class IterationBatch:
 
     prefill: tuple[PrefillChunk, ...]
     decode: tuple[int, ...]  # request IDs, one token each
-
-    @property
-    def total_tokens(self) -> int:
-        return sum(chunk.tokens for chunk in self.prefill) + len(self.decode)
-
-    @property
-    def num_requests(self) -> int:
-        return len({chunk.request_id for chunk in self.prefill} | set(self.decode))
+    total_tokens: int  # prefill chunk tokens plus one per decode
 
 
 @dataclass(frozen=True)
@@ -79,31 +56,40 @@ class IterationOutcome:
     finished: tuple[int, ...]  # request IDs that emitted their last token
 
 
+_SILENT = IterationOutcome(first_tokens=(), finished=())
+
+
 class ContinuousBatchingScheduler:
-    """Iteration-level batching over a waiting queue and a running set."""
+    """Iteration-level batching over a waiting queue and a running set.
+
+    The running set is three parallel columns in admission order -- request
+    ID, prompt tokens still to prefill, output tokens still to emit -- plus a
+    count of the running requests that are still prefilling.  Prefill is
+    FCFS, so the decoding requests are always a head of the running set: an
+    iteration with nothing prefilling is a slice of the ID column, and its
+    decodes are one comprehension over the head of the output column.
+    """
 
     def __init__(self, max_batch_tokens: int = 2048, max_batch_size: int = 64) -> None:
         if max_batch_tokens < 1 or max_batch_size < 1:
             raise ValueError("max_batch_tokens and max_batch_size must be >= 1")
         self.max_batch_tokens = max_batch_tokens
         self.max_batch_size = max_batch_size
-        self._waiting: deque[RequestState] = deque()
-        self._running: list[RequestState] = []
-        self._states: dict[int, RequestState] = {}
+        self._waiting: deque[Request] = deque()
+        self._tracked: set[int] = set()  # waiting and running request IDs
+        self._ids: list[int] = []
+        self._prefill: list[int] = []
+        self._output: list[int] = []
+        self._prefilling = 0
 
     # -- queue management --------------------------------------------------------
 
     def add(self, request: Request) -> None:
         """Enqueue an arrived request (FCFS)."""
-        if request.request_id in self._states:
+        if request.request_id in self._tracked:
             raise ValueError(f"request {request.request_id} already enqueued")
-        state = RequestState(
-            request=request,
-            prefill_remaining=request.prompt_tokens,
-            output_remaining=request.output_tokens,
-        )
-        self._states[request.request_id] = state
-        self._waiting.append(state)
+        self._tracked.add(request.request_id)
+        self._waiting.append(request)
 
     def remove(self, request_id: int) -> bool:
         """Evict a request wherever it is (deadline/abandon path).
@@ -112,18 +98,23 @@ class ContinuousBatchingScheduler:
         calls this between iterations, so an in-flight batch never references
         an evicted request.
         """
-        state = self._states.pop(request_id, None)
-        if state is None:
+        if request_id not in self._tracked:
             return False
-        if state in self._running:
-            self._running.remove(state)
+        self._tracked.remove(request_id)
+        if request_id in self._ids:
+            index = self._ids.index(request_id)
+            if self._prefill[index]:
+                self._prefilling -= 1
+            del self._ids[index], self._prefill[index], self._output[index]
         else:
-            self._waiting.remove(state)
+            self._waiting.remove(
+                next(request for request in self._waiting if request.request_id == request_id)
+            )
         return True
 
     @property
     def has_work(self) -> bool:
-        return bool(self._waiting or self._running)
+        return bool(self._waiting or self._ids)
 
     @property
     def waiting_count(self) -> int:
@@ -131,7 +122,7 @@ class ContinuousBatchingScheduler:
 
     @property
     def running_count(self) -> int:
-        return len(self._running)
+        return len(self._ids)
 
     # -- iteration planning --------------------------------------------------------
 
@@ -142,34 +133,37 @@ class ContinuousBatchingScheduler:
         priority), then the leftover token budget is filled with prefill
         chunks in admission order.
         """
-        while self._waiting and len(self._running) < self.max_batch_size:
-            self._running.append(self._waiting.popleft())
+        ids = self._ids
+        waiting = self._waiting
+        while waiting and len(ids) < self.max_batch_size:
+            request = waiting.popleft()
+            ids.append(request.request_id)
+            self._prefill.append(request.prompt_tokens)
+            self._output.append(request.output_tokens)
+            self._prefilling += 1
+        if not ids:
+            return None
 
         budget = self.max_batch_tokens
-        decode: list[int] = []
-        for state in self._running:
-            if state.prefill_done and budget > 0:
-                decode.append(state.request.request_id)
-                budget -= 1
+        if not self._prefilling:
+            decode = tuple(ids[:budget])
+            return IterationBatch(prefill=(), decode=decode, total_tokens=len(decode))
 
+        decode = tuple([rid for rid, left in zip(ids, self._prefill) if not left][:budget])
+        budget -= len(decode)
         prefill: list[PrefillChunk] = []
-        for state in self._running:
+        for rid, left in zip(ids, self._prefill):
             if budget <= 0:
                 break
-            if not state.prefill_done:
-                tokens = min(state.prefill_remaining, budget)
+            if left:
+                tokens = min(left, budget)
                 prefill.append(
-                    PrefillChunk(
-                        request_id=state.request.request_id,
-                        tokens=tokens,
-                        finishes_prefill=tokens == state.prefill_remaining,
-                    )
+                    PrefillChunk(request_id=rid, tokens=tokens, finishes_prefill=tokens == left)
                 )
                 budget -= tokens
-
-        if not decode and not prefill:
-            return None
-        return IterationBatch(prefill=tuple(prefill), decode=tuple(decode))
+        return IterationBatch(
+            prefill=tuple(prefill), decode=decode, total_tokens=self.max_batch_tokens - budget
+        )
 
     def steady_decode_run(self) -> int:
         """How many upcoming iterations are *silent* steady-decode repeats.
@@ -182,19 +176,14 @@ class ContinuousBatchingScheduler:
         iteration that emits somebody's last token is always executed
         normally.  Returns 0 when the next iteration is not a silent repeat.
         """
-        if not self._running:
+        running = len(self._ids)
+        if not running or self._prefilling:
             return 0
-        if self._waiting and len(self._running) < self.max_batch_size:
+        if self._waiting and running < self.max_batch_size:
             return 0
-        if len(self._running) > self.max_batch_tokens:
+        if running > self.max_batch_tokens:
             return 0
-        floor = None
-        for state in self._running:
-            if not state.prefill_done:
-                return 0
-            if floor is None or state.output_remaining < floor:
-                floor = state.output_remaining
-        return floor - 1
+        return min(self._output) - 1
 
     def advance_decodes(self, iterations: int) -> None:
         """Bulk-apply ``iterations`` silent steady-decode batches.
@@ -204,43 +193,62 @@ class ContinuousBatchingScheduler:
         """
         if iterations < 0:
             raise ValueError("iterations must be >= 0")
-        for state in self._running:
-            if not state.prefill_done or state.output_remaining <= iterations:
-                raise ValueError(
-                    "advance_decodes past a request boundary: "
-                    f"request {state.request.request_id} is not mid-decode "
-                    f"for {iterations} more iterations"
-                )
-            state.output_remaining -= iterations
+        output = self._output
+        if self._prefilling or (output and min(output) <= iterations):
+            for rid, left, remaining in zip(self._ids, self._prefill, output):
+                if left or remaining <= iterations:
+                    raise ValueError(
+                        "advance_decodes past a request boundary: "
+                        f"request {rid} is not mid-decode for {iterations} more iterations"
+                    )
+        self._output = [remaining - iterations for remaining in output]
 
     def apply(self, batch: IterationBatch) -> IterationOutcome:
         """Account one executed batch; returns first-token/finish events."""
-        first_tokens: list[int] = []
-        finished: list[int] = []
+        ids, output = self._ids, self._output
+        first_tokens: tuple[int, ...] = ()
+        if batch.prefill:
+            prefill = self._prefill
+            emitted: list[int] = []
+            for chunk in batch.prefill:
+                index = ids.index(chunk.request_id)
+                left = prefill[index] - chunk.tokens
+                if left < 0:
+                    raise ValueError(f"request {chunk.request_id} prefilled past its prompt")
+                prefill[index] = left
+                if not left:
+                    self._prefilling -= 1
+                if chunk.finishes_prefill:
+                    # The prefill-completing iteration emits the first output token.
+                    output[index] -= 1
+                    emitted.append(chunk.request_id)
+            first_tokens = tuple(emitted)
 
-        for chunk in batch.prefill:
-            state = self._states[chunk.request_id]
-            state.prefill_remaining -= chunk.tokens
-            if state.prefill_remaining < 0:
-                raise ValueError(f"request {chunk.request_id} prefilled past its prompt")
-            if chunk.finishes_prefill:
-                # The prefill-completing iteration emits the first output token.
-                state.output_remaining -= 1
-                first_tokens.append(chunk.request_id)
+        decode = batch.decode
+        count = len(decode)
+        if count and decode == tuple(ids[:count]):
+            head = output[:count]
+            if 0 in head:
+                raise ValueError(f"request {decode[head.index(0)]} decoded past its output length")
+            output[:count] = [remaining - 1 for remaining in head]
+        else:
+            for request_id in decode:
+                index = ids.index(request_id)
+                if not output[index]:
+                    raise ValueError(f"request {request_id} decoded past its output length")
+                output[index] -= 1
 
-        for request_id in batch.decode:
-            state = self._states[request_id]
-            state.output_remaining -= 1
-            if state.output_remaining < 0:
-                raise ValueError(f"request {request_id} decoded past its output length")
-
-        for state in list(self._running):
-            if state.finished:
-                finished.append(state.request.request_id)
-                self._running.remove(state)
-                del self._states[state.request.request_id]
-
-        return IterationOutcome(first_tokens=tuple(first_tokens), finished=tuple(finished))
+        if 0 not in output:
+            if not first_tokens:
+                return _SILENT
+            return IterationOutcome(first_tokens=first_tokens, finished=())
+        keep = [remaining > 0 for remaining in output]
+        finished = tuple(rid for rid, remaining in zip(ids, output) if not remaining)
+        self._ids = list(compress(ids, keep))
+        self._prefill = list(compress(self._prefill, keep))
+        self._output = list(compress(output, keep))
+        self._tracked.difference_update(finished)
+        return IterationOutcome(first_tokens=first_tokens, finished=finished)
 
 
 def iteration_gemm_shapes(total_tokens: int, model: ModelConfig, tp: int) -> list[GemmShape]:

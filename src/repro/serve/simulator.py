@@ -28,12 +28,15 @@ failover.  Fault timelines are seeded, so chaos runs replay bit-identically.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
 
 from repro import obs
 from repro.comm.topology import Topology, a800_nvlink
 from repro.core.baselines import NonOverlapBaseline
-from repro.core.config import DEFAULT_SETTINGS, OverlapProblem, OverlapSettings
+from repro.core.config import DEFAULT_SETTINGS, OverlapSettings
+from repro.core.overlap import PricedPlan
 from repro.faults.injector import FaultInjector
 from repro.faults.metrics import build_fault_stats
 from repro.faults.policy import ResiliencePolicy
@@ -50,7 +53,6 @@ from repro.serve.metrics import (
 from repro.serve.scheduler import ContinuousBatchingScheduler, IterationBatch
 from repro.sim.engine import EventEngine
 from repro.workloads.llm import LLAMA2_7B, LLAMA3_70B, ModelConfig, llm_inference_layer
-from repro.workloads.operators import OperatorInstance
 from repro.workloads.parallelism import ParallelismConfig
 
 SERVE_MODES = ("overlap", "non-overlap")
@@ -175,29 +177,11 @@ class ServingSimulator:
         if resilience is None and faults is not None:
             resilience = faults.policy
         self.resilience = resilience
-        self._ops_by_bucket: dict[tuple[int, float], list[OperatorInstance]] = {}
-        self._baseline_latency_by_bucket: dict[tuple[int, float], float] = {}
+        #: (bucket, comm_factor) -> (iteration latency, the plan lookups that
+        #: priced it as (key, plan) pairs; empty in non-overlap mode).
+        self._priced: dict[tuple[int, float], tuple[float, list[tuple[tuple, PricedPlan]]]] = {}
 
     # -- iteration latency model ---------------------------------------------------
-
-    def _layer_ops(self, bucket: int, comm_factor: float = 1.0) -> list[OperatorInstance]:
-        key = (bucket, comm_factor)
-        ops = self._ops_by_bucket.get(key)
-        if ops is None:
-            ops = llm_inference_layer(
-                self.config.model,
-                bucket,
-                ParallelismConfig(tp=self.config.tp),
-                self.config.device,
-                self.config.topology.degraded(comm_factor),
-            )
-            self._ops_by_bucket[key] = ops
-        return ops
-
-    def _overlap_target_latency(self, problem: OverlapProblem) -> float:
-        if self.mode == "overlap":
-            return self.plan_cache.lookup(problem).overlap_latency
-        return NonOverlapBaseline(self.config.settings).latency(problem)
 
     def iteration_latency(self, total_tokens: int, comm_factor: float = 1.0) -> float:
         """Latency of one engine iteration batching ``total_tokens`` tokens.
@@ -206,20 +190,41 @@ class ServingSimulator:
         bandwidth is scaled to that fraction (degraded-interconnect faults);
         the plan cache keys on topology name, so degraded and nominal plans
         coexist in one cache.
+
+        Each ``(bucket, comm_factor)`` is priced once per simulator.  An
+        overlap-mode repeat replays the plan cache's accounting through
+        :meth:`PlanCache.repeat_lookups`, or looks every problem up again
+        (and re-prices) once a bounded cache has evicted or rebuilt one of
+        its plans.  A cache of capacity 0 keeps no plan, so nothing is
+        memoized.
         """
         bucket = bucket_tokens(total_tokens)
         key = (bucket, comm_factor)
-        if self.mode == "non-overlap" and key in self._baseline_latency_by_bucket:
-            return self._baseline_latency_by_bucket[key]
+        cache = self.plan_cache if self.mode == "overlap" else None
+        priced = self._priced.get(key)
+        if priced is not None and (cache is None or cache.repeat_lookups(priced[1])):
+            return priced[0]
+        ops = llm_inference_layer(
+            self.config.model,
+            bucket,
+            ParallelismConfig(tp=self.config.tp),
+            self.config.device,
+            self.config.topology.degraded(comm_factor),
+        )
         per_layer = 0.0
-        for op in self._layer_ops(bucket, comm_factor):
-            if op.problem is not None:
-                per_layer += self._overlap_target_latency(op.problem) * op.count
-            else:
+        looked_up: list[tuple[tuple, PricedPlan]] = []
+        for op in ops:
+            if op.problem is None:
                 per_layer += op.other_latency * op.count
+            elif cache is None:
+                per_layer += NonOverlapBaseline(self.config.settings).latency(op.problem) * op.count
+            else:
+                plan = cache.lookup(op.problem)
+                looked_up.append((cache.key(op.problem), plan))
+                per_layer += plan.overlap_latency * op.count
         latency = per_layer * self.config.layers + ITERATION_OVERHEAD_US * 1e-6
-        if self.mode == "non-overlap":
-            self._baseline_latency_by_bucket[key] = latency
+        if cache is None or cache.capacity:
+            self._priced[key] = (latency, looked_up)
         return latency
 
     # -- event loop ------------------------------------------------------------------
@@ -250,14 +255,12 @@ class ServingSimulator:
         failures: list[FailureRecord] = []
         state = {
             "busy": False,
-            "iterations": 0,
-            "tokens": 0,
             "wasted_iterations": 0,
             "wasted_tokens": 0,
             "attempts": 0,
             "retries": 0,
         }
-        token_buckets: dict[int, int] = {}
+        iterations_by_tokens: dict[int, int] = {}  # batched tokens -> iterations
         injector = self.faults
         policy = self.resilience
         retry = policy.retry if policy is not None else None
@@ -306,12 +309,8 @@ class ServingSimulator:
             """Account one executed batch (inline or from its finish event)."""
             outcome = scheduler.apply(batch)
             now = engine.now
-            state["iterations"] += 1
-            state["tokens"] += batch.total_tokens
-            iterations_counter.inc()
-            tokens_counter.inc(batch.total_tokens)
-            bucket = bucket_tokens(batch.total_tokens)
-            token_buckets[bucket] = token_buckets.get(bucket, 0) + 1
+            tokens = batch.total_tokens
+            iterations_by_tokens[tokens] = iterations_by_tokens.get(tokens, 0) + 1
             for request_id in outcome.first_tokens:
                 first_token_times[request_id] = now
             for request_id in outcome.finished:
@@ -340,7 +339,8 @@ class ServingSimulator:
                         output_tokens=request.output_tokens,
                     )
                 )
-            evict_expired()
+            if expired_pending:
+                evict_expired()
 
         def advance_steady_run(batch: IterationBatch, latency: float, lookups: int) -> None:
             """Collapse the silent steady-decode stretch following ``batch``.
@@ -356,33 +356,24 @@ class ServingSimulator:
             run = scheduler.steady_decode_run()
             if run <= 0:
                 return
+            # finishes[i] is the i-th repeat's finish time, summed one latency
+            # at a time; the repeats that land before the next event run.
+            finishes = list(accumulate(repeat(latency, run), initial=engine.now))
             upcoming = engine.next_event_time()
-            time = engine.now
-            count = 0
-            while count < run:
-                finish = time + latency
-                if upcoming is not None and finish >= upcoming:
-                    break
-                time = finish
-                count += 1
+            count = run if upcoming is None else bisect_left(finishes, upcoming, 1) - 1
             if count == 0:
                 return
-            engine.advance_to(time)
+            engine.advance_to(finishes[count])
             scheduler.advance_decodes(count)
-            state["iterations"] += count
-            state["tokens"] += batch.total_tokens * count
-            iterations_counter.inc(count)
-            tokens_counter.inc(batch.total_tokens * count)
-            bucket = bucket_tokens(batch.total_tokens)
-            token_buckets[bucket] += count
-            for _ in range(count):
-                latency_histogram.observe(latency)
+            iterations_by_tokens[batch.total_tokens] += count
+            latency_histogram.observe_repeated(latency, count)
             if self.plan_cache is not None:
                 # Each skipped iteration would have re-issued the same warm
                 # plan lookups as the committed one.
                 self.plan_cache.count_repeat_hits(lookups * count)
 
         def start_next_iteration() -> None:
+            cache = self.plan_cache
             while True:
                 now = engine.now
                 if injector is not None and injector.is_down(now):
@@ -392,16 +383,16 @@ class ServingSimulator:
                 if batch is None:
                     state["busy"] = False
                     return
-                state["busy"] = True
-                comm_factor = injector.comm_factor_at(now) if injector is not None else 1.0
-                cache = self.plan_cache
                 lookups_before = cache.lookups if cache is not None else 0
-                latency = self.iteration_latency(batch.total_tokens, comm_factor=comm_factor)
+                if injector is None:
+                    latency = self.iteration_latency(batch.total_tokens)
+                    finish = now + latency
+                else:
+                    latency = self.iteration_latency(
+                        batch.total_tokens, injector.comm_factor_at(now)
+                    )
+                    finish = injector.straggler_finish(now, latency)
                 latency_histogram.observe(latency)
-                finish = (
-                    injector.straggler_finish(now, latency) if injector is not None
-                    else now + latency
-                )
                 upcoming = engine.next_event_time()
                 if upcoming is None or finish < upcoming:
                     # No boundary event (arrival, deadline, crash or recovery)
@@ -417,6 +408,7 @@ class ServingSimulator:
                             cache.lookups - lookups_before if cache is not None else 0,
                         )
                     continue
+                state["busy"] = True
                 inflight["event"] = engine.schedule(finish, finish_iteration, batch)
                 inflight["batch"] = batch
                 inflight["ids"] = frozenset(
@@ -503,6 +495,14 @@ class ServingSimulator:
 
         records.sort(key=lambda r: r.request_id)
         failures.sort(key=lambda f: f.request_id)
+        iterations = sum(iterations_by_tokens.values())
+        batched_tokens = sum(tokens * count for tokens, count in iterations_by_tokens.items())
+        iterations_counter.inc(iterations)
+        tokens_counter.inc(batched_tokens)
+        token_buckets: dict[int, int] = {}
+        for tokens in sorted(iterations_by_tokens):
+            bucket = bucket_tokens(tokens)
+            token_buckets[bucket] = token_buckets.get(bucket, 0) + iterations_by_tokens[tokens]
         fault_stats = None
         if injector is not None or (policy is not None and policy.engaged):
             fault_stats = build_fault_stats(
@@ -518,8 +518,8 @@ class ServingSimulator:
         return ServingResult(
             mode=self.mode,
             records=records,
-            iterations=state["iterations"],
-            total_batched_tokens=state["tokens"],
+            iterations=iterations,
+            total_batched_tokens=batched_tokens,
             makespan_s=engine.now,
             token_buckets=token_buckets,
             plan_cache_stats=self.plan_cache.stats() if self.plan_cache is not None else None,

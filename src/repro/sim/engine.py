@@ -1,34 +1,34 @@
 """A minimal discrete-event simulation engine.
 
 Events are ``(time, callback)`` pairs ordered by time (FIFO among equal
-times).  Callbacks may schedule further events.  The engine is deliberately
-tiny -- ordered execution and a clock -- and is the clock of the serving
-loop (:mod:`repro.serve.simulator`), which also peeks at the next event time
-to commit work inline between events.
+times): the heap holds ``(time, sequence, event)`` tuples, so ordering is a
+plain tuple comparison that never reaches the event.  Callbacks may schedule
+further events.  The engine is deliberately tiny -- ordered execution and a
+clock -- and is the clock of the serving loop (:mod:`repro.serve.simulator`),
+which also peeks at the next event time to commit work inline between events.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 
-@dataclass(order=True)
+@dataclass
 class _ScheduledEvent:
     time: float
-    sequence: int
-    callback: Callable[..., Any] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
+    callback: Callable[..., Any]
+    args: tuple = ()
+    cancelled: bool = False
 
 
 class EventEngine:
     """Priority-queue driven event loop with a simulated clock."""
 
     def __init__(self) -> None:
-        self._queue: list[_ScheduledEvent] = []
+        self._queue: list[tuple[float, int, _ScheduledEvent]] = []
         self._counter = itertools.count()
         self._now = 0.0
         self._processed = 0
@@ -47,8 +47,8 @@ class EventEngine:
         """Schedule ``callback(*args)`` at absolute simulation time ``time``."""
         if time < self._now:
             raise ValueError(f"cannot schedule event at {time} before now ({self._now})")
-        event = _ScheduledEvent(time=time, sequence=next(self._counter), callback=callback, args=args)
-        heapq.heappush(self._queue, event)
+        event = _ScheduledEvent(time=time, callback=callback, args=args)
+        heapq.heappush(self._queue, (time, next(self._counter), event))
         return event
 
     def schedule_after(self, delay: float, callback: Callable[..., Any], *args: Any) -> _ScheduledEvent:
@@ -70,9 +70,10 @@ class EventEngine:
         Cancelled heads are popped on the way (they are dead weight anyway),
         so the query is amortized O(1).
         """
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0].time if self._queue else None
+        queue = self._queue
+        while queue and queue[0][2].cancelled:
+            heapq.heappop(queue)
+        return queue[0][0] if queue else None
 
     def advance_to(self, time: float) -> None:
         """Manually advance the clock to ``time`` (monotonic).
@@ -87,11 +88,12 @@ class EventEngine:
 
     def run(self) -> float:
         """Run events until the queue drains; return the final simulation time."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            time, _, event = heapq.heappop(queue)
             if event.cancelled:
                 continue
-            self._now = max(self._now, event.time)
+            self._now = max(self._now, time)
             event.callback(*event.args)
             self._processed += 1
         return self._now

@@ -293,6 +293,23 @@ class TestServeCommand:
         assert main(args) == 0
         assert ", 0 tuner invocations)" in capsys.readouterr().out
 
+    def test_serve_reports_arms_that_complete_no_request(self, capsys, tmp_path):
+        import json
+
+        # A valid deadline under which every request times out: both arms
+        # complete nothing, so the baseline's latency ratios are undefined.
+        report_path = tmp_path / "dl.json"
+        code = main(["serve", "--smoke", "--deadline", "1e-9", "--json", str(report_path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "overlapped (n/a), TTFT p99 n/a, makespan " in out
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        offered = report["meta"]["requests"]
+        for arm in ("overlap", "non-overlap"):
+            assert report[arm]["metrics"]["requests_completed"] == 0
+            outcomes = [failure["outcome"] for failure in report[arm]["failures"]]
+            assert outcomes == ["timed-out"] * offered
+
 
 def _thread_events(path) -> dict[str, list[tuple]]:
     """The ``X`` events of a Chrome trace file per thread, keyed by thread name."""
@@ -409,7 +426,19 @@ class TestCleanErrors:
             (["report", "--m", "0"], "GEMM dims must be positive"),
             (["compare", "--m", "0"], "GEMM dims must be positive"),
             (["serve", "--smoke", "--failover-delay", "-1"],
-             "failover_delay must be non-negative"),
+             "failover_delay must be finite and non-negative, got -1.0"),
+            (["serve", "--smoke", "--failover-delay", "nan"],
+             "failover_delay must be finite and non-negative, got nan"),
+            (["serve", "--smoke", "--failover-delay", "inf"],
+             "failover_delay must be finite and non-negative, got inf"),
+            (["serve", "--smoke", "--rate", "nan"], "rate_rps must be finite and positive, got nan"),
+            (["serve", "--smoke", "--rate", "inf"], "rate_rps must be finite and positive, got inf"),
+            (["serve", "--smoke", "--deadline", "nan"],
+             "deadline_s must be finite and positive when set, got nan"),
+            (["serve", "--smoke", "--slo-ttft", "nan"], "SLO ttft_s must be finite and positive, got nan"),
+            (["serve", "--smoke", "--slo-tpot", "inf"], "SLO tpot_s must be finite and positive, got inf"),
+            (["serve", "--smoke", "--retry-policy", "backoff=nan"],
+             "backoff_s must be finite and non-negative, got nan"),
             (["sweep", "--preset", "nope"], "unknown sweep preset 'nope'; known: ["),
             (["pp", "--smoke", "--tokens", "-5"], "tokens must be >= 1"),
             (["plan", "--smoke", "--tokens", "0"], "tokens must be >= 1"),

@@ -172,6 +172,16 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             parse_retry_policy("retries=1,flux=2")
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("backoff_s", float("nan"), "backoff_s must be finite and non-negative, got nan"),
+        ("backoff_s", float("inf"), "backoff_s must be finite and non-negative, got inf"),
+        ("multiplier", float("nan"), "multiplier must be finite and >= 1, got nan"),
+        ("multiplier", float("inf"), "multiplier must be finite and >= 1, got inf"),
+    ])
+    def test_rejects_non_finite_numbers(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            RetryPolicy(**{field: value})
+
 
 class TestResiliencePolicy:
     def test_engaged_flag(self):
@@ -186,6 +196,18 @@ class TestResiliencePolicy:
             ResiliencePolicy(admission_limit=0)
         with pytest.raises(ValueError):
             ResiliencePolicy(warm_spares=-1)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("deadline_s", float("nan"), "deadline_s must be finite and positive when set, got nan"),
+        ("deadline_s", float("inf"), "deadline_s must be finite and positive when set, got inf"),
+        ("failover_delay_s", float("nan"),
+         "failover_delay_s must be finite and non-negative, got nan"),
+        ("failover_delay_s", float("inf"),
+         "failover_delay_s must be finite and non-negative, got inf"),
+    ])
+    def test_rejects_non_finite_numbers(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ResiliencePolicy(**{field: value})
 
 
 class TestSpeedTimeline:

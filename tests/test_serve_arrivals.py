@@ -88,6 +88,18 @@ class TestPoissonArrivals:
         with pytest.raises(ValueError, match="bound the traffic"):
             self._gen(num_requests=None, duration_s=None)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+    def test_rejects_a_rate_that_is_not_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match=f"rate_rps must be finite and positive, got {value}"):
+            self._gen(rate_rps=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_rejects_a_duration_that_is_not_finite_and_positive(self, value):
+        # Construction only: a nan window never closes (``now > nan`` is
+        # never true), so generating from one would append forever.
+        with pytest.raises(ValueError, match=f"duration_s must be finite and positive, got {value}"):
+            self._gen(num_requests=None, duration_s=value)
+
 
 class TestTraceArrivals:
     def test_records_sorted_and_reindexed(self):

@@ -54,6 +54,12 @@ class TestSLO:
         with pytest.raises(ValueError):
             SLO(ttft_s=0.0)
 
+    @pytest.mark.parametrize("field", ["ttft_s", "tpot_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_bounds(self, field, value):
+        with pytest.raises(ValueError, match=f"SLO {field} must be finite and positive, got {value}"):
+            SLO(**{field: value})
+
 
 class TestComputeMetrics:
     def test_throughput_and_goodput(self):

@@ -67,7 +67,8 @@ class TestBatchPacking:
         for rid in range(5):
             scheduler.add(request(rid, prompt=8, output=1))
         batch = scheduler.next_batch()
-        assert batch.num_requests == 2
+        assert [chunk.request_id for chunk in batch.prefill] == [0, 1]
+        assert batch.decode == ()
         assert scheduler.waiting_count == 3
 
     def test_no_work_returns_none(self):
