@@ -15,6 +15,7 @@ steady-decode run, return value and error.
 from __future__ import annotations
 
 import copy
+from functools import partial
 from unittest import mock
 
 from hypothesis import given, settings as hsettings
@@ -172,7 +173,7 @@ def test_inconsistent_batches_are_rejected_like_the_reference():
     for drive, message in ((prefill_twice, "request 0 prefilled past its prompt"),
                            (decode_twice_in_one_batch, "request 0 decoded past its output length")):
         errors = [
-            outcome_of(lambda: drive(cls(max_batch_tokens=4, max_batch_size=2)))
+            outcome_of(partial(drive, cls(max_batch_tokens=4, max_batch_size=2)))
             for cls in (ContinuousBatchingScheduler, ReferenceScheduler)
         ]
         assert errors[0] == errors[1] == ("error", ValueError, message)
