@@ -40,8 +40,10 @@ class Request:
     output_tokens: int
 
     def __post_init__(self) -> None:
-        if self.arrival_time < 0:
-            raise ValueError("arrival_time must be non-negative")
+        if not (math.isfinite(self.arrival_time) and self.arrival_time >= 0):
+            raise ValueError(
+                f"arrival_time must be finite and non-negative, got {self.arrival_time}"
+            )
         if self.prompt_tokens < 1 or self.output_tokens < 1:
             raise ValueError("prompt_tokens and output_tokens must be >= 1")
 

@@ -65,9 +65,10 @@ class ContinuousBatchingScheduler:
     The running set is three parallel columns in admission order -- request
     ID, prompt tokens still to prefill, output tokens still to emit -- plus a
     count of the running requests that are still prefilling.  Prefill is
-    FCFS, so the decoding requests are always a head of the running set: an
-    iteration with nothing prefilling is a slice of the ID column, and its
-    decodes are one comprehension over the head of the output column.
+    FCFS, so the decoding requests are always a head of the running set and
+    the prefilling ones its tail: a batch's decodes are a slice of the ID
+    column, applied as one comprehension over the head of the output column,
+    and :meth:`apply` rejects a batch whose decodes are not such a head.
     """
 
     def __init__(self, max_batch_tokens: int = 2048, max_batch_size: int = 64) -> None:
@@ -144,23 +145,18 @@ class ContinuousBatchingScheduler:
         if not ids:
             return None
 
-        budget = self.max_batch_tokens
-        if not self._prefilling:
-            decode = tuple(ids[:budget])
-            return IterationBatch(prefill=(), decode=decode, total_tokens=len(decode))
-
-        decode = tuple([rid for rid, left in zip(ids, self._prefill) if not left][:budget])
-        budget -= len(decode)
+        decoding = len(ids) - self._prefilling
+        decode = tuple(ids[:min(self.max_batch_tokens, decoding)])
+        budget = self.max_batch_tokens - len(decode)
         prefill: list[PrefillChunk] = []
-        for rid, left in zip(ids, self._prefill):
+        for rid, left in zip(ids[decoding:], self._prefill[decoding:]):
             if budget <= 0:
                 break
-            if left:
-                tokens = min(left, budget)
-                prefill.append(
-                    PrefillChunk(request_id=rid, tokens=tokens, finishes_prefill=tokens == left)
-                )
-                budget -= tokens
+            tokens = min(left, budget)
+            prefill.append(
+                PrefillChunk(request_id=rid, tokens=tokens, finishes_prefill=tokens == left)
+            )
+            budget -= tokens
         return IterationBatch(
             prefill=tuple(prefill), decode=decode, total_tokens=self.max_batch_tokens - budget
         )
@@ -204,8 +200,19 @@ class ContinuousBatchingScheduler:
         self._output = [remaining - iterations for remaining in output]
 
     def apply(self, batch: IterationBatch) -> IterationOutcome:
-        """Account one executed batch; returns first-token/finish events."""
+        """Account one executed batch; returns first-token/finish events.
+
+        The batch's decodes must be a head of the running set, as
+        :meth:`next_batch` packs them.  Evicting a request that the batch
+        skipped keeps them one: it sits after that head.
+        """
         ids, output = self._ids, self._output
+        decode = batch.decode
+        count = len(decode)
+        if decode != tuple(ids[:count]):
+            raise ValueError(
+                f"batch decodes {list(decode)}, not the head {ids[:count]} of the running set"
+            )
         first_tokens: tuple[int, ...] = ()
         if batch.prefill:
             prefill = self._prefill
@@ -224,19 +231,11 @@ class ContinuousBatchingScheduler:
                     emitted.append(chunk.request_id)
             first_tokens = tuple(emitted)
 
-        decode = batch.decode
-        count = len(decode)
-        if count and decode == tuple(ids[:count]):
+        if count:
             head = output[:count]
             if 0 in head:
                 raise ValueError(f"request {decode[head.index(0)]} decoded past its output length")
             output[:count] = [remaining - 1 for remaining in head]
-        else:
-            for request_id in decode:
-                index = ids.index(request_id)
-                if not output[index]:
-                    raise ValueError(f"request {request_id} decoded past its output length")
-                output[index] -= 1
 
         if 0 not in output:
             if not first_tokens:

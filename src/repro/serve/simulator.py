@@ -28,9 +28,7 @@ failover.  Fault timelines are seeded, so chaos runs replay bit-identically.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
 
 from repro import obs
 from repro.comm.topology import Topology, a800_nvlink
@@ -194,9 +192,8 @@ class ServingSimulator:
         Each ``(bucket, comm_factor)`` is priced once per simulator.  An
         overlap-mode repeat replays the plan cache's accounting through
         :meth:`PlanCache.repeat_lookups`, or looks every problem up again
-        (and re-prices) once a bounded cache has evicted or rebuilt one of
-        its plans.  A cache of capacity 0 keeps no plan, so nothing is
-        memoized.
+        (and re-prices) once the cache has evicted or rebuilt one of its
+        plans -- always, for a cache of capacity 0.
         """
         bucket = bucket_tokens(total_tokens)
         key = (bucket, comm_factor)
@@ -223,8 +220,7 @@ class ServingSimulator:
                 looked_up.append((cache.key(op.problem), plan))
                 per_layer += plan.overlap_latency * op.count
         latency = per_layer * self.config.layers + ITERATION_OVERHEAD_US * 1e-6
-        if cache is None or cache.capacity:
-            self._priced[key] = (latency, looked_up)
+        self._priced[key] = (latency, looked_up)
         return latency
 
     # -- event loop ------------------------------------------------------------------
@@ -356,14 +352,18 @@ class ServingSimulator:
             run = scheduler.steady_decode_run()
             if run <= 0:
                 return
-            # finishes[i] is the i-th repeat's finish time, summed one latency
-            # at a time; the repeats that land before the next event run.
-            finishes = list(accumulate(repeat(latency, run), initial=engine.now))
             upcoming = engine.next_event_time()
-            count = run if upcoming is None else bisect_left(finishes, upcoming, 1) - 1
+            time = engine.now
+            count = 0
+            while count < run:
+                finish = time + latency
+                if upcoming is not None and finish >= upcoming:
+                    break
+                time = finish
+                count += 1
             if count == 0:
                 return
-            engine.advance_to(finishes[count])
+            engine.advance_to(time)
             scheduler.advance_decodes(count)
             iterations_by_tokens[batch.total_tokens] += count
             latency_histogram.observe_repeated(latency, count)

@@ -18,7 +18,6 @@ from typing import Any, Callable
 
 @dataclass
 class _ScheduledEvent:
-    time: float
     callback: Callable[..., Any]
     args: tuple = ()
     cancelled: bool = False
@@ -47,7 +46,7 @@ class EventEngine:
         """Schedule ``callback(*args)`` at absolute simulation time ``time``."""
         if time < self._now:
             raise ValueError(f"cannot schedule event at {time} before now ({self._now})")
-        event = _ScheduledEvent(time=time, callback=callback, args=args)
+        event = _ScheduledEvent(callback=callback, args=args)
         heapq.heappush(self._queue, (time, next(self._counter), event))
         return event
 

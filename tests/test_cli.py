@@ -453,6 +453,21 @@ class TestCleanErrors:
         assert f"repro {argv[0]}: error: {message}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("arrival", ["NaN", "Infinity", '"nan"', '"-inf"', "-1.0"])
+    def test_trace_arrival_that_is_not_finite_and_non_negative_exits_2(
+        self, capsys, tmp_path, arrival
+    ):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(
+            '{"arrival_time": 0.0, "prompt_tokens": 8, "output_tokens": 4}\n'
+            f'{{"arrival_time": {arrival}, "prompt_tokens": 8, "output_tokens": 4}}\n',
+            encoding="utf-8",
+        )
+        assert main(["serve", "--smoke", "--trace", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert "repro serve: error: arrival_time must be finite and non-negative, got " in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("flag", ["--trace", "--faults"])
     def test_missing_serve_input_file_exits_2(self, capsys, tmp_path, flag):
         missing = tmp_path / "missing.json"

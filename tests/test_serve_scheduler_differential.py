@@ -141,21 +141,27 @@ def test_columnar_scheduler_matches_the_reference(limits, ops):
     assert not production.has_work and not reference.has_work
 
 
-def test_decodes_off_the_head_of_the_running_set_are_found_by_id():
-    """A batch that decodes only the second running request."""
-    schedulers = [cls(max_batch_tokens=64, max_batch_size=4)
-                  for cls in (ContinuousBatchingScheduler, ReferenceScheduler)]
-    for scheduler in schedulers:
-        scheduler.add(request(0, prompt=4, output=3))
-        scheduler.add(request(1, prompt=4, output=2))
-        scheduler.apply(scheduler.next_batch())  # both prefilled, one token each
-    batch = IterationBatch(prefill=(), decode=(1,), total_tokens=1)
-    outcomes = [scheduler.apply(batch) for scheduler in schedulers]
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0].finished == (1,)
-    batches = [scheduler.next_batch() for scheduler in schedulers]
-    assert batches[0] == batches[1]
-    assert batches[0].decode == (0,)
+def prefilled_pair(scheduler):
+    """Two running requests, both prefilled (one token each emitted)."""
+    scheduler.add(request(0, prompt=4, output=3))
+    scheduler.add(request(1, prompt=4, output=2))
+    scheduler.apply(scheduler.next_batch())
+    return scheduler
+
+
+def test_batches_that_do_not_decode_the_head_are_rejected():
+    """Decodes off the head, or of one request twice, are not the running set's head."""
+    for decode, message in (
+        ((1,), "batch decodes [1], not the head [0] of the running set"),
+        ((0, 0), "batch decodes [0, 0], not the head [0, 1] of the running set"),
+        ((0, 1, 2), "batch decodes [0, 1, 2], not the head [0, 1] of the running set"),
+    ):
+        scheduler = prefilled_pair(ContinuousBatchingScheduler(max_batch_tokens=64, max_batch_size=4))
+        batch = IterationBatch(prefill=(), decode=decode, total_tokens=len(decode))
+        assert outcome_of(partial(scheduler.apply, batch)) == ("error", ValueError, message)
+        # Rejected before any column changes: the next batch decodes both.
+        assert scheduler.next_batch().decode == (0, 1)
+        assert scheduler.steady_decode_run() == 0  # request 1 has one token left
 
 
 def test_inconsistent_batches_are_rejected_like_the_reference():
@@ -165,13 +171,14 @@ def test_inconsistent_batches_are_rejected_like_the_reference():
         scheduler.apply(batch)
         scheduler.apply(batch)
 
-    def decode_twice_in_one_batch(scheduler):
-        scheduler.add(request(0, prompt=1, output=2))
-        scheduler.apply(scheduler.next_batch())  # prefill emits token one of two
-        scheduler.apply(IterationBatch(prefill=(), decode=(0, 0), total_tokens=2))
+    def decode_in_the_prefill_batch(scheduler):
+        scheduler.add(request(0, prompt=1, output=1))
+        batch = scheduler.next_batch()  # the prefill emits the only output token
+        scheduler.apply(IterationBatch(prefill=batch.prefill, decode=(0,), total_tokens=2))
 
     for drive, message in ((prefill_twice, "request 0 prefilled past its prompt"),
-                           (decode_twice_in_one_batch, "request 0 decoded past its output length")):
+                           (decode_in_the_prefill_batch,
+                            "request 0 decoded past its output length")):
         errors = [
             outcome_of(partial(drive, cls(max_batch_tokens=4, max_batch_size=2)))
             for cls in (ContinuousBatchingScheduler, ReferenceScheduler)

@@ -8,9 +8,11 @@ under a second.
 
 import json
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
+from repro import api
 from repro.comm.topology import a800_nvlink
 from repro.serve import (
     PlanCache,
@@ -90,6 +92,36 @@ class TestPlanCacheBenefit:
         assert uncached.plan_cache_stats["tuner_invocations"] > (
             results["overlap"].plan_cache_stats["tuner_invocations"]
         )
+
+
+class TestPricingMemo:
+    """Each (bucket, comm_factor) is priced once per simulator; an overlap-mode
+    repeat replays the plan cache's accounting with ``repeat_lookups``."""
+
+    @pytest.mark.parametrize("capacity", [1, 2, 3, 4, 6])
+    @pytest.mark.parametrize("fault_preset", [None, "degraded-link"])
+    def test_replayed_repeats_match_real_lookups(self, capacity, fault_preset):
+        """Small caches evict between repeats, so the memo replays some and
+        re-prices others; every payload number, ``plan_cache`` counters
+        included, equals the run in which every repeat looks its plans up.
+        Each bucket looks up two plans, so from capacity 4 on the LRU order
+        the replays leave decides which plan is evicted."""
+        args = dict(smoke=True, plan_cache=capacity, fault_preset=fault_preset)
+        calls = []
+        real = PlanCache.repeat_lookups
+
+        def counted(cache, looked_up):
+            calls.append(real(cache, looked_up))
+            return calls[-1]
+
+        with mock.patch.object(PlanCache, "repeat_lookups", counted):
+            replayed = api.serve(**args).to_dict()
+        with mock.patch.object(PlanCache, "repeat_lookups", lambda cache, looked_up: False):
+            looked_up = api.serve(**args).to_dict()
+        assert json.dumps(replayed, sort_keys=True) == json.dumps(looked_up, sort_keys=True)
+        assert replayed["overlap"]["plan_cache"]["evictions"] > 0
+        if capacity > 1:
+            assert True in calls and False in calls  # both branches ran
 
 
 class TestOverlapBeatsBaseline:
