@@ -538,7 +538,6 @@ def plan(
     microbatch_counts: Sequence[int] | None = None,
     schedules: Sequence[str] | None = None,
     methods: Sequence[str] | None = None,
-    layer_weights: Sequence[float] | None = None,
     max_configs: int | None = None,
     prune: bool = True,
     deadline: float | None = None,
@@ -561,7 +560,10 @@ def plan(
 
     def build():
         nonlocal layers, tp_degrees, microbatch_counts
-        from repro.plan import PLAN_METHODS, search_plan
+        # The planner is the one subsystem this module imports on first use;
+        # a profile shows that import as a phase of its own.
+        with obs.span("import", module="repro.plan"):
+            from repro.plan import PLAN_METHODS, search_plan
         from repro.workloads.e2e import workload_builders
 
         _check_names("workload", [workload], workload_builders())
@@ -585,7 +587,6 @@ def plan(
             schedules=_schedules(schedules),
             methods=tuple(methods) if methods is not None else PLAN_METHODS,
             settings=OverlapSettings(seed=seed),
-            layer_weights=tuple(layer_weights) if layer_weights is not None else None,
             max_configs=max_configs,
             prune=prune,
             deadline_s=deadline,

@@ -28,7 +28,6 @@ class PlanPoint:
     partition: tuple[int, ...]
     schedule: str
     method: str  # "overlap" | "non-overlap" -- the on/off axis of the search
-    partitioner: str
     step_latency: float
     peak_activation_bytes: float
     bubble_ratio: float
@@ -62,7 +61,6 @@ class PlanPoint:
             "partition": list(self.partition),
             "schedule": self.schedule,
             "method": self.method,
-            "partitioner": self.partitioner,
             "step_latency": self.step_latency,
             "peak_activation_bytes": self.peak_activation_bytes,
             "bubble_ratio": self.bubble_ratio,

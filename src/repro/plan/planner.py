@@ -54,7 +54,6 @@ from repro.workloads.pipeline import (
     PipelineWorkload,
     build_pipeline_workload,
     check_pipeline_inputs,
-    partition_layers_weighted,
 )
 
 __all__ = [
@@ -156,7 +155,6 @@ class _Batch:
     stages: int
     microbatches: int
     partition: tuple[int, ...]
-    partitioner: str
     workload: PipelineWorkload
     lb_latency: float
     lb_memory: float
@@ -229,7 +227,6 @@ def _batch_points(
                     partition=batch.partition,
                     schedule=name,
                     method=method,
-                    partitioner=batch.partitioner,
                     step_latency=result.step_latency,
                     peak_activation_bytes=memory,
                     bubble_ratio=result.bubble_ratio,
@@ -249,7 +246,6 @@ def search_plan(
     schedules: Sequence[str] = tuple(KNOWN_SCHEDULES),
     methods: Sequence[str] = PLAN_METHODS,
     settings: OverlapSettings = DEFAULT_SETTINGS,
-    layer_weights: Sequence[float] | None = None,
     max_configs: int | None = None,
     prune: bool = True,
     deadline_s: float | None = None,
@@ -257,12 +253,13 @@ def search_plan(
 ) -> PlanSearchReport:
     """Search the joint parallelism space of one workload on one cluster.
 
-    ``layer_weights`` overrides the per-layer costs the weighted partitioner
-    splits on (the registry's transformer stacks repeat one layer, so the
-    derived weights are uniform and the weighted split coincides with the
-    balanced one; heterogeneous stacks make them diverge).  ``max_configs``
-    bounds the number of priced batches (skipped ones are reported, never
-    silently dropped); ``prune=False`` disables dominated-batch pruning.
+    Each feasible (tp, stages, microbatches) shell is one batch on the
+    balanced stage partition of
+    :func:`~repro.workloads.pipeline.partition_layers` (the registry's
+    transformer stacks repeat one layer, so that split already has the
+    smallest bottleneck stage).  ``max_configs`` bounds the number of priced
+    batches (skipped ones are reported, never silently dropped);
+    ``prune=False`` disables dominated-batch pruning.
 
     ``deadline_s`` bounds the *wall clock* of the pricing loop: batches are
     priced best-bound-first, so when the budget runs out the report holds the
@@ -296,7 +293,7 @@ def search_plan(
     pruned_counter = obs.counter("plan.batches_pruned")
     skipped_counter = obs.counter("plan.batches_skipped")
 
-    # -- expand shells into priced-workload batches (balanced + weighted) --------
+    # -- expand each shell into one priced-workload batch -------------------------
     with obs.span("plan.enumerate", workload=workload) as enumerate_span:
         shells, skipped = enumerate_shells(cluster, tp_degrees, microbatch_counts)
         hits_before, misses_before = estimator.plan_store.hits, estimator.plan_store.misses
@@ -315,7 +312,7 @@ def search_plan(
                 )
                 continue
             try:
-                balanced = build_pipeline_workload(
+                pipeline_workload = build_pipeline_workload(
                     workload,
                     stages=shell.stages,
                     microbatches=shell.microbatches,
@@ -329,63 +326,29 @@ def search_plan(
                     SkippedCandidate(shell.tp, shell.stages, shell.microbatches, str(error))
                 )
                 continue
-            # Per-layer costs through the shared plan store (cheap: the stream's
-            # shapes are cached after the first shell that produces them).  The
-            # registry stacks repeat one layer, so the derived weights are
-            # uniform unless the caller supplies heterogeneous ones.
-            costs = price_pipeline(balanced, estimator.e2e)
-            stage0 = costs.stages[0]
-            overlap0 = stage0.vector("overlap")
+            # One layer's perfect-overlap cost through the shared plan store
+            # (cheap: the stream's shapes are cached after the first shell
+            # that produces them) bounds the batch's step latency.
+            stage0 = price_pipeline(pipeline_workload, estimator.e2e).stages[0]
             bound0 = stage0.vector("theoretical")
-            per_layer_overlap = (overlap0.forward + overlap0.dgrad + overlap0.wgrad) / stage0.layers
             per_layer_bound = (bound0.forward + bound0.dgrad + bound0.wgrad) / stage0.layers
-            total_layers = balanced.microbatch.layers
-            weights = list(layer_weights) if layer_weights else [per_layer_overlap] * total_layers
-            if len(weights) != total_layers:
-                raise ValueError(
-                    f"layer_weights has {len(weights)} entries for a "
-                    f"{total_layers}-layer stack"
+            stage_layers = pipeline_workload.stage_layers
+            batches.append(
+                _Batch(
+                    tp=shell.tp,
+                    stages=shell.stages,
+                    microbatches=shell.microbatches,
+                    partition=stage_layers,
+                    workload=pipeline_workload,
+                    lb_latency=shell.microbatches * per_layer_bound * max(stage_layers),
+                    lb_memory=_memory_lower_bound(
+                        schedules,
+                        stage_layers,
+                        shell.microbatches,
+                        pipeline_workload.activation_bytes,
+                    ),
                 )
-            weighted = partition_layers_weighted(weights, shell.stages)
-
-            partitions = [(balanced.stage_layers, "balanced")]
-            if weighted != balanced.stage_layers:
-                partitions.append((weighted, "weighted"))
-            elif shell.stages > 1:
-                partitions = [(balanced.stage_layers, "balanced=weighted")]
-            for stage_layers, partitioner in partitions:
-                if stage_layers == balanced.stage_layers:
-                    pipeline_workload = balanced
-                else:
-                    pipeline_workload = build_pipeline_workload(
-                        workload,
-                        stages=shell.stages,
-                        microbatches=shell.microbatches,
-                        tokens=tokens,
-                        device=cluster.device_spec,
-                        topology=topology,
-                        layers=layers,
-                        partition=stage_layers,
-                    )
-                batches.append(
-                    _Batch(
-                        tp=shell.tp,
-                        stages=shell.stages,
-                        microbatches=shell.microbatches,
-                        partition=stage_layers,
-                        partitioner=partitioner,
-                        workload=pipeline_workload,
-                        lb_latency=(
-                            shell.microbatches * per_layer_bound * max(stage_layers)
-                        ),
-                        lb_memory=_memory_lower_bound(
-                            schedules,
-                            stage_layers,
-                            shell.microbatches,
-                            pipeline_workload.activation_bytes,
-                        ),
-                    )
-                )
+            )
         skipped_counter.inc(len(skipped))
         enumerate_span.note(shells=len(shells), batches=len(batches), skipped=len(skipped))
 

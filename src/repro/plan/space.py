@@ -33,7 +33,7 @@ DEFAULT_MICROBATCH_COUNTS = (1, 2, 4, 8)
 
 @dataclass(frozen=True)
 class CandidateShell:
-    """One (tp, stages, microbatches) cell before partition expansion."""
+    """One (tp, stages, microbatches) cell, priced on the balanced stage partition."""
 
     tp: int
     stages: int

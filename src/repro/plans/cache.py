@@ -122,26 +122,21 @@ class PlanCache:
         return entry
 
     def count_repeat_hits(self, lookups: int) -> None:
-        """Account ``lookups`` repeats of lookups that just hit.
-
-        The serving fast path collapses runs of identical iterations; each
-        skipped iteration would have re-issued the same (warm) lookups, so
-        their hit counters are bumped in bulk.  The LRU order is already
-        correct: repeating a ``move_to_end`` of the same keys is a no-op.
-        """
+        """Count ``lookups`` hits that :meth:`repeat_lookups` replays in bulk."""
         if lookups <= 0:
             return
         self.hits += lookups
         obs.counter("plan_store.hits").inc(lookups)
 
-    def repeat_lookups(self, looked_up: list[tuple[tuple, PricedPlan]]) -> bool:
-        """Repeat earlier lookups, given as their ``(key, plan)`` results in order.
+    def repeat_lookups(self, looked_up: list[tuple[tuple, PricedPlan]], repeats: int) -> bool:
+        """Repeat earlier lookups ``repeats`` times, given as their results in order.
 
-        When every plan is still the cached entry of its key, each repeat
-        would hit: the keys move to the LRU end in lookup order and the hits
-        are counted in bulk.  When an entry was evicted or rebuilt since,
-        nothing changes and the result is False; the caller then looks its
-        problems up again.
+        ``looked_up`` holds one ``(key, plan)`` pair per lookup.  When every
+        plan is still the cached entry of its key, each repeat would hit: the
+        keys move to the LRU end in lookup order (a second pass leaves the
+        same order) and the hits are counted in bulk.  When an entry was
+        evicted or rebuilt since, nothing changes and the result is False;
+        the caller then looks its problems up again.
         """
         entries = self._entries
         for key, plan in looked_up:
@@ -149,7 +144,7 @@ class PlanCache:
                 return False
         for key, _ in looked_up:
             entries.move_to_end(key)
-        self.count_repeat_hits(len(looked_up))
+        self.count_repeat_hits(len(looked_up) * repeats)
         return True
 
     def _build_plan(self, problem: OverlapProblem) -> PricedPlan:

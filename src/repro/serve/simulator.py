@@ -197,9 +197,8 @@ class ServingSimulator:
         """
         bucket = bucket_tokens(total_tokens)
         key = (bucket, comm_factor)
-        cache = self.plan_cache if self.mode == "overlap" else None
         priced = self._priced.get(key)
-        if priced is not None and (cache is None or cache.repeat_lookups(priced[1])):
+        if priced is not None and self._repeat_lookups(key, 1):
             return priced[0]
         ops = llm_inference_layer(
             self.config.model,
@@ -208,6 +207,7 @@ class ServingSimulator:
             self.config.device,
             self.config.topology.degraded(comm_factor),
         )
+        cache = self.plan_cache if self.mode == "overlap" else None
         per_layer = 0.0
         looked_up: list[tuple[tuple, PricedPlan]] = []
         for op in ops:
@@ -222,6 +222,16 @@ class ServingSimulator:
         latency = per_layer * self.config.layers + ITERATION_OVERHEAD_US * 1e-6
         self._priced[key] = (latency, looked_up)
         return latency
+
+    def _repeat_lookups(self, key: tuple[int, float], repeats: int) -> bool:
+        """Account ``repeats`` repeats of the plan lookups that priced ``key``.
+
+        True when no repeat needs a real lookup: in non-overlap mode, or when
+        :meth:`PlanCache.repeat_lookups` finds every plan still cached.
+        """
+        if self.mode != "overlap":
+            return True
+        return self.plan_cache.repeat_lookups(self._priced[key][1], repeats)
 
     # -- event loop ------------------------------------------------------------------
 
@@ -338,14 +348,16 @@ class ServingSimulator:
             if expired_pending:
                 evict_expired()
 
-        def advance_steady_run(batch: IterationBatch, latency: float, lookups: int) -> None:
+        def advance_steady_run(batch: IterationBatch, latency: float) -> None:
             """Collapse the silent steady-decode stretch following ``batch``.
 
             After a committed decode-only iteration that finished nobody, the
             upcoming iterations repeat it exactly -- same requests, tokens,
-            bucket and (cache-warm) latency -- until a request runs out of
-            output tokens or an engine event intervenes.  Their side effects
-            are applied in bulk, bit-identically to executing each one.
+            bucket and latency -- until a request runs out of output tokens
+            or an engine event intervenes.  Their side effects are applied in
+            bulk, bit-identically to executing each one; the stretch runs
+            iteration by iteration instead when its plan lookups would not
+            all hit (a cache too small to keep one iteration's plans).
             """
             if scheduler.running_count != len(batch.decode):
                 return  # somebody finished: the next batch differs
@@ -363,17 +375,15 @@ class ServingSimulator:
                 count += 1
             if count == 0:
                 return
+            # Each repeat re-issues the committed iteration's plan lookups.
+            if not self._repeat_lookups((bucket_tokens(batch.total_tokens), 1.0), count):
+                return
             engine.advance_to(time)
             scheduler.advance_decodes(count)
             iterations_by_tokens[batch.total_tokens] += count
             latency_histogram.observe_repeated(latency, count)
-            if self.plan_cache is not None:
-                # Each skipped iteration would have re-issued the same warm
-                # plan lookups as the committed one.
-                self.plan_cache.count_repeat_hits(lookups * count)
 
         def start_next_iteration() -> None:
-            cache = self.plan_cache
             while True:
                 now = engine.now
                 if injector is not None and injector.is_down(now):
@@ -383,7 +393,6 @@ class ServingSimulator:
                 if batch is None:
                     state["busy"] = False
                     return
-                lookups_before = cache.lookups if cache is not None else 0
                 if injector is None:
                     latency = self.iteration_latency(batch.total_tokens)
                     finish = now + latency
@@ -402,11 +411,7 @@ class ServingSimulator:
                     engine.advance_to(finish)
                     commit(batch)
                     if injector is None and not batch.prefill:
-                        advance_steady_run(
-                            batch,
-                            latency,
-                            cache.lookups - lookups_before if cache is not None else 0,
-                        )
+                        advance_steady_run(batch, latency)
                     continue
                 state["busy"] = True
                 inflight["event"] = engine.schedule(finish, finish_iteration, batch)

@@ -8,10 +8,6 @@ workload side:
 
 * :func:`partition_layers` -- the balanced contiguous stage partition
   (Megatron-style: remainders go to the earliest stages);
-* :func:`partition_layers_weighted` -- the cost-weighted contiguous partition:
-  a dynamic program over per-layer costs that minimises the bottleneck stage
-  (the auto-parallelism planner's partitioner; on a uniform stack it reduces
-  to the balanced split);
 * :class:`PipelineWorkload` -- one *microbatch's* operator stream through the
   full layer stack, plus the stage partition, the microbatch count and the
   activation-boundary size that the inter-stage P2P transfers move;
@@ -42,7 +38,6 @@ from repro.workloads.t2v import STEP_VIDEO_T2V
 __all__ = [
     "PipelineWorkload",
     "partition_layers",
-    "partition_layers_weighted",
     "check_pipeline_inputs",
     "build_pipeline_workload",
 ]
@@ -74,81 +69,6 @@ def partition_layers(layers: int, stages: int) -> tuple[int, ...]:
         )
     base, extra = divmod(layers, stages)
     return tuple(base + (1 if index < extra else 0) for index in range(stages))
-
-
-def partition_layers_weighted(weights: Sequence[float], stages: int) -> tuple[int, ...]:
-    """Cost-weighted contiguous split: minimise the bottleneck stage.
-
-    ``weights[i]`` is the cost of layer ``i`` (any non-negative unit -- the
-    planner passes plan-store-priced per-layer latencies).  The returned
-    partition assigns contiguous layer runs to stages such that the largest
-    per-stage weight sum is minimal; among bottleneck-optimal partitions the
-    reconstruction keeps later stages as small as possible, so remainders go
-    to the earliest stages and a *uniform* stack reproduces
-    :func:`partition_layers` exactly (asserted by the property suite).
-
-    Pipeline step time is dominated by ``microbatches x bottleneck stage
-    cost``, so minimising the bottleneck is the right objective for the
-    planner's stage axis; the sum-of-squares refinement keeps the remaining
-    stages as even as possible (it is what collapses the bottleneck-optimal
-    tie set to the balanced split on uniform stacks).
-    """
-    layers = len(weights)
-    if stages < 1:
-        raise ValueError("stages must be >= 1")
-    if layers < stages:
-        raise ValueError(
-            f"cannot split {layers} layers across {stages} stages "
-            "(each stage needs at least one layer)"
-        )
-    if any(w < 0 for w in weights):
-        raise ValueError("layer weights must be non-negative")
-    if stages == 1:
-        return (layers,)
-
-    prefix = [0.0]
-    for w in weights:
-        prefix.append(prefix[-1] + float(w))
-
-    def span(start: int, end: int) -> float:
-        return prefix[end] - prefix[start]
-
-    infinity = float("inf")
-    # Pass 1 -- dp[s][i]: minimal bottleneck splitting the first i layers into
-    # s contiguous stages of >= 1 layer each.
-    dp = [[infinity] * (layers + 1) for _ in range(stages + 1)]
-    dp[0][0] = 0.0
-    for s in range(1, stages + 1):
-        for i in range(s, layers + 1):
-            dp[s][i] = min(
-                max(dp[s - 1][j], span(j, i)) for j in range(s - 1, i)
-            )
-    bottleneck = dp[stages][layers]
-
-    # Pass 2 -- among bottleneck-optimal partitions, minimise the sum of
-    # squared stage costs (the most even split).  Ties prefer the larger
-    # break point, i.e. the smaller *later* stage, so remainders land on the
-    # earliest stages -- the balanced split's Megatron convention.
-    sq = [[infinity] * (layers + 1) for _ in range(stages + 1)]
-    choice = [[0] * (layers + 1) for _ in range(stages + 1)]
-    sq[0][0] = 0.0
-    for s in range(1, stages + 1):
-        for i in range(s, layers + 1):
-            for j in range(s - 1, i):
-                cost = span(j, i)
-                if cost > bottleneck or sq[s - 1][j] == infinity:
-                    continue
-                candidate = sq[s - 1][j] + cost * cost
-                if candidate <= sq[s][i]:
-                    sq[s][i] = candidate
-                    choice[s][i] = j
-    counts: list[int] = []
-    end = layers
-    for s in range(stages, 0, -1):
-        start = choice[s][end]
-        counts.append(end - start)
-        end = start
-    return tuple(reversed(counts))
 
 
 @dataclass(frozen=True)
@@ -226,10 +146,10 @@ def build_pipeline_workload(
     The paper input size (or ``tokens``) is split evenly into ``microbatches``
     -- the microbatch token count is what sizes every GEMM, so the plan store
     tunes the *microbatch* shapes -- and the layer stack is partitioned into
-    ``stages`` contiguous groups.  An explicit ``partition`` (e.g. from
-    :func:`partition_layers_weighted`, or a replayed plan file) overrides the
-    balanced split; it must have ``stages`` entries summing to the layer
-    count.  All other knobs match :func:`repro.workloads.e2e.build_workload`.
+    ``stages`` contiguous groups.  An explicit ``partition`` (``repro pp
+    --partition`` or a replayed plan file) overrides the balanced split; it
+    must have ``stages`` entries summing to the layer count.  All other knobs
+    match :func:`repro.workloads.e2e.build_workload`.
     """
     check_pipeline_inputs(name, tokens)
     if microbatches < 1:

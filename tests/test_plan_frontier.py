@@ -32,7 +32,6 @@ def _point(index: int, latency: float, memory: float) -> PlanPoint:
         partition=(1, 1),
         schedule="1f1b",
         method="overlap",
-        partitioner="balanced",
         step_latency=latency,
         peak_activation_bytes=float(memory),
         bubble_ratio=0.1,

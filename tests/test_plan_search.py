@@ -30,6 +30,7 @@ from repro.plan import (
     verify_replay,
 )
 from repro.pp.report import estimate_pipelines
+from repro.workloads.pipeline import partition_layers
 
 SMOKE = dict(
     workload="llama3-training",
@@ -133,6 +134,20 @@ class TestWinnerPlan:
         estimate = estimate_plan(winner)
         replayed = estimate.schedules[winner.schedule].methods[winner.method]
         assert replayed.step_latency == winner.predicted["step_latency"]
+
+
+class TestOnePartitionPerShell:
+    def test_uneven_stack_prices_only_the_balanced_split(self):
+        # 10 layers do not split evenly across 4 or 8 stages; every feasible
+        # shell is still one batch, on the balanced partition.
+        layers = 10
+        report = search_plan(workload="llama2-training", cluster=ClusterSpec(gpus=8), layers=layers)
+        space = report.space
+        infeasible = sum(1 for skip in space["skipped"] if skip["stages"] is not None)
+        assert space["batches"] == space["shells"] - infeasible
+        assert report.points
+        for entry in [point.to_dict() for point in report.points] + space["pruned"]:
+            assert tuple(entry["partition"]) == partition_layers(layers, entry["stages"])
 
 
 class TestSearchEdges:

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from oracles.serve import serve_reference
 from repro.faults import FaultInjector, ResiliencePolicy, build_fault_preset, fault_presets
+from repro.plans.cache import PlanCache
 from repro.serve.arrivals import PoissonArrivals, distribution_by_name, length_distributions
 from repro.serve.simulator import ServeConfig, ServingSimulator
 from repro.sim.engine import EventEngine
@@ -117,6 +118,27 @@ class TestFaultFreeBitIdentity:
         fast, reference = run_both(config, requests, mode="overlap")
         assert payload(fast) == payload(reference)
         assert fast.plan_cache_stats == reference.plan_cache_stats
+
+    @pytest.mark.parametrize("capacity", [0, 1, 2, 3])
+    def test_overlap_mode_with_a_small_plan_cache(self, capacity):
+        """A cache that cannot keep one iteration's two plans looks every
+        steady-decode repeat up again, so no collapsed run books hits."""
+        config = ServeConfig(layers=2, max_batch_tokens=4096, max_batch_size=16)
+        requests = PoissonArrivals(
+            rate_rps=64.0,
+            distribution=distribution_by_name("summarize"),
+            seed=0,
+            num_requests=24,
+        ).generate()
+
+        def simulator():
+            return ServingSimulator(config, plan_cache=PlanCache(config.settings, capacity=capacity))
+
+        fast = simulator().run(requests)
+        reference = serve_reference(simulator(), requests)
+        assert payload(fast) == payload(reference)
+        if capacity < 2:
+            assert fast.plan_cache_stats["hits"] == 0
 
     def test_both_arms_match_reference(self):
         config = ServeConfig(layers=1, max_batch_tokens=512, max_batch_size=8)

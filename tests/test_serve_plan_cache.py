@@ -163,19 +163,21 @@ class TestLRUEviction:
 class TestRepeatLookups:
     """``repeat_lookups`` replays earlier lookups' accounting without re-keying."""
 
-    def test_moves_and_counts_like_the_real_lookups(self, problem, fast_settings):
+    @pytest.mark.parametrize("repeats", [1, 4])
+    def test_moves_and_counts_like_the_real_lookups(self, problem, fast_settings, repeats):
         problems = [at_tokens(problem, m) for m in (16, 32, 64)]
         replayed, looked_up = PlanCache(fast_settings, capacity=3), PlanCache(fast_settings, capacity=3)
         results = [(replayed.key(p), replayed.lookup(p)) for p in problems]
         for p in problems:
             looked_up.lookup(p)
         # Repeat the last lookup, then the first: both move to the LRU end in that order.
-        assert replayed.repeat_lookups([results[2], results[0]])
-        looked_up.lookup(problems[2])
-        looked_up.lookup(problems[0])
+        assert replayed.repeat_lookups([results[2], results[0]], repeats)
+        for _ in range(repeats):
+            looked_up.lookup(problems[2])
+            looked_up.lookup(problems[0])
         assert list(replayed._entries) == list(looked_up._entries)
         assert replayed.stats() == looked_up.stats()
-        assert (replayed.hits, replayed.misses) == (2, 3)
+        assert (replayed.hits, replayed.misses) == (2 * repeats, 3)
 
     def test_an_evicted_or_rebuilt_plan_changes_nothing(self, problem, fast_settings):
         cache = PlanCache(fast_settings, capacity=1)
@@ -183,14 +185,14 @@ class TestRepeatLookups:
         first = (cache.key(a), cache.lookup(a))
         cache.lookup(b)  # evicts a
         before = (list(cache._entries), cache.stats())
-        assert not cache.repeat_lookups([first])
+        assert not cache.repeat_lookups([first], 1)
         assert (list(cache._entries), cache.stats()) == before
         rebuilt = cache.lookup(a)  # a again, as a new plan object
         assert rebuilt is not first[1]
         before = (list(cache._entries), cache.stats())
-        assert not cache.repeat_lookups([first])
+        assert not cache.repeat_lookups([first], 1)
         assert (list(cache._entries), cache.stats()) == before
-        assert cache.repeat_lookups([(first[0], rebuilt)])
+        assert cache.repeat_lookups([(first[0], rebuilt)], 1)
         assert cache.hits == 1
 
 

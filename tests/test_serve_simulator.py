@@ -110,13 +110,13 @@ class TestPricingMemo:
         calls = []
         real = PlanCache.repeat_lookups
 
-        def counted(cache, looked_up):
-            calls.append(real(cache, looked_up))
+        def counted(cache, looked_up, repeats):
+            calls.append(real(cache, looked_up, repeats))
             return calls[-1]
 
         with mock.patch.object(PlanCache, "repeat_lookups", counted):
             replayed = api.serve(**args).to_dict()
-        with mock.patch.object(PlanCache, "repeat_lookups", lambda cache, looked_up: False):
+        with mock.patch.object(PlanCache, "repeat_lookups", lambda cache, looked_up, repeats: False):
             looked_up = api.serve(**args).to_dict()
         assert json.dumps(replayed, sort_keys=True) == json.dumps(looked_up, sort_keys=True)
         assert replayed["overlap"]["plan_cache"]["evictions"] > 0
