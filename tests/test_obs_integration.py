@@ -49,6 +49,13 @@ class TestProfiledPlan:
         assert snapshot.total_s > 0
         assert tracked / snapshot.total_s >= 0.95
 
+    def test_planner_import_is_a_phase(self, profiled):
+        # api.plan imports the planner on first use. Cold, that import is a
+        # visible share of a smoke search, so it gets a row of its own
+        # instead of landing in "(untracked)".
+        names = [phase["name"] for phase in profiled.profile.phases]
+        assert "import" in names
+
     def test_search_counters_present(self, profiled):
         counters = profiled.profile.metrics["counters"]
         for name in (
