@@ -37,48 +37,10 @@ Quickstart::
     print(op.report().speedup)
 """
 
-from repro.comm import (
-    CollectiveKind,
-    CollectiveModel,
-    Topology,
-    a800_nvlink,
-    ascend_hccs,
-    rtx4090_pcie,
-)
-from repro.core import (
-    DEFAULT_SETTINGS,
-    FlashOverlapOperator,
-    OverlapPlan,
-    OverlapProblem,
-    OverlapSettings,
-    PricedPlan,
-    WavePartition,
-)
-from repro.gpu import (
-    A800,
-    ASCEND_910B,
-    RTX_4090,
-    GemmKernelModel,
-    GemmShape,
-    GemmTileConfig,
-    GPUSpec,
-)
-from repro.serve import (
-    PlanCache,
-    PoissonArrivals,
-    ServeConfig,
-    ServingSimulator,
-    TraceArrivals,
-)
-from repro.sweep import (
-    Platform,
-    ResultStore,
-    Scenario,
-    ScenarioMatrix,
-    SweepRunner,
-    matrix_from_preset,
-    sweep_presets,
-)
+from repro.comm import CollectiveKind, a800_nvlink, rtx4090_pcie
+from repro.core import FlashOverlapOperator, OverlapProblem, WavePartition
+from repro.gpu import A800, RTX_4090, GemmShape, GemmTileConfig
+from repro.sweep import ResultStore, SweepRunner, matrix_from_preset
 
 __version__ = "0.1.0"
 
@@ -87,38 +49,18 @@ __all__ = [
     # core
     "FlashOverlapOperator",
     "OverlapProblem",
-    "OverlapSettings",
-    "OverlapPlan",
-    "PricedPlan",
     "WavePartition",
-    "DEFAULT_SETTINGS",
     # gpu
-    "GPUSpec",
     "GemmShape",
     "GemmTileConfig",
-    "GemmKernelModel",
     "RTX_4090",
     "A800",
-    "ASCEND_910B",
     # comm
     "CollectiveKind",
-    "CollectiveModel",
-    "Topology",
     "rtx4090_pcie",
     "a800_nvlink",
-    "ascend_hccs",
     # sweep
-    "Platform",
-    "Scenario",
-    "ScenarioMatrix",
     "SweepRunner",
     "ResultStore",
     "matrix_from_preset",
-    "sweep_presets",
-    # serve
-    "PoissonArrivals",
-    "TraceArrivals",
-    "PlanCache",
-    "ServeConfig",
-    "ServingSimulator",
 ]

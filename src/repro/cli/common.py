@@ -160,7 +160,7 @@ def add_profile_arguments(parser: argparse.ArgumentParser) -> None:
 def profile_scope(args: argparse.Namespace, command: str):
     """Observability session of one CLI invocation.
 
-    Yields the active :class:`~repro.obs.ObsSession` when ``--profile`` or
+    Yields the active :class:`~repro.obs.session.ObsSession` when ``--profile`` or
     ``--profile-json`` was given, else ``None`` (all instrumentation stays
     no-op).  The whole command runs inside a ``repro <command>`` root span.
     When the command body raises, the flight-recorder ring buffer is dumped

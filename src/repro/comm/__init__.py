@@ -14,33 +14,11 @@ package provides both halves:
   interconnects and are used by the simulator and the predictive tuner.
 """
 
-from repro.comm.topology import (
-    InterconnectKind,
-    Topology,
-    a800_nvlink,
-    ascend_hccs,
-    known_topologies,
-    multinode_a800,
-    rtx4090_pcie,
-)
-from repro.comm.bandwidth import AnalyticBandwidthCurve, SampledBandwidthCurve, sample_bandwidth
-from repro.comm.primitives import CollectiveKind, CollectiveModel
-from repro.comm.collectives import all_reduce, all_to_all, reduce_scatter_flat
+from repro.comm.primitives import CollectiveKind
+from repro.comm.topology import a800_nvlink, rtx4090_pcie
 
 __all__ = [
-    "InterconnectKind",
-    "Topology",
-    "rtx4090_pcie",
-    "a800_nvlink",
-    "ascend_hccs",
-    "multinode_a800",
-    "known_topologies",
-    "AnalyticBandwidthCurve",
-    "SampledBandwidthCurve",
-    "sample_bandwidth",
     "CollectiveKind",
-    "CollectiveModel",
-    "all_reduce",
-    "reduce_scatter_flat",
-    "all_to_all",
+    "a800_nvlink",
+    "rtx4090_pcie",
 ]

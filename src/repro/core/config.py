@@ -113,6 +113,9 @@ class OverlapSettings:
             raise ValueError("group-size bounds must be >= 1")
         if self.max_exhaustive_waves < 1:
             raise ValueError("max_exhaustive_waves must be >= 1")
+        for name in ("signal_poll_us", "comm_launch_us", "executor_jitter", "bandwidth_profile_noise"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.signal_poll_us < 0 or self.comm_launch_us < 0:
             raise ValueError("overheads must be non-negative")
 

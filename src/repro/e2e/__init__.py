@@ -16,21 +16,10 @@ stack:
 Wired into the CLI as ``repro e2e``.
 """
 
-from repro.e2e.estimator import (
-    DEFAULT_STORE_CAPACITY,
-    EndToEndEstimator,
-    OperatorEstimate,
-    WorkloadEstimate,
-    make_plan_store,
-)
-from repro.e2e.report import EndToEndReport, estimate_models
+from repro.e2e.estimator import EndToEndEstimator
+from repro.e2e.report import estimate_models
 
 __all__ = [
-    "DEFAULT_STORE_CAPACITY",
     "EndToEndEstimator",
-    "OperatorEstimate",
-    "WorkloadEstimate",
-    "make_plan_store",
-    "EndToEndReport",
     "estimate_models",
 ]

@@ -8,31 +8,17 @@ queries the serving simulator asks at runtime, and everything is seeded so a
 chaos run replays bit-identically (:func:`verify_fault_replay`).
 """
 
-from repro.faults.injector import DowntimeWindow, FaultInjector
-from repro.faults.metrics import build_fault_stats
-from repro.faults.plan import (
-    FAULT_KINDS,
-    FaultEvent,
-    FaultPlan,
-    build_fault_preset,
-    fault_presets,
-)
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, build_fault_preset, fault_presets
 from repro.faults.policy import ResiliencePolicy, RetryPolicy, parse_retry_policy
-from repro.faults.timeline import SpeedTimeline, SpeedWindow
 from repro.faults.verify import verify_fault_replay
 
 __all__ = [
-    "FAULT_KINDS",
-    "DowntimeWindow",
-    "FaultEvent",
     "FaultInjector",
     "FaultPlan",
     "ResiliencePolicy",
     "RetryPolicy",
-    "SpeedTimeline",
-    "SpeedWindow",
     "build_fault_preset",
-    "build_fault_stats",
     "fault_presets",
     "parse_retry_policy",
     "verify_fault_replay",

@@ -17,42 +17,12 @@ all of that analytically for a configurable device:
   are tagged with.
 """
 
-from repro.gpu.device import (
-    A100,
-    A800,
-    ASCEND_910B,
-    H100,
-    RTX_3090,
-    RTX_4090,
-    GPUSpec,
-    known_devices,
-)
-from repro.gpu.gemm import GemmKernelModel, GemmShape, GemmTileConfig
-from repro.gpu.swizzle import execution_order, swizzled_order, unswizzled_order
-from repro.gpu.epilogue import (
-    ElementwiseKernelModel,
-    ReorderOverheadModel,
-    rmsnorm,
-)
-from repro.gpu.kernels import KernelCategory
+from repro.gpu.device import A800, RTX_4090
+from repro.gpu.gemm import GemmShape, GemmTileConfig
 
 __all__ = [
-    "GPUSpec",
-    "RTX_4090",
-    "RTX_3090",
     "A800",
-    "A100",
-    "H100",
-    "ASCEND_910B",
-    "known_devices",
+    "RTX_4090",
     "GemmShape",
     "GemmTileConfig",
-    "GemmKernelModel",
-    "execution_order",
-    "swizzled_order",
-    "unswizzled_order",
-    "ElementwiseKernelModel",
-    "ReorderOverheadModel",
-    "rmsnorm",
-    "KernelCategory",
 ]

@@ -20,16 +20,9 @@ session, wraps the run in a root span and renders the
 :class:`~repro.obs.session.ProfileSnapshot` phase table.
 """
 
-from repro.obs.clock import FakeClock, SystemClock
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, metric_key
-from repro.obs.recorder import FlightRecorder
-from repro.obs.schema import load_schema, validate_profile
+from repro.obs.schema import validate_profile
 from repro.obs.session import (
-    PROFILE_VERSION,
-    ObsSession,
-    ProfileSnapshot,
     counter,
-    current,
     dump_flight,
     enabled,
     event,
@@ -39,30 +32,14 @@ from repro.obs.session import (
     observe,
     span,
 )
-from repro.obs.tracer import SpanNode, Tracer
 
 __all__ = [
-    "Counter",
-    "FakeClock",
-    "FlightRecorder",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "ObsSession",
-    "PROFILE_VERSION",
-    "ProfileSnapshot",
-    "SpanNode",
-    "SystemClock",
-    "Tracer",
     "counter",
-    "current",
     "dump_flight",
     "enabled",
     "event",
     "gauge",
     "histogram",
-    "load_schema",
-    "metric_key",
     "now",
     "observe",
     "span",

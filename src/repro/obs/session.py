@@ -24,6 +24,7 @@ import json
 from contextlib import contextmanager
 from pathlib import Path
 
+from repro.analysis.reporting import format_table
 from repro.obs.clock import SystemClock
 from repro.obs.metrics import (
     NULL_COUNTER,
@@ -98,8 +99,6 @@ class ProfileSnapshot:
 
     def phase_table(self) -> str:
         """The per-phase wall-time table ``--profile`` prints."""
-        from repro.analysis.reporting import format_table
-
         total = self.total_s
         rows = []
         for phase in self.phases:
@@ -114,8 +113,6 @@ class ProfileSnapshot:
 
     def metrics_table(self) -> str:
         """Counters, gauges and histogram summaries as one table."""
-        from repro.analysis.reporting import format_table
-
         rows = []
         for key, value in self.metrics["counters"].items():
             rows.append([key, "counter", str(value)])

@@ -34,6 +34,7 @@ asserts exact float equality, not tolerance).
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -284,6 +285,8 @@ def search_plan(
         raise ValueError("layers must be >= 1")
     if max_configs is not None and max_configs < 1:
         raise ValueError("max_configs must be >= 1")
+    if deadline_s is not None and not math.isfinite(deadline_s):
+        raise ValueError(f"the deadline must be finite, got {deadline_s}")
     if deadline_s is not None and deadline_s < 0:
         raise ValueError("the deadline must be >= 0 seconds")
 
@@ -329,10 +332,9 @@ def search_plan(
             # One layer's perfect-overlap cost through the shared plan store
             # (cheap: the stream's shapes are cached after the first shell
             # that produces them) bounds the batch's step latency.
-            stage0 = price_pipeline(pipeline_workload, estimator.e2e).stages[0]
-            bound0 = stage0.vector("theoretical")
-            per_layer_bound = (bound0.forward + bound0.dgrad + bound0.wgrad) / stage0.layers
+            bound0 = price_pipeline(pipeline_workload, estimator.e2e).vectors["theoretical"][0]
             stage_layers = pipeline_workload.stage_layers
+            per_layer_bound = (bound0.forward + bound0.dgrad + bound0.wgrad) / stage_layers[0]
             batches.append(
                 _Batch(
                     tp=shell.tp,

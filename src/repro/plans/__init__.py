@@ -6,7 +6,8 @@ the same shape-keyed store -- identical layers and repeated layers of a
 model are tuned exactly once, with hit/miss stats.
 """
 
-from repro.plans.cache import PlanCache, bucket_tokens
-from repro.plans.store import PricedCellStore, plan_key
+from repro.plans.cache import PlanCache
 
-__all__ = ["PlanCache", "PricedCellStore", "bucket_tokens", "plan_key"]
+__all__ = [
+    "PlanCache",
+]

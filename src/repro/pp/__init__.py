@@ -22,36 +22,10 @@ time.  This package adds that axis:
   JSON/Chrome-trace exports behind ``repro pp``.
 """
 
-from repro.pp.estimator import PipelineEstimate, PipelineEstimator, ScheduleEstimate
-from repro.pp.pricing import MethodCosts, PipelineCosts, StageCosts, price_pipeline
-from repro.pp.report import PipelineReport, estimate_pipelines
-from repro.pp.schedule import (
-    KNOWN_SCHEDULES,
-    Cell,
-    Schedule,
-    StageCostVector,
-    generate_schedule,
-    gpipe_schedule,
-    one_f_one_b_schedule,
-    zero_bubble_schedule,
-)
+from repro.pp.estimator import PipelineEstimator
+from repro.pp.report import estimate_pipelines
 
 __all__ = [
-    "KNOWN_SCHEDULES",
-    "Cell",
-    "Schedule",
-    "StageCostVector",
-    "generate_schedule",
-    "gpipe_schedule",
-    "one_f_one_b_schedule",
-    "zero_bubble_schedule",
-    "MethodCosts",
-    "PipelineCosts",
-    "StageCosts",
-    "price_pipeline",
-    "PipelineEstimate",
     "PipelineEstimator",
-    "ScheduleEstimate",
-    "PipelineReport",
     "estimate_pipelines",
 ]

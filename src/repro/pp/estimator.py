@@ -229,7 +229,7 @@ class PipelineEstimator:
         for method in METHODS:
             schedule = generate_schedule(
                 name,
-                costs.vectors(method),
+                costs.vectors[method],
                 workload.microbatches,
                 fwd_delay=costs.fwd_delay,
                 bwd_delay=costs.bwd_delay,

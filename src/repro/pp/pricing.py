@@ -28,15 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.comm.bandwidth import AnalyticBandwidthCurve
-from repro.e2e.estimator import EndToEndEstimator, OperatorEstimate
+from repro.e2e.estimator import EndToEndEstimator
 from repro.pp.schedule import StageCostVector
 from repro.workloads.operators import OperatorInstance
 from repro.workloads.pipeline import PipelineWorkload
 
 __all__ = [
     "METHODS",
-    "MethodCosts",
-    "StageCosts",
     "PipelineCosts",
     "classify_operator",
     "p2p_transfer_seconds",
@@ -55,66 +53,16 @@ def classify_operator(op: OperatorInstance) -> str:
 
 
 @dataclass(frozen=True)
-class MethodCosts:
-    """One duration per execution method."""
-
-    non_overlap: float = 0.0
-    overlap: float = 0.0
-    theoretical: float = 0.0
-
-    def get(self, method: str) -> float:
-        try:
-            return getattr(self, method.replace("-", "_"))
-        except AttributeError:
-            raise KeyError(f"unknown method {method!r}; known: {METHODS}") from None
-
-    def plus(self, estimate: OperatorEstimate) -> "MethodCosts":
-        """Accumulate one operator's per-occurrence latencies (x count)."""
-        return MethodCosts(
-            non_overlap=self.non_overlap + estimate.non_overlap_latency * estimate.count,
-            overlap=self.overlap + estimate.overlap_latency * estimate.count,
-            theoretical=self.theoretical + estimate.theoretical_latency * estimate.count,
-        )
-
-    def scaled(self, factor: float) -> "MethodCosts":
-        return MethodCosts(
-            non_overlap=self.non_overlap * factor,
-            overlap=self.overlap * factor,
-            theoretical=self.theoretical * factor,
-        )
-
-
-@dataclass(frozen=True)
-class StageCosts:
-    """Per-microbatch cell costs of one stage (all methods)."""
-
-    layers: int
-    forward: MethodCosts
-    dgrad: MethodCosts
-    wgrad: MethodCosts
-
-    def vector(self, method: str) -> StageCostVector:
-        """The realized durations one schedule generation runs on."""
-        return StageCostVector(
-            forward=self.forward.get(method),
-            dgrad=self.dgrad.get(method),
-            wgrad=self.wgrad.get(method),
-        )
-
-
-@dataclass(frozen=True)
 class PipelineCosts:
     """Everything schedule generation needs: stage costs + link delays."""
 
-    stages: tuple[StageCosts, ...]
+    #: Per-microbatch cell costs of every stage, one tuple per method.
+    vectors: dict[str, tuple[StageCostVector, ...]]
     fwd_delay: float
     bwd_delay: float
     #: True when the backward cells were synthesized from a forward-only
     #: stream (inference workloads; backward assumed ~ 2x forward).
     synthesized_backward: bool = False
-
-    def vectors(self, method: str) -> tuple[StageCostVector, ...]:
-        return tuple(stage.vector(method) for stage in self.stages)
 
 
 def p2p_transfer_seconds(topology, nbytes: float) -> float:
@@ -134,32 +82,40 @@ def p2p_transfer_seconds(topology, nbytes: float) -> float:
 
 def price_pipeline(workload: PipelineWorkload, estimator: EndToEndEstimator) -> PipelineCosts:
     """Price one pipeline workload's cells through the shared plan store."""
-    per_kind = {"forward": MethodCosts(), "dgrad": MethodCosts(), "wgrad": MethodCosts()}
+    # One layer's latency per method and cell kind, each operator x its count.
+    per_layer = {method: {"forward": 0.0, "dgrad": 0.0, "wgrad": 0.0} for method in METHODS}
     for op in workload.microbatch.operators:
         kind = classify_operator(op)
-        per_kind[kind] = per_kind[kind].plus(estimator.resolve_operator(op))
+        estimate = estimator.resolve_operator(op)
+        for method, latency in (
+            ("non-overlap", estimate.non_overlap_latency),
+            ("overlap", estimate.overlap_latency),
+            ("theoretical", estimate.theoretical_latency),
+        ):
+            per_layer[method][kind] += latency * estimate.count
 
-    synthesized = (
-        per_kind["dgrad"] == MethodCosts() and per_kind["wgrad"] == MethodCosts()
+    synthesized = all(
+        costs["dgrad"] == 0.0 and costs["wgrad"] == 0.0 for costs in per_layer.values()
     )
     if synthesized:
-        per_kind["dgrad"] = per_kind["forward"]
-        per_kind["wgrad"] = per_kind["forward"]
+        for costs in per_layer.values():
+            costs["dgrad"] = costs["wgrad"] = costs["forward"]
 
-    stages = tuple(
-        StageCosts(
-            layers=layers,
-            forward=per_kind["forward"].scaled(layers),
-            dgrad=per_kind["dgrad"].scaled(layers),
-            wgrad=per_kind["wgrad"].scaled(layers),
-        )
-        for layers in workload.stage_layers
-    )
     delay = 0.0
     if workload.num_stages > 1:
         delay = p2p_transfer_seconds(workload.topology, workload.activation_bytes)
     return PipelineCosts(
-        stages=stages,
+        vectors={
+            method: tuple(
+                StageCostVector(
+                    forward=costs["forward"] * layers,
+                    dgrad=costs["dgrad"] * layers,
+                    wgrad=costs["wgrad"] * layers,
+                )
+                for layers in workload.stage_layers
+            )
+            for method, costs in per_layer.items()
+        },
         fwd_delay=delay,
         bwd_delay=delay,
         synthesized_backward=synthesized,

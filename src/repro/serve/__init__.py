@@ -21,51 +21,25 @@ system:
 
 from repro.plans.cache import PlanCache, bucket_tokens
 from repro.serve.arrivals import (
-    LengthDistribution,
     PoissonArrivals,
-    Request,
     TraceArrivals,
     distribution_by_name,
     length_distributions,
 )
-from repro.serve.metrics import SLO, LatencyStats, RequestRecord, ServingMetrics, compute_metrics
-from repro.serve.scheduler import (
-    ContinuousBatchingScheduler,
-    IterationBatch,
-    IterationOutcome,
-    PrefillChunk,
-    iteration_gemm_shapes,
-    profile_iteration_tokens,
-)
-from repro.serve.simulator import (
-    SERVE_MODES,
-    ServeConfig,
-    ServingResult,
-    ServingSimulator,
-)
+from repro.serve.metrics import SLO
+from repro.serve.scheduler import iteration_gemm_shapes, profile_iteration_tokens
+from repro.serve.simulator import ServeConfig, ServingSimulator
 
 __all__ = [
-    "Request",
-    "LengthDistribution",
-    "length_distributions",
-    "distribution_by_name",
     "PoissonArrivals",
     "TraceArrivals",
-    "ContinuousBatchingScheduler",
-    "IterationBatch",
-    "IterationOutcome",
-    "PrefillChunk",
+    "distribution_by_name",
+    "length_distributions",
     "iteration_gemm_shapes",
     "profile_iteration_tokens",
     "PlanCache",
     "bucket_tokens",
     "SLO",
-    "LatencyStats",
-    "RequestRecord",
-    "ServingMetrics",
-    "compute_metrics",
-    "SERVE_MODES",
     "ServeConfig",
     "ServingSimulator",
-    "ServingResult",
 ]

@@ -10,12 +10,3 @@ as spans of a trace.  This package provides:
 * :mod:`repro.sim.trace` -- timeline traces made of spans on named streams,
   with an ASCII rendering for quick inspection (one row per stream).
 """
-
-from repro.sim.engine import EventEngine
-from repro.sim.trace import Span, Trace
-
-__all__ = [
-    "EventEngine",
-    "Span",
-    "Trace",
-]

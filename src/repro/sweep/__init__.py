@@ -16,26 +16,19 @@ A sweep turns the one-off benchmark scripts into a reusable subsystem:
   built on :mod:`repro.analysis`.
 """
 
-from repro.sweep.aggregate import (
-    group_summary_table,
-    scenario_table,
-    summarize_by_group,
-)
-from repro.sweep.matrix import Platform, Scenario, ScenarioMatrix
+from repro.sweep.aggregate import group_summary_table, scenario_table
+from repro.sweep.matrix import Scenario, ScenarioMatrix
 from repro.sweep.presets import matrix_from_preset, sweep_presets
-from repro.sweep.runner import SweepRunner, SweepSummary
+from repro.sweep.runner import SweepRunner
 from repro.sweep.store import ResultStore
 
 __all__ = [
-    "Platform",
     "Scenario",
     "ScenarioMatrix",
     "matrix_from_preset",
     "sweep_presets",
     "ResultStore",
     "SweepRunner",
-    "SweepSummary",
     "scenario_table",
     "group_summary_table",
-    "summarize_by_group",
 ]

@@ -13,6 +13,7 @@ Scenarios are built from plain strings and numbers -- not live model objects
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
 
@@ -145,7 +146,12 @@ def _normalize_overrides(overrides: Mapping) -> tuple[tuple[str, float], ...]:
         raise KeyError(
             f"unknown OverlapSettings axes {sorted(unknown)}; allowed: {sorted(SETTINGS_AXES)}"
         )
-    return tuple(sorted((str(name), float(value)) for name, value in overrides.items()))
+    normalized = tuple(sorted((str(name), float(value)) for name, value in overrides.items()))
+    for name, value in normalized:
+        if not math.isfinite(value):  # an integral field cannot even be cast
+            raise ValueError(f"{name} must be finite, got {value}")
+    OverlapSettings(**_coerce_override_types(dict(normalized)))  # raises on an invalid value
+    return normalized
 
 
 def _coerce_override_types(overrides: Mapping[str, float]) -> dict:

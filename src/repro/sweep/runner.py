@@ -27,6 +27,7 @@ Two caches with different scopes make a sweep fast:
 from __future__ import annotations
 
 import json
+import math
 import sys
 import threading
 import time
@@ -314,8 +315,8 @@ class SweepRunner:
             raise ValueError("max_retries must be >= 0")
         if retry_backoff_s < 0:
             raise ValueError("retry_backoff_s must be >= 0")
-        if heartbeat_s < 0:
-            raise ValueError("heartbeat_s must be >= 0")
+        if not (math.isfinite(heartbeat_s) and heartbeat_s >= 0):
+            raise ValueError(f"heartbeat_s must be finite and non-negative, got {heartbeat_s}")
         self.store = store
         self.workers = workers
         self.resume = resume

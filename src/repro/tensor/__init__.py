@@ -14,7 +14,3 @@ tile, used for All-to-All).  This package provides:
   packing order of each buffer is a tile tuple of
   :class:`~repro.core.reordering.ReorderPlan`.
 """
-
-from repro.tensor.layout import TileLayout
-
-__all__ = ["TileLayout"]

@@ -364,7 +364,7 @@ class TestPipelineCommand:
         assert written == sorted(f"t-{workload.name}-{schedule}.json" for schedule in KNOWN_SCHEDULES)
         for schedule_name in KNOWN_SCHEDULES:
             schedule = generate_schedule(
-                schedule_name, costs.vectors("overlap"), workload.microbatches,
+                schedule_name, costs.vectors["overlap"], workload.microbatches,
                 fwd_delay=costs.fwd_delay, bwd_delay=costs.bwd_delay,
             )
             threads = _thread_events(tmp_path / f"t-{workload.name}-{schedule_name}.json")
@@ -445,6 +445,12 @@ class TestCleanErrors:
             (["tune", "--imbalance", "nan"], "imbalance must be finite and >= 1.0, got nan"),
             (["report", "--imbalance", "inf"], "imbalance must be finite and >= 1.0, got inf"),
             (["compare", "--imbalance", "nan"], "imbalance must be finite and >= 1.0, got nan"),
+            (["plan", "--smoke", "--deadline", "nan"], "the deadline must be finite, got nan"),
+            (["plan", "--smoke", "--deadline", "inf"], "the deadline must be finite, got inf"),
+            (["sweep", "--preset", "smoke", "--heartbeat", "nan"],
+             "heartbeat_s must be finite and non-negative, got nan"),
+            (["sweep", "--preset", "smoke", "--heartbeat", "inf"],
+             "heartbeat_s must be finite and non-negative, got inf"),
         ],
     )
     def test_invalid_input_exits_2_without_traceback(self, capsys, argv, message):
@@ -452,6 +458,32 @@ class TestCleanErrors:
         err = capsys.readouterr().err
         assert f"repro {argv[0]}: error: {message}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            ('{"signal_poll_us": NaN}', "signal_poll_us must be finite, got nan"),
+            ('{"comm_launch_us": Infinity}', "comm_launch_us must be finite, got inf"),
+            ('{"seed": Infinity}', "seed must be finite, got inf"),
+            ('{"signal_poll_us": -1}', "overheads must be non-negative"),
+        ],
+    )
+    def test_invalid_settings_override_exits_2_before_any_record(
+        self, capsys, tmp_path, override, message
+    ):
+        config = tmp_path / "matrix.json"
+        config.write_text(
+            '{"name": "non-finite", "shapes": [[512, 1024, 1024]], '
+            '"platforms": [["a800", "a800-nvlink", 4]], "collectives": ["allreduce"], '
+            f'"settings_grid": [{override}]}}',
+            encoding="utf-8",
+        )
+        out = tmp_path / "r.jsonl"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"repro sweep: error: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("arrival", ["NaN", "Infinity", '"nan"', '"-inf"', "-1.0"])
     def test_trace_arrival_that_is_not_finite_and_non_negative_exits_2(

@@ -83,6 +83,14 @@ class TestOverlapSettings:
             {"max_exhaustive_waves": 0},
             {"signal_poll_us": -1.0},
             {"comm_launch_us": -1.0},
+            {"signal_poll_us": float("nan")},
+            {"signal_poll_us": float("inf")},
+            {"comm_launch_us": float("nan")},
+            {"comm_launch_us": float("inf")},
+            {"executor_jitter": float("nan")},
+            {"executor_jitter": float("inf")},
+            {"bandwidth_profile_noise": float("nan")},
+            {"bandwidth_profile_noise": float("-inf")},
         ],
     )
     def test_invalid_settings(self, kwargs):

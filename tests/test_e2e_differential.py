@@ -29,7 +29,8 @@ from hypothesis import strategies as st
 from repro.comm.primitives import CollectiveKind
 from repro.comm.topology import InterconnectKind, Topology
 from repro.core.config import OverlapProblem, OverlapSettings
-from repro.e2e import EndToEndEstimator, estimate_models, make_plan_store
+from repro.e2e import EndToEndEstimator, estimate_models
+from repro.e2e.estimator import make_plan_store
 from repro.gpu.device import GPUSpec
 from repro.gpu.gemm import GemmShape, GemmTileConfig
 from repro.pp import PipelineEstimator

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.core.config import OverlapSettings
-from repro.e2e import EndToEndEstimator, estimate_models, make_plan_store
+from repro.e2e import EndToEndEstimator, estimate_models
+from repro.e2e.estimator import make_plan_store
 from repro.sim.trace_export import export_chrome_trace
 from repro.workloads.e2e import build_workload, workload_builders
 

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.comm.topology import a800_nvlink
 from repro.faults import (
-    FaultEvent,
     FaultInjector,
     FaultPlan,
     ResiliencePolicy,
@@ -27,6 +26,7 @@ from repro.faults import (
     build_fault_preset,
     verify_fault_replay,
 )
+from repro.faults.plan import FaultEvent
 from repro.serve import (
     PlanCache,
     PoissonArrivals,

@@ -10,18 +10,16 @@ import json
 import pytest
 
 from repro.faults import (
-    FAULT_KINDS,
-    FaultEvent,
     FaultInjector,
     FaultPlan,
     ResiliencePolicy,
     RetryPolicy,
-    SpeedTimeline,
-    SpeedWindow,
     build_fault_preset,
     fault_presets,
     parse_retry_policy,
 )
+from repro.faults.plan import FAULT_KINDS, FaultEvent
+from repro.faults.timeline import SpeedTimeline, SpeedWindow
 
 
 class TestFaultEvent:

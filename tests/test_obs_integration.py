@@ -22,7 +22,8 @@ import pytest
 import repro.api as api
 from repro import obs
 from repro.cli import main
-from repro.obs import FakeClock, validate_profile
+from repro.obs import validate_profile
+from repro.obs.clock import FakeClock
 from repro.obs.metrics import NULL_COUNTER
 from repro.obs.tracer import NULL_SPAN
 from repro.sweep.runner import SweepRunner, _Heartbeat

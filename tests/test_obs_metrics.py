@@ -3,7 +3,7 @@
 import json
 
 from repro import obs
-from repro.obs import MetricsRegistry, metric_key
+from repro.obs.metrics import MetricsRegistry, metric_key
 
 
 class TestMetricKey:

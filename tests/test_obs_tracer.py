@@ -8,8 +8,8 @@ tree (and the profile JSON built from it) byte for byte.
 import json
 
 from repro import obs
-from repro.obs import FakeClock, FlightRecorder
-from repro.obs.recorder import FLIGHT_CAPACITY
+from repro.obs.clock import FakeClock
+from repro.obs.recorder import FLIGHT_CAPACITY, FlightRecorder
 
 #: The tree `_traced_run` must produce under FakeClock(start=0, step=1).
 #: Ticks in tree order: root opens at 0; a spans [1, 2); b spans [3, 6)
@@ -117,7 +117,7 @@ class TestSpanBehaviour:
         assert entry == {"kind": "event", "name": "tick", "time_s": 0.0, "attrs": {"detail": "x"}}
 
     def test_tracer_truncates_past_max_nodes(self):
-        from repro.obs import Tracer
+        from repro.obs.tracer import Tracer
 
         tracer = Tracer(FakeClock(), max_nodes=2)
         for _ in range(5):

@@ -16,7 +16,7 @@ from hypothesis import given, settings as hsettings
 from hypothesis import strategies as st
 
 from oracles.frontier import dominates
-from repro.plan import PlanPoint, pareto_frontier
+from repro.plan.frontier import PlanPoint, pareto_frontier
 from repro.plan.memory import peak_activation_bytes, stage_activation_bytes
 
 LATENCY = st.floats(min_value=1e-4, max_value=1.0, allow_nan=False, allow_infinity=False)

@@ -23,12 +23,8 @@ import pytest
 from oracles.frontier import dominates
 from repro.cluster import ClusterSpec
 from repro.core.config import OverlapSettings
-from repro.plan import (
-    ParallelismPlan,
-    estimate_plan,
-    search_plan,
-    verify_replay,
-)
+from repro.plan import ParallelismPlan, search_plan, verify_replay
+from repro.plan.planner import estimate_plan
 from repro.pp.report import estimate_pipelines
 from repro.workloads.pipeline import partition_layers
 

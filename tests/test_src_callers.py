@@ -11,11 +11,22 @@ constants under ``benchmarks/``, ``examples/`` and ``perfbench/`` count too,
 split at dots, because ``perfbench/spans.py``'s ``TARGETS`` names its traced
 entry points as ``"Class.method"`` strings.  Strings in ``src/repro``
 (docstrings included) do not.
+
+Every re-export has a caller too.  A package ``__init__`` re-exports each
+name it imports from a ``repro`` module and does not use itself.  The
+re-export is used when a caller imports the name through the package
+(``from repro.serve import ServeConfig``), reads it as an attribute of the
+package (``obs.span`` after ``from repro import obs``), or when another
+``__init__`` re-exports it from this package and that re-export is used.
+For the top-level ``repro`` package only, the README's Python code blocks
+are callers too: they hold its quickstart.  Every other public name is
+imported from the module that defines it.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -68,14 +79,20 @@ def _allowed(qualified: str) -> bool:
     return qualified == ALLOWED or qualified.startswith(ALLOWED + ".")
 
 
-def _caller_names() -> set[str]:
-    used: set[str] = set()
+def _caller_paths() -> Iterator[tuple[Path, bool]]:
+    """Every caller file, and whether its string constants count as uses."""
     for path in SRC.rglob("*.py"):
         if path.name != "__init__.py":
-            used.update(_used_names(_parse(path), count_strings=False))
+            yield path, False
     for directory in OUTSIDE_CALLERS:
         for path in (ROOT / directory).rglob("*.py"):
-            used.update(_used_names(_parse(path), count_strings=True))
+            yield path, True
+
+
+def _caller_names() -> set[str]:
+    used: set[str] = set()
+    for path, count_strings in _caller_paths():
+        used.update(_used_names(_parse(path), count_strings))
     return used
 
 
@@ -98,6 +115,86 @@ def test_allowlist_names_an_existing_class():
         for qualified, _ in _definitions(_parse(path).body, _module_name(path))
     }
     assert ALLOWED in defined
+
+
+# -- re-exports ----------------------------------------------------------------
+
+
+def _reexports(tree: ast.Module) -> dict[str, tuple[str, str]]:
+    """Re-exported name -> (source module, name there) of one ``__init__``."""
+    imported = {
+        alias.asname or alias.name: (node.module, alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+        and node.module.split(".")[0] == "repro"
+        for alias in node.names
+    }
+    own = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return {name: source for name, source in imported.items() if name not in own}
+
+
+def _dotted(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        owner = _dotted(node.value)
+        return None if owner is None else f"{owner}.{node.attr}"
+    return None
+
+
+def _module_uses(tree: ast.Module) -> Iterator[tuple[str, str]]:
+    """(module, name) of every name ``tree`` imports from or reads off a module."""
+    bound: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:  # `import repro.faults as faults` binds the module
+                    bound[alias.asname] = alias.name
+                else:  # `import repro.faults` binds `repro`
+                    head = alias.name.split(".")[0]
+                    bound[head] = head
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            for alias in node.names:
+                yield node.module, alias.name
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        owner = _dotted(node.value) if isinstance(node, ast.Attribute) else None
+        if owner is not None and owner.split(".")[0] in bound:
+            head, _, rest = owner.partition(".")
+            yield ".".join(filter(None, (bound[head], rest))), node.attr
+
+
+def _readme_trees() -> Iterator[ast.Module]:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    for block in re.findall(r"```python\n(.*?)```", text, flags=re.DOTALL):
+        yield ast.parse(block)
+
+
+def _unused_reexports() -> list[str]:
+    packages = {_module_name(path): _reexports(_parse(path)) for path in SRC.rglob("__init__.py")}
+    used = {use for path, _ in _caller_paths() for use in _module_uses(_parse(path))}
+    used |= {use for tree in _readme_trees() for use in _module_uses(tree) if use[0] == "repro"}
+    pending = list(used)
+    while pending:
+        package, name = pending.pop()
+        source = packages.get(package, {}).get(name)
+        if source is not None and source[0] in packages and source not in used:
+            used.add(source)
+            pending.append(source)
+    return sorted(
+        f"{package}.{name}"
+        for package, names in packages.items()
+        for name in names
+        if (package, name) not in used
+    )
+
+
+def test_every_reexport_has_a_caller():
+    unused = _unused_reexports()
+    assert not unused, (
+        "no caller imports these names through their package; import them from the "
+        f"module that defines them and drop the re-export: {unused}"
+    )
 
 
 # -- the rules themselves, on small sources ----------------------------------
@@ -164,6 +261,37 @@ def test_src_docstrings_are_not_uses():
 def test_names_inside_f_strings_are_uses():
     used = _uses('text = f"{report.summary_table()} in {elapsed:.3f} s"\n', count_strings=False)
     assert {"report", "summary_table", "elapsed"} <= used
+
+
+def test_reexports_skip_names_the_init_uses_itself():
+    tree = ast.parse(
+        "from repro.cli import compare, report\n"
+        "from repro.cli.common import command_error\n"
+        "from repro.core.config import OverlapProblem as Problem\n"
+        "_MODULES = (compare, report)\n"
+        "def main():\n"
+        "    return command_error\n"
+    )
+    assert _reexports(tree) == {"Problem": ("repro.core.config", "OverlapProblem")}
+
+
+def test_package_imports_and_attribute_reads_are_uses():
+    uses = set(_module_uses(ast.parse(
+        "from repro import obs\n"
+        "from repro.serve import ServeConfig\n"
+        "import repro.plan\n"
+        "import repro.faults as faults\n"
+        "obs.span('x')\n"
+        "repro.plan.search_plan()\n"
+        "faults.FaultPlan()\n"
+    )))
+    assert {
+        ("repro", "obs"),
+        ("repro.serve", "ServeConfig"),
+        ("repro.obs", "span"),
+        ("repro.plan", "search_plan"),
+        ("repro.faults", "FaultPlan"),
+    } <= uses
 
 
 def test_allowlist_covers_fakeclock_and_its_methods_only():
