@@ -58,17 +58,15 @@ class ReportMixin:
         return atomic_write_text(path, self.to_json())
 
 
-def _format_cell(value, precision: int = 3) -> str:
+def _format_cell(value) -> str:
     if isinstance(value, float):
-        return f"{value:.{precision}f}"
+        return f"{value:.3f}"
     return str(value)
 
 
-def format_table(
-    headers: Sequence[str], rows: Sequence[Sequence], precision: int = 3, title: str | None = None
-) -> str:
-    """Fixed-width text table."""
-    str_rows = [[_format_cell(cell, precision) for cell in row] for row in rows]
+def format_table(headers: Sequence[str], rows: Sequence[Sequence], title: str | None = None) -> str:
+    """Fixed-width text table; floats print with 3 decimals."""
+    str_rows = [[_format_cell(cell) for cell in row] for row in rows]
     widths = [
         max(len(str(headers[col])), *(len(row[col]) for row in str_rows)) if str_rows else len(str(headers[col]))
         for col in range(len(headers))
@@ -88,11 +86,10 @@ def format_heatmap(
     grid: np.ndarray,
     row_labels: Sequence,
     col_labels: Sequence,
-    precision: int = 2,
     corner: str = "",
     title: str | None = None,
 ) -> str:
-    """Render a 2-D array with row/column labels (Fig. 13-style heatmap)."""
+    """Render a 2-D array with row/column labels and 2-decimal cells (Fig. 13-style heatmap)."""
     grid = np.asarray(grid, dtype=np.float64)
     if grid.shape != (len(row_labels), len(col_labels)):
         raise ValueError(
@@ -102,5 +99,5 @@ def format_heatmap(
     headers = [corner] + [str(c) for c in col_labels]
     rows = []
     for label, row in zip(row_labels, grid):
-        rows.append([str(label)] + [f"{v:.{precision}f}" for v in row])
+        rows.append([str(label)] + [f"{v:.2f}" for v in row])
     return format_table(headers, rows, title=title)

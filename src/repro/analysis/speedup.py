@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.baselines import BaselineMethod, default_baselines
+from repro.core.baselines import default_baselines
 from repro.core.config import DEFAULT_SETTINGS, OverlapProblem, OverlapSettings
 from repro.core.overlap import FlashOverlapOperator, PricedPlan
 from repro.gpu.gemm import GemmShape
@@ -23,25 +23,20 @@ class OperatorComparison:
     """Speedups of every method on one problem, normalised to non-overlap."""
 
     problem: OverlapProblem
-    speedups: dict[str, float] = field(default_factory=dict)
+    speedups: dict[str, float] = field(init=False, default_factory=dict)
 
     def best_method(self) -> str:
         return max(self.speedups, key=lambda k: self.speedups[k])
 
 
-def compare_methods(
-    plan: PricedPlan,
-    methods: Sequence[BaselineMethod] | None = None,
-    settings: OverlapSettings = DEFAULT_SETTINGS,
-) -> OperatorComparison:
-    """Evaluate the baselines next to FlashOverlap's priced ``plan``.
+def compare_methods(plan: PricedPlan, settings: OverlapSettings = DEFAULT_SETTINGS) -> OperatorComparison:
+    """Evaluate the default baselines next to FlashOverlap's priced ``plan``.
 
     FlashOverlap's entry is ``plan.speedup`` itself: nothing is tuned again.
     For a bare problem, pass ``FlashOverlapOperator(problem, settings).report()``.
     """
-    methods = list(methods) if methods is not None else default_baselines(settings)
     comparison = OperatorComparison(problem=plan.problem)
-    for method in methods:
+    for method in default_baselines(settings):
         result = method.evaluate(plan.problem)
         if result.supported:
             comparison.speedups[method.name] = plan.non_overlap_latency / result.latency
@@ -110,8 +105,7 @@ def shape_survey(
     shapes: Iterable[GemmShape],
     problem_builder: Callable[[GemmShape], OverlapProblem],
     settings: OverlapSettings = DEFAULT_SETTINGS,
-    methods: Sequence[BaselineMethod] | None = None,
 ) -> list[OperatorComparison]:
     """Run the method comparison over a suite of shapes (Fig. 10 / 11 / 16)."""
     reports = (FlashOverlapOperator(problem_builder(shape), settings).report() for shape in shapes)
-    return [compare_methods(report, methods=methods, settings=settings) for report in reports]
+    return [compare_methods(report, settings=settings) for report in reports]

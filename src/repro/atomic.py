@@ -36,8 +36,8 @@ __all__ = ["atomic_write_text", "malformed_artifact", "read_json"]
 T = TypeVar("T")
 
 
-def atomic_write_text(path: str | Path, text: str, encoding: str = "utf-8") -> Path:
-    """Atomically write ``text`` to ``path``, creating parent directories.
+def atomic_write_text(path: str | Path, text: str) -> Path:
+    """Atomically write ``text`` (UTF-8) to ``path``, creating parent directories.
 
     The content is written to a temporary file in the destination directory
     and renamed over the target in one step.  On any failure the temporary
@@ -50,7 +50,7 @@ def atomic_write_text(path: str | Path, text: str, encoding: str = "utf-8") -> P
     # Created the way open(path, "w") creates a file: 0o666 minus the umask.
     fd = os.open(temp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding=encoding) as handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         with contextlib.suppress(FileNotFoundError):  # a replaced file keeps its mode
             os.chmod(temp_name, stat.S_IMODE(os.stat(target).st_mode))

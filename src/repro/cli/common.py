@@ -18,6 +18,7 @@ import sys
 
 from repro import obs
 from repro.cluster import ClusterSpec
+from repro.comm.primitives import CollectiveKind
 from repro.comm.topology import known_topologies
 from repro.core.config import OverlapProblem, OverlapSettings
 from repro.gpu.device import device_by_name, known_devices
@@ -119,8 +120,6 @@ def topology_from_args(args: argparse.Namespace):
 
 
 def problem_from_args(args: argparse.Namespace) -> OverlapProblem:
-    from repro.comm.primitives import CollectiveKind
-
     return OverlapProblem(
         shape=GemmShape(m=args.m, n=args.n, k=args.k),
         device=device_by_name(args.device),

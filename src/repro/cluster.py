@@ -112,11 +112,6 @@ class ClusterSpec:
 
     # -- (de)serialisation -------------------------------------------------------
 
-    def describe(self) -> str:
-        if self.nodes:
-            return f"{self.nodes} node(s) x {self.gpus_per_node} {self.device} GPUs"
-        return f"{self.total_gpus}x {self.device} ({self.topology or _DEFAULT_TOPOLOGY})"
-
     def to_dict(self) -> dict:
         return {
             "device": self.device,

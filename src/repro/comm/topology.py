@@ -229,8 +229,8 @@ def multinode_a800(n_nodes: int = 2, gpus_per_node: int = 8) -> Topology:
     )
 
 
-def tiny_pcie(n_gpus: int = 4) -> Topology:
-    """Miniature PCIe box for correctness pipelines and tests.
+def tiny_pcie() -> Topology:
+    """Miniature 4-GPU PCIe box for correctness pipelines and tests.
 
     Deliberately slow and small so numeric verification problems produce few
     waves and tiny messages; the default topology of ``repro verify``.
@@ -245,7 +245,7 @@ def tiny_pcie(n_gpus: int = 4) -> Topology:
         comm_sm_count=2,
         supports_p2p=False,
     )
-    return base.with_n_gpus(n_gpus)
+    return base.with_n_gpus(4)
 
 
 def known_topologies() -> dict[str, Topology]:

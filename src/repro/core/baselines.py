@@ -134,8 +134,8 @@ class AsyncTPBaseline(VanillaDecompositionBaseline):
     comm_agnostic = False
     requires_p2p = True
 
-    def __init__(self, num_chunks: int | None = None, settings: OverlapSettings = DEFAULT_SETTINGS) -> None:
-        super().__init__(num_chunks=num_chunks or 4, settings=settings)
+    def __init__(self, settings: OverlapSettings = DEFAULT_SETTINGS) -> None:
+        super().__init__(num_chunks=4, settings=settings)
 
     def latency(self, problem: OverlapProblem) -> float:
         comm_model = problem.collective_model()

@@ -50,10 +50,9 @@ class OverlapProblem:
     def tile_config(self) -> GemmTileConfig:
         return self.gemm_config or GemmTileConfig.default_for(self.shape, self.device)
 
-    def gemm_model(self, sm_count: int | None = None) -> GemmKernelModel:
-        """GEMM kernel model, optionally on a restricted SM budget."""
-        device = self.device if sm_count is None else self.device.with_sm_count(sm_count)
-        return GemmKernelModel(self.shape, device, self.tile_config(), self.dtype_bytes)
+    def gemm_model(self) -> GemmKernelModel:
+        """GEMM kernel model of this problem's shape on its device."""
+        return GemmKernelModel(self.shape, self.device, self.tile_config(), self.dtype_bytes)
 
     def collective_model(self) -> CollectiveModel:
         return CollectiveModel(kind=self.collective, topology=self.topology)

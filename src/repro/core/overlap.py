@@ -66,13 +66,6 @@ class OverlapPlan:
         """False when :func:`price_plan` found the sequential fallback faster."""
         return self.tuning.use_overlap if self.tuning is not None else True
 
-    def describe(self) -> str:
-        mode = "overlap" if self.use_overlap else "sequential fallback"
-        return (
-            f"{self.problem.describe()}: {self.partition.num_waves} waves "
-            f"partitioned as {self.partition} ({mode})"
-        )
-
 
 #: Version of :func:`price_plan`'s arithmetic.  Stored prices carry it (the
 #: sweep's priced-cell keys), so a price made by another rule is never
@@ -197,18 +190,18 @@ class FlashOverlapOperator:
 
     def run_numeric(
         self,
-        plan: OverlapPlan | None = None,
         rng: np.random.Generator | None = None,
         compute_gemm: bool = False,
-        elementwise=None,
     ) -> PipelineResult:
-        """Execute the plan on NumPy data and compare with the plain collective.
+        """Execute :meth:`plan` on NumPy data and compare with the plain collective.
 
         ``compute_gemm=True`` generates actual ``A @ B_g`` partial products
         (tensor-parallel style) instead of random partial outputs; this is
-        slower but demonstrates the full GEMM-then-collective data flow.
+        slower but demonstrates the full GEMM-then-collective data flow.  A
+        ReduceScatter applies :func:`~repro.gpu.epilogue.rmsnorm` between the
+        collective halves.
         """
-        plan = plan or self.plan()
+        plan = self.plan()
         rng = rng or np.random.default_rng(self.settings.seed)
         layout = plan.reorder_plan.layout
         n = self.problem.n_gpus
@@ -239,7 +232,7 @@ class FlashOverlapOperator:
             return run_reduce_scatter_pipeline(
                 matrices,
                 plan.reorder_plan,
-                elementwise=elementwise if elementwise is not None else rmsnorm,
+                elementwise=rmsnorm,
                 assignment=plan.assignment,
                 execution_order=execution_order,
             )

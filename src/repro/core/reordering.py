@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.comm.collectives import all_reduce, all_to_all, reduce_scatter_flat
+from repro.comm.collectives import all_reduce, all_to_all, all_to_all_rows, reduce_scatter_flat
 from repro.comm.primitives import CollectiveKind
 from repro.core.signaling import CountingTable, GroupAssignment
 from repro.tensor.layout import TileLayout
@@ -390,7 +390,6 @@ def run_all_to_all_pipeline(
     n = len(matrices)
     if len(destinations) != n or len(plans) != n:
         raise ValueError("matrices, destinations and plans must have equal length")
-    from repro.comm.collectives import all_to_all_rows
 
     reference = all_to_all_rows(matrices, destinations)
 

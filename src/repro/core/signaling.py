@@ -26,13 +26,12 @@ class CountingTable:
     """Per-group completion counters, mirroring the on-device counting table."""
 
     group_sizes: tuple[int, ...]
-    counts: list[int] = field(default_factory=list)
+    counts: list[int] = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.group_sizes or any(s <= 0 for s in self.group_sizes):
             raise ValueError("group sizes must be positive")
-        if not self.counts:
-            self.counts = [0] * len(self.group_sizes)
+        self.counts = [0] * len(self.group_sizes)
 
     @property
     def num_groups(self) -> int:

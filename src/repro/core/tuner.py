@@ -172,7 +172,7 @@ class GemmShapeCache:
     from the query problem cannot be reused directly and are skipped.
     """
 
-    entries: list[ShapeCacheEntry] = field(default_factory=list)
+    entries: list[ShapeCacheEntry] = field(init=False, default_factory=list)
 
     def add(self, shape: GemmShape, result: TuningResult) -> None:
         self.entries.append(ShapeCacheEntry(shape=shape, result=result))

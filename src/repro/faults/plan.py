@@ -112,7 +112,9 @@ class FaultPlan:
     name: str = "faults"
     seed: int = 0
     events: tuple[FaultEvent, ...] = ()
-    version: int = FAULT_PLAN_VERSION
+
+    #: The JSON schema version :meth:`to_dict` writes (a class constant).
+    version = FAULT_PLAN_VERSION
 
     def __post_init__(self) -> None:
         crashes = self.of_kind("crash")
@@ -126,11 +128,6 @@ class FaultPlan:
     def of_kind(self, kind: str) -> tuple[FaultEvent, ...]:
         """Events of one kind, in start order."""
         return tuple(sorted((e for e in self.events if e.kind == kind), key=lambda e: e.start))
-
-    def describe(self) -> str:
-        by_kind = {kind: len(self.of_kind(kind)) for kind in FAULT_KINDS}
-        parts = [f"{count} {kind}" for kind, count in by_kind.items() if count]
-        return f"{self.name} (seed {self.seed}): " + (", ".join(parts) or "fault-free")
 
     # -- persistence -------------------------------------------------------------
 

@@ -26,10 +26,8 @@ def verify_fault_replay(
     requests,
     plan: FaultPlan,
     policy: ResiliencePolicy | None = None,
-    mode: str = "overlap",
-    slo=None,
 ) -> dict:
-    """Run the faulted scenario twice and compare serialized results.
+    """Run the faulted overlap-mode scenario twice and compare serialized results.
 
     Returns ``{"checks": {...}, "matches": bool}`` in the ``verify_replay``
     idiom: each check maps to a bool, and ``matches`` is their conjunction.
@@ -39,13 +37,8 @@ def verify_fault_replay(
     from repro.serve.simulator import ServingSimulator
 
     def run_once() -> dict:
-        simulator = ServingSimulator(
-            config,
-            plan_cache=PlanCache(),
-            mode=mode,
-            faults=FaultInjector(plan, policy),
-        )
-        return simulator.run(list(requests)).to_dict(slo)
+        simulator = ServingSimulator(config, plan_cache=PlanCache(), faults=FaultInjector(plan, policy))
+        return simulator.run(list(requests)).to_dict()
 
     first = run_once()
     second = run_once()

@@ -10,7 +10,7 @@ published datasheet figures for the devices used in the paper's evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -72,21 +72,6 @@ class GPUSpec:
     @property
     def kernel_launch_seconds(self) -> float:
         return self.kernel_launch_us * 1e-6
-
-    def with_sm_count(self, sm_count: int) -> "GPUSpec":
-        """Return a copy with a restricted SM budget (for contention modeling).
-
-        Peak FLOP/s scales with the SM count; HBM bandwidth is shared and kept
-        unchanged.
-        """
-        if sm_count <= 0:
-            raise ValueError("sm_count must be positive")
-        scale = sm_count / self.sm_count
-        return replace(
-            self,
-            sm_count=sm_count,
-            fp16_tflops=self.fp16_tflops * scale,
-        )
 
 
 # -- presets -----------------------------------------------------------------

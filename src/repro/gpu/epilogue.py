@@ -32,18 +32,24 @@ _CACHE_LINE_BYTES = 128
 #: Index width of a mapping-table entry.
 _INDEX_BYTES = 4
 
+#: HBM traffic per output element of an element-wise kernel: RMSNorm reads and
+#: writes each FP16 element once (plus a negligible weight vector).
+_ELEMENTWISE_BYTES_PER_ELEMENT = 2.0 * DTYPE_BYTES
+
+#: Base irregular-access penalty for an element-wise (bandwidth-bound) kernel.
+_ELEMENTWISE_BASE_PENALTY = 0.055
+
+#: Reference HBM bandwidth used to scale the penalty across devices.
+_REFERENCE_BANDWIDTH_GBPS = 1935.0
+
 
 # -- functional element-wise operators ---------------------------------------
 
 
-def rmsnorm(x: np.ndarray, weight: np.ndarray | None = None, eps: float = 1e-6) -> np.ndarray:
-    """Root-mean-square normalisation over the last axis."""
+def rmsnorm(x: np.ndarray) -> np.ndarray:
+    """Root-mean-square normalisation over the last axis (unit weight, eps 1e-6)."""
     x = np.asarray(x, dtype=np.float64)
-    scale = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
-    out = x / scale
-    if weight is not None:
-        out = out * np.asarray(weight, dtype=np.float64)
-    return out
+    return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + 1e-6)
 
 
 # -- duration model -----------------------------------------------------------
@@ -51,21 +57,16 @@ def rmsnorm(x: np.ndarray, weight: np.ndarray | None = None, eps: float = 1e-6) 
 
 @dataclass(frozen=True)
 class ElementwiseKernelModel:
-    """Memory-bound duration model of an element-wise kernel.
-
-    ``bytes_per_element`` counts the HBM traffic per output element; RMSNorm
-    reads and writes each element once (plus a negligible weight vector), so
-    the default is one read plus one write of an FP16 value.
-    """
+    """Memory-bound duration model of an element-wise kernel (one FP16 read
+    and one write per output element)."""
 
     device: GPUSpec
-    bytes_per_element: float = 2.0 * DTYPE_BYTES
 
     def duration(self, elements: int, include_launch: bool = True) -> float:
         """Kernel duration for ``elements`` output elements (seconds)."""
         if elements < 0:
             raise ValueError("elements must be non-negative")
-        body = elements * self.bytes_per_element / self.device.memory_bytes_per_second
+        body = elements * _ELEMENTWISE_BYTES_PER_ELEMENT / self.device.memory_bytes_per_second
         if include_launch:
             body += self.device.kernel_launch_seconds
         return body
@@ -81,8 +82,8 @@ class ReorderOverheadModel:
     Two effects are modeled, following Sec. 6.6 of the paper:
 
     * **mapping-table traffic** -- one index per reordered unit must be read;
-      relative to the payload this is ``index_bytes`` per contiguous row
-      segment the unit contributes;
+      relative to the payload this is one index per contiguous row segment
+      the unit contributes;
     * **irregular access** -- gathering units that are no longer adjacent in
       memory under-utilises cache lines; the penalty grows as the contiguous
       span of a unit row shrinks relative to a cache line, and shrinks with
@@ -94,19 +95,12 @@ class ReorderOverheadModel:
     """
 
     device: GPUSpec
-    cache_line_bytes: int = _CACHE_LINE_BYTES
-    index_bytes: int = _INDEX_BYTES
-    #: Base irregular-access penalty for an element-wise (bandwidth-bound) kernel.
-    elementwise_base_penalty: float = 0.055
-    #: Reference HBM bandwidth used to scale the penalty across devices.
-    reference_bandwidth_gbps: float = 1935.0
 
     def _bandwidth_scale(self) -> float:
         """Devices with less HBM bandwidth feel irregular access more."""
-        return (self.reference_bandwidth_gbps / self.device.hbm_bandwidth_gbps) ** 0.25
+        return (_REFERENCE_BANDWIDTH_GBPS / self.device.hbm_bandwidth_gbps) ** 0.25
 
-    def table_traffic_ratio(self, unit: str, config: GemmTileConfig, n_gpus: int,
-                            dtype_bytes: int = DTYPE_BYTES) -> float:
+    def table_traffic_ratio(self, unit: str, config: GemmTileConfig, n_gpus: int) -> float:
         """Mapping-table bytes per payload byte."""
         self._check_unit(unit)
         if unit == "tile":
@@ -118,29 +112,27 @@ class ReorderOverheadModel:
         else:  # subtoken
             unit_rows = 1
             units_per_tile = config.tile_m
-        payload = config.tile_m * config.tile_n * dtype_bytes
+        payload = config.tile_m * config.tile_n * DTYPE_BYTES
         # The fused kernel re-reads the index for every row segment it emits.
-        per_row_reads = unit_rows * units_per_tile * self.index_bytes
+        per_row_reads = unit_rows * units_per_tile * _INDEX_BYTES
         return per_row_reads / payload
 
-    def irregularity_penalty(self, unit: str, config: GemmTileConfig, n_gpus: int,
-                             dtype_bytes: int = DTYPE_BYTES) -> float:
+    def irregularity_penalty(self, unit: str, config: GemmTileConfig, n_gpus: int) -> float:
         """Cache-line under-utilisation penalty (relative)."""
         self._check_unit(unit)
-        row_bytes = config.tile_n * dtype_bytes
-        base = self.elementwise_base_penalty * self._bandwidth_scale()
+        row_bytes = config.tile_n * DTYPE_BYTES
+        base = _ELEMENTWISE_BASE_PENALTY * self._bandwidth_scale()
         # Finer units add a small extra penalty per indirection level.
         extra = {"tile": 0.0, "subtile": 0.004, "subtoken": 0.008}[unit]
-        line_term = self.cache_line_bytes / max(row_bytes, self.cache_line_bytes) * 0.01
+        line_term = _CACHE_LINE_BYTES / max(row_bytes, _CACHE_LINE_BYTES) * 0.01
         return base + extra + line_term
 
     def elementwise_overhead(self, unit: str, config: GemmTileConfig, n_gpus: int,
-                             shape: GemmShape | None = None,
-                             dtype_bytes: int = DTYPE_BYTES) -> float:
+                             shape: GemmShape | None = None) -> float:
         """Relative extra latency of the post-reorder fused into an
         element-wise kernel (e.g. RMSNorm)."""
-        ratio = self.table_traffic_ratio(unit, config, n_gpus, dtype_bytes)
-        penalty = self.irregularity_penalty(unit, config, n_gpus, dtype_bytes)
+        ratio = self.table_traffic_ratio(unit, config, n_gpus)
+        penalty = self.irregularity_penalty(unit, config, n_gpus)
         small_matrix_term = 0.0
         if shape is not None:
             # Small matrices amplify the overhead (poorer cache-line reuse).
@@ -149,17 +141,16 @@ class ReorderOverheadModel:
         return ratio + penalty + small_matrix_term
 
     def gemm_epilogue_overhead(self, unit: str, config: GemmTileConfig, n_gpus: int,
-                               shape: GemmShape,
-                               dtype_bytes: int = DTYPE_BYTES) -> float:
+                               shape: GemmShape) -> float:
         """Relative extra latency of the pre-reorder fused into the GEMM.
 
         The GEMM main loop dominates; the reorder only perturbs the epilogue
         store, so the element-wise overhead is scaled down by the ratio of
         output traffic to total GEMM work (which shrinks as ``K`` grows).
         """
-        elementwise = self.elementwise_overhead(unit, config, n_gpus, shape, dtype_bytes)
-        output_bytes = shape.output_bytes(dtype_bytes)
-        total_bytes = shape.total_bytes(dtype_bytes)
+        elementwise = self.elementwise_overhead(unit, config, n_gpus, shape)
+        output_bytes = shape.output_bytes(DTYPE_BYTES)
+        total_bytes = shape.total_bytes(DTYPE_BYTES)
         compute_amplification = max(1.0, shape.k / 256.0)
         store_share = output_bytes / total_bytes / compute_amplification
         scatter_factor = 1.0 if unit == "tile" else 1.9

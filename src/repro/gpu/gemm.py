@@ -73,7 +73,6 @@ class GemmTileConfig:
     tile_n: int = 128
     tile_k: int = 32
     swizzle_size: int = 3
-    stages: int = 4
 
     def __post_init__(self) -> None:
         if min(self.tile_m, self.tile_n, self.tile_k) <= 0:
@@ -191,21 +190,16 @@ class GemmKernelModel:
         waves = self.num_waves(sm_count)
         return (np.arange(1, waves + 1)) * self.wave_duration(sm_count)
 
-    def tile_completion_times(
-        self,
-        sm_count: int | None = None,
-        jitter: float = 0.05,
-        seed: int = 0,
-    ) -> np.ndarray:
-        """Completion time of every tile, indexed by tile index.
+    def tile_completion_times(self, jitter: float = 0.05, seed: int = 0) -> np.ndarray:
+        """Completion time of every tile on all SMs, indexed by tile index.
 
         Tiles in the same wave complete within ``jitter`` of a wave duration
         of each other (the paper reports "typically within 5% of a wave
         duration"), reproducing the staircase of Fig. 3.
         """
-        waves = self.wave_tiles(sm_count)
-        wave_end = self.wave_completion_times(sm_count)
-        wave_len = self.wave_duration(sm_count)
+        waves = self.wave_tiles()
+        wave_end = self.wave_completion_times()
+        wave_len = self.wave_duration()
         rng = np.random.default_rng(seed)
         times = np.empty(self.num_tiles, dtype=np.float64)
         for wave_index, tiles in enumerate(waves):

@@ -80,25 +80,24 @@ class _NullSpan:
 
 NULL_SPAN = _NullSpan()
 
+#: Runaway guard: past this many spans a tracer's new spans become no-ops, so a
+#: pathological caller (a million-job sweep under ``--profile``) degrades to a
+#: truncated tree instead of unbounded memory.
+MAX_NODES = 100_000
+
 
 class Tracer:
-    """Builds span trees; one instance per observability session.
+    """Builds span trees (at most :data:`MAX_NODES`); one instance per observability session."""
 
-    ``max_nodes`` is a runaway guard: beyond it new spans become no-ops so a
-    pathological caller (a million-job sweep under ``--profile``) degrades to
-    a truncated tree instead of unbounded memory.
-    """
-
-    def __init__(self, clock, recorder=None, max_nodes: int = 100_000) -> None:
+    def __init__(self, clock, recorder=None) -> None:
         self.clock = clock
         self.recorder = recorder
-        self.max_nodes = max_nodes
         self.roots: list[SpanNode] = []
         self._stack: list[SpanNode] = []
         self._nodes = 0
 
     def span(self, name: str, **attrs):
-        if self._nodes >= self.max_nodes:
+        if self._nodes >= MAX_NODES:
             return NULL_SPAN
         return _ActiveSpan(self, name, attrs)
 

@@ -46,12 +46,6 @@ class PlanPoint:
             self.method,
         )
 
-    def describe(self) -> str:
-        return (
-            f"TP={self.tp} PP={self.stages} mb={self.microbatches} "
-            f"{self.schedule}/{self.method} partition={self.partition}"
-        )
-
     def to_dict(self) -> dict:
         return {
             "workload": self.workload,

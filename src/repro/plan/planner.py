@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -88,7 +88,9 @@ class ParallelismPlan:
     method: str
     seed: int
     predicted: dict = field(default_factory=dict)
-    version: int = PLAN_VERSION
+
+    #: The JSON schema version :meth:`to_dict` writes (a class constant).
+    version = PLAN_VERSION
 
     def describe(self) -> str:
         return (
@@ -250,7 +252,6 @@ def search_plan(
     max_configs: int | None = None,
     prune: bool = True,
     deadline_s: float | None = None,
-    clock: Callable[[], float] | None = None,
 ) -> PlanSearchReport:
     """Search the joint parallelism space of one workload on one cluster.
 
@@ -265,10 +266,9 @@ def search_plan(
     ``deadline_s`` bounds the *wall clock* of the pricing loop: batches are
     priced best-bound-first, so when the budget runs out the report holds the
     best-so-far frontier, the remaining batches land in ``space["pruned"]``
-    and ``space["truncated"]`` is set.  ``clock`` (default
+    and ``space["truncated"]`` is set.  The deadline reads
     :func:`repro.obs.now`, so an active observability session's fake clock
-    drives the deadline too) exists so tests can drive the deadline with a
-    fake clock.
+    drives it too.
     """
     cluster = cluster or ClusterSpec()
     estimator = PipelineEstimator(settings)
@@ -360,11 +360,10 @@ def search_plan(
     pruned: list[dict] = []
     evaluated = 0
     truncated = False
-    clock = clock or obs.now
     with obs.span("plan.price") as price_span:
-        search_start = clock()
+        search_start = obs.now()
         for batch in sorted(batches, key=lambda b: b.sort_key):
-            if deadline_s is not None and clock() - search_start >= deadline_s:
+            if deadline_s is not None and obs.now() - search_start >= deadline_s:
                 truncated = True
                 pruned.append(batch.skip_dict("wall-clock deadline exceeded"))
                 pruned_counter.inc()
@@ -467,16 +466,10 @@ def search_plan(
     )
 
 
-def _plan_settings(plan: ParallelismPlan, settings: OverlapSettings | None) -> OverlapSettings:
-    return settings or OverlapSettings(seed=plan.seed)
-
-
-def replay_plan(
-    plan: ParallelismPlan,
-    settings: OverlapSettings | None = None,
-    record_trace: bool = False,
-):
+def replay_plan(plan: ParallelismPlan, record_trace: bool = False):
     """Replay one plan through the ``repro pp`` estimation path (fresh store).
+
+    Prices under default settings at the plan's seed, as the search did.
 
     Returns the full :class:`~repro.pp.report.PipelineReport` (one workload,
     the plan's schedule only) -- what ``repro pp --plan`` renders.
@@ -490,30 +483,25 @@ def replay_plan(
         device=plan.cluster.device_spec,
         topology=plan.cluster.topology_for_tp(plan.tp),
         layers=plan.layers,
-        settings=_plan_settings(plan, settings),
+        settings=OverlapSettings(seed=plan.seed),
         record_trace=record_trace,
         partition=plan.partition,
     )
 
 
-def estimate_plan(
-    plan: ParallelismPlan,
-    settings: OverlapSettings | None = None,
-    record_trace: bool = False,
-) -> PipelineEstimate:
+def estimate_plan(plan: ParallelismPlan) -> PipelineEstimate:
     """The single workload estimate of :func:`replay_plan`."""
-    return replay_plan(plan, settings, record_trace).estimates[0]
+    return replay_plan(plan).estimates[0]
 
 
-def verify_replay(plan: ParallelismPlan, settings: OverlapSettings | None = None) -> dict:
+def verify_replay(plan: ParallelismPlan) -> dict:
     """Replay a plan through ``repro pp`` and ``repro e2e``; compare bit-exactly.
 
     Returns per-quantity ``{"predicted", "replayed", "matches"}`` entries and
     an overall ``"matches"`` flag.  Matching means Python float equality --
     the planner's numbers are reproducible, not merely approximable.
     """
-    settings = _plan_settings(plan, settings)
-    estimate = estimate_plan(plan, settings)
+    estimate = estimate_plan(plan)
     result = estimate.schedules[plan.schedule].methods[plan.method]
     memory = peak_activation_bytes(
         estimate.stage_layers,
@@ -527,7 +515,7 @@ def verify_replay(plan: ParallelismPlan, settings: OverlapSettings | None = None
         device=plan.cluster.device_spec,
         topology=plan.cluster.topology_for_tp(plan.tp),
         layers=plan.layers,
-        settings=settings,
+        settings=OverlapSettings(seed=plan.seed),
     )
     e2e = e2e_report.estimates[0]
     predicted_e2e = plan.predicted.get("e2e", {})

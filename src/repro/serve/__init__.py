@@ -27,7 +27,7 @@ from repro.serve.arrivals import (
     length_distributions,
 )
 from repro.serve.metrics import SLO
-from repro.serve.scheduler import iteration_gemm_shapes, profile_iteration_tokens
+from repro.serve.scheduler import profile_iteration_tokens
 from repro.serve.simulator import ServeConfig, ServingSimulator
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "TraceArrivals",
     "distribution_by_name",
     "length_distributions",
-    "iteration_gemm_shapes",
     "profile_iteration_tokens",
     "PlanCache",
     "bucket_tokens",

@@ -5,8 +5,8 @@ currently active requests into one batch -- each decoding request contributes
 one token, and the remaining token budget is filled with prefill chunks in
 FCFS admission order (chunked prefill, so a long prompt never blocks decodes).
 The scheduler's job here is to turn request traffic into the *per-iteration
-GEMM shapes* that the overlap operator sees: the row-parallel projections of
-one decoder layer with ``M = total batched tokens``.
+token counts* that set the ``M`` of the overlap operator's GEMMs: the
+row-parallel projections of one decoder layer with ``M = total batched tokens``.
 
 Conventions:
 
@@ -25,9 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import compress
 
-from repro.gpu.gemm import GemmShape
 from repro.serve.arrivals import Request
-from repro.workloads.llm import ModelConfig
 
 
 @dataclass(frozen=True)
@@ -248,22 +246,6 @@ class ContinuousBatchingScheduler:
         self._output = list(compress(output, keep))
         self._tracked.difference_update(finished)
         return IterationOutcome(first_tokens=first_tokens, finished=finished)
-
-
-def iteration_gemm_shapes(total_tokens: int, model: ModelConfig, tp: int) -> list[GemmShape]:
-    """The overlap-target GEMM shapes of one iteration over ``total_tokens``.
-
-    These are the row-parallel projections of one decoder layer under tensor
-    parallelism -- attention output and MLP down, each followed by an
-    AllReduce -- with ``M`` set by the batched token count, matching
-    :func:`repro.workloads.llm.llm_inference_layer`.
-    """
-    if total_tokens < 1:
-        raise ValueError("total_tokens must be >= 1")
-    return [
-        GemmShape(m=total_tokens, n=model.hidden_size, k=model.hidden_size // tp),
-        GemmShape(m=total_tokens, n=model.hidden_size, k=model.intermediate_size // tp),
-    ]
 
 
 #: Fixed iteration duration and iteration cap of the scheduler dry run.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 
@@ -20,7 +20,7 @@ from typing import Any, Callable
 class _ScheduledEvent:
     callback: Callable[..., Any]
     args: tuple = ()
-    cancelled: bool = False
+    cancelled: bool = field(init=False, default=False)
 
 
 class EventEngine:

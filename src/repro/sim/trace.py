@@ -37,7 +37,7 @@ class Span:
 class Trace:
     """An ordered collection of spans."""
 
-    spans: list[Span] = field(default_factory=list)
+    spans: list[Span] = field(init=False, default_factory=list)
 
     def record(
         self,

@@ -77,19 +77,19 @@ def trace_to_chrome_events(trace: Trace, process_name: str = "simulated-gpu") ->
     return events
 
 
-def obs_spans_to_chrome_events(spans: list[dict], pid: int = 1) -> list[dict]:
+def obs_spans_to_chrome_events(spans: list[dict]) -> list[dict]:
     """Convert :mod:`repro.obs` span dicts into Chrome trace events.
 
-    The span forest lands in its own ``observability`` process (``pid=1`` by
-    default, so it never collides with the simulated-GPU process at
-    ``pid=0``) with one thread per nesting depth -- the slices then stack in
-    the viewer the way the spans nested at runtime.
+    The span forest lands in its own ``observability`` process (``pid=1``, so
+    it never collides with the simulated-GPU process at ``pid=0``) with one
+    thread per nesting depth -- the slices then stack in the viewer the way
+    the spans nested at runtime.
     """
     events: list[dict] = [
         {
             "name": "process_name",
             "ph": "M",
-            "pid": pid,
+            "pid": 1,
             "tid": 0,
             "args": {"name": "observability"},
         }
@@ -103,7 +103,7 @@ def obs_spans_to_chrome_events(spans: list[dict], pid: int = 1) -> list[dict]:
             {
                 "name": node["name"],
                 "ph": "X",
-                "pid": pid,
+                "pid": 1,
                 "tid": depth,
                 "ts": node["start_s"] * 1e6,
                 "dur": node["duration_s"] * 1e6,
@@ -121,7 +121,7 @@ def obs_spans_to_chrome_events(spans: list[dict], pid: int = 1) -> list[dict]:
             {
                 "name": "thread_name",
                 "ph": "M",
-                "pid": pid,
+                "pid": 1,
                 "tid": depth,
                 "args": {"name": f"spans (depth {depth})"},
             }

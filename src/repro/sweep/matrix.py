@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.comm.primitives import CollectiveKind
 from repro.comm.topology import known_topologies
@@ -52,9 +52,6 @@ class Platform:
     def __post_init__(self) -> None:
         if self.gpus < 2:
             raise ValueError("a platform needs at least 2 GPUs")
-
-    def describe(self) -> str:
-        return f"{self.gpus}x {self.device} ({self.topology})"
 
 
 @dataclass(frozen=True)
@@ -118,7 +115,10 @@ class Scenario:
     # -- materialisation ---------------------------------------------------------
 
     def to_problem(self) -> OverlapProblem:
-        topology = known_topologies()[self.topology].with_n_gpus(self.gpus)
+        topologies = known_topologies()
+        if self.topology not in topologies:
+            raise KeyError(f"unknown topology {self.topology!r}; known: {sorted(topologies)}")
+        topology = topologies[self.topology].with_n_gpus(self.gpus)
         return OverlapProblem(
             shape=self.shape,
             device=device_by_name(self.device),
@@ -127,17 +127,11 @@ class Scenario:
             imbalance=self.imbalance,
         )
 
-    def to_settings(self, base: OverlapSettings | None = None) -> OverlapSettings:
-        settings = base if base is not None else OverlapSettings()
+    def to_settings(self) -> OverlapSettings:
+        """Default :class:`OverlapSettings` with this scenario's seed and overrides."""
         overrides = dict(self.settings_overrides)
         overrides.setdefault("seed", self.seed)
-        return replace(settings, **_coerce_override_types(overrides))
-
-    def describe(self) -> str:
-        return (
-            f"{self.workload}: {self.shape} + {self.collective} on "
-            f"{self.gpus}x {self.device} ({self.topology})"
-        )
+        return OverlapSettings(**_coerce_override_types(overrides))
 
 
 def _normalize_overrides(overrides: Mapping) -> tuple[tuple[str, float], ...]:
@@ -170,7 +164,9 @@ class ScenarioMatrix:
 
     ``expand()`` is deterministic (axes are iterated in declaration order) and
     duplicate-free (repeated axis values or colliding combinations collapse to
-    one scenario).
+    one scenario).  Every axis value is checked when the matrix is built: an
+    unknown device, topology or collective, or an imbalance the problem
+    rejects, raises here rather than failing each job that uses it.
     """
 
     name: str
@@ -185,6 +181,14 @@ class ScenarioMatrix:
     def __post_init__(self) -> None:
         if not self.shapes or not self.platforms or not self.collectives:
             raise ValueError("a matrix needs at least one shape, platform and collective")
+        # Materialise one problem per platform x collective x imbalance, so
+        # the rules the jobs apply reject a bad axis value before any job runs.
+        shape = self.shapes[0]
+        for platform in self.platforms:
+            for collective in self.collectives:
+                for imbalance in self.imbalances:
+                    Scenario(self.workload, shape.m, shape.n, shape.k, platform.device,
+                             platform.topology, platform.gpus, collective, imbalance).to_problem()
 
     def __len__(self) -> int:
         return len(self.expand())

@@ -1,114 +1,88 @@
 """Named scenario matrices drawn from the workload models.
 
 Each preset turns one workload family (dense LLM inference/training, MoE
-expert parallelism, text-to-video DiT, the Table 3 operator suites) into a
-:class:`~repro.sweep.matrix.ScenarioMatrix` whose GEMM shapes come from the
-same model configurations the end-to-end benchmarks use, so a sweep covers
-the shapes that actually occur in those workloads rather than an arbitrary
-grid.
+expert parallelism, text-to-video DiT, online serving, the Table 3 operator
+suites) into a :class:`~repro.sweep.matrix.ScenarioMatrix`.  The
+model-backed presets build the registry workload's layer
+(:func:`repro.workloads.e2e.build_workload`) and grid its overlap targets, so
+a sweep covers the shapes that actually occur in those workloads rather than
+an arbitrary grid.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
 from repro.comm.primitives import CollectiveKind
+from repro.comm.topology import a800_nvlink
 from repro.gpu.gemm import GemmShape
 from repro.sweep.matrix import Platform, ScenarioMatrix
-from repro.workloads.llm import LLAMA3_70B, ModelConfig
-from repro.workloads.moe import MIXTRAL_8X7B, MoEConfig
+from repro.workloads.moe import MIXTRAL_8X7B
 from repro.workloads.shapes import operator_suite
-from repro.workloads.t2v import STEP_VIDEO_T2V, DiTConfig
 
 A800_NODE = Platform(device="a800", topology="a800-nvlink", gpus=4)
-A800_NODE_8 = Platform(device="a800", topology="a800-nvlink", gpus=8)
 RTX4090_NODE = Platform(device="rtx4090", topology="rtx4090-pcie", gpus=4)
 
 
-def _row_parallel_shapes(model: ModelConfig, tokens: tuple[int, ...], tp: int) -> list[GemmShape]:
-    """The row-parallel projections followed by a collective under TP."""
-    shapes = []
-    for t in tokens:
-        shapes.append(GemmShape(m=t, n=model.hidden_size, k=model.hidden_size // tp))
-        shapes.append(GemmShape(m=t, n=model.hidden_size, k=model.intermediate_size // tp))
-    return shapes
-
-
-def llm_inference_matrix(
-    model: ModelConfig = LLAMA3_70B,
-    tokens: tuple[int, ...] = (2048, 4096),
-    tp: int = 4,
+def _layer_matrix(
+    name: str,
+    label: str,
+    workload: str,
+    tokens: Iterable[int],
+    collective: str,
+    gpus: int,
 ) -> ScenarioMatrix:
-    """GEMM+AllReduce pairs of dense-LLM TP inference (attn-out, mlp-down)."""
-    return ScenarioMatrix.build(
-        name=f"llm-inference-{model.name.lower()}",
-        workload="llm-inference",
-        shapes=_row_parallel_shapes(model, tokens, tp),
-        platforms=[Platform(device="a800", topology="a800-nvlink", gpus=tp)],
-        collectives=["allreduce"],
-    )
+    """Overlap-target shapes of one registry workload layer across input sizes.
 
+    Builds ``workload`` (one layer) on ``gpus`` NVLink-connected A800s at
+    every token count -- the tensor-parallel degree follows the GPU count --
+    and grids the distinct GEMM shapes whose following collective is
+    ``collective``, under the scenario workload ``label``.
+    """
+    from repro.workloads.e2e import build_workload
 
-def llm_training_matrix(
-    model: ModelConfig = LLAMA3_70B,
-    tokens: tuple[int, ...] = (4096,),
-    tp: int = 4,
-) -> ScenarioMatrix:
-    """GEMM+ReduceScatter pairs of TP training: forward row-parallel + wgrad."""
-    shapes = _row_parallel_shapes(model, tokens, tp)
+    kind = CollectiveKind.from_name(collective)
+    shapes: list[GemmShape] = []
+    imbalances: set[float] = set()
     for t in tokens:
-        shapes.append(GemmShape(m=model.hidden_size, n=model.hidden_size // tp, k=t))
-        shapes.append(GemmShape(m=model.intermediate_size // tp, n=model.hidden_size, k=t))
+        built = build_workload(workload, tokens=t, topology=a800_nvlink(gpus), layers=1)
+        for op in built.operators:
+            if op.problem is None or op.problem.collective is not kind:
+                continue
+            if op.problem.shape not in shapes:
+                shapes.append(op.problem.shape)
+            imbalances.add(round(op.problem.imbalance, 4))
     return ScenarioMatrix.build(
-        name=f"llm-training-{model.name.lower()}",
-        workload="llm-training",
+        name=name,
+        workload=label,
         shapes=shapes,
-        platforms=[Platform(device="a800", topology="a800-nvlink", gpus=tp)],
-        collectives=["reducescatter"],
+        platforms=[Platform(device="a800", topology="a800-nvlink", gpus=gpus)],
+        collectives=[collective],
+        imbalances=sorted(imbalances),
     )
 
 
-def moe_alltoall_matrix(
-    model: MoEConfig = MIXTRAL_8X7B,
-    tokens: tuple[int, ...] = (4096, 8192),
-    ep: int = 4,
-    imbalances: tuple[float, ...] = (1.0, 1.15, 1.3),
-) -> ScenarioMatrix:
-    """Expert down-projection + All-to-All under imbalanced routing."""
+def moe_alltoall_matrix() -> ScenarioMatrix:
+    """Expert down-projection + All-to-All of Mixtral-8x7B (EP=4) under imbalanced routing."""
     shapes = [
         GemmShape(
-            m=t * model.top_k // ep,
-            n=model.hidden_size,
-            k=model.expert_intermediate_size,
+            m=t * MIXTRAL_8X7B.top_k // A800_NODE.gpus,
+            n=MIXTRAL_8X7B.hidden_size,
+            k=MIXTRAL_8X7B.expert_intermediate_size,
         )
-        for t in tokens
+        for t in (4096, 8192)
     ]
     return ScenarioMatrix.build(
-        name=f"moe-alltoall-{model.name.lower()}",
+        name="moe-alltoall-mixtral-8x7b",
         workload="moe-alltoall",
         shapes=shapes,
-        platforms=[Platform(device="a800", topology="a800-nvlink", gpus=ep)],
+        platforms=[A800_NODE],
         collectives=["alltoall"],
-        imbalances=imbalances,
+        imbalances=(1.0, 1.15, 1.3),
     )
 
 
-def t2v_matrix(
-    config: DiTConfig = STEP_VIDEO_T2V,
-    tokens: tuple[int, ...] = (20480, 30720),
-    tp: int = 4,
-) -> ScenarioMatrix:
-    """Long-sequence DiT blocks: the largest GEMM+AR share of the paper."""
-    return ScenarioMatrix.build(
-        name=f"t2v-{config.name.lower()}",
-        workload="t2v",
-        shapes=_row_parallel_shapes(config.dense, tokens, tp),
-        platforms=[Platform(device="a800", topology="a800-nvlink", gpus=tp)],
-        collectives=["allreduce"],
-    )
-
-
-def table3_matrix(collective: str = "allreduce", device_family: str = "rtx4090") -> ScenarioMatrix:
+def table3_matrix(collective: str, device_family: str) -> ScenarioMatrix:
     """Reduced grid over the Table 3 operator-level range for one pair."""
     kind = CollectiveKind.from_name(collective)
     suite = operator_suite(kind, device_family, mn_points=3, k_points=2)
@@ -122,99 +96,32 @@ def table3_matrix(collective: str = "allreduce", device_family: str = "rtx4090")
     )
 
 
-def serving_matrix(
-    rate_rps: float = 32.0,
-    model: ModelConfig = LLAMA3_70B,
-    tp: int = 4,
-    num_requests: int = 48,
-    max_batch_tokens: int = 4096,
-    max_batch_size: int = 32,
-    distribution: str = "chat",
-    seed: int = 0,
-) -> ScenarioMatrix:
+def serving_matrix(rate_rps: float) -> ScenarioMatrix:
     """GEMM+AllReduce pairs that continuous batching produces at one arrival rate.
 
-    A dry scheduler run over seeded Poisson traffic yields every iteration's
-    batched token count; the distinct power-of-two buckets become the ``M``
-    axis of the matrix (with the row-parallel N/K of the served model), so a
-    sweep over ``serving-rate*`` presets grids the tuner over exactly the
-    shapes online serving would request at those arrival rates.
+    A dry scheduler run over 48 seeded Poisson ``chat`` requests yields every
+    iteration's batched token count; the distinct power-of-two buckets are
+    the token counts of the Llama3-70B TP=4 inference layer, so a sweep over
+    ``serving-rate*`` presets grids the tuner over exactly the shapes online
+    serving would request at those arrival rates.
     """
     from repro.serve import (
         PoissonArrivals,
         bucket_tokens,
         distribution_by_name,
-        iteration_gemm_shapes,
         profile_iteration_tokens,
     )
 
     requests = PoissonArrivals(
         rate_rps=rate_rps,
-        distribution=distribution_by_name(distribution),
-        seed=seed,
-        num_requests=num_requests,
+        distribution=distribution_by_name("chat"),
+        seed=0,
+        num_requests=48,
     ).generate()
-    tokens = profile_iteration_tokens(
-        requests, max_batch_tokens=max_batch_tokens, max_batch_size=max_batch_size
-    )
-    buckets = sorted({bucket_tokens(t) for t in tokens})
-    shapes = [shape for b in buckets for shape in iteration_gemm_shapes(b, model, tp)]
-    return ScenarioMatrix.build(
-        name=f"serving-rate{rate_rps:g}",
-        workload=f"serving-rate{rate_rps:g}",
-        shapes=shapes,
-        platforms=[Platform(device="a800", topology="a800-nvlink", gpus=tp)],
-        collectives=["allreduce"],
-    )
-
-
-def e2e_matrix(
-    workload: str,
-    tokens: tuple[int, ...],
-    collective: str,
-    tp: int | None = None,
-    name: str | None = None,
-) -> ScenarioMatrix:
-    """Overlap-target shapes of an end-to-end workload across input sizes.
-
-    Builds the registry workload (one layer) at every token count, collects
-    the distinct GEMM shapes whose following collective matches
-    ``collective``, and grids them on the workload's own platform -- so a
-    sweep covers exactly the operators ``repro e2e`` estimates.  ``tp``
-    overrides the tensor-parallel degree by rescaling the sharded dimension,
-    which is how the ``e2e-*-tp*`` presets scan TP degrees.
-    """
-    from repro.workloads.e2e import build_workload
-
-    kind = CollectiveKind.from_name(collective)
-    shapes: list[GemmShape] = []
-    imbalances: set[float] = set()
-    gpus = None
-    for t in tokens:
-        built = build_workload(workload, tokens=t, layers=1)
-        for op in built.operators:
-            if op.problem is None or op.problem.collective is not kind:
-                continue
-            shape = op.problem.shape
-            if tp is not None:
-                # Rescale the TP-sharded accumulation depth to the target degree.
-                native_tp = op.problem.n_gpus
-                shape = GemmShape(m=shape.m, n=shape.n, k=max(1, shape.k * native_tp // tp))
-            if shape not in shapes:
-                shapes.append(shape)
-            imbalances.add(round(op.problem.imbalance, 4))
-            gpus = tp if tp is not None else op.problem.n_gpus
-    if not shapes or gpus is None:
-        raise ValueError(
-            f"workload {workload!r} has no overlap target followed by {collective!r}"
-        )
-    return ScenarioMatrix.build(
-        name=name or f"e2e-{workload}",
-        workload=f"e2e-{workload}",
-        shapes=shapes,
-        platforms=[Platform(device="a800", topology="a800-nvlink", gpus=gpus)],
-        collectives=[collective],
-        imbalances=sorted(imbalances) or (1.0,),
+    tokens = profile_iteration_tokens(requests, max_batch_tokens=4096, max_batch_size=32)
+    name = f"serving-rate{rate_rps:g}"
+    return _layer_matrix(
+        name, name, "llama3-inference", sorted({bucket_tokens(t) for t in tokens}), "allreduce", 4
     )
 
 
@@ -235,40 +142,43 @@ def smoke_matrix() -> ScenarioMatrix:
 
 _PRESETS: dict[str, Callable[[], ScenarioMatrix]] = {
     "smoke": smoke_matrix,
-    "llm-inference": llm_inference_matrix,
-    "llm-training": llm_training_matrix,
+    "llm-inference": lambda: _layer_matrix(
+        "llm-inference-llama3-70b", "llm-inference", "llama3-inference", (2048, 4096),
+        "allreduce", 4),
+    "llm-training": lambda: _layer_matrix(
+        "llm-training-llama3-70b", "llm-training", "llama3-training", (4096,),
+        "reducescatter", 4),
     "moe-alltoall": moe_alltoall_matrix,
-    "t2v": t2v_matrix,
+    # The paper's largest GEMM+AR share: long-sequence DiT blocks.
+    "t2v": lambda: _layer_matrix(
+        "t2v-step-video-t2v", "t2v", "step-video", (20480, 30720), "allreduce", 4),
     "table3-ar-rtx4090": lambda: table3_matrix("allreduce", "rtx4090"),
     "table3-rs-a800": lambda: table3_matrix("reducescatter", "a800"),
     "table3-a2a-a800": lambda: table3_matrix("alltoall", "a800"),
     # Serving traffic at increasing arrival rates: sweep several presets
     # together (``--preset serving-rate8 --preset serving-rate32 ...``) to
     # grid the tuner over the shapes online serving produces under load.
-    "serving-rate8": lambda: serving_matrix(rate_rps=8.0),
-    "serving-rate32": lambda: serving_matrix(rate_rps=32.0),
-    "serving-rate128": lambda: serving_matrix(rate_rps=128.0),
+    "serving-rate8": lambda: serving_matrix(8.0),
+    "serving-rate32": lambda: serving_matrix(32.0),
+    "serving-rate128": lambda: serving_matrix(128.0),
     # End-to-end workload scans: the exact overlap-target shapes `repro e2e`
     # estimates, gridded over chunk sizes (``-chunks``) or tensor-parallel
     # degrees (``-tp*``); sweep several presets together to scan both.
-    "e2e-llama3-chunks": lambda: e2e_matrix(
-        "llama3-inference", tokens=(4096, 8192, 16384), collective="allreduce",
-        name="e2e-llama3-chunks"),
-    "e2e-llama3-tp2": lambda: e2e_matrix(
-        "llama3-inference", tokens=(16384,), collective="allreduce", tp=2,
-        name="e2e-llama3-tp2"),
-    "e2e-llama3-tp4": lambda: e2e_matrix(
-        "llama3-inference", tokens=(16384,), collective="allreduce", tp=4,
-        name="e2e-llama3-tp4"),
-    "e2e-llama3-tp8": lambda: e2e_matrix(
-        "llama3-inference", tokens=(16384,), collective="allreduce", tp=8,
-        name="e2e-llama3-tp8"),
-    "e2e-mixtral-a2a": lambda: e2e_matrix(
-        "mixtral-training", tokens=(16384, 32768), collective="alltoall",
-        name="e2e-mixtral-a2a"),
-    "e2e-step-video-chunks": lambda: e2e_matrix(
-        "step-video", tokens=(16896, 33792), collective="allreduce",
-        name="e2e-step-video-chunks"),
+    "e2e-llama3-chunks": lambda: _layer_matrix(
+        "e2e-llama3-chunks", "e2e-llama3-inference", "llama3-inference", (4096, 8192, 16384),
+        "allreduce", 8),
+    "e2e-llama3-tp2": lambda: _layer_matrix(
+        "e2e-llama3-tp2", "e2e-llama3-inference", "llama3-inference", (16384,), "allreduce", 2),
+    "e2e-llama3-tp4": lambda: _layer_matrix(
+        "e2e-llama3-tp4", "e2e-llama3-inference", "llama3-inference", (16384,), "allreduce", 4),
+    "e2e-llama3-tp8": lambda: _layer_matrix(
+        "e2e-llama3-tp8", "e2e-llama3-inference", "llama3-inference", (16384,), "allreduce", 8),
+    # Mixtral runs EP=4 x TP=2 on its 8 GPUs.
+    "e2e-mixtral-a2a": lambda: _layer_matrix(
+        "e2e-mixtral-a2a", "e2e-mixtral-training", "mixtral-training", (16384, 32768),
+        "alltoall", 8),
+    "e2e-step-video-chunks": lambda: _layer_matrix(
+        "e2e-step-video-chunks", "e2e-step-video", "step-video", (16896, 33792), "allreduce", 4),
     # Pipeline-parallel scans: `repro pp` splits the paper input into
     # microbatches, so the microbatch count is the axis that changes the
     # tuned GEMM shapes (stage count and schedule choice re-price the same
@@ -276,15 +186,15 @@ _PRESETS: dict[str, Callable[[], ScenarioMatrix]] = {
     # microbatch token counts of M in {2, 4, 8} (llama3 trains on 16384
     # tokens, mixtral on 32768), warming the shape cache for pp runs across
     # any stage count x microbatch count x schedule combination.
-    "pp-llama3-microbatches": lambda: e2e_matrix(
-        "llama3-training", tokens=(2048, 4096, 8192), collective="reducescatter",
-        name="pp-llama3-microbatches"),
-    "pp-mixtral-microbatches": lambda: e2e_matrix(
-        "mixtral-training", tokens=(4096, 8192, 16384), collective="alltoall",
-        name="pp-mixtral-microbatches"),
-    "pp-step-video-microbatches": lambda: e2e_matrix(
-        "step-video", tokens=(4224, 8448, 16896), collective="allreduce",
-        name="pp-step-video-microbatches"),
+    "pp-llama3-microbatches": lambda: _layer_matrix(
+        "pp-llama3-microbatches", "e2e-llama3-training", "llama3-training", (2048, 4096, 8192),
+        "reducescatter", 8),
+    "pp-mixtral-microbatches": lambda: _layer_matrix(
+        "pp-mixtral-microbatches", "e2e-mixtral-training", "mixtral-training",
+        (4096, 8192, 16384), "alltoall", 8),
+    "pp-step-video-microbatches": lambda: _layer_matrix(
+        "pp-step-video-microbatches", "e2e-step-video", "step-video", (4224, 8448, 16896),
+        "allreduce", 4),
 }
 
 

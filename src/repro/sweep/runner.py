@@ -60,6 +60,12 @@ _PRICED_FIELDS = (
     "ratio_of_theoretical",
 )
 
+#: Extra attempts a job whose execution *raised* (crashed worker process,
+#: broken pool) gets before it is quarantined as a ``failed`` record, and the
+#: base of their exponential backoff (seconds).
+MAX_RETRIES = 2
+RETRY_BACKOFF_S = 0.05
+
 #: Per-worker-process state, set once by :func:`_init_worker` so the shared
 #: shape cache and priced-cell snapshot are deserialised per worker, not per
 #: job.
@@ -201,14 +207,12 @@ class _Heartbeat:
     ``[sweep] done/total`` line with retry/quarantine counts and an ETA
     extrapolated from the mean per-job wall time so far.  The counts mirror
     the ``sweep.*`` observability counters (the runner increments both from
-    the same completion path); ``emit`` is injectable so tests can capture
-    lines without a real clock cadence.
+    the same completion path).  Lines go to stderr.
     """
 
-    def __init__(self, total: int, interval_s: float, emit=None) -> None:
+    def __init__(self, total: int, interval_s: float) -> None:
         self.total = total
         self.interval_s = interval_s
-        self.emit = emit if emit is not None else self._print
         self.done = 0
         self.retried = 0
         self.quarantined = 0
@@ -219,7 +223,7 @@ class _Heartbeat:
         self._thread.start()
 
     @staticmethod
-    def _print(line: str) -> None:
+    def emit(line: str) -> None:
         print(line, file=sys.stderr, flush=True)
 
     def job_done(self, record: dict) -> None:
@@ -272,26 +276,22 @@ class SweepRunner:
     baselines:
         Also evaluate every baseline method per scenario (slower; feeds the
         per-method aggregation of :mod:`repro.analysis.speedup`).
-    plan_store:
-        Content-addressed :class:`PricedCellStore`: jobs whose scenario
-        content and ``PRICING_VERSION`` match a stored cell replay the priced
-        values instead of re-simulating (see :mod:`repro.plans.store`).  Workers receive the
-        initial snapshot once at pool-init time; freshly priced cells are
-        merged back after the run (and written to ``plan_store_path`` if
-        given).  ``plan_store_path`` alone loads/creates the store at that
-        path.
-    max_retries:
-        How many extra attempts a job whose execution *raised* (crashed
-        worker process, broken pool) gets, with exponential backoff, before
-        it is quarantined as a ``failed`` record.  Errors caught inside the
-        job keep producing ``error`` records without retries -- they are
-        deterministic and would fail again.
+    plan_store_path:
+        Content-addressed :class:`PricedCellStore` loaded (or created) at
+        this path: jobs whose scenario content and ``PRICING_VERSION`` match
+        a stored cell replay the priced values instead of re-simulating (see
+        :mod:`repro.plans.store`).  Workers receive the initial snapshot once
+        at pool-init time; freshly priced cells are merged back after the run
+        and written to the path.
     heartbeat_s:
         Emit a ``[sweep] done/total`` progress line (with retry/quarantine
-        counts and an ETA) every ``heartbeat_s`` seconds while jobs run.
-        ``0`` (the default) disables the heartbeat.  ``heartbeat_emit``
-        overrides the line sink (default: stderr) -- tests inject a list
-        appender.
+        counts and an ETA) to stderr every ``heartbeat_s`` seconds while jobs
+        run.  ``0`` (the default) disables the heartbeat.
+
+    A job whose execution *raised* is retried up to :data:`MAX_RETRIES` times
+    with exponential backoff, then quarantined as a ``failed`` record.
+    Errors caught inside the job keep producing ``error`` records without
+    retries -- they are deterministic and would fail again.
     """
 
     def __init__(
@@ -302,19 +302,11 @@ class SweepRunner:
         cache: GemmShapeCache | None = None,
         cache_path: str | None = None,
         baselines: bool = False,
-        plan_store: PricedCellStore | None = None,
         plan_store_path: str | None = None,
-        max_retries: int = 2,
-        retry_backoff_s: float = 0.05,
         heartbeat_s: float = 0.0,
-        heartbeat_emit=None,
     ) -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0")
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if retry_backoff_s < 0:
-            raise ValueError("retry_backoff_s must be >= 0")
         if not (math.isfinite(heartbeat_s) and heartbeat_s >= 0):
             raise ValueError(f"heartbeat_s must be finite and non-negative, got {heartbeat_s}")
         self.store = store
@@ -323,14 +315,13 @@ class SweepRunner:
         self.cache = cache if cache is not None else GemmShapeCache()
         self.cache_path = cache_path
         self.baselines = baselines
-        if plan_store is None and plan_store_path is not None:
-            plan_store = PricedCellStore.load(plan_store_path, missing_ok=True)
-        self.plan_store = plan_store
+        self.plan_store = (
+            PricedCellStore.load(plan_store_path, missing_ok=True)
+            if plan_store_path is not None
+            else None
+        )
         self.plan_store_path = plan_store_path
-        self.max_retries = max_retries
-        self.retry_backoff_s = retry_backoff_s
         self.heartbeat_s = heartbeat_s
-        self.heartbeat_emit = heartbeat_emit
 
     def run(self, matrix: ScenarioMatrix | list[Scenario]) -> SweepSummary:
         name = matrix.name if isinstance(matrix, ScenarioMatrix) else None
@@ -343,7 +334,7 @@ class SweepRunner:
         pending = [s for s in scenarios if s.job_id not in completed]
 
         heartbeat = (
-            _Heartbeat(len(pending), self.heartbeat_s, self.heartbeat_emit)
+            _Heartbeat(len(pending), self.heartbeat_s)
             if self.heartbeat_s > 0 and pending
             else None
         )
@@ -381,7 +372,7 @@ class SweepRunner:
 
         if self.cache_path is not None:
             self.cache.save(self.cache_path)
-        if self.plan_store is not None and self.plan_store_path is not None:
+        if self.plan_store is not None:
             self.plan_store.save(self.plan_store_path)
 
         failed = sum(1 for r in ordered if r.get("status") != "ok")
@@ -434,16 +425,16 @@ class SweepRunner:
         back as ``status="error"`` and are not retried -- rerunning a
         deterministic failure cannot help).  A raise from the execution
         machinery is the in-process analog of a crashed worker: the job is
-        retried up to ``max_retries`` times with exponential backoff, then
+        retried up to :data:`MAX_RETRIES` times with exponential backoff, then
         quarantined as a ``failed`` record carrying the traceback.
         ``already_failed`` counts prior attempts (crashed pool jobs) so the
         stored attempt count reflects the whole history.
         """
         last_traceback = ""
         last_error = ""
-        for attempt in range(self.max_retries + 1 - already_failed):
-            if attempt and self.retry_backoff_s:
-                time.sleep(self.retry_backoff_s * 2 ** (attempt - 1))
+        for attempt in range(MAX_RETRIES + 1 - already_failed):
+            if attempt and RETRY_BACKOFF_S:
+                time.sleep(RETRY_BACKOFF_S * 2 ** (attempt - 1))
             try:
                 record = _execute_scenario(scenario.to_dict(), self.cache, self.baselines, self.plan_store)
             except Exception as error:  # noqa: BLE001 - crash analog, retried
@@ -460,7 +451,7 @@ class SweepRunner:
             "status": "failed",
             "error": last_error or "worker process crashed",
             "traceback": last_traceback,
-            "attempts": self.max_retries + 1,
+            "attempts": MAX_RETRIES + 1,
         }
 
     def _run_pool(

@@ -115,9 +115,10 @@ def moe_training_layer(
     parallelism: ParallelismConfig,
     device: GPUSpec,
     topology: Topology,
-    routing_seed: int = 0,
 ) -> list[OperatorInstance]:
     """One MoE transformer layer (forward + backward) under EP (+ optional TP).
+
+    Tokens are routed with :func:`route_tokens` at its default seed.
 
     The expert down-projection GEMM followed by the All-to-All combine is the
     overlap target; the dispatch All-to-All, the expert up-projection and the
@@ -125,7 +126,7 @@ def moe_training_layer(
     """
     ep = max(parallelism.ep, 1)
     tp = max(parallelism.tp, 1)
-    routing = route_tokens(tokens, config, ep, seed=routing_seed)
+    routing = route_tokens(tokens, config, ep)
     tokens_per_gpu = int(np.ceil(tokens * config.top_k / ep))
     hidden = config.hidden_size
     inter = config.expert_intermediate_size // tp

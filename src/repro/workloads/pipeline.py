@@ -111,17 +111,6 @@ class PipelineWorkload:
     def num_stages(self) -> int:
         return len(self.stage_layers)
 
-    def describe(self) -> str:
-        tokens = (
-            f", {self.microbatch_tokens} tokens/microbatch"
-            if self.microbatch_tokens is not None
-            else ""
-        )
-        return (
-            f"{self.name}: {self.num_stages} stages {self.stage_layers}, "
-            f"{self.microbatches} microbatches{tokens}"
-        )
-
 
 def check_pipeline_inputs(name: str, tokens: int | None) -> None:
     """Reject an unknown registry workload or a non-positive token count."""

@@ -45,11 +45,11 @@ TABLE3_RANGES: dict[tuple[CollectiveKind, str], tuple[tuple[int, int], tuple[int
 }
 
 
-def _mn_to_shape(mn_mega: int, k_kilo: int, n: int = DEFAULT_N) -> GemmShape:
-    """Expand an output size of ``mn_mega * 1024^2`` elements into (M, N, K)."""
+def _mn_to_shape(mn_mega: int, k_kilo: int) -> GemmShape:
+    """Expand an output size of ``mn_mega * 1024^2`` elements into (M, ``DEFAULT_N``, K)."""
     total = mn_mega * 1024 * 1024
-    m = max(128, total // n)
-    return GemmShape(m=m, n=n, k=k_kilo * 1024)
+    m = max(128, total // DEFAULT_N)
+    return GemmShape(m=m, n=DEFAULT_N, k=k_kilo * 1024)
 
 
 def operator_suite(

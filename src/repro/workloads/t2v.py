@@ -35,7 +35,6 @@ class DiTConfig:
     intermediate_size: int
     num_layers: int
     num_heads: int
-    cross_attention: bool = True
 
     @property
     def dense(self) -> ModelConfig:
@@ -100,27 +99,26 @@ def t2v_inference_layer(
             ),
         )
     )
-    if config.cross_attention:
-        ops.append(
-            OperatorInstance(
-                name="cross-attn(q,kv,core)",
-                other_latency=(
-                    _gemm_latency(GemmShape(tokens, hidden // tp, hidden), device)
-                    + _elementwise_latency(tokens * hidden, device, passes=2)
-                ),
-            )
+    ops.append(
+        OperatorInstance(
+            name="cross-attn(q,kv,core)",
+            other_latency=(
+                _gemm_latency(GemmShape(tokens, hidden // tp, hidden), device)
+                + _elementwise_latency(tokens * hidden, device, passes=2)
+            ),
         )
-        ops.append(
-            OperatorInstance(
-                name="cross-attn-out+AR",
-                problem=OverlapProblem(
-                    shape=GemmShape(tokens, hidden, hidden // tp),
-                    device=device,
-                    topology=topology,
-                    collective=CollectiveKind.ALL_REDUCE,
-                ),
-            )
+    )
+    ops.append(
+        OperatorInstance(
+            name="cross-attn-out+AR",
+            problem=OverlapProblem(
+                shape=GemmShape(tokens, hidden, hidden // tp),
+                device=device,
+                topology=topology,
+                collective=CollectiveKind.ALL_REDUCE,
+            ),
         )
+    )
     ops.append(
         OperatorInstance(
             name="mlp-up",

@@ -28,8 +28,8 @@ def settings():
 
 class TestReporting:
     def test_format_table(self):
-        text = format_table(["name", "value"], [["a", 1.23456], ["bb", 2]], precision=2)
-        assert "name" in text and "1.23" in text and "bb" in text
+        text = format_table(["name", "value"], [["a", 1.23456], ["bb", 2]])
+        assert "name" in text and "1.235" in text and "bb" in text
 
     def test_format_heatmap(self):
         grid = np.array([[1.0, 2.0], [3.0, 4.0]])

@@ -1,5 +1,7 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -483,6 +485,28 @@ class TestCleanErrors:
         err = capsys.readouterr().err
         assert f"repro sweep: error: {message}" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "axis,message",
+        [
+            ({"imbalances": [float("nan")]}, "imbalance must be finite and >= 1.0, got nan"),
+            ({"platforms": [["nope", "a800-nvlink", 4]]}, "unknown device 'nope'"),
+            ({"platforms": [["a800", "nope-net", 4]]}, "unknown topology 'nope-net'"),
+            ({"collectives": ["broadcast"]}, "unknown collective 'broadcast'"),
+        ],
+        ids=["nan-imbalance", "unknown-device", "unknown-topology", "unknown-collective"],
+    )
+    def test_invalid_matrix_axis_exits_2_before_any_record(self, capsys, tmp_path, axis, message):
+        config = tmp_path / "matrix.json"
+        matrix = {"name": "bad-axis", "shapes": [[512, 1024, 1024]],
+                  "platforms": [["a800", "a800-nvlink", 4]], "collectives": ["allreduce"]}
+        config.write_text(json.dumps({**matrix, **axis}), encoding="utf-8")
+        out = tmp_path / "r.jsonl"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro sweep: error: ") and message in err
+        assert len(err.splitlines()) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("arrival", ["NaN", "Infinity", '"nan"', '"-inf"', "-1.0"])

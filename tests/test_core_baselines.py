@@ -84,7 +84,7 @@ class TestLatencies:
 
     def test_async_tp_beats_vanilla_on_nvlink(self, problem_a800):
         vanilla = VanillaDecompositionBaseline(num_chunks=4).latency(problem_a800)
-        async_tp = AsyncTPBaseline(num_chunks=4).latency(problem_a800)
+        async_tp = AsyncTPBaseline().latency(problem_a800)
         assert async_tp < vanilla * 1.05
 
     def test_fusion_wins_for_small_k(self):

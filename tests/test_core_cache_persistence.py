@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import OverlapSettings
-from repro.core.tuner import GemmShapeCache, PredictiveTuner, ShapeCacheEntry, TuningResult
+from repro.core.tuner import GemmShapeCache, PredictiveTuner, TuningResult
 from repro.core.wave_grouping import WavePartition
 from repro.gpu.gemm import GemmShape
 
@@ -103,7 +103,9 @@ class TestErgonomics:
         shape = paper_problem_4090.shape
 
         def cached_at(m: int) -> GemmShapeCache:
-            return GemmShapeCache([ShapeCacheEntry(GemmShape(m, shape.n, shape.k), result)])
+            cache = GemmShapeCache()
+            cache.add(GemmShape(m, shape.n, shape.k), result)
+            return cache
 
         # Same wave count; only the log2 shape distance (1 vs 2) differs.
         assert cached_at(2 * shape.m).lookup(paper_problem_4090, settings) is result

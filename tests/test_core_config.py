@@ -1,5 +1,7 @@
 """Tests for OverlapProblem / OverlapSettings (repro.core.config)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.comm.primitives import CollectiveKind
@@ -25,7 +27,7 @@ class TestOverlapProblem:
         topo = small_problem.topology
         crowded = OverlapProblem(
             shape=small_problem.shape,
-            device=tiny_device.with_sm_count(2),
+            device=replace(tiny_device, sm_count=2),
             topology=topo,
             collective=CollectiveKind.ALL_REDUCE,
         )

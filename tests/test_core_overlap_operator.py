@@ -50,10 +50,6 @@ class TestPlanning:
         assert explicit.tuning is None
         assert explicit is not operator.plan()
 
-    def test_plan_describe(self, paper_operator):
-        text = paper_operator.plan().describe()
-        assert "waves" in text
-
     def test_tuned_plan_records_tuning(self, paper_operator):
         plan = paper_operator.plan()
         assert plan.tuning is not None

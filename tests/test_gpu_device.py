@@ -20,18 +20,6 @@ class TestGPUSpec:
         assert spec.memory_bytes_per_second == pytest.approx(1e12)
         assert spec.kernel_launch_seconds == pytest.approx(6e-6)
 
-    def test_with_sm_count_scales_flops_not_bandwidth(self):
-        reduced = RTX_4090.with_sm_count(64)
-        assert reduced.sm_count == 64
-        assert reduced.fp16_tflops == pytest.approx(RTX_4090.fp16_tflops / 2)
-        assert reduced.hbm_bandwidth_gbps == RTX_4090.hbm_bandwidth_gbps
-        # Per-SM throughput is preserved.
-        assert reduced.flops_per_sm == pytest.approx(RTX_4090.flops_per_sm)
-
-    def test_with_sm_count_invalid(self):
-        with pytest.raises(ValueError):
-            RTX_4090.with_sm_count(0)
-
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -15,11 +15,6 @@ class TestFunctionalOperators:
         rms = np.sqrt(np.mean(out * out, axis=-1))
         np.testing.assert_allclose(rms, 1.0, rtol=1e-6)
 
-    def test_rmsnorm_weight(self, rng):
-        x = rng.standard_normal((4, 8))
-        w = rng.standard_normal(8)
-        np.testing.assert_allclose(rmsnorm(x, w), rmsnorm(x) * w)
-
     def test_rmsnorm_rowwise_property(self, rng):
         # Row-wise operators commute with row sharding -- the property the
         # ReduceScatter reordering relies on.

@@ -13,6 +13,7 @@ from repro.core.config import OverlapProblem, OverlapSettings
 from repro.core.executor import OverlapExecutor
 from repro.core.overlap import FlashOverlapOperator
 from repro.core.predictor import LatencyPredictor, OfflineProfile
+from repro.core.reordering import run_allreduce_pipeline
 from repro.core.tuner import PredictiveTuner, search_quality
 from repro.core.wave_grouping import WavePartition
 from repro.gpu.device import A800, RTX_4090, GPUSpec
@@ -64,13 +65,19 @@ class TestExperimentE1Correctness:
         problem = small_numeric_problem(CollectiveKind.ALL_REDUCE, 4)
         operator = FlashOverlapOperator(problem, SETTINGS)
         waves = operator.executor.num_waves()
+        rng = np.random.default_rng(0)
+        matrices = [rng.standard_normal((problem.shape.m, problem.shape.n)) for _ in range(4)]
+        order = operator.executor.gemm_contended.execution_order()
         for partition in (
             WavePartition.per_wave(waves),
             WavePartition.single_group(waves),
             WavePartition.equal_groups(waves, 3),
         ):
             plan = operator.plan(partition)
-            assert operator.run_numeric(plan).allclose()
+            result = run_allreduce_pipeline(
+                matrices, plan.reorder_plan, assignment=plan.assignment, execution_order=order
+            )
+            assert result.allclose()
 
 
 class TestExperimentE1Speedup:

@@ -205,9 +205,10 @@ class TestSweepQuarantineFlight:
             raise OSError("worker crashed")
 
         monkeypatch.setattr(runner_module, "_execute_scenario", crash)
+        monkeypatch.setattr(runner_module, "MAX_RETRIES", 0)
         store = ResultStore(tmp_path / "results.jsonl")
         with obs.observe():
-            summary = SweepRunner(store, max_retries=0, retry_backoff_s=0.0).run(matrix)
+            summary = SweepRunner(store).run(matrix)
         assert summary.quarantined == 1
         flight = tmp_path / "results.jsonl.flight.jsonl"
         assert flight.exists()
@@ -232,16 +233,16 @@ class TestSweepQuarantineFlight:
             runner_module, "_execute_scenario",
             lambda payload, cache, baselines, plans: (_ for _ in ()).throw(OSError("crash")),
         )
+        monkeypatch.setattr(runner_module, "MAX_RETRIES", 0)
         store = ResultStore(tmp_path / "results.jsonl")
-        summary = SweepRunner(store, max_retries=0, retry_backoff_s=0.0).run(matrix)
+        summary = SweepRunner(store).run(matrix)
         assert summary.quarantined == 1
         assert not (tmp_path / "results.jsonl.flight.jsonl").exists()
 
 
 class TestHeartbeat:
-    def test_lines_report_progress_and_final_time(self):
-        lines: list[str] = []
-        heartbeat = _Heartbeat(total=3, interval_s=60.0, emit=lines.append)
+    def test_lines_report_progress_and_final_time(self, capsys):
+        heartbeat = _Heartbeat(total=3, interval_s=60.0)
         try:
             heartbeat.job_done({"status": "ok"})
             heartbeat.job_done({"status": "ok", "attempts": 2})
@@ -250,11 +251,12 @@ class TestHeartbeat:
             heartbeat.job_done({"status": "failed", "attempts": 3})
         finally:
             heartbeat.stop()
+        lines = capsys.readouterr().err.splitlines()
         assert lines  # stop() always emits a final line
         assert lines[-1].startswith("[sweep] 3/3 jobs, 2 retried, 1 quarantined")
         assert "done in" in lines[-1]
 
-    def test_runner_emits_heartbeat_lines(self, tmp_path):
+    def test_runner_emits_heartbeat_lines(self, tmp_path, capsys):
         from repro.sweep.matrix import ScenarioMatrix
 
         matrix = ScenarioMatrix.build(
@@ -264,18 +266,17 @@ class TestHeartbeat:
             platforms=[("rtx4090", "rtx4090-pcie", 4)],
             collectives=["allreduce"],
         )
-        lines: list[str] = []
         store = ResultStore(tmp_path / "results.jsonl")
-        summary = SweepRunner(store, heartbeat_s=60.0, heartbeat_emit=lines.append).run(matrix)
+        summary = SweepRunner(store, heartbeat_s=60.0).run(matrix)
         assert summary.executed == 1
+        lines = capsys.readouterr().err.splitlines()
         assert lines[-1].startswith("[sweep] 1/1 jobs")
 
-    def test_heartbeat_uses_the_ambient_clock(self):
-        lines: list[str] = []
+    def test_heartbeat_uses_the_ambient_clock(self, capsys):
         with obs.observe(clock=FakeClock(start=0.0, step=0.0)):
-            heartbeat = _Heartbeat(total=1, interval_s=60.0, emit=lines.append)
+            heartbeat = _Heartbeat(total=1, interval_s=60.0)
             try:
                 heartbeat.job_done({"status": "ok"})
             finally:
                 heartbeat.stop()
-        assert "done in 0.0s" in lines[-1]
+        assert "done in 0.0s" in capsys.readouterr().err.splitlines()[-1]

@@ -116,10 +116,11 @@ class TestSpanBehaviour:
         (entry,) = session.recorder.entries()
         assert entry == {"kind": "event", "name": "tick", "time_s": 0.0, "attrs": {"detail": "x"}}
 
-    def test_tracer_truncates_past_max_nodes(self):
-        from repro.obs.tracer import Tracer
+    def test_tracer_truncates_past_max_nodes(self, monkeypatch):
+        from repro.obs import tracer as tracer_module
 
-        tracer = Tracer(FakeClock(), max_nodes=2)
+        monkeypatch.setattr(tracer_module, "MAX_NODES", 2)
+        tracer = tracer_module.Tracer(FakeClock())
         for _ in range(5):
             with tracer.span("s"):
                 pass

@@ -7,6 +7,7 @@ becomes an exact statement rather than a timing-dependent one.
 
 import pytest
 
+from repro import obs
 from repro.cluster import ClusterSpec
 from repro.plan import search_plan
 
@@ -36,17 +37,23 @@ def unbounded():
     return search_plan(**SMOKE)
 
 
+@pytest.fixture
+def fake_now(monkeypatch):
+    """Drive the planner's deadline clock, :func:`repro.obs.now`, with a FakeClock."""
+    monkeypatch.setattr(obs, "now", FakeClock(step=1.0))
+
+
 class TestDeadlineTruncation:
     def test_no_deadline_is_never_truncated(self, unbounded):
         assert unbounded.space["truncated"] is False
         assert unbounded.meta["deadline_s"] is None
         assert "TRUNCATED" not in unbounded.summary_table()
 
-    def test_fake_clock_truncates_after_budget(self, unbounded):
+    def test_fake_clock_truncates_after_budget(self, unbounded, fake_now):
         # The deadline check reads the clock once per batch; the constructor
         # reading burns 1s, so a 4.5s budget prices exactly 3 batches before
         # the 4th check (t=5.0) trips the deadline.
-        report = search_plan(**SMOKE, deadline_s=4.5, clock=FakeClock(step=1.0))
+        report = search_plan(**SMOKE, deadline_s=4.5)
         assert report.space["truncated"] is True
         assert report.meta["deadline_s"] == 4.5
         total = unbounded.space["batches"]
@@ -61,8 +68,8 @@ class TestDeadlineTruncation:
         assert len(deadline_pruned) >= 1
         assert "TRUNCATED" in report.summary_table()
 
-    def test_truncated_search_returns_best_so_far_frontier(self, unbounded):
-        report = search_plan(**SMOKE, deadline_s=4.5, clock=FakeClock(step=1.0))
+    def test_truncated_search_returns_best_so_far_frontier(self, unbounded, fake_now):
+        report = search_plan(**SMOKE, deadline_s=4.5)
         assert report.points
         assert report.frontier
         assert report.winner is not None
@@ -75,17 +82,17 @@ class TestDeadlineTruncation:
                         for p in report.points}
         assert partial_keys <= full_keys
 
-    def test_zero_deadline_prices_nothing(self):
-        report = search_plan(**SMOKE, deadline_s=0.0, clock=FakeClock(step=1.0))
+    def test_zero_deadline_prices_nothing(self, fake_now):
+        report = search_plan(**SMOKE, deadline_s=0.0)
         assert report.space["truncated"] is True
         assert report.space["evaluated"] == 0
         assert report.winner is None
         assert len(report.space["pruned"]) == report.space["batches"]
 
-    def test_generous_deadline_matches_unbounded_search(self, unbounded):
+    def test_generous_deadline_matches_unbounded_search(self, unbounded, fake_now):
         import json
 
-        report = search_plan(**SMOKE, deadline_s=10_000.0, clock=FakeClock(step=1.0))
+        report = search_plan(**SMOKE, deadline_s=10_000.0)
         assert report.space["truncated"] is False
         bounded = report.to_dict()
         free = unbounded.to_dict()

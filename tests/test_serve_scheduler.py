@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro.comm.topology import a800_nvlink
+from repro.gpu.device import A800
 from repro.serve.arrivals import PoissonArrivals, Request, distribution_by_name
-from repro.serve.scheduler import (
-    ContinuousBatchingScheduler,
-    iteration_gemm_shapes,
-    profile_iteration_tokens,
-)
-from repro.workloads.llm import LLAMA2_7B
+from repro.serve.scheduler import ContinuousBatchingScheduler, profile_iteration_tokens
+from repro.serve.simulator import ServeConfig, ServingSimulator
+from repro.workloads.llm import LLAMA2_7B, llm_inference_layer
+from repro.workloads.parallelism import ParallelismConfig
 
 
 def request(rid, prompt, output, arrival=0.0):
@@ -202,8 +202,13 @@ class TestTokenConservation:
 
 
 class TestIterationShapes:
+    """One iteration's overlap targets: the row-parallel projections of a
+    decoder layer with ``M`` = the batched token count."""
+
     def test_row_parallel_projections(self):
-        shapes = iteration_gemm_shapes(512, LLAMA2_7B, tp=4)
+        layer = llm_inference_layer(LLAMA2_7B, 512, ParallelismConfig(tp=4), A800,
+                                    a800_nvlink(4))
+        shapes = [op.problem.shape for op in layer if op.is_overlap_target]
         assert [(s.m, s.n, s.k) for s in shapes] == [
             (512, 4096, 1024),
             (512, 4096, 2752),
@@ -211,7 +216,7 @@ class TestIterationShapes:
 
     def test_rejects_empty_iteration(self):
         with pytest.raises(ValueError):
-            iteration_gemm_shapes(0, LLAMA2_7B, tp=4)
+            ServingSimulator(ServeConfig()).iteration_latency(0)
 
 
 class TestProfileIterationTokens:

@@ -3,13 +3,14 @@
 Worker crashes are simulated by monkeypatching the module-level
 ``_execute_scenario`` (the single execution entry point both the in-process
 path and the pool-crash fallback go through), so the tests exercise the real
-retry/quarantine machinery without real tuning work.
+retry/quarantine machinery without real tuning work.  The retry budget is
+the module constant ``MAX_RETRIES``, patched per test; backoff sleeps are
+patched to zero.
 """
 
 import pytest
 
 import repro.sweep.runner as runner_module
-from repro.plans.store import PricedCellStore
 from repro.sweep.matrix import Scenario, ScenarioMatrix
 from repro.sweep.runner import SweepRunner
 from repro.sweep.store import ResultStore
@@ -31,6 +32,11 @@ def store(tmp_path) -> ResultStore:
     return ResultStore(tmp_path / "results.jsonl")
 
 
+@pytest.fixture(autouse=True)
+def no_backoff(monkeypatch):
+    monkeypatch.setattr(runner_module, "RETRY_BACKOFF_S", 0.0)
+
+
 def job_id_of(payload: dict) -> str:
     return Scenario.from_dict(payload).job_id
 
@@ -41,7 +47,7 @@ def ok_record(payload: dict) -> dict:
 
 
 class TestFlakyJobsRetry:
-    def test_crashes_are_retried_until_success(self, scenarios, store):
+    def test_crashes_are_retried_until_success(self, scenarios, store, monkeypatch):
         calls: dict[str, int] = {}
 
         def flaky(payload, cache, baselines, plans):
@@ -51,12 +57,9 @@ class TestFlakyJobsRetry:
                 raise OSError("worker died")
             return ok_record(payload)
 
-        runner_module._execute_scenario, original = flaky, runner_module._execute_scenario
-        try:
-            runner = SweepRunner(store, max_retries=2, retry_backoff_s=0.0)
-            summary = runner.run(scenarios)
-        finally:
-            runner_module._execute_scenario = original
+        monkeypatch.setattr(runner_module, "_execute_scenario", flaky)
+        monkeypatch.setattr(runner_module, "MAX_RETRIES", 2)
+        summary = SweepRunner(store).run(scenarios)
 
         assert summary.failed == 0
         assert summary.quarantined == 0
@@ -70,10 +73,10 @@ class TestFlakyJobsRetry:
 class TestExecutionArguments:
     @pytest.mark.parametrize("with_plan_store", [True, False], ids=["store", "no-store"])
     def test_every_attempt_receives_the_runner_state(self, scenarios, store, monkeypatch,
-                                                     with_plan_store):
+                                                     tmp_path, with_plan_store):
         """Retried attempts get the runner's live shape cache, baseline flag
         and priced-cell store."""
-        plan_store = PricedCellStore() if with_plan_store else None
+        plan_store_path = str(tmp_path / "cells.json") if with_plan_store else None
         seen: list[tuple] = []
 
         def crash_once(payload, cache, baselines, plans):
@@ -83,16 +86,17 @@ class TestExecutionArguments:
             return ok_record(payload)
 
         monkeypatch.setattr(runner_module, "_execute_scenario", crash_once)
-        runner = SweepRunner(store, baselines=True, plan_store=plan_store,
-                             max_retries=1, retry_backoff_s=0.0)
+        monkeypatch.setattr(runner_module, "MAX_RETRIES", 1)
+        runner = SweepRunner(store, baselines=True, plan_store_path=plan_store_path)
         summary = runner.run(scenarios)
 
         assert summary.failed == 0
+        assert (runner.plan_store is not None) is with_plan_store
         assert [job for job, *_ in seen] == [s.job_id for s in scenarios for _ in range(2)]
         for _, cache, baselines, plans in seen:
             assert cache is runner.cache
             assert baselines is True
-            assert plans is plan_store
+            assert plans is runner.plan_store
 
 
 class TestQuarantine:
@@ -101,8 +105,8 @@ class TestQuarantine:
             raise OSError("dead")
 
         monkeypatch.setattr(runner_module, "_execute_scenario", always_crash)
-        runner = SweepRunner(store, max_retries=1, retry_backoff_s=0.0)
-        summary = runner.run(scenarios)
+        monkeypatch.setattr(runner_module, "MAX_RETRIES", 1)
+        summary = SweepRunner(store).run(scenarios)
 
         assert summary.quarantined == len(scenarios)
         assert summary.failed == len(scenarios)
@@ -118,7 +122,8 @@ class TestQuarantine:
             runner_module, "_execute_scenario",
             lambda payload, cache, baselines, plans: (_ for _ in ()).throw(OSError("dead")),
         )
-        SweepRunner(store, max_retries=0, retry_backoff_s=0.0).run(scenarios)
+        monkeypatch.setattr(runner_module, "MAX_RETRIES", 0)
+        SweepRunner(store).run(scenarios)
         # Quarantined records never count as completed ...
         assert store.completed_ids() == set()
 
@@ -127,7 +132,7 @@ class TestQuarantine:
             runner_module, "_execute_scenario",
             lambda payload, cache, baselines, plans: ok_record(payload),
         )
-        summary = SweepRunner(store, resume=True, retry_backoff_s=0.0).run(scenarios)
+        summary = SweepRunner(store, resume=True).run(scenarios)
         assert summary.executed == len(scenarios)
         assert summary.skipped == 0
         assert summary.failed == 0
@@ -145,7 +150,8 @@ class TestDeterministicErrorsNotRetried:
                     "status": "error", "error": "ValueError: bad shape"}
 
         monkeypatch.setattr(runner_module, "_execute_scenario", in_job_error)
-        summary = SweepRunner(store, max_retries=3, retry_backoff_s=0.0).run(scenarios)
+        monkeypatch.setattr(runner_module, "MAX_RETRIES", 3)
+        summary = SweepRunner(store).run(scenarios)
 
         # Errors caught inside the job are deterministic: no retries.
         assert all(count == 1 for count in calls.values())
@@ -153,10 +159,3 @@ class TestDeterministicErrorsNotRetried:
         assert summary.quarantined == 0
         assert summary.failed == len(scenarios)
 
-
-class TestRetryConfigValidation:
-    def test_negative_budgets_rejected(self, store):
-        with pytest.raises(ValueError, match="max_retries"):
-            SweepRunner(store, max_retries=-1)
-        with pytest.raises(ValueError, match="retry_backoff_s"):
-            SweepRunner(store, retry_backoff_s=-0.1)

@@ -1,11 +1,21 @@
 """Tests for the declarative scenario matrix (repro.sweep.matrix/presets)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.core.config import OverlapSettings
+from repro.gpu.gemm import GemmShape
 from repro.plans.store import plan_key
 from repro.sweep.matrix import Platform, Scenario, ScenarioMatrix
-from repro.sweep.presets import matrix_from_preset, sweep_presets
+from repro.sweep.presets import _layer_matrix, matrix_from_preset, sweep_presets
+from repro.workloads.llm import LLAMA3_70B
+
+#: Every preset's ``to_dict()`` and expansion job IDs.  Regenerate it only for
+#: an intended change to a preset:
+#: ``{name: {"matrix": m.to_dict(), "job_ids": [s.job_id for s in m.expand()]}}``
+#: over ``sweep_presets()``, written with ``json.dumps(..., indent=1, sort_keys=True)``.
+PRESETS_GOLDEN = Path(__file__).resolve().parent / "golden" / "sweep" / "presets.json"
 
 
 @pytest.fixture
@@ -79,7 +89,7 @@ class TestScenarioMaterialisation:
             topology="rtx4090-pcie", gpus=4, collective="allreduce",
             seed=7, settings_overrides=(("max_last_group", 2.0), ("signal_poll_us", 5.0)),
         )
-        settings = scenario.to_settings(OverlapSettings())
+        settings = scenario.to_settings()
         assert settings.max_last_group == 2
         assert isinstance(settings.max_last_group, int)
         assert settings.signal_poll_us == 5.0
@@ -119,6 +129,25 @@ class TestMatrixConfig:
         with pytest.raises(ValueError):
             Platform(device="rtx4090", topology="rtx4090-pcie", gpus=1)
 
+    @pytest.mark.parametrize(
+        "axis,error,message",
+        [
+            ({"imbalances": [float("nan")]}, ValueError, "imbalance must be finite"),
+            ({"imbalances": [float("inf")]}, ValueError, "imbalance must be finite"),
+            ({"imbalances": [0.5]}, ValueError, "imbalance must be finite and >= 1.0"),
+            ({"platforms": [("nope", "a800-nvlink", 4)]}, KeyError, "unknown device 'nope'"),
+            ({"platforms": [("a800", "nope-net", 4)]}, KeyError, "unknown topology 'nope-net'"),
+            ({"collectives": ["broadcast"]}, KeyError, "unknown collective 'broadcast'"),
+        ],
+        ids=["nan-imbalance", "inf-imbalance", "imbalance-below-one", "unknown-device",
+             "unknown-topology", "unknown-collective"],
+    )
+    def test_bad_axis_value_rejected_at_build(self, axis, error, message):
+        axes = {"shapes": [(512, 1024, 1024)], "platforms": [("a800", "a800-nvlink", 4)],
+                "collectives": ["allreduce"]}
+        with pytest.raises(error, match=message):
+            ScenarioMatrix.build(name="x", workload="x", **{**axes, **axis})
+
 
 class TestPresets:
     def test_every_preset_expands(self):
@@ -134,6 +163,28 @@ class TestPresets:
             for scenario in matrix_from_preset(name).expand():
                 problem = scenario.to_problem()
                 assert problem.output_bytes() > 0
+
+    def test_every_preset_matches_golden(self):
+        expected = json.loads(PRESETS_GOLDEN.read_text())
+        assert sorted(sweep_presets()) == sorted(expected)
+        for name, factory in sweep_presets().items():
+            matrix = factory()
+            assert matrix.to_dict() == expected[name]["matrix"], name
+            assert [s.job_id for s in matrix.expand()] == expected[name]["job_ids"], name
+
+    @pytest.mark.parametrize("tp", [2, 4])
+    def test_layer_matrix_sizes_weight_gradients_at_its_tp_degree(self, tp):
+        """The training layer is built at the matrix's TP degree, so the
+        weight-gradient GEMMs (K = tokens) shard M or N, never K."""
+        hidden, inter = LLAMA3_70B.hidden_size, LLAMA3_70B.intermediate_size
+        matrix = _layer_matrix("x", "x", "llama3-training", (4096,), "reducescatter", tp)
+        assert matrix.platforms == (Platform("a800", "a800-nvlink", tp),)
+        assert matrix.shapes == (
+            GemmShape(4096, hidden, hidden // tp),
+            GemmShape(4096, hidden, inter // tp),
+            GemmShape(hidden, hidden // tp, 4096),
+            GemmShape(inter // tp, hidden, 4096),
+        )
 
     def test_smoke_preset_is_at_least_twelve_cheap_scenarios(self):
         scenarios = matrix_from_preset("smoke").expand()

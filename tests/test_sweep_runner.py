@@ -11,7 +11,7 @@ from repro.sweep.aggregate import (
     scenario_table,
     summarize_by_group,
 )
-from repro.sweep.matrix import ScenarioMatrix
+from repro.sweep.matrix import Scenario, ScenarioMatrix
 from repro.sweep.presets import matrix_from_preset
 from repro.sweep.runner import SweepRunner
 from repro.sweep.store import ResultStore
@@ -138,15 +138,15 @@ class TestSweepRunner:
         assert second.cache_hits == 4
 
     def test_failed_scenario_recorded_not_raised(self, store):
-        # The topology name only resolves inside the job, so the failure
-        # surfaces as an error record rather than an exception in the runner.
-        matrix = ScenarioMatrix.build(
-            name="bad", workload="bad",
-            shapes=[(512, 1024, 1024)],
-            platforms=[("a800", "no-such-topology", 4)],
-            collectives=["allreduce"],
+        # A matrix rejects a bad topology when it is built, but a scenario
+        # list reaches the runner as is: the topology name only resolves
+        # inside the job, so the failure surfaces as an error record rather
+        # than an exception in the runner.
+        scenario = Scenario(
+            workload="bad", m=512, n=1024, k=1024, device="a800",
+            topology="no-such-topology", gpus=4, collective="allreduce",
         )
-        summary = SweepRunner(store).run(matrix)
+        summary = SweepRunner(store).run([scenario])
         assert summary.failed == 1
         record = next(iter(store.records()))
         assert record["status"] == "error"
@@ -298,22 +298,25 @@ class TestSweepPricedCells:
         for record in replay.records:
             assert record["method_speedups"] == by_id[record["job_id"]]["method_speedups"]
 
-    def test_a_cell_priced_by_another_rule_is_not_replayed(self, store, tiny_matrix):
+    def test_a_cell_priced_by_another_rule_is_not_replayed(self, store, tiny_matrix, tmp_path):
         # Cells stored under the scenario content alone carry no pricing
         # version: they were priced by an earlier rule and must miss.
         cells = PricedCellStore()
         sentinel = {field: -1.0 for field in PRICED_FIELDS}
         for scenario in tiny_matrix.expand():
             cells.add(plan_key(scenario.to_dict()), sentinel)
-        summary = SweepRunner(store, plan_store=cells).run(tiny_matrix)
+        cells_path = tmp_path / "cells.json"
+        cells.save(cells_path)
+        runner = SweepRunner(store, plan_store_path=str(cells_path))
+        summary = runner.run(tiny_matrix)
         assert summary.priced_hits == 0
         assert summary.tuned == 4
         for record in summary.records:
             assert record["speedup"] > 0
-        assert len(cells) == 8  # the fresh cells sit beside the stale ones
+        assert len(runner.plan_store) == 8  # the fresh cells sit beside the stale ones
 
-    def test_ride_along_keys_never_reach_the_result_store(self, store, tiny_matrix):
-        SweepRunner(store, plan_store=PricedCellStore()).run(tiny_matrix)
+    def test_ride_along_keys_never_reach_the_result_store(self, store, tiny_matrix, tmp_path):
+        SweepRunner(store, plan_store_path=str(tmp_path / "cells.json")).run(tiny_matrix)
         for record in store.records():
             assert "priced_cell" not in record
             assert "cache_entry" not in record

@@ -120,13 +120,3 @@ class TestT2V:
         targets = [op for op in layer if op.is_overlap_target]
         assert len(targets) == 3
         assert all(op.problem.collective is CollectiveKind.ALL_REDUCE for op in targets)
-
-    def test_no_cross_attention_variant(self):
-        from dataclasses import replace
-
-        config = replace(STEP_VIDEO_T2V, cross_attention=False)
-        layer = t2v_inference_layer(
-            config, tokens=1024, parallelism=ParallelismConfig(tp=4),
-            device=A800, topology=a800_nvlink(4),
-        )
-        assert len([op for op in layer if op.is_overlap_target]) == 2
