@@ -159,18 +159,20 @@ class OverlapExecutor:
 
         # One communication stream: a group's collective starts once its
         # signal is polled and launched, and once the previous one drained.
-        comm_start = np.zeros(partition.num_groups)
-        comm_end = np.zeros(partition.num_groups)
+        starts, ends = [], []
         end = 0.0
-        for group_index in range(partition.num_groups):
-            start = max(end, ready[group_index] + self.settings.comm_launch_s)
-            end = start + self.comm_model.latency(payloads[group_index]) * jitter[group_index]
-            trace.record(
-                COMM_STREAM, f"{self.comm_model.kind.short_name}-G{group_index + 1}", start, end,
-                KernelCategory.COMMUNICATION,
-            )
-            comm_start[group_index] = start
-            comm_end[group_index] = end
+        for group_ready, payload, noise in zip(ready, payloads, jitter):
+            start = max(end, group_ready + self.settings.comm_launch_s)
+            end = start + self.comm_model.latency(payload) * noise
+            starts.append(start)
+            ends.append(end)
+        short_name = self.comm_model.kind.short_name
+        trace.extend(
+            COMM_STREAM, [f"{short_name}-G{group}" for group in range(1, len(ends) + 1)],
+            starts, ends, [KernelCategory.COMMUNICATION] * len(ends),
+        )
+        comm_start = np.array(starts)
+        comm_end = np.array(ends)
 
         trace.validate_stream_order()
         return OverlapResult(

@@ -55,7 +55,7 @@ class OverlapPlan:
     partition: WavePartition
     assignment: GroupAssignment
     reorder_plan: ReorderPlan
-    tuning: TuningResult | None = None
+    tuning: TuningResult
 
     @property
     def num_groups(self) -> int:
@@ -64,7 +64,7 @@ class OverlapPlan:
     @property
     def use_overlap(self) -> bool:
         """False when :func:`price_plan` found the sequential fallback faster."""
-        return self.tuning.use_overlap if self.tuning is not None else True
+        return self.tuning.use_overlap
 
 
 #: Version of :func:`price_plan`'s arithmetic.  Stored prices carry it (the
@@ -136,36 +136,25 @@ class FlashOverlapOperator:
 
     # -- planning ----------------------------------------------------------------
 
-    def plan(self, partition: WavePartition | None = None) -> OverlapPlan:
-        """Produce (and cache) the functional overlap plan.
-
-        When ``partition`` is omitted, the priced tuning of :meth:`report`
-        supplies it; passing one explicitly is how the ablation studies
-        evaluate fixed or misconfigured groupings.
-        """
-        tuning = None
-        if partition is None:
-            if self._cached_plan is not None:
-                return self._cached_plan
+    def plan(self) -> OverlapPlan:
+        """The functional overlap plan of :meth:`report`'s priced tuning (memoized)."""
+        if self._cached_plan is None:
             tuning = self.report().tuning
-            partition = tuning.partition
-        assignment = self.executor.assignment(partition)
-        reorder = build_reorder_plan(
-            self.problem.collective,
-            self.executor.gemm_contended.layout,
-            [list(t) for t in assignment.group_tiles],
-            self.problem.n_gpus,
-        )
-        plan = OverlapPlan(
-            problem=self.problem,
-            partition=partition,
-            assignment=assignment,
-            reorder_plan=reorder,
-            tuning=tuning,
-        )
-        if tuning is not None:
-            self._cached_plan = plan
-        return plan
+            assignment = self.executor.assignment(tuning.partition)
+            reorder = build_reorder_plan(
+                self.problem.collective,
+                self.executor.gemm_contended.layout,
+                [list(t) for t in assignment.group_tiles],
+                self.problem.n_gpus,
+            )
+            self._cached_plan = OverlapPlan(
+                problem=self.problem,
+                partition=tuning.partition,
+                assignment=assignment,
+                reorder_plan=reorder,
+                tuning=tuning,
+            )
+        return self._cached_plan
 
     # -- performance ---------------------------------------------------------------
 

@@ -172,10 +172,12 @@ class Schedule:
         spans carry no order across stages.
         """
         trace = Trace()
-        for stage, column in enumerate(zip(self.kinds, self.microbatches, self.starts, self.ends)):
-            stream = f"stage{stage}"
-            for kind, mb, start, end in zip(*column):
-                trace.record(stream, f"{kind}{mb}@s{stage}", start, end, _CELL_CATEGORIES[kind])
+        category = _CELL_CATEGORIES.__getitem__
+        columns = zip(self.kinds, self.microbatches, self.starts, self.ends)
+        for stage, (kinds, microbatches, starts, ends) in enumerate(columns):
+            suffix = f"@s{stage}"
+            names = [f"{kind}{mb}{suffix}" for kind, mb in zip(kinds, microbatches)]
+            trace.extend(f"stage{stage}", names, starts, ends, list(map(category, kinds)))
         return trace
 
 

@@ -7,6 +7,7 @@ as spans of a trace.  This package provides:
 
 * :mod:`repro.sim.engine` -- a small discrete-event engine (heap of timed
   callbacks) that clocks the serving loop,
-* :mod:`repro.sim.trace` -- timeline traces made of spans on named streams,
-  with an ASCII rendering for quick inspection (one row per stream).
+* :mod:`repro.sim.trace` -- timeline traces: spans on named streams, stored
+  as columns, with an ASCII rendering for quick inspection (one row per
+  stream).
 """

@@ -46,32 +46,33 @@ def trace_to_chrome_events(trace: Trace, process_name: str = "simulated-gpu") ->
         events.append(
             {"name": "thread_name", "ph": "M", "pid": 0, "tid": tid, "args": {"name": stream}}
         )
-    for span in trace.spans:
-        tid = stream_ids[span.stream]
-        start_us = span.start * 1e6
-        if span.duration == 0.0:
+    for stream, name, start, end, category in trace.rows():
+        tid = stream_ids[stream]
+        start_us = start * 1e6
+        duration = end - start
+        if duration == 0.0:
             events.append(
                 {
-                    "name": span.name,
+                    "name": name,
                     "ph": "i",
                     "s": "t",
                     "pid": 0,
                     "tid": tid,
                     "ts": start_us,
-                    "cat": span.category.value,
+                    "cat": category.value,
                 }
             )
             continue
         events.append(
             {
-                "name": span.name,
+                "name": name,
                 "ph": "X",
                 "pid": 0,
                 "tid": tid,
                 "ts": start_us,
-                "dur": span.duration * 1e6,
-                "cat": span.category.value,
-                "cname": _CATEGORY_COLORS.get(span.category, "generic_work"),
+                "dur": duration * 1e6,
+                "cat": category.value,
+                "cname": _CATEGORY_COLORS.get(category, "generic_work"),
             }
         )
     return events

@@ -192,6 +192,8 @@ def build_workload(
         raise KeyError(
             f"unknown workload {name!r}; known: {sorted(_WORKLOAD_BUILDERS)}"
         ) from None
+    if tokens is not None and tokens < 1:
+        raise ValueError("tokens must be >= 1")
     kwargs: dict = {"device": device, "topology": topology}
     if layers is not None:
         kwargs["layers"] = layers

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from oracles.trace import ReferenceTrace
 from repro.pp.schedule import _CELL_CATEGORIES, Cell, Schedule
 from repro.sim.engine import EventEngine
-from repro.sim.trace import Trace
 
 
 @dataclass
@@ -30,7 +30,7 @@ class ReferenceReplay:
     spans: dict[str, tuple[float, float]]
     #: Per-stage sum of cell durations, in stage order.
     stage_work: tuple[float, ...]
-    trace: Trace
+    trace: ReferenceTrace
 
 
 def dependencies(schedule: Schedule, cell: Cell) -> list[tuple[str, float]]:
@@ -55,7 +55,7 @@ def replay_reference(schedule: Schedule) -> ReferenceReplay:
     """Greedy list scheduling of the cells, executed event by event."""
     queues = schedule.stage_orders
     engine = EventEngine()
-    trace = Trace()
+    trace = ReferenceTrace()
     heads = [0] * len(queues)  # next queue index per stage
     running = [False] * len(queues)
     free_at = [0.0] * len(queues)

@@ -100,6 +100,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize("call, match", [
         (lambda: api.estimate(["nope"]), "unknown workload 'nope'"),
+        (lambda: api.estimate(tokens=0, smoke=True), "tokens must be >= 1"),
         (lambda: api.serve(workload="nope"), "unknown workload 'nope'"),
         (lambda: api.serve(distribution="nope"), "unknown length distribution 'nope'"),
         (lambda: api.pp(["nope"], smoke=True), "unknown workload 'nope'"),
@@ -113,7 +114,7 @@ class TestBadInput:
         (lambda: api.plan(max_configs=0, smoke=True), "max_configs must be >= 1"),
         (lambda: api.plan(deadline=-1, smoke=True), "deadline must be >= 0"),
     ], ids=[
-        "estimate-workload", "serve-workload", "serve-distribution", "pp-workload",
+        "estimate-workload", "estimate-tokens", "serve-workload", "serve-distribution", "pp-workload",
         "pp-schedule", "pp-no-schedule", "plan-workload", "plan-schedule", "plan-layers",
         "plan-tp", "plan-microbatches", "plan-max-configs", "plan-deadline",
     ])

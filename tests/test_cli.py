@@ -328,10 +328,10 @@ def _thread_events(path) -> dict[str, list[tuple]]:
 
 def _stream_spans(trace) -> dict[str, list[tuple]]:
     """A trace's spans per stream, as the Chrome export writes them."""
-    return {
-        stream: [(s.name, s.start * 1e6, s.duration * 1e6) for s in trace.spans_on(stream)]
-        for stream in trace.streams()
-    }
+    spans: dict[str, list[tuple]] = {stream: [] for stream in trace.streams()}
+    for s in trace.spans:
+        spans[s.stream].append((s.name, s.start * 1e6, s.duration * 1e6))
+    return spans
 
 
 class TestPipelineCommand:
@@ -421,7 +421,8 @@ class TestCleanErrors:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (["e2e", "--smoke", "--tokens", "0"], "GEMM dims must be positive"),
+            (["e2e", "--smoke", "--tokens", "0"], "tokens must be >= 1"),
+            (["e2e", "--smoke", "--tokens", "-3"], "tokens must be >= 1"),
             (["e2e", "--smoke", "--layers", "0"], "layers must be >= 1"),
             (["pp", "--smoke", "--stages", "0"], "stages must be >= 1"),
             (["tune", "--m", "0"], "GEMM dims must be positive"),

@@ -35,8 +35,8 @@ class TestEventDrivenSimulation:
         result = executor.simulate(partition)
         signals = [s for s in result.trace.spans if s.category is KernelCategory.SIGNAL]
         assert len(signals) == partition.num_groups
-        comm = [s for s in result.trace.spans_on(COMM_STREAM)
-                if s.category is KernelCategory.COMMUNICATION]
+        comm = [s for s in result.trace.spans
+                if s.stream == COMM_STREAM and s.category is KernelCategory.COMMUNICATION]
         assert len(comm) == partition.num_groups
 
     def test_tile_recording_optional(self, small_problem, fast_settings):

@@ -23,6 +23,10 @@ def small_executor(small_problem, fast_settings):
     return OverlapExecutor(small_problem, fast_settings)
 
 
+def _on(trace, stream):
+    return [span for span in trace.spans if span.stream == stream]
+
+
 class TestBasics:
     def test_wave_count_uses_contended_sms(self, executor, paper_problem_4090):
         gemm = paper_problem_4090.gemm_model()
@@ -92,8 +96,8 @@ class TestSimulation:
     def test_overlap_exists_for_multi_group_partition(self, executor):
         partition = WavePartition.equal_groups(executor.num_waves(), 2)
         result = executor.simulate(partition)
-        (gemm,) = result.trace.spans_on(COMPUTE_STREAM)
-        comm = result.trace.spans_on(COMM_STREAM)
+        (gemm,) = _on(result.trace, COMPUTE_STREAM)
+        comm = _on(result.trace, COMM_STREAM)
         # Fig. 8's head (before the first collective) and overlapped time.
         head = min(span.start for span in comm)
         overlapped = sum(
@@ -166,7 +170,7 @@ class TestCommStream:
             for group in range(1, partition.num_groups):
                 assert start[group] == max(end[group - 1], ready[group] + launch)
             assert np.all(end > start)
-            comm = result.trace.spans_on(COMM_STREAM)
+            comm = _on(result.trace, COMM_STREAM)
             assert [span.name for span in comm] == [
                 f"{collective.short_name}-G{group + 1}" for group in range(partition.num_groups)
             ]
@@ -217,7 +221,7 @@ class TestCommStream:
         gemm_spans = set()
         for partition in (WavePartition.per_wave(waves), WavePartition.single_group(waves)):
             result = executor.simulate(partition)
-            (gemm,) = result.trace.spans_on(COMPUTE_STREAM)
+            (gemm,) = _on(result.trace, COMPUTE_STREAM)
             assert gemm.start == 0.0 and gemm.category is KernelCategory.GEMM
             assert gemm.end == pytest.approx(
                 result.group_compute_ready[-1] - executor.settings.signal_poll_s
@@ -227,8 +231,8 @@ class TestCommStream:
 
     def test_sequential_comm_waits_for_the_whole_gemm(self, executor):
         result = executor.simulate_sequential()
-        (gemm,) = result.trace.spans_on(COMPUTE_STREAM)
-        (comm,) = result.trace.spans_on(COMM_STREAM)
+        (gemm,) = _on(result.trace, COMPUTE_STREAM)
+        (comm,) = _on(result.trace, COMM_STREAM)
         assert result.group_compute_ready.tolist() == [gemm.end]
         assert comm.start == gemm.end + executor.settings.comm_launch_s
         assert comm.end == result.latency == result.trace.makespan()

@@ -45,14 +45,9 @@ class TestPlanning:
     def test_plan_is_cached_for_tuned_partition(self, operator):
         assert operator.plan() is operator.plan()
 
-    def test_explicit_partition_not_cached(self, operator):
-        explicit = operator.plan(WavePartition.single_group(operator.executor.num_waves()))
-        assert explicit.tuning is None
-        assert explicit is not operator.plan()
-
     def test_tuned_plan_records_tuning(self, paper_operator):
         plan = paper_operator.plan()
-        assert plan.tuning is not None
+        assert plan.tuning == paper_operator.report().tuning
         assert plan.tuning.partition == plan.partition
 
     def test_tuner_runs_once_for_pricing_and_planning(self, paper_operator, monkeypatch):
@@ -74,17 +69,12 @@ class TestPlanning:
     def test_explicit_partition_is_priced_as_given(self, paper_operator):
         waves = paper_operator.executor.num_waves()
         partition = WavePartition.equal_groups(waves, 3)
-        explicit = paper_operator.plan(partition)
-        assert explicit.use_overlap
-        assert paper_operator.simulate(explicit).latency == (
-            paper_operator.executor.simulate(partition).latency
-        )
         # price_plan prices the same partition as given, unless the
         # sequential fallback beats it.
         tuning = replace(paper_operator.report().tuning, partition=partition)
         priced = price_plan(paper_operator.problem, tuning, paper_operator.settings)
         assert priced.overlap_latency == min(
-            paper_operator.simulate(explicit).latency,
+            paper_operator.executor.simulate(partition).latency,
             paper_operator.executor.simulate_sequential().latency,
         )
 
@@ -107,9 +97,7 @@ class TestPerformance:
     def test_misconfigured_partition_is_slower(self, paper_operator):
         tuned = paper_operator.simulate().latency
         waves = paper_operator.executor.num_waves()
-        misconfigured = paper_operator.simulate(
-            paper_operator.plan(WavePartition.single_group(waves))
-        ).latency
+        misconfigured = paper_operator.executor.simulate(WavePartition.single_group(waves)).latency
         assert tuned <= misconfigured
 
     def test_sequential_fallback_used_when_overlap_hurts(self, fast_settings):
@@ -118,11 +106,6 @@ class TestPerformance:
         # Whether or not the fallback triggers, FlashOverlap never loses more
         # than the modeling noise against the sequential execution.
         assert report.speedup > 0.97
-
-    def test_simulate_accepts_explicit_plan(self, paper_operator):
-        plan = paper_operator.plan(WavePartition.equal_groups(paper_operator.executor.num_waves(), 2))
-        result = paper_operator.simulate(plan)
-        assert result.partition == plan.partition
 
 
 class TestPricingBuildsNoFunctionalPlan:

@@ -13,7 +13,7 @@ from repro.core.config import OverlapProblem, OverlapSettings
 from repro.core.executor import OverlapExecutor
 from repro.core.overlap import FlashOverlapOperator
 from repro.core.predictor import LatencyPredictor, OfflineProfile
-from repro.core.reordering import run_allreduce_pipeline
+from repro.core.reordering import build_reorder_plan, run_allreduce_pipeline
 from repro.core.tuner import PredictiveTuner, search_quality
 from repro.core.wave_grouping import WavePartition
 from repro.gpu.device import A800, RTX_4090, GPUSpec
@@ -73,9 +73,15 @@ class TestExperimentE1Correctness:
             WavePartition.single_group(waves),
             WavePartition.equal_groups(waves, 3),
         ):
-            plan = operator.plan(partition)
+            assignment = operator.executor.assignment(partition)
+            reorder_plan = build_reorder_plan(
+                problem.collective,
+                operator.executor.gemm_contended.layout,
+                [list(tiles) for tiles in assignment.group_tiles],
+                problem.n_gpus,
+            )
             result = run_allreduce_pipeline(
-                matrices, plan.reorder_plan, assignment=plan.assignment, execution_order=order
+                matrices, reorder_plan, assignment=assignment, execution_order=order
             )
             assert result.allclose()
 

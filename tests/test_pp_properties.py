@@ -15,6 +15,9 @@ must satisfy:
   same values), and is the latest end of any cell;
 * the trace lists every cell once, stage by stage, each stage's spans in
   its execution order with non-decreasing ends;
+* under arbitrary per-stage costs (zero durations included), each stream of
+  the trace is that stage's columns in order and passes the trace's own
+  stream-order check;
 * generation is deterministic and conserves cells (M forwards, M backwards
   and -- for the split schedule -- M weight-gradient cells per stage).
 
@@ -27,6 +30,7 @@ from hypothesis import given, settings as hsettings
 from hypothesis import strategies as st
 
 from oracles.replay import critical_path
+from repro.gpu.kernels import KernelCategory
 from repro.pp.schedule import KNOWN_SCHEDULES, StageCostVector, generate_schedule
 from repro.workloads.pipeline import partition_layers
 
@@ -178,3 +182,39 @@ def test_generation_is_deterministic_and_conserves_cells(model):
             assert kinds.count("B") == microbatches
             assert kinds.count("W") == (microbatches if first.split_backward else 0)
             assert all(cell.stage == stage for cell in order)
+
+
+#: Trace category of each cell kind.
+CATEGORIES = {"F": KernelCategory.GEMM, "B": KernelCategory.OTHER, "W": KernelCategory.ELEMENTWISE}
+#: Independent per-stage costs: unbalanced stages and zero-length cells.
+STAGE_COSTS = st.lists(
+    st.builds(StageCostVector, *[st.floats(min_value=0.0, max_value=1e-2)] * 3),
+    min_size=1,
+    max_size=4,
+)
+
+
+@hsettings(max_examples=60, deadline=None)
+@given(
+    costs=STAGE_COSTS,
+    microbatches=st.integers(min_value=1, max_value=8),
+    delays=st.tuples(*[st.floats(min_value=0.0, max_value=1e-3)] * 2),
+)
+def test_each_trace_stream_is_its_stage_columns(costs, microbatches, delays):
+    for name in KNOWN_SCHEDULES:
+        schedule = generate_schedule(name, tuple(costs), microbatches, *delays)
+        trace = schedule.trace()
+        streams = [f"stage{stage}" for stage in range(len(costs))]
+        assert trace.streams() == streams
+        spans = trace.spans
+        for stage, stream in enumerate(streams):
+            columns = zip(schedule.kinds[stage], schedule.microbatches[stage],
+                          schedule.starts[stage], schedule.ends[stage])
+            assert [
+                (span.name, span.start, span.end, span.category)
+                for span in spans if span.stream == stream
+            ] == [
+                (f"{kind}{mb}@s{stage}", start, end, CATEGORIES[kind])
+                for kind, mb, start, end in columns
+            ]
+        trace.validate_stream_order()

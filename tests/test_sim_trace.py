@@ -25,9 +25,9 @@ class TestSpan:
 
 
 class TestTraceQueries:
-    def test_streams_and_spans_on(self, trace):
+    def test_streams(self, trace):
         assert trace.streams() == ["compute", "comm"]
-        assert len(trace.spans_on("comm")) == 2
+        assert [span.name for span in trace.spans if span.stream == "comm"] == ["ar-g1", "ar-g2"]
 
     def test_makespan(self, trace):
         assert trace.makespan() == 14.0
@@ -50,8 +50,46 @@ class TestTraceQueries:
         t.record("stage0", "b", 0.0, 1.0)
         t.record("stage1", "c", 1.0, 2.0)
         assert t.streams() == ["stage1", "stage0"]
-        assert [s.name for s in t.spans_on("stage1")] == ["a", "c"]
-        assert t.spans_on("stage2") == []
+        assert [s.name for s in t.spans if s.stream == "stage1"] == ["a", "c"]
+
+    def test_extend_appends_one_stream_in_order(self):
+        t = Trace()
+        t.record("compute", "gemm", 0.0, 4.0, KernelCategory.GEMM)
+        t.extend("comm", ["ar-g1", "ar-g2"], (1.0, 3.0), (3.0, 5.0),
+                 [KernelCategory.COMMUNICATION] * 2)
+        assert t.spans == [
+            Span("compute", "gemm", 0.0, 4.0, KernelCategory.GEMM),
+            Span("comm", "ar-g1", 1.0, 3.0, KernelCategory.COMMUNICATION),
+            Span("comm", "ar-g2", 3.0, 5.0, KernelCategory.COMMUNICATION),
+        ]
+        assert t.streams() == ["compute", "comm"]
+
+    def test_spans_are_built_on_each_read(self, trace):
+        spans = trace.spans
+        spans.clear()
+        assert len(trace.spans) == 3
+        assert trace.spans is not trace.spans
+
+
+class TestRecordingChecks:
+    def test_record_rejects_a_span_that_ends_before_it_starts(self):
+        t = Trace()
+        with pytest.raises(ValueError, match="span 'x' ends before it starts"):
+            t.record("s", "x", 3.0, 1.0)
+        assert t.spans == []
+
+    def test_extend_rejects_a_backwards_span_and_appends_nothing(self):
+        t = Trace()
+        with pytest.raises(ValueError, match="span 'b' ends before it starts"):
+            t.extend("s", ["a", "b", "c"], [0.0, 2.0, 2.0], [1.0, 1.5, 3.0],
+                     [KernelCategory.OTHER] * 3)
+        assert t.spans == [] and t.streams() == []
+
+    def test_extend_rejects_columns_of_different_lengths(self):
+        t = Trace()
+        with pytest.raises(ValueError, match="must have one length"):
+            t.extend("s", ["a", "b"], [0.0, 1.0], [1.0], [KernelCategory.OTHER] * 2)
+        assert t.spans == []
 
 
 class TestValidationAndRendering:
