@@ -52,10 +52,13 @@ class OverlapPlan:
     """A fully resolved overlap configuration for one problem."""
 
     problem: OverlapProblem
-    partition: WavePartition
     assignment: GroupAssignment
     reorder_plan: ReorderPlan
     tuning: TuningResult
+
+    @property
+    def partition(self) -> WavePartition:
+        return self.tuning.partition
 
     @property
     def num_groups(self) -> int:
@@ -149,7 +152,6 @@ class FlashOverlapOperator:
             )
             self._cached_plan = OverlapPlan(
                 problem=self.problem,
-                partition=tuning.partition,
                 assignment=assignment,
                 reorder_plan=reorder,
                 tuning=tuning,

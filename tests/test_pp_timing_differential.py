@@ -77,8 +77,8 @@ def assert_matches_oracle(schedule):
     trace = schedule.trace()
     streams = [f"stage{stage}" for stage in range(schedule.num_stages)]
     assert trace.streams() == streams
-    assert len(trace.spans) == schedule.num_cells
     spans = trace.spans
+    assert len(spans) == schedule.num_cells
     for stream in streams:
         # Span equality: name, start, end (floats with ==) and category.
         assert [span for span in spans if span.stream == stream] == reference.trace.spans_on(stream)
