@@ -15,6 +15,8 @@ verdict and message, and the Chrome trace events.
 
 from __future__ import annotations
 
+from functools import partial
+
 from hypothesis import given, settings as hsettings
 from hypothesis import strategies as st
 
@@ -89,8 +91,8 @@ def test_columnar_trace_matches_the_span_list_oracle(ops):
     trace, reference = Trace(), ReferenceTrace()
     errors = 0
     for kind, stream, rows in ops:
-        outcome = outcome_of(lambda: apply(trace, kind, stream, rows))
-        assert outcome == outcome_of(lambda: apply(reference, kind, stream, rows))
+        outcome = outcome_of(partial(apply, trace, kind, stream, rows))
+        assert outcome == outcome_of(partial(apply, reference, kind, stream, rows))
         errors += outcome[0] == "error"
         assert trace.spans == reference.spans
     assert errors == 1
