@@ -78,6 +78,14 @@ class OverlapProblem:
         )
 
 
+#: Largest ``max_exhaustive_waves``: the pruned design space of ``T`` waves is
+#: built from all ``2^(T-1)`` decision vectors, for every ``T`` up to it.
+MAX_EXHAUSTIVE_WAVES = 16
+#: Largest ``bandwidth_samples_per_decade``: the offline profile spans about
+#: 4.2 decades (64 KiB to 1 GiB), so this caps it at about 4,200 points.
+MAX_BANDWIDTH_SAMPLES_PER_DECADE = 1000
+
+
 @dataclass(frozen=True)
 class OverlapSettings:
     """Tunables of the FlashOverlap design and its search procedure."""
@@ -110,8 +118,16 @@ class OverlapSettings:
     def __post_init__(self) -> None:
         if self.max_first_group < 1 or self.max_last_group < 1:
             raise ValueError("group-size bounds must be >= 1")
-        if self.max_exhaustive_waves < 1:
-            raise ValueError("max_exhaustive_waves must be >= 1")
+        if not 1 <= self.max_exhaustive_waves <= MAX_EXHAUSTIVE_WAVES:
+            raise ValueError(
+                f"max_exhaustive_waves must be in 1..{MAX_EXHAUSTIVE_WAVES}, "
+                f"got {self.max_exhaustive_waves}"
+            )
+        if not 1 <= self.bandwidth_samples_per_decade <= MAX_BANDWIDTH_SAMPLES_PER_DECADE:
+            raise ValueError(
+                f"bandwidth_samples_per_decade must be in 1..{MAX_BANDWIDTH_SAMPLES_PER_DECADE}, "
+                f"got {self.bandwidth_samples_per_decade}"
+            )
         for name in ("signal_poll_us", "comm_launch_us", "executor_jitter", "bandwidth_profile_noise"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

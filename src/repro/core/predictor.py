@@ -171,10 +171,13 @@ class LatencyPredictor:
 
         Candidates are encoded as a padded :class:`PartitionMatrix` (zero-size
         padding groups contribute zero compute and zero payload, so they leave
-        each candidate's timeline untouched).  Every arithmetic step runs in
-        the order a per-group scalar accumulation would -- same interpolation,
-        same serialization recurrence -- so each latency is bit-identical to
-        evaluating its candidate alone.
+        each candidate's timeline untouched).  Every row covers the same ``T``
+        waves, so a group's compute time and collective latency depend only on
+        its size: both are priced once per size ``0..T`` and gathered by
+        ``matrix.sizes``.  Every arithmetic step runs in the order a per-group
+        scalar accumulation would -- same interpolation, same serialization
+        recurrence -- so each latency is bit-identical to evaluating its
+        candidate alone.
         """
         matrix = (
             partitions
@@ -183,33 +186,38 @@ class LatencyPredictor:
         )
         if matrix.num_candidates == 0:
             return np.empty(0, dtype=np.float64)
-        if not np.all(matrix.total_waves == self.profile.num_waves):
-            bad = int(matrix.total_waves[matrix.total_waves != self.profile.num_waves][0])
-            raise ValueError(
-                f"partition covers {bad} waves, but the profile has {self.profile.num_waves}"
-            )
-        sizes = matrix.sizes.astype(np.float64)
+        waves = self.profile.num_waves
+        total_waves = matrix.total_waves
+        if not np.all(total_waves == waves):
+            bad = int(total_waves[total_waves != waves][0])
+            raise ValueError(f"partition covers {bad} waves, but the profile has {waves}")
+        group_sizes = np.arange(waves + 1, dtype=np.float64)
+        imbalance = self.profile.imbalance
+        # Row g of ``comm`` and ``compute_end`` is group slot g of every candidate.
+        slots = matrix.sizes.T
 
         # Per-group payloads: full waves, overflow absorbed by the last group.
-        # Sizes and wave_bytes are integer-valued, so the row sums are exact in
-        # any summation order and the overflow adjustment is too.
-        raw = sizes * self.profile.wave_bytes
-        overflow = raw.sum(axis=1) - self._total_bytes
-        last = matrix.counts - 1
-        clip = np.flatnonzero(overflow > 0)
-        if clip.size:
-            raw[clip, last[clip]] = np.maximum(0.0, raw[clip, last[clip]] - overflow[clip])
-        comm = self.profile.comm_model.latency_array(raw * self.profile.imbalance)
+        # Sizes and wave_bytes are integer-valued, so every row's payloads sum
+        # to exactly T full waves in any summation order: the overflow is one
+        # scalar, and a clipped last group gets a table of its own.
+        raw = group_sizes * self.profile.wave_bytes
+        comm = self.profile.comm_model.latency_array(raw * imbalance)[slots]
+        overflow = raw[waves] - self._total_bytes
+        if overflow > 0:
+            clipped = self.profile.comm_model.latency_array(np.maximum(0.0, raw - overflow) * imbalance)
+            rows, last = np.arange(matrix.num_candidates), matrix.counts - 1
+            comm[last, rows] = clipped[matrix.sizes[rows, last]]
 
-        compute_end = np.cumsum(sizes * self.profile.wave_time * self.profile.imbalance, axis=1)
+        compute_end = (group_sizes * self.profile.wave_time * imbalance)[slots]
+        np.cumsum(compute_end, axis=0, out=compute_end)
 
         # Group i communicates once the GEMM has finished its waves and group
         # i-1's collective has drained (one communication stream): one short
         # loop over group slots, vectorized over candidates.
         previous_end = np.zeros(matrix.num_candidates, dtype=np.float64)
-        for group in range(matrix.max_groups):
-            start = np.maximum(compute_end[:, group], previous_end)
-            previous_end = start + comm[:, group]
+        for group_end, group_comm in zip(compute_end, comm):
+            np.maximum(group_end, previous_end, out=previous_end)
+            previous_end += group_comm
         return previous_end
 
     def predict_non_overlap(self) -> float:

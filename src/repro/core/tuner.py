@@ -22,8 +22,7 @@ from repro.core.predictor import LatencyPredictor, OfflineProfile
 from repro.core.wave_grouping import (
     PartitionMatrix,
     WavePartition,
-    candidate_partitions_matrix,
-    heuristic_partitions,
+    heuristic_partition_matrix,
     pruned_partition_matrix,
 )
 from repro.gpu.gemm import GemmShape
@@ -70,7 +69,7 @@ class PredictiveTuner:
         first, last = self.settings.max_first_group, self.settings.max_last_group
         if num_waves <= self.settings.max_exhaustive_waves:
             return pruned_partition_matrix(num_waves, first, last)
-        return candidate_partitions_matrix(heuristic_partitions(num_waves, first, last))
+        return heuristic_partition_matrix(num_waves, first, last)
 
     def tune(self, problem: OverlapProblem, profile: OfflineProfile | None = None) -> TuningResult:
         with obs.span("tuner.tune", method="predictive"):

@@ -5,7 +5,8 @@ the communication of everything accumulated since the previous trigger, or
 keep accumulating; the last wave always triggers.  A choice is therefore a
 *composition* of ``T`` -- an ordered tuple of positive group sizes summing to
 ``T`` -- and the raw design space has ``2^(T-1)`` elements (Fig. 9).  The
-tuner builds the pruned space as one boolean decision matrix, a
+tuner builds the pruned space from a boolean decision matrix, or for large
+``T`` the heuristic family straight from its closed forms, as one
 :class:`PartitionMatrix`, and decodes only its winning row.
 """
 
@@ -124,56 +125,100 @@ def pruned_partition_matrix(
     last wave; rows keep ascending mask order.
     """
     masks = np.arange(1 << (num_waves - 1))
-    decisions = np.ones((masks.size, num_waves), dtype=bool)
-    decisions[:, :-1] = (masks[:, None] >> np.arange(num_waves - 1)) & 1
-    # first group <= max_first_group iff a decision falls in those first waves; the last group alike.
-    keep = decisions[:, :max_first_group].any(axis=1)
+    # The first group has at most max_first_group waves iff one of those
+    # waves communicates, and the last group at most max_last_group iff one
+    # of the max_last_group waves before the last does (the last wave always
+    # communicates, so a bound of T or more keeps every row).
+    if max_first_group < num_waves:
+        masks = masks[masks & ((1 << max_first_group) - 1) != 0]
     if max_last_group < num_waves:
-        keep &= decisions[:, num_waves - 1 - max_last_group : num_waves - 1].any(axis=1)
-    decisions = decisions[keep]
-    # Each row's group ends in ascending order, padded with the wave count.
-    boundaries = np.sort(np.where(decisions, np.arange(1, num_waves + 1), num_waves), axis=1)
-    sizes = np.diff(boundaries, axis=1, prepend=0)
-    return PartitionMatrix(sizes, np.count_nonzero(decisions, axis=1), boundaries)
+        masks = masks[masks >> (num_waves - 1 - max_last_group) != 0]
+    bits = masks.astype("<u8").view(np.uint8).reshape(-1, 8)
+    decisions = np.unpackbits(bits, axis=1, count=num_waves, bitorder="little").view(bool)
+    decisions[:, -1] = True
+    counts = np.count_nonzero(decisions, axis=1)
+    # Every row ends with a decision, so the gaps between consecutive
+    # decisions of the flattened matrix are the group sizes, row after row;
+    # each row's k-th gap goes to its column k.
+    sizes = np.zeros(decisions.shape, dtype=np.int64)
+    sizes[np.arange(num_waves) < counts[:, None]] = np.diff(np.flatnonzero(decisions), prepend=-1)
+    return PartitionMatrix(sizes, counts)
 
 
-def heuristic_partitions(
+#: Growth factors of the geometric "small head, growing body, bounded tail" rows.
+_GROWTH_FACTORS = (1.0, 1.5, 2.0, 3.0)
+
+
+def _geometric_rows(num_waves: int, max_first_group: int, max_last_group: int) -> list[list[int]]:
+    """The geometric rows of the heuristic family that no earlier row repeats.
+
+    Each row starts with a group of ``first`` waves and grows every next group
+    by ``growth`` (by at least one wave) until the next group would reach the
+    waves left; that remainder is split into ``max_last_group``-sized groups
+    and one last group of at most ``max_last_group``.  ``growth = 1`` keeps a
+    run of ``first``-sized groups, written in closed form like the tail.
+    Rows that equal the equal-size row of their first group, or an earlier
+    geometric row, are dropped.
+    """
+    rows: list[list[int]] = []
+    seen: set[tuple[int, ...]] = set()
+    for first in range(1, min(max_first_group, num_waves) + 1):
+        full, remainder = divmod(num_waves, first)
+        equal = [first] * full + ([remainder] if remainder else [])
+        for growth in _GROWTH_FACTORS:
+            sizes = [first]
+            remaining = num_waves - first
+            if growth == 1.0:
+                run = max(0, (remaining - 1) // first)
+                sizes += [first] * run
+                remaining -= run * first
+            else:
+                current = float(first)
+                while True:  # capped at the wave count, so it never overflows
+                    current = min(max(current * growth, current + 1), num_waves)
+                    size = int(round(current))
+                    if size >= remaining:
+                        break
+                    sizes.append(size)
+                    remaining -= size
+            if remaining:
+                split = (remaining - 1) // max_last_group
+                sizes += [max_last_group] * split + [remaining - split * max_last_group]
+            key = tuple(sizes)
+            if sizes != equal and key not in seen:
+                seen.add(key)
+                rows.append(sizes)
+    return rows
+
+
+def heuristic_partition_matrix(
     num_waves: int, max_first_group: int, max_last_group: int
-) -> list[WavePartition]:
+) -> PartitionMatrix:
     """A compact candidate family for large ``T`` where enumeration explodes.
 
-    Combines (a) equal-size groupings for every group size, (b) geometric
-    "small head, growing body, bounded tail" partitions, and (c) the per-wave
-    and single-group extremes.  All candidates respect the first/last bounds
-    where possible.
+    Combines (a) the equal-size groupings for every group size ``g`` (their
+    extremes are the per-wave and single-group partitions), built as one dense
+    block, and (b) the geometric "small head, growing body, bounded tail"
+    rows of :func:`_geometric_rows`.  Rows keep first-occurrence order: the
+    per-wave row, then the single group when it is within the last-group
+    bound, the other equal-size rows by ascending ``g``, the geometric rows.
     """
-    candidates: dict[tuple[int, ...], WavePartition] = {}
-
-    def add(partition: WavePartition) -> None:
-        candidates.setdefault(partition.group_sizes, partition)
-
-    add(WavePartition.per_wave(num_waves))
+    group = np.arange(1, num_waves + 1)
     if num_waves <= max_last_group:
-        add(WavePartition.single_group(num_waves))
-    for group_size in range(1, num_waves + 1):
-        partition = WavePartition.equal_groups(num_waves, group_size)
-        add(partition)
-    for first in range(1, min(max_first_group, num_waves) + 1):
-        for growth in (1.0, 1.5, 2.0, 3.0):
-            sizes = [first]
-            current = float(first)
-            remaining = num_waves - first
-            while remaining > 0:
-                if growth > 1:  # capped at the wave count, so it never overflows
-                    current = min(max(current * growth, current + 1), num_waves)
-                size = min(int(round(current)), remaining)
-                # Keep the tail bounded: split an oversized final group.
-                if remaining - size == 0 and size > max_last_group:
-                    size = max_last_group
-                sizes.append(max(1, size))
-                remaining -= sizes[-1]
-            add(WavePartition.from_sizes(sizes))
-    return list(candidates.values())
+        group[1:] = np.roll(group[1:], 1)
+    geometric = _geometric_rows(num_waves, max_first_group, max_last_group)
+    sizes = np.zeros((num_waves + len(geometric), num_waves), dtype=np.int64)
+    counts = np.empty(sizes.shape[0], dtype=np.int64)
+    # Group j of the equal-size row g holds min(g, waves left after j groups) waves.
+    equal = sizes[:num_waves]
+    np.multiply.outer(group, np.arange(num_waves), out=equal)
+    np.subtract(num_waves, equal, out=equal)
+    np.clip(equal, 0, group[:, None], out=equal)
+    counts[:num_waves] = -(-num_waves // group)
+    for row, row_sizes in enumerate(geometric, start=num_waves):
+        sizes[row, : len(row_sizes)] = row_sizes
+        counts[row] = len(row_sizes)
+    return PartitionMatrix(sizes, counts)
 
 
 # -- batch encoding -----------------------------------------------------------
@@ -184,17 +229,13 @@ class PartitionMatrix:
     """Padded NumPy encoding of a family of candidate partitions.
 
     Row ``c`` describes candidate ``c``: ``sizes[c, g]`` is the wave count of
-    its ``g``-th group (zero-padded past ``counts[c]`` groups) and
-    ``boundaries[c, g]`` is the prefix sum of those sizes (the 1-based wave
-    index at which group ``g`` ends; past the last real group the boundary
-    stays at the total wave count).  This is the input format of the
-    vectorized latency predictor: one encoding is built per search and
-    reused by every evaluation pass.
+    its ``g``-th group, zero-padded past ``counts[c]`` groups.  This is the
+    input format of the vectorized latency predictor: one encoding is built
+    per search and reused by every evaluation pass.
     """
 
     sizes: np.ndarray  # (num_candidates, max_groups) int64, zero padded
     counts: np.ndarray  # (num_candidates,) int64, number of real groups
-    boundaries: np.ndarray  # (num_candidates, max_groups) int64 prefix sums
 
     @property
     def num_candidates(self) -> int:
@@ -207,7 +248,7 @@ class PartitionMatrix:
     @property
     def total_waves(self) -> np.ndarray:
         """Wave count covered by each candidate."""
-        return self.boundaries[:, -1] if self.max_groups else np.zeros(0, dtype=np.int64)
+        return self.sizes.sum(axis=1)
 
     def partition(self, index: int) -> WavePartition:
         """Decode one row back into a :class:`WavePartition`."""
@@ -215,7 +256,7 @@ class PartitionMatrix:
 
 
 def candidate_partitions_matrix(partitions: Sequence[WavePartition]) -> PartitionMatrix:
-    """Encode candidate partitions as padded prefix-sum arrays.
+    """Encode candidate partitions as zero-padded group-size rows.
 
     The padding is chosen so that downstream vectorized evaluation is exact:
     a padded group has size zero, contributes zero compute time and zero
@@ -223,11 +264,9 @@ def candidate_partitions_matrix(partitions: Sequence[WavePartition]) -> Partitio
     unchanged.
     """
     if not partitions:
-        empty = np.zeros((0, 0), dtype=np.int64)
-        return PartitionMatrix(sizes=empty, counts=np.zeros(0, dtype=np.int64), boundaries=empty)
+        return PartitionMatrix(np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64))
     counts = np.array([p.num_groups for p in partitions], dtype=np.int64)
-    max_groups = int(counts.max())
-    sizes = np.zeros((len(partitions), max_groups), dtype=np.int64)
+    sizes = np.zeros((len(partitions), int(counts.max())), dtype=np.int64)
     for row, partition in enumerate(partitions):
         sizes[row, : counts[row]] = partition.group_sizes
-    return PartitionMatrix(sizes=sizes, counts=counts, boundaries=np.cumsum(sizes, axis=1))
+    return PartitionMatrix(sizes, counts)

@@ -469,6 +469,11 @@ class TestCleanErrors:
             ('{"comm_launch_us": Infinity}', "comm_launch_us must be finite, got inf"),
             ('{"seed": Infinity}', "seed must be finite, got inf"),
             ('{"signal_poll_us": -1}', "overheads must be non-negative"),
+            ('{"max_exhaustive_waves": 40}', "max_exhaustive_waves must be in 1..16, got 40"),
+            ('{"bandwidth_samples_per_decade": 0}',
+             "bandwidth_samples_per_decade must be in 1..1000, got 0"),
+            ('{"bandwidth_samples_per_decade": -5}',
+             "bandwidth_samples_per_decade must be in 1..1000, got -5"),
         ],
     )
     def test_invalid_settings_override_exits_2_before_any_record(

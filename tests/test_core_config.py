@@ -5,7 +5,13 @@ from dataclasses import replace
 import pytest
 
 from repro.comm.primitives import CollectiveKind
-from repro.core.config import DEFAULT_SETTINGS, OverlapProblem, OverlapSettings
+from repro.core.config import (
+    DEFAULT_SETTINGS,
+    MAX_BANDWIDTH_SAMPLES_PER_DECADE,
+    MAX_EXHAUSTIVE_WAVES,
+    OverlapProblem,
+    OverlapSettings,
+)
 from repro.gpu.gemm import GemmShape
 
 
@@ -83,6 +89,11 @@ class TestOverlapSettings:
             {"max_first_group": 0},
             {"max_last_group": 0},
             {"max_exhaustive_waves": 0},
+            {"max_exhaustive_waves": 17},
+            {"max_exhaustive_waves": 40},
+            {"bandwidth_samples_per_decade": -5},
+            {"bandwidth_samples_per_decade": 0},
+            {"bandwidth_samples_per_decade": 1001},
             {"signal_poll_us": -1.0},
             {"comm_launch_us": -1.0},
             {"signal_poll_us": float("nan")},
@@ -98,3 +109,13 @@ class TestOverlapSettings:
     def test_invalid_settings(self, kwargs):
         with pytest.raises(ValueError):
             OverlapSettings(**kwargs)
+
+    def test_search_and_sampling_bounds_are_inclusive(self):
+        assert MAX_EXHAUSTIVE_WAVES >= DEFAULT_SETTINGS.max_exhaustive_waves
+        for waves, samples in ((1, 1), (MAX_EXHAUSTIVE_WAVES, MAX_BANDWIDTH_SAMPLES_PER_DECADE)):
+            settings = OverlapSettings(
+                max_exhaustive_waves=waves, bandwidth_samples_per_decade=samples
+            )
+            assert (settings.max_exhaustive_waves, settings.bandwidth_samples_per_decade) == (
+                waves, samples
+            )

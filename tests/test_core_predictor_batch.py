@@ -108,8 +108,44 @@ class TestPredictBatchEquivalence:
         assert predictor.predict_batch([]).size == 0
 
 
+class TestHeuristicFamilyEquivalence:
+    """Problems of 15-600 waves, where the tuner ranks the heuristic family."""
+
+    @pytest.mark.parametrize(
+        "shape,collective,imbalance,noise,waves",
+        [
+            (GemmShape(4096, 8192, 4096), CollectiveKind.ALL_REDUCE, 1.2, 0.05, 17),
+            (GemmShape(5000, 7000, 1024), CollectiveKind.REDUCE_SCATTER, 1.0, 0.015, 18),
+            (GemmShape(12288, 12288, 1024), CollectiveKind.ALL_TO_ALL, 1.3, 0.08, 75),
+            (GemmShape(16384, 16384, 256), CollectiveKind.ALL_REDUCE, 1.1, 0.0, 133),
+            (GemmShape(32768, 16384, 128), CollectiveKind.REDUCE_SCATTER, 1.25, 0.015, 265),
+            (GemmShape(38400, 31700, 64), CollectiveKind.ALL_REDUCE, 1.05, 0.05, 600),
+        ],
+        ids=["17-waves", "18-waves", "75-waves", "133-waves", "265-waves", "600-waves"],
+    )
+    def test_matches_the_oracles(self, shape, collective, imbalance, noise, waves):
+        problem = _problem(shape, collective, imbalance=imbalance)
+        settings = OverlapSettings(bandwidth_profile_noise=noise, seed=5)
+        profile = OfflineProfile.build(problem, settings)
+        assert profile.num_waves == waves
+        # The last group absorbs the overflow of full waves past the output.
+        assert waves * profile.wave_bytes > problem.output_bytes()
+        assert_batch_matches_scalar(problem, settings)
+        assert PredictiveTuner(settings).tune(problem) == predictive_reference(problem, settings)
+
+    def test_output_an_exact_multiple_of_the_wave_bytes(self):
+        # 124 x 40 tiles of 128 x 128 on 124 compute SMs: 40 full waves, no overflow.
+        problem = _problem(GemmShape(15872, 5120, 256), imbalance=1.15)
+        settings = OverlapSettings(bandwidth_profile_noise=0.03, seed=2)
+        profile = OfflineProfile.build(problem, settings)
+        assert profile.num_waves == 40
+        assert problem.output_bytes() == 40 * profile.wave_bytes
+        assert_batch_matches_scalar(problem, settings)
+        assert PredictiveTuner(settings).tune(problem) == predictive_reference(problem, settings)
+
+
 class TestPartitionMatrix:
-    def test_round_trip_and_prefix_sums(self):
+    def test_round_trip_and_padding(self):
         partitions = [
             WavePartition((1, 2, 3)),
             WavePartition((6,)),
@@ -120,7 +156,7 @@ class TestPartitionMatrix:
         assert matrix.max_groups == 4
         assert list(matrix.counts) == [3, 1, 4]
         assert list(matrix.total_waves) == [6, 6, 6]
-        np.testing.assert_array_equal(matrix.boundaries[0], [1, 3, 6, 6])
+        np.testing.assert_array_equal(matrix.sizes[0], [1, 2, 3, 0])
         for index, partition in enumerate(partitions):
             assert matrix.partition(index) == partition
 

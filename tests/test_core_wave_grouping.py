@@ -8,6 +8,7 @@ from oracles.wave_grouping import (
     candidate_partitions,
     enumerate_partitions,
     from_decisions,
+    heuristic_partitions,
     pruned_partitions,
 )
 from repro.comm.primitives import CollectiveKind
@@ -17,9 +18,10 @@ from repro.core.tuner import PredictiveTuner
 from repro.core.wave_grouping import (
     PartitionMatrix,
     WavePartition,
+    _geometric_rows,
     candidate_partitions_matrix,
     design_space_size,
-    heuristic_partitions,
+    heuristic_partition_matrix,
     pruned_partition_matrix,
 )
 from repro.gpu.device import RTX_4090
@@ -33,7 +35,7 @@ def _rows(matrix: PartitionMatrix) -> list[WavePartition]:
 def assert_same_rows(matrix: PartitionMatrix, partitions: list[WavePartition]) -> None:
     """``matrix`` encodes ``partitions`` row by row, dtypes included."""
     expected = candidate_partitions_matrix(partitions)
-    for name in ("sizes", "counts", "boundaries"):
+    for name in ("sizes", "counts"):
         got, want = getattr(matrix, name), getattr(expected, name)
         assert got.dtype == want.dtype, name
         np.testing.assert_array_equal(got, want, err_msg=name)
@@ -171,11 +173,34 @@ class TestPrunedMatrixMatchesOracle:
         )
 
 
+class TestHeuristicMatrixMatchesOracle:
+    """The heuristic family built as one matrix against the oracle's partition list."""
+
+    @pytest.mark.parametrize("waves", [*range(1, 301), 1058])
+    def test_rows_match(self, waves):
+        for first in range(1, 5):
+            for last in range(1, 7):
+                assert_same_rows(
+                    heuristic_partition_matrix(waves, first, last),
+                    heuristic_partitions(waves, first, last),
+                )
+
+    def test_geometric_rows_follow_the_equal_size_block(self):
+        # The first T rows of the family are the T distinct equal-size rows;
+        # the geometric rows that no earlier row repeats come after them.
+        for waves, first, last in ((40, 2, 4), (97, 4, 1), (1058, 3, 6)):
+            expected = heuristic_partitions(waves, first, last)[waves:]
+            assert [tuple(row) for row in _geometric_rows(waves, first, last)] == [
+                p.group_sizes for p in expected
+            ]
+
+
 class TestHeuristicCandidates:
     def test_heuristic_covers_extremes(self):
-        candidates = heuristic_partitions(30, max_first_group=2, max_last_group=4)
+        candidates = _rows(heuristic_partition_matrix(30, max_first_group=2, max_last_group=4))
         sizes = {c.group_sizes for c in candidates}
         assert (1,) * 30 in sizes  # per-wave
+        assert (30,) in sizes  # single group
         assert all(c.num_waves == 30 for c in candidates)
         assert len(candidates) >= 10
 
@@ -193,10 +218,13 @@ class TestHeuristicCandidates:
     def test_growth_is_clamped_at_the_wave_count(self):
         # Splitting a long tail into max_last_group-sized groups used to keep
         # multiplying the geometric size until it overflowed to inf (T = 4743
-        # at the default bounds).
-        candidates = heuristic_partitions(4743, 2, 4)
-        assert all(p.num_waves == 4743 for p in candidates)
-        assert (1,) * 4743 in {p.group_sizes for p in candidates}
+        # at the default bounds).  Only the geometric rows are built here: the
+        # whole family's padded matrix would take about 180 MB at this T.
+        rows = _geometric_rows(4743, 2, 4)
+        assert rows and all(sum(row) == 4743 for row in rows)
+        assert [tuple(row) for row in rows] == [
+            p.group_sizes for p in heuristic_partitions(4743, 2, 4)[4743:]
+        ]
 
     def test_tuner_survives_a_long_split_tail(self):
         # T = 1058 waves: the family overflowed from T = 1006 at max_last_group=1.
