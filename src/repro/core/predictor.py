@@ -199,12 +199,13 @@ class LatencyPredictor:
         # Per-group payloads: full waves, overflow absorbed by the last group.
         # Sizes and wave_bytes are integer-valued, so every row's payloads sum
         # to exactly T full waves in any summation order: the overflow is one
-        # scalar, and a clipped last group gets a table of its own.
+        # scalar, and a clipped last group reads a second table row.
         raw = group_sizes * self.profile.wave_bytes
-        comm = self.profile.comm_model.latency_array(raw * imbalance)[slots]
         overflow = raw[waves] - self._total_bytes
+        payloads = np.stack((raw, np.maximum(0.0, raw - max(overflow, 0.0))))
+        full, clipped = self.profile.comm_model.latency_array(payloads * imbalance)
+        comm = full[slots]
         if overflow > 0:
-            clipped = self.profile.comm_model.latency_array(np.maximum(0.0, raw - overflow) * imbalance)
             rows, last = np.arange(matrix.num_candidates), matrix.counts - 1
             comm[last, rows] = clipped[matrix.sizes[rows, last]]
 

@@ -7,7 +7,7 @@ every ``2^(T-1)`` composition as a :class:`WavePartition` (one "communicate
 after wave i" decision vector per mask), keeps those within
 the first/last bounds, and falls back to the whole space when none is kept;
 it builds the heuristic family one :class:`WavePartition` at a time, group
-by group.  Both matrices can so be asserted equal to it row by row.
+by group, so both matrices can be asserted equal to it row by row.
 """
 
 from __future__ import annotations
