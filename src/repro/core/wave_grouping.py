@@ -145,10 +145,6 @@ def pruned_partition_matrix(
     return PartitionMatrix(sizes, counts)
 
 
-#: Growth factors of the geometric "small head, growing body, bounded tail" rows.
-_GROWTH_FACTORS = (1.0, 1.5, 2.0, 3.0)
-
-
 def _geometric_rows(num_waves: int, max_first_group: int, max_last_group: int) -> list[list[int]]:
     """The geometric rows of the heuristic family that no earlier row repeats.
 
@@ -161,11 +157,10 @@ def _geometric_rows(num_waves: int, max_first_group: int, max_last_group: int) -
     geometric row, are dropped.
     """
     rows: list[list[int]] = []
-    seen: set[tuple[int, ...]] = set()
     for first in range(1, min(max_first_group, num_waves) + 1):
         full, remainder = divmod(num_waves, first)
         equal = [first] * full + ([remainder] if remainder else [])
-        for growth in _GROWTH_FACTORS:
+        for growth in (1.0, 1.5, 2.0, 3.0):
             sizes = [first]
             remaining = num_waves - first
             if growth == 1.0:
@@ -184,9 +179,7 @@ def _geometric_rows(num_waves: int, max_first_group: int, max_last_group: int) -
             if remaining:
                 split = (remaining - 1) // max_last_group
                 sizes += [max_last_group] * split + [remaining - split * max_last_group]
-            key = tuple(sizes)
-            if sizes != equal and key not in seen:
-                seen.add(key)
+            if sizes != equal and sizes not in rows:
                 rows.append(sizes)
     return rows
 
