@@ -185,15 +185,6 @@ class TestHeuristicMatrixMatchesOracle:
                     heuristic_partitions(waves, first, last),
                 )
 
-    def test_geometric_rows_follow_the_equal_size_block(self):
-        # The first T rows of the family are the T distinct equal-size rows;
-        # the geometric rows that no earlier row repeats come after them.
-        for waves, first, last in ((40, 2, 4), (97, 4, 1), (1058, 3, 6)):
-            expected = heuristic_partitions(waves, first, last)[waves:]
-            assert [tuple(row) for row in _geometric_rows(waves, first, last)] == [
-                p.group_sizes for p in expected
-            ]
-
 
 class TestHeuristicCandidates:
     def test_heuristic_covers_extremes(self):
@@ -219,7 +210,8 @@ class TestHeuristicCandidates:
         # Splitting a long tail into max_last_group-sized groups used to keep
         # multiplying the geometric size until it overflowed to inf (T = 4743
         # at the default bounds).  Only the geometric rows are built here: the
-        # whole family's padded matrix would take about 180 MB at this T.
+        # whole family's padded matrix would take about 180 MB at this T.  The
+        # oracle lists the T distinct equal-size rows first, the geometric after.
         rows = _geometric_rows(4743, 2, 4)
         assert rows and all(sum(row) == 4743 for row in rows)
         assert [tuple(row) for row in rows] == [
