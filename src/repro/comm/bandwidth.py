@@ -154,8 +154,10 @@ def default_sample_sizes(points_per_decade: int = 4) -> np.ndarray:
     """Log-spaced message sizes (64 KiB to 1 GiB) used for offline bandwidth profiling."""
     decades = np.log10(_MAX_SAMPLE_BYTES / _MIN_SAMPLE_BYTES)
     count = max(2, int(round(decades * points_per_decade)) + 1)
-    return np.unique(np.geomspace(_MIN_SAMPLE_BYTES, _MAX_SAMPLE_BYTES, count)
-                     .astype(np.int64)).astype(np.float64)
+    sizes = np.geomspace(_MIN_SAMPLE_BYTES, _MAX_SAMPLE_BYTES, count).astype(np.int64)
+    # The sizes never decrease, so truncation can only repeat a neighbour:
+    # keep the first of each run (np.unique would also load numpy.ma).
+    return sizes[np.diff(sizes, prepend=0) > 0].astype(np.float64)
 
 
 def sample_bandwidth(

@@ -44,7 +44,7 @@ from repro.core.wave_grouping import PartitionMatrix, WavePartition, candidate_p
 
 
 @lru_cache(maxsize=256)
-def _cached_sampled_curve(
+def cached_sampled_curve(
     topology: Topology, points_per_decade: int, noise: float, seed: int
 ) -> SampledBandwidthCurve:
     """Sampled bandwidth curve keyed by (topology, sampling settings)."""
@@ -64,7 +64,7 @@ def _cached_sampled_curve(
 def profile_cache_info() -> dict[str, int]:
     """Hit/miss/size counters of the process-level offline-profile caches."""
     profile = OfflineProfile.cached.cache_info()
-    curve = _cached_sampled_curve.cache_info()
+    curve = cached_sampled_curve.cache_info()
     return {
         "profile_hits": profile.hits,
         "profile_misses": profile.misses,
@@ -78,7 +78,7 @@ def profile_cache_info() -> dict[str, int]:
 def clear_profile_caches() -> None:
     """Drop memoized offline profiles and sampled curves (cold-path timing)."""
     OfflineProfile.cached.cache_clear()
-    _cached_sampled_curve.cache_clear()
+    cached_sampled_curve.cache_clear()
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ class OfflineProfile:
         wave_bytes = gemm.wave_size(compute_sms) * problem.tile_config().tile_bytes(
             problem.dtype_bytes
         )
-        sampled = _cached_sampled_curve(
+        sampled = cached_sampled_curve(
             problem.topology,
             settings.bandwidth_samples_per_decade,
             settings.bandwidth_profile_noise,

@@ -19,9 +19,14 @@ Two caches with different scopes make a sweep fast:
   close to an already-tuned entry (persisted across runs via ``cache_path``);
 * the process-level offline-profile memoization
   (:meth:`repro.core.predictor.OfflineProfile.cached`) shares sampled
-  bandwidth curves and offline profiles across all jobs a worker process
-  executes, so cache misses only pay the candidate search, not the offline
-  stage.  The in-process hit/miss counters are reported on the summary.
+  bandwidth curves and offline profiles across the jobs of one process, so
+  cache misses only pay the candidate search, not the offline stage.
+  Before the pool forks, the parent builds the sampled curve of every
+  distinct (topology, sampling settings) the pending scenarios use, so each
+  worker inherits them instead of building them again.  This relies on the
+  fork start method (``ProcessPoolExecutor``'s default on Linux through
+  Python 3.13); under spawn or forkserver the workers build their own.  The
+  in-process hit/miss counters are reported on the summary.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from dataclasses import dataclass, field
 from repro import obs
 from repro.analysis.speedup import compare_methods
 from repro.core.overlap import PRICING_VERSION, price_plan
-from repro.core.predictor import profile_cache_info
+from repro.core.predictor import cached_sampled_curve, profile_cache_info
 from repro.core.tuner import GemmShapeCache, PredictiveTuner
 from repro.plans.store import PricedCellStore, plan_key
 from repro.sweep.matrix import Scenario, ScenarioMatrix
@@ -461,6 +466,21 @@ class SweepRunner:
         plans_json: str | None = None,
         heartbeat: _Heartbeat | None = None,
     ) -> list[dict]:
+        # Forked workers inherit this process's memo, so each distinct sampled
+        # bandwidth curve (and the numpy.random its noise loads) is built here
+        # once instead of in every worker.  A scenario that does not build is
+        # left to its job, which records the error.
+        for scenario in pending:
+            try:
+                problem, settings = scenario.to_problem(), scenario.to_settings()
+                cached_sampled_curve(
+                    problem.topology,
+                    settings.bandwidth_samples_per_decade,
+                    settings.bandwidth_profile_noise,
+                    settings.seed,
+                )
+            except Exception:  # noqa: BLE001 - the job reports its own error
+                continue
         records: list[dict] = []
         crashed: list[Scenario] = []
         with ProcessPoolExecutor(

@@ -10,6 +10,7 @@ from repro.comm.bandwidth import (
     sample_bandwidth,
 )
 from repro.comm.topology import a800_nvlink, rtx4090_pcie
+from repro.core.config import MAX_BANDWIDTH_SAMPLES_PER_DECADE
 
 
 class TestAnalyticCurve:
@@ -118,6 +119,20 @@ class TestSampleSizes:
         dense = default_sample_sizes(points_per_decade=8)
         sparse = default_sample_sizes(points_per_decade=2)
         assert len(dense) > len(sparse)
+
+    def test_matches_the_sorted_unique_formula_at_every_density(self):
+        # The np.unique formula the sizes used to come from is the oracle:
+        # keeping the first of each run of equal truncated sizes must give
+        # the same sorted, duplicate-free array at every allowed density.
+        decades = np.log10((1 << 30) / (64 * 1024))
+        for points in range(1, MAX_BANDWIDTH_SAMPLES_PER_DECADE + 1):
+            count = max(2, int(round(decades * points)) + 1)
+            expected = np.unique(
+                np.geomspace(64 * 1024, 1 << 30, count).astype(np.int64)
+            ).astype(np.float64)
+            sizes = default_sample_sizes(points_per_decade=points)
+            assert sizes.dtype == expected.dtype, points
+            np.testing.assert_array_equal(sizes, expected, err_msg=str(points))
 
 
 class TestVectorizedCurves:

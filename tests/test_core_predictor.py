@@ -1,8 +1,14 @@
 """Tests for the latency predictor (repro.core.predictor, Alg. 1)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from oracles.predictor import group_bytes, group_comm_times, timeline
 from repro.core.executor import OverlapExecutor
 from repro.core.predictor import LatencyPredictor, OfflineProfile
@@ -34,6 +40,28 @@ class TestOfflineProfile:
         from repro.comm.bandwidth import SampledBandwidthCurve
 
         assert isinstance(profile.comm_model.curve, SampledBandwidthCurve)
+
+    def test_building_a_profile_does_not_load_numpy_ma(self):
+        # Every sweep worker and CLI call builds a profile; numpy.ma (which
+        # np.unique imports) would add about 10 ms to each fresh process.
+        code = (
+            "import sys\n"
+            "from repro.comm.primitives import CollectiveKind\n"
+            "from repro.comm.topology import rtx4090_pcie\n"
+            "from repro.core.config import OverlapProblem\n"
+            "from repro.core.predictor import OfflineProfile\n"
+            "from repro.gpu.device import RTX_4090\n"
+            "from repro.gpu.gemm import GemmShape\n"
+            "OfflineProfile.build(OverlapProblem(shape=GemmShape(m=2048, n=8192, k=8192),\n"
+            "    device=RTX_4090, topology=rtx4090_pcie(4), collective=CollectiveKind.ALL_REDUCE))\n"
+            "print(sorted(name for name in ('numpy.ma', 'numpy.random') if name in sys.modules))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        # The default profiling noise draws from numpy.random; numpy.ma stays out.
+        assert done.stdout.strip() == "['numpy.random']"
 
 
 class TestPrediction:

@@ -30,6 +30,18 @@ def tiny_matrix() -> ScenarioMatrix:
 
 
 @pytest.fixture
+def two_platform_matrix() -> ScenarioMatrix:
+    """Eight scenarios on two platforms: two sampled bandwidth curves."""
+    return ScenarioMatrix.build(
+        name="two-platform",
+        workload="tiny",
+        shapes=[(512, 1024, 1024), (2048, 2048, 2048)],
+        platforms=[("rtx4090", "rtx4090-pcie", 4), ("a800", "a800-nvlink", 8)],
+        collectives=["allreduce", "reducescatter"],
+    )
+
+
+@pytest.fixture
 def store(tmp_path) -> ResultStore:
     return ResultStore(tmp_path / "results.jsonl")
 
@@ -103,17 +115,20 @@ class TestSweepRunner:
         again = SweepRunner(store).run(tiny_matrix)
         assert again.executed == 4
 
-    def test_worker_processes_match_in_process_results(self, tmp_path, tiny_matrix):
-        serial = SweepRunner(ResultStore(tmp_path / "serial.jsonl")).run(tiny_matrix)
-        parallel = SweepRunner(ResultStore(tmp_path / "parallel.jsonl"), workers=2).run(tiny_matrix)
-        by_id_serial = {r["job_id"]: r for r in serial.records}
-        by_id_parallel = {r["job_id"]: r for r in parallel.records}
-        assert by_id_serial.keys() == by_id_parallel.keys()
-        for job_id, record in by_id_serial.items():
-            other = by_id_parallel[job_id]
-            assert record["speedup"] == other["speedup"]
-            assert record["partition"] == other["partition"]
-            assert record["use_overlap"] == other["use_overlap"]
+    @pytest.mark.parametrize("baselines", [False, True])
+    def test_worker_processes_match_in_process_results(
+        self, tmp_path, two_platform_matrix, baselines
+    ):
+        serial_path, parallel_path = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
+        serial = SweepRunner(ResultStore(serial_path), baselines=baselines).run(
+            two_platform_matrix
+        )
+        parallel = SweepRunner(
+            ResultStore(parallel_path), workers=2, baselines=baselines
+        ).run(two_platform_matrix)
+        assert serial.failed == 0
+        assert parallel.records == serial.records
+        assert parallel_path.read_bytes() == serial_path.read_bytes()
 
     def test_store_order_is_deterministic_across_worker_counts(self, tmp_path, tiny_matrix):
         store_a = ResultStore(tmp_path / "a.jsonl")
@@ -137,20 +152,30 @@ class TestSweepRunner:
         assert second.tuned == 0
         assert second.cache_hits == 4
 
-    def test_failed_scenario_recorded_not_raised(self, store):
+    def test_failed_scenario_recorded_not_raised(self, tmp_path):
         # A matrix rejects a bad topology when it is built, but a scenario
         # list reaches the runner as is: the topology name only resolves
         # inside the job, so the failure surfaces as an error record rather
-        # than an exception in the runner.
-        scenario = Scenario(
-            workload="bad", m=512, n=1024, k=1024, device="a800",
-            topology="no-such-topology", gpus=4, collective="allreduce",
-        )
-        summary = SweepRunner(store).run([scenario])
-        assert summary.failed == 1
-        record = next(iter(store.records()))
-        assert record["status"] == "error"
-        assert "error" in record
+        # than an exception in the runner.  The third scenario builds, but
+        # its noise drives a sampled bandwidth negative, so its curve does
+        # not: on workers the parent's curve warm-up must skip both.
+        common = dict(m=512, n=1024, k=1024, device="a800", gpus=4, collective="allreduce")
+        scenarios = [
+            Scenario(workload="bad", topology="no-such-topology", **common),
+            Scenario(workload="good", topology="a800-nvlink", **common),
+            Scenario(workload="noisy", topology="a800-nvlink", **common,
+                     settings_overrides=(("bandwidth_profile_noise", 3.0),)),
+        ]
+        serial = SweepRunner(ResultStore(tmp_path / "serial.jsonl")).run(scenarios)
+        assert serial.failed == 2
+        bad, good, noisy = serial.records
+        assert bad["status"] == "error"
+        assert bad["error"].startswith("KeyError: \"unknown topology 'no-such-topology'")
+        assert good["status"] == "ok"
+        assert noisy["error"] == "ValueError: sampled bandwidths must be positive"
+        assert "cached_sampled_curve" in noisy["traceback"]
+        parallel = SweepRunner(ResultStore(tmp_path / "parallel.jsonl"), workers=2).run(scenarios)
+        assert parallel.records == serial.records
 
     def test_baselines_mode_adds_method_speedups(self, store, tiny_matrix):
         summary = SweepRunner(store, baselines=True).run(tiny_matrix)
@@ -253,24 +278,31 @@ class TestSweepPricedCells:
         plain = SweepRunner(ResultStore(tmp_path / "plain.jsonl")).run(tiny_matrix)
         assert priced_view(replayed.records) == priced_view(plain.records)
 
-    def test_workers_share_the_snapshot_and_ride_cells_back(self, tmp_path, tiny_matrix):
-        cells_path = tmp_path / "cells.json"
+    def test_workers_share_the_snapshot_and_ride_cells_back(self, tmp_path, two_platform_matrix):
+        serial_cells, cells_path = tmp_path / "serial-cells.json", tmp_path / "cells.json"
+        serial = SweepRunner(
+            ResultStore(tmp_path / "serial.jsonl"), plan_store_path=str(serial_cells)
+        ).run(two_platform_matrix)
         parallel = SweepRunner(
             ResultStore(tmp_path / "parallel.jsonl"),
             workers=2,
             plan_store_path=str(cells_path),
-        ).run(tiny_matrix)
+        ).run(two_platform_matrix)
         assert parallel.priced_hits == 0
-        merged = PricedCellStore.load(cells_path)
-        assert len(merged) == 4
+        assert parallel.records == serial.records
+        assert cells_path.read_bytes() == serial_cells.read_bytes()
+        assert len(PricedCellStore.load(cells_path)) == 8
 
         again = SweepRunner(
             ResultStore(tmp_path / "again.jsonl"),
             workers=2,
             plan_store_path=str(cells_path),
-        ).run(tiny_matrix)
-        assert again.priced_hits == 4
-        assert priced_view(again.records) == priced_view(parallel.records)
+        ).run(two_platform_matrix)
+        assert again.priced_hits == 8
+        # A replayed record is the priced record, flagged as replayed.
+        assert again.records == [
+            {**record, "tuned": False, "priced_cell_hit": True} for record in parallel.records
+        ]
 
     def test_cell_without_baselines_is_not_replayed_by_a_baselines_run(
         self, tmp_path, tiny_matrix
