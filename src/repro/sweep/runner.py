@@ -466,10 +466,9 @@ class SweepRunner:
         plans_json: str | None = None,
         heartbeat: _Heartbeat | None = None,
     ) -> list[dict]:
-        # Forked workers inherit this process's memo, so each distinct sampled
-        # bandwidth curve (and the numpy.random its noise loads) is built here
-        # once instead of in every worker.  A scenario that does not build is
-        # left to its job, which records the error.
+        # Forked workers inherit this memo (and the numpy.random the noise
+        # loads): build each distinct curve once here, not in every worker.
+        # A scenario that does not build is left to its job to record.
         for scenario in pending:
             try:
                 problem, settings = scenario.to_problem(), scenario.to_settings()
