@@ -56,8 +56,8 @@ class TestOfflineProfile:
             "    device=RTX_4090, topology=rtx4090_pcie(4), collective=CollectiveKind.ALL_REDUCE))\n"
             "print(sorted(name for name in ('numpy.ma', 'numpy.random') if name in sys.modules))\n"
         )
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        paths = [str(Path(repro.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=60, check=True)
         # The default profiling noise draws from numpy.random; numpy.ma stays out.
