@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core.predictor import clear_profile_caches, profile_cache_info
 from repro.core.tuner import GemmShapeCache
 from repro.plans.store import PricedCellStore, plan_key
 from repro.sweep.aggregate import (
@@ -129,6 +130,14 @@ class TestSweepRunner:
         assert serial.failed == 0
         assert parallel.records == serial.records
         assert parallel_path.read_bytes() == serial_path.read_bytes()
+
+    def test_parent_builds_each_curve_before_the_pool_forks(self, tmp_path, two_platform_matrix):
+        # One sampled curve per platform lands in this process's memo, for
+        # the forked workers to inherit; the per-problem profiles do not.
+        clear_profile_caches()
+        SweepRunner(ResultStore(tmp_path / "r.jsonl"), workers=2).run(two_platform_matrix)
+        info = profile_cache_info()
+        assert (info["curve_misses"], info["curve_size"], info["profile_size"]) == (2, 2, 0)
 
     def test_store_order_is_deterministic_across_worker_counts(self, tmp_path, tiny_matrix):
         store_a = ResultStore(tmp_path / "a.jsonl")
