@@ -3,20 +3,26 @@
 Where :class:`~repro.core.predictor.LatencyPredictor` is the cheap analytical
 model used by the tuner, :class:`OverlapExecutor` is the reproduction's
 stand-in for actually running the kernels.  It derives wave completion times
-and per-wave output bytes from the GEMM model under SM contention.  A wave's
-tiles finish together and waves finish in order, so under the signaling rule
-a group's collective is released when the group's last wave ends, and its
-payload is the bytes of its wave range: both are read from one memoized
-per-wave table.  The per-group collectives are serialized on a second stream
-with their launch and polling overheads, and a small deterministic jitter
-stands in for measurement noise.  The executor is what every benchmark
+and per-wave output bytes (in closed form, without the launch order) from
+the GEMM model under SM contention.  A wave's tiles finish together and
+waves finish in order, so under the signaling rule a group's collective is
+released when the group's last wave ends, and its payload is the bytes of
+its wave range: both are read from one memoized per-wave table.  Every
+group's collective is priced in one vectorized call; the collectives are
+serialized on a second stream by a max/plus recurrence with their launch and
+polling overheads, and a small deterministic jitter stands in for
+measurement noise.  The stream-order check runs on the start and end columns,
+and a result's :class:`~repro.sim.trace.Trace` is built only when read:
+pricing reads the latency alone.  The executor is what every benchmark
 measures and what the exhaustive search ranks candidates with.
 """
 
 from __future__ import annotations
 
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -25,7 +31,7 @@ from repro.core.config import DEFAULT_SETTINGS, OverlapProblem, OverlapSettings
 from repro.core.signaling import GroupAssignment
 from repro.core.wave_grouping import WavePartition
 from repro.gpu.kernels import KernelCategory
-from repro.sim.trace import Trace
+from repro.sim.trace import Trace, check_stream_order
 
 COMPUTE_STREAM = "compute"
 COMM_STREAM = "comm"
@@ -33,19 +39,27 @@ COMM_STREAM = "comm"
 
 @dataclass(frozen=True)
 class OverlapResult:
-    """Outcome of one simulated overlapped execution."""
+    """Outcome of one simulated overlapped execution.
+
+    :attr:`trace` is made by ``build_trace`` on its first read.
+    """
 
     latency: float
     partition: WavePartition
-    trace: Trace
     group_compute_ready: np.ndarray
     group_comm_start: np.ndarray
     group_comm_end: np.ndarray
+    build_trace: Callable[[], Trace] = field(repr=False)
     metadata: dict = field(default_factory=dict)
 
     @property
     def num_groups(self) -> int:
         return len(self.partition.group_sizes)
+
+    @cached_property
+    def trace(self) -> Trace:
+        """The execution's timeline, built on first read."""
+        return self.build_trace()
 
 
 class OverlapExecutor:
@@ -146,48 +160,59 @@ class OverlapExecutor:
         # A group signals when its last wave, hence its last tile, completes.
         wave_end, _ = self._wave_table()
         ready = wave_end[np.cumsum(partition.group_sizes) - 1] + self.settings.signal_poll_s
-
-        launch = self.problem.device.kernel_launch_seconds
-        jitter = self._jitter(partition, partition.num_groups)
-        trace = Trace()
-        gemm_body = wave_end[-1] - launch
-        shape = self.problem.shape
-        trace.record(
-            COMPUTE_STREAM, f"gemm[{shape.m}x{shape.n}x{shape.k}]", 0.0, gemm_body + launch,
-            KernelCategory.GEMM,
+        durations = self.comm_model.latency_array(payloads) * self._jitter(
+            partition, partition.num_groups
         )
 
         # One communication stream: a group's collective starts once its
         # signal is polled and launched, and once the previous one drained.
+        launched = ready + self.settings.comm_launch_s
         starts, ends = [], []
         end = 0.0
-        for group_ready, payload, noise in zip(ready, payloads, jitter):
-            start = max(end, group_ready + self.settings.comm_launch_s)
-            end = start + self.comm_model.latency(payload) * noise
+        for group_launched, duration in zip(launched.tolist(), durations.tolist()):
+            start = max(end, group_launched)
+            end = start + duration
             starts.append(start)
             ends.append(end)
         short_name = self.comm_model.kind.short_name
-        trace.extend(
-            COMM_STREAM, [f"{short_name}-G{group}" for group in range(1, len(ends) + 1)],
-            starts, ends, [KernelCategory.COMMUNICATION] * len(ends),
-        )
-        comm_start = np.array(starts)
-        comm_end = np.array(ends)
 
-        trace.validate_stream_order()
+        def name(group: int) -> str:
+            return f"{short_name}-G{group + 1}"
+
+        check_stream_order(COMM_STREAM, starts, ends, name)
         return OverlapResult(
-            latency=float(comm_end[-1]),
+            latency=end,
             partition=partition,
-            trace=trace,
             group_compute_ready=ready,
-            group_comm_start=comm_start,
-            group_comm_end=comm_end,
+            group_comm_start=np.array(starts),
+            group_comm_end=np.array(ends),
+            build_trace=partial(self._overlap_trace, starts, ends, name),
             metadata={
                 "payload_bytes": payloads,
                 "num_waves": self.num_waves(),
                 "compute_sms": self.compute_sms,
             },
         )
+
+    def _overlap_trace(
+        self, starts: list[float], ends: list[float], name: Callable[[int], str]
+    ) -> Trace:
+        """:meth:`simulate`'s timeline: the GEMM, then one span per group collective."""
+        wave_end, _ = self._wave_table()
+        launch = self.problem.device.kernel_launch_seconds
+        gemm_body = wave_end[-1] - launch
+        shape = self.problem.shape
+        trace = Trace()
+        trace.record(
+            COMPUTE_STREAM, f"gemm[{shape.m}x{shape.n}x{shape.k}]", 0.0, gemm_body + launch,
+            KernelCategory.GEMM,
+        )
+        trace.extend(
+            COMM_STREAM, [name(group) for group in range(len(ends))], starts, ends,
+            [KernelCategory.COMMUNICATION] * len(ends),
+        )
+        trace.validate_stream_order()
+        return trace
 
     def simulate_sequential(self) -> OverlapResult:
         """Simulate the sequential fallback (GEMM, then one collective call).
@@ -196,26 +221,30 @@ class OverlapExecutor:
         down (e.g. tiny communication under heavy SM contention); FlashOverlap
         then simply does not reserve SMs and issues a single NCCL call.
         """
-        partition = WavePartition.single_group(max(1, self.problem.gemm_model().num_waves()))
         gemm = self.problem.gemm_model()
+        partition = WavePartition.single_group(max(1, gemm.num_waves()))
         launch = self.problem.device.kernel_launch_seconds
         gemm_duration = gemm.duration(include_launch=True) * self.problem.imbalance
         payload = self.problem.output_bytes() * self.problem.imbalance
         comm_duration = self.comm_model.latency(payload)
         comm_start = gemm_duration + self.settings.comm_launch_s
         comm_end = comm_start + comm_duration
+        return OverlapResult(
+            latency=float(comm_end),
+            partition=partition,
+            group_compute_ready=np.array([gemm_duration]),
+            group_comm_start=np.array([comm_start]),
+            group_comm_end=np.array([comm_end]),
+            build_trace=partial(self._sequential_trace, gemm_duration, comm_start, comm_end),
+            metadata={"sequential_fallback": True, "launch": launch},
+        )
+
+    def _sequential_trace(self, gemm_duration: float, comm_start: float, comm_end: float) -> Trace:
+        """:meth:`simulate_sequential`'s timeline: the GEMM, then the whole collective."""
         trace = Trace()
         trace.record(COMPUTE_STREAM, "gemm[sequential]", 0.0, gemm_duration, KernelCategory.GEMM)
         trace.record(
             COMM_STREAM, f"{self.comm_model.kind.short_name}-full", comm_start, comm_end,
             KernelCategory.COMMUNICATION,
         )
-        return OverlapResult(
-            latency=float(comm_end),
-            partition=partition,
-            trace=trace,
-            group_compute_ready=np.array([gemm_duration]),
-            group_comm_start=np.array([comm_start]),
-            group_comm_end=np.array([comm_end]),
-            metadata={"sequential_fallback": True, "launch": launch},
-        )
+        return trace

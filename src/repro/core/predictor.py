@@ -25,8 +25,18 @@ from repro.comm.bandwidth import (
 )
 from repro.comm.primitives import CollectiveModel
 from repro.comm.topology import Topology
-from repro.core.config import OverlapProblem, OverlapSettings, DEFAULT_SETTINGS
-from repro.core.wave_grouping import PartitionMatrix, WavePartition, candidate_partitions_matrix
+from repro.core.config import (
+    DEFAULT_SETTINGS,
+    MAX_EXHAUSTIVE_WAVES,
+    OverlapProblem,
+    OverlapSettings,
+)
+from repro.core.wave_grouping import (
+    PartitionMatrix,
+    WavePartition,
+    candidate_partitions_matrix,
+    pruned_partition_matrix,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -39,8 +49,12 @@ from repro.core.wave_grouping import PartitionMatrix, WavePartition, candidate_p
 # memoized at process level, so repeated tuner calls -- a sweep worker
 # executing many jobs, the shape-cache warm-start path re-tuning near misses,
 # a benchmark re-ranking candidates -- rebuild neither the curve nor the
-# profile.  ``clear_profile_caches`` exists for benchmarks that want to time
-# the cold path.
+# profile.  The pruned candidate matrix depends only on (wave count, first
+# and last group bounds), so every search of one wave count shares one
+# read-only copy; the heuristic family of larger wave counts is built per
+# search, since its T x T matrices would dwarf the memo.
+# ``clear_profile_caches`` exists for benchmarks that want to time the cold
+# path.
 
 
 @lru_cache(maxsize=256)
@@ -61,6 +75,17 @@ def cached_sampled_curve(
     return curve
 
 
+@lru_cache(maxsize=MAX_EXHAUSTIVE_WAVES)
+def cached_pruned_matrix(
+    num_waves: int, max_first_group: int, max_last_group: int
+) -> PartitionMatrix:
+    """Read-only :func:`pruned_partition_matrix`, one per (waves, bounds) key."""
+    matrix = pruned_partition_matrix(num_waves, max_first_group, max_last_group)
+    matrix.sizes.setflags(write=False)
+    matrix.counts.setflags(write=False)
+    return matrix
+
+
 def profile_cache_info() -> dict[str, int]:
     """Hit/miss/size counters of the process-level offline-profile caches."""
     profile = OfflineProfile.cached.cache_info()
@@ -76,9 +101,10 @@ def profile_cache_info() -> dict[str, int]:
 
 
 def clear_profile_caches() -> None:
-    """Drop memoized offline profiles and sampled curves (cold-path timing)."""
+    """Drop memoized offline profiles, sampled curves and pruned candidate matrices."""
     OfflineProfile.cached.cache_clear()
     cached_sampled_curve.cache_clear()
+    cached_pruned_matrix.cache_clear()
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,8 @@ import numpy as np
 from repro import obs
 from repro.core.config import DEFAULT_SETTINGS, OverlapProblem, OverlapSettings
 from repro.core.executor import OverlapExecutor
-from repro.core.predictor import LatencyPredictor, OfflineProfile
-from repro.core.wave_grouping import (
-    PartitionMatrix,
-    WavePartition,
-    heuristic_partition_matrix,
-    pruned_partition_matrix,
-)
+from repro.core.predictor import LatencyPredictor, OfflineProfile, cached_pruned_matrix
+from repro.core.wave_grouping import PartitionMatrix, WavePartition, heuristic_partition_matrix
 from repro.gpu.gemm import GemmShape
 
 
@@ -65,10 +60,14 @@ class PredictiveTuner:
         self.settings = settings
 
     def candidates(self, num_waves: int) -> PartitionMatrix:
-        """The pruned design space when tractable, the heuristic family otherwise."""
+        """The pruned design space when tractable, the heuristic family otherwise.
+
+        The pruned matrix is the process-level read-only memo of
+        :func:`~repro.core.predictor.cached_pruned_matrix`.
+        """
         first, last = self.settings.max_first_group, self.settings.max_last_group
         if num_waves <= self.settings.max_exhaustive_waves:
-            return pruned_partition_matrix(num_waves, first, last)
+            return cached_pruned_matrix(num_waves, first, last)
         return heuristic_partition_matrix(num_waves, first, last)
 
     def tune(self, problem: OverlapProblem, profile: OfflineProfile | None = None) -> TuningResult:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.gpu.device import GPUSpec
-from repro.gpu.swizzle import execution_order, wave_partition
+from repro.gpu.swizzle import execution_order, launch_positions, wave_partition
 from repro.tensor.layout import TileLayout
 
 #: Bytes per element for the FP16/BF16 data type used throughout the paper.
@@ -140,14 +140,38 @@ class GemmKernelModel:
         return wave_partition(self.execution_order(), self._sms(sm_count))
 
     def wave_bytes(self, sm_count: int | None = None) -> np.ndarray:
-        """Exact output bytes of each wave, edge tiles included."""
-        layout = self.layout
-        order = self.execution_order()
-        row_block, col_block = np.divmod(order, layout.grid_n)
-        rows = np.minimum(layout.tile_m, layout.m - row_block * layout.tile_m)
-        cols = np.minimum(layout.tile_n, layout.n - col_block * layout.tile_n)
-        starts = np.arange(0, len(order), self._sms(sm_count))
-        return np.add.reduceat(rows * cols, starts) * self.dtype_bytes
+        """Exact output bytes of each wave, edge tiles included (int64).
+
+        Every wave but the last launches one tile per SM, so a wave holds its
+        tile count times a full tile's elements, less what its ragged tiles
+        lack.  Only the last tile row and column can be ragged: each tile of
+        the last row lacks ``short_rows`` rows of its width, and each tile of
+        the last column ``short_cols`` columns of a full tile's height (the
+        corner lacks both, its rows counted at its own width).  These deficits
+        are taken off the waves that launch the tiles, found through
+        :func:`~repro.gpu.swizzle.launch_positions`, so the cost grows with
+        ``grid_m + grid_n`` and the launch order is never built.
+        """
+        layout, sms = self.layout, self._sms(sm_count)
+        grid_m, grid_n = layout.grid_m, layout.grid_n
+        waves = -(-grid_m * grid_n // sms)
+        full = layout.tile_m * layout.tile_n
+        elements = np.full(waves, sms * full, dtype=np.int64)
+        elements[-1] = (grid_m * grid_n - (waves - 1) * sms) * full
+        short_rows = grid_m * layout.tile_m - layout.m
+        short_cols = grid_n * layout.tile_n - layout.n
+        swizzle = self.config.swizzle_size
+        if short_rows:
+            last_row = (grid_m - 1) * grid_n + np.arange(grid_n)
+            widths = np.full(grid_n, layout.tile_n, dtype=np.int64)
+            widths[-1] -= short_cols
+            waves_of = launch_positions(layout, swizzle, last_row) // sms
+            np.subtract.at(elements, waves_of, short_rows * widths)
+        if short_cols:
+            last_col = np.arange(1, grid_m + 1) * grid_n - 1
+            waves_of = launch_positions(layout, swizzle, last_col) // sms
+            np.subtract.at(elements, waves_of, short_cols * layout.tile_m)
+        return elements * self.dtype_bytes
 
     # -- durations ---------------------------------------------------------
 

@@ -8,7 +8,10 @@ The consequence exploited by FlashOverlap is that the tiles of an execution
 wave are **not contiguous in memory**, which is why a pre-communication
 reordering is needed (paper Sec. 2.1.2 and Fig. 2).  Orders are NumPy index
 arrays cut from the row-major tile grid, one block per column panel; only
-:func:`wave_partition` makes Python lists.
+:func:`wave_partition` makes Python lists.  :func:`launch_positions` inverts
+the order for a few given tiles in closed form, so a caller that needs only
+where some tiles launch (the GEMM model's ragged edge tiles) never builds
+the whole order; the panel layout is written down here alone.
 """
 
 from __future__ import annotations
@@ -46,6 +49,25 @@ def execution_order(layout: TileLayout, swizzle_size: int | None) -> np.ndarray:
     if not swizzle_size:
         return unswizzled_order(layout)
     return swizzled_order(layout, swizzle_size)
+
+
+def launch_positions(
+    layout: TileLayout, swizzle_size: int | None, tiles: np.ndarray
+) -> np.ndarray:
+    """Position of each of ``tiles`` in ``execution_order(layout, swizzle_size)``.
+
+    A panel starting at tile column ``start`` is ``min(swizzle_size, grid_n -
+    start)`` columns wide and follows the ``start * grid_m`` tiles of the
+    panels left of it; inside it, a tile follows the panel's rows above it.
+    Without swizzling the position is the tile index.
+    """
+    tiles = np.asarray(tiles, dtype=np.int64)
+    if not swizzle_size:
+        return tiles
+    row, col = np.divmod(tiles, layout.grid_n)
+    start = col - col % swizzle_size
+    width = np.minimum(swizzle_size, layout.grid_n - start)
+    return start * layout.grid_m + row * width + (col - start)
 
 
 def wave_partition(order: np.ndarray, wave_size: int) -> list[list[int]]:

@@ -13,9 +13,9 @@ per stream.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
-from operator import itemgetter, lt
+from operator import lt
 
 from repro.gpu.kernels import KernelCategory
 
@@ -128,16 +128,31 @@ class Trace:
 
     def validate_stream_order(self) -> None:
         """Raise if spans on any single stream overlap each other."""
-        by_stream: dict[str, list[tuple[float, float, str]]] = {
-            stream: [] for stream in self.streams()
-        }
-        for stream, span in zip(self._streams, zip(self._starts, self._ends, self._names)):
-            by_stream[stream].append(span)
-        for stream, spans in by_stream.items():
-            spans.sort(key=itemgetter(0))
-            for (_, earlier_end, earlier), (later_start, _, later) in zip(spans, spans[1:]):
-                if later_start < earlier_end - 1e-12:
-                    raise ValueError(
-                        f"stream {stream!r}: span {later!r} starts before "
-                        f"{earlier!r} finishes"
-                    )
+        by_stream: dict[str, list[int]] = {}
+        for index, stream in enumerate(self._streams):
+            by_stream.setdefault(stream, []).append(index)
+        for stream, indices in by_stream.items():
+            names = [self._names[i] for i in indices]
+            check_stream_order(
+                stream, [self._starts[i] for i in indices], [self._ends[i] for i in indices],
+                names.__getitem__,
+            )
+
+
+def check_stream_order(
+    stream: str, starts: Sequence[float], ends: Sequence[float], name: Callable[[int], str]
+) -> None:
+    """Raise if two of one stream's spans, given as columns, overlap.
+
+    Spans are compared in order of start (ties in column order), each with
+    the next, to a 1e-12 s tolerance; ``name(i)`` names span ``i`` in the
+    error.  :meth:`Trace.validate_stream_order` applies it stream by stream,
+    and a producer can apply it to its columns without building a trace.
+    """
+    order = sorted(range(len(starts)), key=starts.__getitem__)
+    for earlier, later in zip(order, order[1:]):
+        if starts[later] < ends[earlier] - 1e-12:
+            raise ValueError(
+                f"stream {stream!r}: span {name(later)!r} starts before "
+                f"{name(earlier)!r} finishes"
+            )

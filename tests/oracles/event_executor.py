@@ -139,10 +139,10 @@ class EventDrivenExecutor:
         return OverlapResult(
             latency=float(comm_end[-1]),
             partition=partition,
-            trace=trace,
             group_compute_ready=ready,
             group_comm_start=comm_start,
             group_comm_end=comm_end,
+            build_trace=lambda: trace,  # recorded event by event above
             metadata={
                 "payload_bytes": payloads,
                 "num_waves": self.num_waves(),

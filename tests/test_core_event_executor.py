@@ -7,6 +7,7 @@ import pytest
 from oracles.event_executor import EventDrivenExecutor
 from repro.core.executor import COMM_STREAM, OverlapExecutor
 from repro.core.wave_grouping import WavePartition
+from repro.gpu.gemm import GemmShape
 from repro.gpu.kernels import KernelCategory
 
 
@@ -70,6 +71,23 @@ class TestCrossCheck:
             event = executor.simulate(partition).latency
             direct = analytic.simulate(partition).latency
             assert event == pytest.approx(direct, rel=1e-9)
+
+    def test_matches_on_a_ragged_problem(self, small_problem, fast_settings):
+        # A 30x45 output on 8x8 tiles: the 4x6 grid's last tile row is 6 rows
+        # high and its last column 5 wide; under swizzle 2 on 6 compute SMs
+        # the ragged tiles launch in waves 1, 2 and 3 of 4.
+        problem = small_problem.with_shape(GemmShape(m=30, n=45, k=64))
+        executor = EventDrivenExecutor(problem, fast_settings)
+        analytic = OverlapExecutor(problem, fast_settings)
+        assert analytic.num_waves() == 4
+        for sizes in ((1, 1, 1, 1), (2, 2), (1, 3), (3, 1), (4,)):
+            partition = WavePartition(sizes)
+            event = executor.simulate(partition)
+            direct = analytic.simulate(partition)
+            payloads = event.metadata["payload_bytes"]
+            assert payloads.tolist() == direct.metadata["payload_bytes"].tolist()
+            assert payloads.sum() == problem.output_bytes() == 30 * 45 * 2
+            assert event.latency == pytest.approx(direct.latency, rel=1e-9)
 
     def test_matches_with_jitter_enabled(self, paper_problem_4090):
         from repro.core.config import OverlapSettings

@@ -144,6 +144,39 @@ class TestPricingBuildsNoFunctionalPlan:
         assert comparison.speedups["flashoverlap"] == non_overlap / expected
 
 
+class TestTraceOnRead:
+    """Pricing reads latencies only; a result's trace is built when read."""
+
+    @pytest.mark.parametrize("problem_name", ["paper_problem_4090", "fallback"])
+    def test_pricing_builds_no_trace(self, request, problem_name, monkeypatch):
+        from repro.core.tuner import PredictiveTuner
+        from repro.sim.trace import Trace
+
+        problem = (
+            _fallback_problem() if problem_name == "fallback"
+            else request.getfixturevalue(problem_name)
+        )
+        tuning = PredictiveTuner().tune(problem)
+        built = []
+        init = Trace.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Trace, "__init__", counting)
+        priced = price_plan(problem, tuning)
+        operator = FlashOverlapOperator(problem)
+        result = operator.simulate()
+        assert built == []
+        assert result.latency == priced.overlap_latency
+        # Read twice, built once, and it ends with the priced latency.
+        trace = result.trace
+        assert result.trace is trace and built == [trace]
+        assert trace.makespan() == result.latency
+        assert len(trace.streams()) == 2
+
+
 def _serving_problem() -> OverlapProblem:
     """A decode GEMM+AllReduce whose tuned overlap loses to the sequential run."""
     from repro.comm.topology import a800_nvlink

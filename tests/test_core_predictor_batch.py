@@ -16,14 +16,20 @@ from oracles.wave_grouping import candidate_partitions
 from repro.comm.primitives import CollectiveKind
 from repro.comm.topology import rtx4090_pcie
 from repro.core.config import OverlapProblem, OverlapSettings
+from repro.core.config import MAX_EXHAUSTIVE_WAVES
 from repro.core.predictor import (
     LatencyPredictor,
     OfflineProfile,
+    cached_pruned_matrix,
     clear_profile_caches,
     profile_cache_info,
 )
 from repro.core.tuner import PredictiveTuner
-from repro.core.wave_grouping import WavePartition, candidate_partitions_matrix
+from repro.core.wave_grouping import (
+    WavePartition,
+    candidate_partitions_matrix,
+    pruned_partition_matrix,
+)
 from repro.gpu.device import RTX_4090
 from repro.gpu.gemm import GemmShape
 
@@ -250,6 +256,41 @@ class TestProfileMemoization:
         b = OfflineProfile.cached(_problem(GemmShape(2048, 2048, 1024)), fast_settings)
         assert a is not b
         assert a.comm_model.curve is b.comm_model.curve
+
+    def test_pruned_matrix_is_shared_read_only_and_cleared(self, fast_settings):
+        clear_profile_caches()
+        tuner = PredictiveTuner(fast_settings)
+        first, last = fast_settings.max_first_group, fast_settings.max_last_group
+        matrix = tuner.candidates(fast_settings.max_exhaustive_waves)
+        assert tuner.candidates(fast_settings.max_exhaustive_waves) is matrix
+        fresh = pruned_partition_matrix(fast_settings.max_exhaustive_waves, first, last)
+        assert matrix.sizes.dtype == fresh.sizes.dtype and matrix.counts.dtype == fresh.counts.dtype
+        assert matrix.sizes.tolist() == fresh.sizes.tolist()
+        assert matrix.counts.tolist() == fresh.counts.tolist()
+        with pytest.raises(ValueError):
+            matrix.sizes[0, 0] = 2
+        with pytest.raises(ValueError):
+            matrix.counts[0] = 2
+        info = cached_pruned_matrix.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert info.maxsize == MAX_EXHAUSTIVE_WAVES
+        # Sweep payloads carry these six counters; the memo adds none.
+        assert sorted(profile_cache_info()) == [
+            "curve_hits", "curve_misses", "curve_size",
+            "profile_hits", "profile_misses", "profile_size",
+        ]
+        clear_profile_caches()
+        assert cached_pruned_matrix.cache_info().currsize == 0
+        assert tuner.candidates(fast_settings.max_exhaustive_waves) is not matrix
+
+    def test_heuristic_family_is_built_per_search(self, fast_settings):
+        clear_profile_caches()
+        tuner = PredictiveTuner(fast_settings)
+        waves = fast_settings.max_exhaustive_waves + 1
+        first, second = tuner.candidates(waves), tuner.candidates(waves)
+        assert first is not second and first.sizes.flags.writeable
+        assert first.sizes.tolist() == second.sizes.tolist()
+        assert cached_pruned_matrix.cache_info().currsize == 0
 
     def test_settings_distinguish_entries(self, paper_problem_4090):
         clear_profile_caches()

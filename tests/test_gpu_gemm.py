@@ -1,8 +1,11 @@
 """Tests for the GEMM kernel model (repro.gpu.gemm)."""
 
+import random
+
 import numpy as np
 import pytest
 
+from oracles.swizzle import wave_bytes_reference
 from repro.gpu.device import A800, RTX_4090
 from repro.gpu.gemm import DTYPE_BYTES, GemmKernelModel, GemmShape, GemmTileConfig
 
@@ -152,3 +155,23 @@ class TestCompletionTimes:
         per_tile = [r * c * DTYPE_BYTES for r in rows for c in cols]
         assert model.wave_bytes(4).tolist() == [sum(per_tile[:4]), sum(per_tile[4:8]), per_tile[8]]
         assert model.wave_bytes().sum() == model.shape.output_bytes()
+        # The closed form against the order-based sum: ragged M, N, both or
+        # neither; no swizzle, column-major, a panel width that leaves a
+        # narrower last panel and one at least the grid width; 1 SM to more
+        # SMs than tiles.
+        rng = random.Random(34)
+        for _ in range(150):
+            tile_m, tile_n = rng.randint(1, 12), rng.randint(1, 12)
+            grid_m, grid_n = rng.randint(1, 24), rng.randint(1, 24)
+            m = grid_m * tile_m - rng.choice([0, rng.randint(0, tile_m - 1)])
+            n = grid_n * tile_n - rng.choice([0, rng.randint(0, tile_n - 1)])
+            narrower = next((s for s in range(2, grid_n) if grid_n % s), 2)
+            for swizzle in (0, 1, narrower, grid_n + rng.randint(0, 2)):
+                model = GemmKernelModel(GemmShape(m, n, 64), RTX_4090,
+                                        GemmTileConfig(tile_m=tile_m, tile_n=tile_n,
+                                                       swizzle_size=swizzle))
+                for sms in {1, rng.randint(1, model.num_tiles), model.num_tiles + 1}:
+                    expected = wave_bytes_reference(model, sms)
+                    got = model.wave_bytes(sms)
+                    assert got.dtype == expected.dtype == np.int64
+                    assert got.tolist() == expected.tolist(), (m, n, tile_m, tile_n, swizzle, sms)

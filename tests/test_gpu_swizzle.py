@@ -12,7 +12,13 @@ from repro.core.executor import OverlapExecutor
 from repro.core.wave_grouping import WavePartition
 from repro.gpu.device import RTX_4090
 from repro.gpu.gemm import GemmShape
-from repro.gpu.swizzle import execution_order, swizzled_order, unswizzled_order, wave_partition
+from repro.gpu.swizzle import (
+    execution_order,
+    launch_positions,
+    swizzled_order,
+    unswizzled_order,
+    wave_partition,
+)
 from repro.tensor.layout import TileLayout
 
 
@@ -129,6 +135,30 @@ class TestMatchesOracle:
         assert order.tolist() == swizzled_order_reference(layout, swizzle)
 
 
+class TestLaunchPositions:
+    """``launch_positions`` inverts the launch order on every tile."""
+
+    @hyp_settings(max_examples=150, deadline=None)
+    @given(_layouts(), st.data())
+    def test_inverts_the_order(self, layout, data):
+        swizzle = data.draw(st.integers(0, layout.grid_n + 3), label="swizzle")
+        order = execution_order(layout, swizzle)
+        if swizzle:
+            assert order.tolist() == swizzled_order(layout, swizzle).tolist()
+        tiles = np.arange(layout.num_tiles)
+        positions = launch_positions(layout, swizzle, tiles)
+        assert positions.dtype == np.int64
+        assert order[positions].tolist() == tiles.tolist()
+        assert launch_positions(layout, swizzle, order).tolist() == tiles.tolist()
+
+    @pytest.mark.parametrize("swizzle", [None, 0, 1, 3, 64, 67])
+    def test_paper_grid_subset(self, swizzle):
+        layout = TileLayout(m=2048, n=8192, tile_m=128, tile_n=128)
+        order = execution_order(layout, swizzle)
+        tiles = np.array([0, 63, 64, 700, 1023])
+        assert order[launch_positions(layout, swizzle, tiles)].tolist() == tiles.tolist()
+
+
 class TestExecutorReadsTheArray:
     def test_first_simulate_indexes_no_tile(self, monkeypatch):
         # The executor's per-wave bytes read the order as an array, so no
@@ -151,3 +181,25 @@ class TestExecutorReadsTheArray:
         assert executor.gemm_contended.num_tiles == 1664
         executor.simulate(WavePartition.per_wave(executor.num_waves()))
         assert calls == []
+
+    @pytest.mark.parametrize("m", [3328, 3300])
+    def test_pricing_builds_no_launch_order(self, monkeypatch, m):
+        # Per-wave bytes come from the edge tiles' launch positions, so
+        # pricing never builds the swizzled order, ragged edge or not.
+        from repro.core.overlap import price_plan
+        from repro.core.tuner import PredictiveTuner
+
+        problem = OverlapProblem(
+            shape=GemmShape(m, 8190, 4096),
+            device=RTX_4090,
+            topology=rtx4090_pcie(4),
+            collective=CollectiveKind.ALL_REDUCE,
+        )
+        tuning = PredictiveTuner().tune(problem)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("pricing built the launch order")
+
+        monkeypatch.setattr("repro.gpu.gemm.execution_order", forbidden)
+        priced = price_plan(problem, tuning)
+        assert priced.overlap_latency <= priced.non_overlap_latency * (1 + 1e-12)
