@@ -11,9 +11,10 @@ The quantities the serving community reports:
   bound), the metric that actually prices serving capacity.
 
 Percentiles use the linear-interpolation definition of ``numpy.percentile``,
-computed over the completed requests only; everything is a pure function of
-the request records, so two simulations with identical records report
-identical metrics.
+written out on the sorted values (``np.percentile`` would load ``numpy.ma``,
+about 10 ms of a fresh process) and computed over the completed requests
+only; everything is a pure function of the request records, so two
+simulations with identical records report identical metrics.
 """
 
 from __future__ import annotations
@@ -97,6 +98,22 @@ class FailureRecord:
         }
 
 
+def _percentile(ordered: list[float], q: int) -> float:
+    """``numpy.percentile(ordered, q)`` (its default linear rule), bit for bit.
+
+    The virtual index ``(n - 1) * q / 100`` falls between two neighbours,
+    and NumPy's two-sided lerp interpolates from the nearer one.
+    """
+    virtual = (len(ordered) - 1) * (q / 100)
+    below = math.floor(virtual)
+    if below >= len(ordered) - 1:
+        return ordered[-1]
+    lo, hi, gamma = ordered[below], ordered[below + 1], virtual - below
+    if gamma < 0.5:
+        return lo + (hi - lo) * gamma
+    return hi - (hi - lo) * (1 - gamma)
+
+
 @dataclass(frozen=True)
 class LatencyStats:
     """Distribution summary of one latency series."""
@@ -113,12 +130,13 @@ class LatencyStats:
         if not values:
             return cls(count=0, mean=0.0, p50=0.0, p95=0.0, p99=0.0, max=0.0)
         array = np.asarray(values, dtype=np.float64)
+        ordered = sorted(array.tolist())
         return cls(
             count=len(values),
             mean=float(array.mean()),
-            p50=float(np.percentile(array, 50)),
-            p95=float(np.percentile(array, 95)),
-            p99=float(np.percentile(array, 99)),
+            p50=_percentile(ordered, 50),
+            p95=_percentile(ordered, 95),
+            p99=_percentile(ordered, 99),
             max=float(array.max()),
         )
 
