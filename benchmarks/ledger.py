@@ -1,6 +1,7 @@
 """Record the repository benchmark's end-to-end medians for one commit.
 
     python3 benchmarks/ledger.py <pr>
+    python3 benchmarks/ledger.py --compare OLD NEW
 
 Runs perfbench (``BENCHMARK.json``'s command) with ``--trace 0`` once per
 workload and seed, and writes ``BENCH_<pr>.json`` at the repository root: the
@@ -9,6 +10,11 @@ measured commit, whether ``src`` had uncommitted changes on top of it
 metric over the seeds plus each seed's ``sim_digest``.  A change that claims
 a gain commits its own file; its parent's file is the baseline.  Nothing is
 written when a run exits non-zero, is not correct or fails a query.
+
+``--compare`` reads two such files and runs nothing.  Per workload it prints
+each end-to-end metric's NEW/OLD ratio, flags a move past the metric's
+``BENCHMARK.json`` bound in its worse direction and any changed
+``sim_digest``, and exits 1 when it flagged anything.
 """
 
 from __future__ import annotations
@@ -46,11 +52,45 @@ def _git(*args: str) -> str:
                           check=True).stdout
 
 
+def compare(old: dict, new: dict, spec: dict) -> list[str]:
+    """Print NEW/OLD per workload and metric; return what was flagged."""
+    flags = []
+    for workload in dict.fromkeys([*old["workloads"], *new["workloads"]]):
+        if workload not in old["workloads"] or workload not in new["workloads"]:
+            flags.append(f"{workload}: in one ledger only")
+            print(f"{workload}: in one ledger only")
+            continue
+        before, after = old["workloads"][workload], new["workloads"][workload]
+        print(workload)
+        for metric in spec["end_to_end"]:
+            name = metric["name"]
+            ratio = after["median"][name] / before["median"][name]
+            worse = ratio - 1.0 if metric["better"] == "lower" else 1.0 - ratio
+            flag = worse > metric["bound"]
+            print(f"  {name:<20} {before['median'][name]:>12.6g} -> "
+                  f"{after['median'][name]:>12.6g} {metric['unit']:<4} {ratio:7.3f}x"
+                  + (f"  FLAG: worse by more than {metric['bound']:.0%}" if flag else ""))
+            if flag:
+                flags.append(f"{workload} {name} {ratio:.3f}x")
+        digests = before["sim_digest"], after["sim_digest"]
+        changed = [seed for seed in dict.fromkeys([*digests[0], *digests[1]])
+                   if digests[0].get(seed) != digests[1].get(seed)]
+        print(f"  sim_digest           {len(digests[0]) - len(changed)} of "
+              f"{len(digests[0])} equal" + (f"  FLAG: changed on seeds {', '.join(changed)}"
+                                              if changed else ""))
+        flags.extend(f"{workload} sim_digest seed {seed}" for seed in changed)
+    print(f"flagged {len(flags)}" + "".join(f"\n  {flag}" for flag in flags))
+    return flags
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1 or not argv[0].isdigit():
-        print("usage: python3 benchmarks/ledger.py <pr>", file=sys.stderr)
-        return 2
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    if len(argv) == 3 and argv[0] == "--compare":
+        old, new = (json.loads(Path(path).read_text(encoding="utf-8")) for path in argv[1:])
+        return 1 if compare(old, new, spec) else 0
+    if len(argv) != 1 or not argv[0].isdigit():
+        print("usage: python3 benchmarks/ledger.py <pr> | --compare OLD NEW", file=sys.stderr)
+        return 2
     commit = _git("rev-parse", "HEAD").strip()
     # The measured tree is the commit only when src has no uncommitted change.
     dirty = bool(_git("status", "--porcelain", "--", "src").strip())
