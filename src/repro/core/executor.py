@@ -175,18 +175,15 @@ class OverlapExecutor:
             starts.append(start)
             ends.append(end)
         short_name = self.comm_model.kind.short_name
-
-        def name(group: int) -> str:
-            return f"{short_name}-G{group + 1}"
-
-        check_stream_order(COMM_STREAM, starts, ends, name)
+        names = [f"{short_name}-G{group}" for group in range(1, len(ends) + 1)]
+        check_stream_order(COMM_STREAM, names, starts, ends)
         return OverlapResult(
             latency=end,
             partition=partition,
             group_compute_ready=ready,
             group_comm_start=np.array(starts),
             group_comm_end=np.array(ends),
-            build_trace=partial(self._overlap_trace, starts, ends, name),
+            build_trace=partial(self._overlap_trace, names, starts, ends),
             metadata={
                 "payload_bytes": payloads,
                 "num_waves": self.num_waves(),
@@ -194,9 +191,7 @@ class OverlapExecutor:
             },
         )
 
-    def _overlap_trace(
-        self, starts: list[float], ends: list[float], name: Callable[[int], str]
-    ) -> Trace:
+    def _overlap_trace(self, names: list[str], starts: list[float], ends: list[float]) -> Trace:
         """:meth:`simulate`'s timeline: the GEMM, then one span per group collective."""
         wave_end, _ = self._wave_table()
         launch = self.problem.device.kernel_launch_seconds
@@ -208,8 +203,7 @@ class OverlapExecutor:
             KernelCategory.GEMM,
         )
         trace.extend(
-            COMM_STREAM, [name(group) for group in range(len(ends))], starts, ends,
-            [KernelCategory.COMMUNICATION] * len(ends),
+            COMM_STREAM, names, starts, ends, [KernelCategory.COMMUNICATION] * len(ends)
         )
         trace.validate_stream_order()
         return trace

@@ -25,12 +25,7 @@ from repro.comm.bandwidth import (
 )
 from repro.comm.primitives import CollectiveModel
 from repro.comm.topology import Topology
-from repro.core.config import (
-    DEFAULT_SETTINGS,
-    MAX_EXHAUSTIVE_WAVES,
-    OverlapProblem,
-    OverlapSettings,
-)
+from repro.core.config import DEFAULT_SETTINGS, MAX_EXHAUSTIVE_WAVES, OverlapProblem, OverlapSettings
 from repro.core.wave_grouping import (
     PartitionMatrix,
     WavePartition,

@@ -13,7 +13,7 @@ per stream.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from operator import lt
 
@@ -132,27 +132,26 @@ class Trace:
         for index, stream in enumerate(self._streams):
             by_stream.setdefault(stream, []).append(index)
         for stream, indices in by_stream.items():
-            names = [self._names[i] for i in indices]
             check_stream_order(
-                stream, [self._starts[i] for i in indices], [self._ends[i] for i in indices],
-                names.__getitem__,
+                stream, [self._names[i] for i in indices], [self._starts[i] for i in indices],
+                [self._ends[i] for i in indices],
             )
 
 
 def check_stream_order(
-    stream: str, starts: Sequence[float], ends: Sequence[float], name: Callable[[int], str]
+    stream: str, names: Sequence[str], starts: Sequence[float], ends: Sequence[float]
 ) -> None:
     """Raise if two of one stream's spans, given as columns, overlap.
 
     Spans are compared in order of start (ties in column order), each with
-    the next, to a 1e-12 s tolerance; ``name(i)`` names span ``i`` in the
-    error.  :meth:`Trace.validate_stream_order` applies it stream by stream,
-    and a producer can apply it to its columns without building a trace.
+    the next, to a 1e-12 s tolerance.  :meth:`Trace.validate_stream_order`
+    applies it stream by stream, and a producer can apply it to its columns
+    without building a trace.
     """
     order = sorted(range(len(starts)), key=starts.__getitem__)
     for earlier, later in zip(order, order[1:]):
         if starts[later] < ends[earlier] - 1e-12:
             raise ValueError(
-                f"stream {stream!r}: span {name(later)!r} starts before "
-                f"{name(earlier)!r} finishes"
+                f"stream {stream!r}: span {names[later]!r} starts before "
+                f"{names[earlier]!r} finishes"
             )

@@ -15,8 +15,7 @@ from oracles.tuner import predictive_reference
 from oracles.wave_grouping import candidate_partitions
 from repro.comm.primitives import CollectiveKind
 from repro.comm.topology import rtx4090_pcie
-from repro.core.config import OverlapProblem, OverlapSettings
-from repro.core.config import MAX_EXHAUSTIVE_WAVES
+from repro.core.config import MAX_EXHAUSTIVE_WAVES, OverlapProblem, OverlapSettings
 from repro.core.predictor import (
     LatencyPredictor,
     OfflineProfile,
@@ -25,11 +24,7 @@ from repro.core.predictor import (
     profile_cache_info,
 )
 from repro.core.tuner import PredictiveTuner
-from repro.core.wave_grouping import (
-    WavePartition,
-    candidate_partitions_matrix,
-    pruned_partition_matrix,
-)
+from repro.core.wave_grouping import WavePartition, candidate_partitions_matrix, pruned_partition_matrix
 from repro.gpu.device import RTX_4090
 from repro.gpu.gemm import GemmShape
 
