@@ -515,8 +515,8 @@ def sweep(
                 "plan_store": plan_store,
                 "priced_cells": len(runner.plan_store) if plan_store else None,
                 "priced_cell_stats": runner.plan_store.stats() if plan_store else None,
-                # Replays counted from the records: worker-pool lookups hit the
-                # workers' snapshots, not the parent store's counters.
+                # Replays counted from the records: a --baselines run looks up,
+                # but prices again, a cell stored without baselines.
                 "priced_hits": (
                     sum(summary.priced_hits for _, summary in summaries)
                     if plan_store else None

@@ -134,8 +134,7 @@ class OverlapExecutor:
         exposed; if communication dominates, only the first wave of compute is
         exposed.
         """
-        gemm = self.problem.gemm_model()
-        compute = gemm.duration(include_launch=True) * self.problem.imbalance
+        compute = self.gemm_contended.duration(include_launch=True) * self.problem.imbalance
         total_bytes = self.problem.output_bytes() * self.problem.imbalance
         comm = self.comm_model.latency(total_bytes)
         waves = max(1, self.num_waves())
@@ -215,7 +214,7 @@ class OverlapExecutor:
         down (e.g. tiny communication under heavy SM contention); FlashOverlap
         then simply does not reserve SMs and issues a single NCCL call.
         """
-        gemm = self.problem.gemm_model()
+        gemm = self.gemm_contended
         partition = WavePartition.single_group(max(1, gemm.num_waves()))
         launch = self.problem.device.kernel_launch_seconds
         gemm_duration = gemm.duration(include_launch=True) * self.problem.imbalance

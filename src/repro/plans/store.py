@@ -13,13 +13,14 @@ content or pricing rule changed are re-simulated.  That is the incremental-re-si
 half of ROADMAP item 3: editing one axis of a big matrix re-prices the
 touched cells and replays the rest from the store.
 
-Determinism across worker counts follows the shape-cache discipline of
-:class:`~repro.sweep.runner.SweepRunner`: workers only ever read the
-*initial* snapshot of the store (handed to the pool once, as JSON, at
-worker-init time -- not re-warmed per job), and freshly priced cells ride
-back on the job record for the parent to merge after the run.  Replayed
-values are bit-identical to recomputed ones because the pricing pipeline is
-seeded and deterministic, which the differential tests assert.
+Determinism across worker counts holds because only the parent process of
+:class:`~repro.sweep.runner.SweepRunner` reads and writes the store: it looks
+every pending job's cell up before any job runs, replays the hits itself and
+sends only the misses to the workers, then stores the fresh cells from the
+job records after the run.  So the store's hit/miss counters are the same on
+any worker count.  Replayed values are bit-identical to recomputed ones
+because the pricing pipeline is seeded and deterministic, which the
+differential tests assert.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class PricedCellStore:
     """Mapping of content keys to priced cell payloads, with hit/miss stats.
 
     Cells are plain JSON dicts (latencies, partition, speedups) so the store
-    round-trips through worker initargs and disk without bespoke codecs.
+    round-trips through disk without bespoke codecs.
     """
 
     def __init__(self) -> None:
@@ -62,9 +63,6 @@ class PricedCellStore:
 
     def __len__(self) -> int:
         return len(self._cells)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._cells
 
     def lookup(self, key: str) -> dict | None:
         """The stored cell for ``key``, or None (counted as hit/miss)."""
@@ -90,14 +88,6 @@ class PricedCellStore:
 
     # -- serialisation -----------------------------------------------------------
 
-    def to_json(self) -> str:
-        """Serialise the cells (stats are run-local and not persisted)."""
-        return json.dumps(self._cells, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PricedCellStore":
-        return cls.from_dict(json.loads(text))
-
     @classmethod
     def from_dict(cls, cells: dict) -> "PricedCellStore":
         store = cls()
@@ -106,8 +96,8 @@ class PricedCellStore:
         return store
 
     def save(self, path: str | Path) -> None:
-        """Atomically persist the store (temp file + rename)."""
-        atomic_write_text(path, self.to_json())
+        """Atomically persist the cells (temp file + rename); stats are run-local."""
+        atomic_write_text(path, json.dumps(self._cells, sort_keys=True))
 
     @classmethod
     def load(cls, path: str | Path, missing_ok: bool = False) -> "PricedCellStore":

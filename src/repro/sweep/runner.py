@@ -11,7 +11,9 @@ produces identical records.  To guarantee that, every job looks partitions up
 against the *initial* shape-cache snapshot (never against entries tuned by a
 sibling job of the same run, whose availability would depend on scheduling);
 freshly tuned entries are merged into the cache after the run, so the warm
-start applies across runs, not within one.
+start applies across runs, not within one.  Only the parent reads and writes
+the priced-cell store, so its hit/miss counters read the same on any worker
+count: stored cells replay in the parent, and only the misses become jobs.
 
 Two caches with different scopes make a sweep fast:
 
@@ -72,59 +74,33 @@ MAX_RETRIES = 2
 RETRY_BACKOFF_S = 0.05
 
 #: Per-worker-process state, set once by :func:`_init_worker` so the shared
-#: shape cache and priced-cell snapshot are deserialised per worker, not per
-#: job.
+#: shape cache is deserialised per worker, not per job.
 _WORKER_CACHE: GemmShapeCache | None = None
 _WORKER_BASELINES = False
-_WORKER_PLANS: PricedCellStore | None = None
 
 
-def _init_worker(cache_json: str | None, baselines: bool, plans_json: str | None) -> None:
-    global _WORKER_CACHE, _WORKER_BASELINES, _WORKER_PLANS
+def _init_worker(cache_json: str | None, baselines: bool) -> None:
+    global _WORKER_CACHE, _WORKER_BASELINES
     _WORKER_CACHE = GemmShapeCache.from_json(cache_json) if cache_json else GemmShapeCache()
     _WORKER_BASELINES = baselines
-    _WORKER_PLANS = PricedCellStore.from_json(plans_json) if plans_json is not None else None
 
 
 def _execute_in_worker(payload: dict) -> dict:
-    return _execute_scenario(payload, _WORKER_CACHE, _WORKER_BASELINES, _WORKER_PLANS)
+    return _execute_scenario(payload, _WORKER_CACHE, _WORKER_BASELINES)
 
 
-def _execute_scenario(
-    payload: dict,
-    cache: GemmShapeCache | None,
-    baselines: bool,
-    plans: PricedCellStore | None,
-) -> dict:
+def _execute_scenario(payload: dict, cache: GemmShapeCache | None, baselines: bool) -> dict:
     """Run one sweep job; module-level so worker processes can pickle it.
 
-    ``cache`` and ``plans`` are only read, never mutated (beyond hit/miss
-    counters), so the in-process path can hand in its live objects directly.
-    Returns the result record; on a shape-cache miss the freshly tuned entry
-    rides along under ``"cache_entry"``, and on a priced-cell miss the fresh
-    cell rides along under ``"priced_cell"``, so the parent can merge both
-    into the shared stores (the keys are popped before the record is stored).
+    ``cache`` is only read, never mutated (beyond hit/miss counters), so the
+    in-process path can hand in its live object directly.  Returns the result
+    record; on a shape-cache miss the freshly tuned entry rides along under
+    ``"cache_entry"``, so the parent can merge it into the shared cache (the
+    key is popped before the record is stored).
     """
     scenario = Scenario.from_dict(payload)
     record: dict = {"job_id": scenario.job_id, "scenario": scenario.to_dict()}
     try:
-        content = {"pricing_version": PRICING_VERSION, "scenario": record["scenario"]}
-        cell_key = plan_key(content) if plans is not None else None
-        cell = plans.lookup(cell_key) if plans is not None else None
-        if cell is not None and baselines and "method_speedups" not in cell:
-            cell = None  # the stored cell was priced without baselines
-        if cell is not None:
-            # The scenario content and the pricing rule are unchanged since
-            # the cell was priced, and pricing is deterministic, so replaying
-            # the stored values is bit-identical to re-simulating (the
-            # differential tests assert this).  No tuner or executor work
-            # happens at all.
-            if not baselines:
-                cell.pop("method_speedups", None)
-            record.update(cell)
-            record.update(status="ok", tuned=False, cache_hit=False, priced_cell_hit=True)
-            return record
-
         problem = scenario.to_problem()
         settings = scenario.to_settings()
 
@@ -156,11 +132,6 @@ def _execute_scenario(
         if baselines:
             comparison = compare_methods(priced, settings=settings)
             record["method_speedups"] = dict(comparison.speedups)
-        if plans is not None:
-            fresh_cell = {field: record[field] for field in _PRICED_FIELDS}
-            if baselines:
-                fresh_cell["method_speedups"] = record["method_speedups"]
-            record["priced_cell"] = {"key": cell_key, "cell": fresh_cell}
     except Exception as error:  # noqa: BLE001 - a failed job must not kill the sweep
         record.update(
             status="error",
@@ -285,9 +256,9 @@ class SweepRunner:
         Content-addressed :class:`PricedCellStore` loaded (or created) at
         this path: jobs whose scenario content and ``PRICING_VERSION`` match
         a stored cell replay the priced values instead of re-simulating (see
-        :mod:`repro.plans.store`).  Workers receive the initial snapshot once
-        at pool-init time; freshly priced cells are merged back after the run
-        and written to the path.
+        :mod:`repro.plans.store`).  Only this process reads and writes the
+        store: it replays the hits before any job runs, so only misses reach
+        the workers, and stores the misses' ``ok`` cells after the run.
     heartbeat_s:
         Emit a ``[sweep] done/total`` progress line (with retry/quarantine
         counts and an ETA) to stderr every ``heartbeat_s`` seconds while jobs
@@ -343,18 +314,27 @@ class SweepRunner:
             if self.heartbeat_s > 0 and pending
             else None
         )
+        replays: dict[str, dict] = {}
+        cell_keys: dict[str, str] = {}  # job ID -> cell key of each job to price
         try:
-            if self.workers > 1 and pending:
+            if self.plan_store is not None:
+                for scenario in pending:
+                    key = plan_key({"pricing_version": PRICING_VERSION, "scenario": scenario.to_dict()})
+                    record = self._replay(scenario, self.plan_store.lookup(key))
+                    if record is None:
+                        cell_keys[scenario.job_id] = key
+                    else:
+                        self._account(record, heartbeat)
+                        replays[scenario.job_id] = record
+            jobs = [s for s in pending if s.job_id not in replays]
+            if self.workers > 1 and jobs:
                 cache_json = self.cache.to_json() if len(self.cache) else None
-                plans_json = (
-                    self.plan_store.to_json() if self.plan_store is not None else None
-                )
-                records = self._run_pool(pending, cache_json, plans_json, heartbeat)
+                records = self._run_pool(jobs, cache_json, heartbeat)
             else:
                 # The cache is read-only during job execution (merges happen
                 # afterwards), so the live object can be shared directly.
                 records = []
-                for scenario in pending:
+                for scenario in jobs:
                     with obs.span("sweep.job", job_id=scenario.job_id):
                         record = self._attempt_with_retries(scenario)
                     self._account(record, heartbeat)
@@ -365,14 +345,18 @@ class SweepRunner:
 
         # Deterministic store order regardless of worker completion order.
         by_id = {record["job_id"]: record for record in records}
+        by_id.update(replays)
         ordered = [by_id[s.job_id] for s in pending]
         for record in ordered:
             entry = record.pop("cache_entry", None)
             if entry is not None:
                 self._merge_cache_entry(entry)
-            priced = record.pop("priced_cell", None)
-            if priced is not None and self.plan_store is not None:
-                self.plan_store.add(priced["key"], priced["cell"])
+            key = cell_keys.get(record["job_id"])
+            if key is not None and record["status"] == "ok":
+                cell = {field: record[field] for field in _PRICED_FIELDS}
+                if self.baselines:
+                    cell["method_speedups"] = record["method_speedups"]
+                self.plan_store.add(key, cell)
             self.store.append(record)
 
         if self.cache_path is not None:
@@ -404,6 +388,22 @@ class SweepRunner:
             records=ordered,
             profile_cache=profile_cache,
         )
+
+    def _replay(self, scenario: Scenario, cell: dict | None) -> dict | None:
+        """``scenario``'s record replayed from its stored ``cell``, or None to price it.
+
+        The scenario content and the pricing rule are unchanged since the
+        cell was priced, and pricing is deterministic, so replaying the
+        stored values is bit-identical to re-simulating (the differential
+        tests assert this).  No tuner or executor work happens at all.
+        """
+        if cell is None or (self.baselines and "method_speedups" not in cell):
+            return None  # a miss, or a cell priced without baselines
+        if not self.baselines:
+            cell.pop("method_speedups", None)
+        record = {"job_id": scenario.job_id, "scenario": scenario.to_dict(), **cell}
+        record.update(status="ok", tuned=False, cache_hit=False, priced_cell_hit=True)
+        return record
 
     def _account(self, record: dict, heartbeat: _Heartbeat | None) -> None:
         """Post one finished job to the registry (and the heartbeat)."""
@@ -441,7 +441,7 @@ class SweepRunner:
             if attempt and RETRY_BACKOFF_S:
                 time.sleep(RETRY_BACKOFF_S * 2 ** (attempt - 1))
             try:
-                record = _execute_scenario(scenario.to_dict(), self.cache, self.baselines, self.plan_store)
+                record = _execute_scenario(scenario.to_dict(), self.cache, self.baselines)
             except Exception as error:  # noqa: BLE001 - crash analog, retried
                 last_error = f"{type(error).__name__}: {error}"
                 last_traceback = traceback.format_exc()
@@ -460,16 +460,12 @@ class SweepRunner:
         }
 
     def _run_pool(
-        self,
-        pending: list[Scenario],
-        cache_json: str | None,
-        plans_json: str | None = None,
-        heartbeat: _Heartbeat | None = None,
+        self, jobs: list[Scenario], cache_json: str | None, heartbeat: _Heartbeat | None
     ) -> list[dict]:
         # Forked workers inherit this memo (and the numpy.random the noise
         # loads): build each distinct curve once here, not in every worker.
         # A scenario that does not build is left to its job to record.
-        for scenario in pending:
+        for scenario in jobs:
             try:
                 problem, settings = scenario.to_problem(), scenario.to_settings()
                 cached_sampled_curve(
@@ -485,9 +481,9 @@ class SweepRunner:
         with ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_init_worker,
-            initargs=(cache_json, self.baselines, plans_json),
+            initargs=(cache_json, self.baselines),
         ) as pool:
-            futures = {pool.submit(_execute_in_worker, s.to_dict()): s for s in pending}
+            futures = {pool.submit(_execute_in_worker, s.to_dict()): s for s in jobs}
             for future in as_completed(futures):
                 try:
                     record = future.result()

@@ -201,7 +201,7 @@ class TestSweepQuarantineFlight:
             collectives=["allreduce"],
         )
 
-        def crash(payload, cache, baselines, plans):
+        def crash(payload, cache, baselines):
             raise OSError("worker crashed")
 
         monkeypatch.setattr(runner_module, "_execute_scenario", crash)
@@ -231,7 +231,7 @@ class TestSweepQuarantineFlight:
         )
         monkeypatch.setattr(
             runner_module, "_execute_scenario",
-            lambda payload, cache, baselines, plans: (_ for _ in ()).throw(OSError("crash")),
+            lambda payload, cache, baselines: (_ for _ in ()).throw(OSError("crash")),
         )
         monkeypatch.setattr(runner_module, "MAX_RETRIES", 0)
         store = ResultStore(tmp_path / "results.jsonl")

@@ -41,16 +41,22 @@ def job_id_of(payload: dict) -> str:
     return Scenario.from_dict(payload).job_id
 
 
-def ok_record(payload: dict) -> dict:
-    return {"job_id": job_id_of(payload), "scenario": payload, "status": "ok",
-            "tuned": False, "cache_hit": True}
+def ok_record(payload: dict, baselines: bool = False) -> dict:
+    """A complete ``ok`` record: the runner stores priced cells from its fields."""
+    record = {"job_id": job_id_of(payload), "scenario": payload, "status": "ok",
+              "tuned": False, "cache_hit": True, "use_overlap": True, "partition": [2, 2],
+              "candidates_evaluated": 1, "overlap_latency": 1.0, "non_overlap_latency": 1.5,
+              "theoretical_latency": 0.75, "speedup": 1.5, "ratio_of_theoretical": 0.75}
+    if baselines:
+        record["method_speedups"] = {"flashoverlap": 1.5}
+    return record
 
 
 class TestFlakyJobsRetry:
     def test_crashes_are_retried_until_success(self, scenarios, store, monkeypatch):
         calls: dict[str, int] = {}
 
-        def flaky(payload, cache, baselines, plans):
+        def flaky(payload, cache, baselines):
             job_id = job_id_of(payload)
             calls[job_id] = calls.get(job_id, 0) + 1
             if calls[job_id] <= 2:
@@ -74,16 +80,15 @@ class TestExecutionArguments:
     @pytest.mark.parametrize("with_plan_store", [True, False], ids=["store", "no-store"])
     def test_every_attempt_receives_the_runner_state(self, scenarios, store, monkeypatch,
                                                      tmp_path, with_plan_store):
-        """Retried attempts get the runner's live shape cache, baseline flag
-        and priced-cell store."""
+        """Retried attempts get the runner's live shape cache and baseline flag."""
         plan_store_path = str(tmp_path / "cells.json") if with_plan_store else None
         seen: list[tuple] = []
 
-        def crash_once(payload, cache, baselines, plans):
-            seen.append((job_id_of(payload), cache, baselines, plans))
+        def crash_once(payload, cache, baselines):
+            seen.append((job_id_of(payload), cache, baselines))
             if len(seen) % 2:
                 raise OSError("worker died")
-            return ok_record(payload)
+            return ok_record(payload, baselines)
 
         monkeypatch.setattr(runner_module, "_execute_scenario", crash_once)
         monkeypatch.setattr(runner_module, "MAX_RETRIES", 1)
@@ -93,15 +98,14 @@ class TestExecutionArguments:
         assert summary.failed == 0
         assert (runner.plan_store is not None) is with_plan_store
         assert [job for job, *_ in seen] == [s.job_id for s in scenarios for _ in range(2)]
-        for _, cache, baselines, plans in seen:
+        for _, cache, baselines in seen:
             assert cache is runner.cache
             assert baselines is True
-            assert plans is runner.plan_store
 
 
 class TestQuarantine:
     def test_exhausted_retries_quarantine_the_job(self, scenarios, store, monkeypatch):
-        def always_crash(payload, cache, baselines, plans):
+        def always_crash(payload, cache, baselines):
             raise OSError("dead")
 
         monkeypatch.setattr(runner_module, "_execute_scenario", always_crash)
@@ -120,7 +124,7 @@ class TestQuarantine:
     def test_quarantined_jobs_are_retried_on_resume(self, scenarios, store, monkeypatch):
         monkeypatch.setattr(
             runner_module, "_execute_scenario",
-            lambda payload, cache, baselines, plans: (_ for _ in ()).throw(OSError("dead")),
+            lambda payload, cache, baselines: (_ for _ in ()).throw(OSError("dead")),
         )
         monkeypatch.setattr(runner_module, "MAX_RETRIES", 0)
         SweepRunner(store).run(scenarios)
@@ -130,7 +134,7 @@ class TestQuarantine:
         # ... so a resumed run re-attempts every one of them.
         monkeypatch.setattr(
             runner_module, "_execute_scenario",
-            lambda payload, cache, baselines, plans: ok_record(payload),
+            lambda payload, cache, baselines: ok_record(payload),
         )
         summary = SweepRunner(store, resume=True).run(scenarios)
         assert summary.executed == len(scenarios)
@@ -143,7 +147,7 @@ class TestDeterministicErrorsNotRetried:
     def test_in_job_errors_run_exactly_once(self, scenarios, store, monkeypatch):
         calls: dict[str, int] = {}
 
-        def in_job_error(payload, cache, baselines, plans):
+        def in_job_error(payload, cache, baselines):
             job_id = job_id_of(payload)
             calls[job_id] = calls.get(job_id, 0) + 1
             return {"job_id": job_id, "scenario": payload,

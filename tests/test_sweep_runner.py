@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import repro.api as api
+import repro.sweep.runner as runner_module
 from repro.core.predictor import clear_profile_caches, profile_cache_info
 from repro.core.tuner import GemmShapeCache
 from repro.plans.store import PricedCellStore, plan_key
@@ -287,7 +289,7 @@ class TestSweepPricedCells:
         plain = SweepRunner(ResultStore(tmp_path / "plain.jsonl")).run(tiny_matrix)
         assert priced_view(replayed.records) == priced_view(plain.records)
 
-    def test_workers_share_the_snapshot_and_ride_cells_back(self, tmp_path, two_platform_matrix):
+    def test_two_workers_price_the_misses_the_parent_stores(self, tmp_path, two_platform_matrix):
         serial_cells, cells_path = tmp_path / "serial-cells.json", tmp_path / "cells.json"
         serial = SweepRunner(
             ResultStore(tmp_path / "serial.jsonl"), plan_store_path=str(serial_cells)
@@ -311,6 +313,49 @@ class TestSweepPricedCells:
         # A replayed record is the priced record, flagged as replayed.
         assert again.records == [
             {**record, "tuned": False, "priced_cell_hit": True} for record in parallel.records
+        ]
+
+    def test_an_all_hit_replay_forks_no_pool(self, tmp_path, tiny_matrix, monkeypatch):
+        cells_path = str(tmp_path / "cells.json")
+        first = SweepRunner(
+            ResultStore(tmp_path / "first.jsonl"), plan_store_path=cells_path
+        ).run(tiny_matrix)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("an all-hit replay created a process pool")
+
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", no_pool)
+        replay = SweepRunner(
+            ResultStore(tmp_path / "replay.jsonl"), workers=2, plan_store_path=cells_path
+        ).run(tiny_matrix)
+        assert replay.priced_hits == 4
+        assert replay.records == [
+            {**record, "tuned": False, "priced_cell_hit": True} for record in first.records
+        ]
+
+    @pytest.mark.parametrize("baselines", [False, True])
+    def test_priced_cell_stats_do_not_depend_on_the_worker_count(
+        self, tmp_path, tiny_matrix, baselines
+    ):
+        config = tmp_path / "matrix.json"
+        config.write_text(json.dumps(tiny_matrix.to_dict()))
+        stats = {}
+        for workers in (1, 2):
+            cells_path = str(tmp_path / f"cells-{workers}.json")
+            stats[workers] = [
+                api.sweep(
+                    config=str(config),
+                    out=tmp_path / f"{workers}-{run}.jsonl",
+                    workers=workers,
+                    plan_store=cells_path,
+                    baselines=baselines,
+                ).meta["priced_cell_stats"]
+                for run in ("first", "replay")
+            ]
+        assert stats[2] == stats[1]
+        assert stats[1] == [
+            {"size": 4, "hits": 0, "misses": 4},
+            {"size": 4, "hits": 4, "misses": 0},
         ]
 
     def test_cell_without_baselines_is_not_replayed_by_a_baselines_run(
